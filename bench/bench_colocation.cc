@@ -1,4 +1,4 @@
-// Colocation capstone: the full runtime loop under a multi-tenant,
+// Colocation capstone: the §3.2 background tasks under a multi-tenant,
 // phase-shifting workload — sizing (§5), migration (§5), and priority
 // weights (§5's "high-value applications") acting together.
 //
@@ -13,10 +13,12 @@
 // After each phase we report the private/shared split, the analytics
 // job's locality, and its effective bandwidth on Link1.
 #include <cstdio>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/table.h"
-#include "core/runtime.h"
+#include "core/migration.h"
+#include "core/sizing.h"
 #include "fabric/topology.h"
 
 #include "args.h"
@@ -49,9 +51,19 @@ int main(int argc, char** argv) {
   cluster::Cluster cluster(config);
   core::PoolManager manager(&cluster);
   manager.access_tracker().set_half_life(Seconds(50));
-  core::RuntimeConfig rt;
-  rt.migration.max_migrations_per_round = 16;
-  core::LmpRuntime runtime(&manager, rt);
+  core::MigrationConfig migration;
+  migration.max_migrations_per_round = 16;
+  core::MigrationEngine migrator(&manager, migration);
+  // Declared demand per server, held in server-id order: Solve serves
+  // equal-priority servers in input order.
+  std::vector<core::ServerDemand> demands(4);
+  // Both background tasks, balancing first: one migration round, then one
+  // sizing solve applied (shrinks blocked by live frames are deferred).
+  auto run_tasks = [&](SimTime now) {
+    (void)migrator.RunOnce(now);
+    (void)core::SizingOptimizer::Apply(
+        cluster, core::SizingOptimizer::Solve(cluster, demands));
+  };
   const auto link = fabric::LinkProfile::Link1();
 
   TablePrinter table({"Phase", "Server0 priv/shared (GiB)",
@@ -72,19 +84,19 @@ int main(int argc, char** argv) {
 
   // --- Phase 1: daytime ----------------------------------------------------
   for (int s = 0; s < 4; ++s) {
-    runtime.SetDemand(core::ServerDemand{
-        static_cast<cluster::ServerId>(s), GiB(20), GiB(2), 1.0});
+    demands[s] = core::ServerDemand{static_cast<cluster::ServerId>(s),
+                                    GiB(20), GiB(2), 1.0};
   }
-  runtime.RunAllNow(Seconds(1));
+  run_tasks(Seconds(1));
   report("day (interactive)", -1);
 
   // --- Phase 2: night analytics on server 0 -------------------------------
-  runtime.SetDemand(core::ServerDemand{0, GiB(2), GiB(40), 2.0});
+  demands[0] = core::ServerDemand{0, GiB(2), GiB(40), 2.0};
   for (int s = 1; s < 4; ++s) {
-    runtime.SetDemand(core::ServerDemand{
-        static_cast<cluster::ServerId>(s), GiB(2), 0, 1.0});
+    demands[s] = core::ServerDemand{static_cast<cluster::ServerId>(s),
+                                    GiB(2), 0, 1.0};
   }
-  runtime.RunAllNow(Seconds(2));
+  run_tasks(Seconds(2));
   auto dataset = manager.Allocate(GiB(40), 0);
   LMP_CHECK(dataset.ok());
   // Split into 4 GiB migration units: without this, the 22 GiB placement
@@ -101,12 +113,12 @@ int main(int argc, char** argv) {
   // reclaims server 2's shared region and the balancer has nowhere to
   // put the data); server 2's traffic then dominates and balancing
   // rounds chase it.
-  runtime.SetDemand(core::ServerDemand{0, GiB(2), 0, 1.0});
-  runtime.SetDemand(core::ServerDemand{2, GiB(2), GiB(40), 2.0});
+  demands[0] = core::ServerDemand{0, GiB(2), 0, 1.0};
+  demands[2] = core::ServerDemand{2, GiB(2), GiB(40), 2.0};
   for (int round = 0; round < 12; ++round) {
     LMP_CHECK_OK(manager.Touch(2, *dataset, 0, GiB(40),
                                Seconds(3) + round * Milliseconds(100)));
-    runtime.RunAllNow(Seconds(3) + round * Milliseconds(100) + 1);
+    run_tasks(Seconds(3) + round * Milliseconds(100) + 1);
   }
   local = manager.LocalFraction(*dataset, 2).value_or(0);
   report("shift (analytics @2)", local);

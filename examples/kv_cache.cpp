@@ -67,9 +67,7 @@ int main() {
   // Let the background balancer act (several rounds).
   std::size_t moved = 0;
   for (int round = 0; round < 8; ++round) {
-    moved += pool.runtime()
-                 .RunAllNow(lmp::Milliseconds(100 + round))
-                 .size();
+    moved += pool.Tick(lmp::Milliseconds(100 + round)).size();
   }
   std::printf("migrator moved %zu segment(s)\n", moved);
   std::printf("after balancing: server 3 holds %.0f%% of shard data\n",

@@ -4,13 +4,16 @@
 // actually use: pool snapshots (capacity, balancer backlog), the metrics
 // registry, buffer grow/shrink, segment splitting for finer migration
 // units, and draining a server's shared region before taking it down for
-// maintenance.
+// maintenance (through the sizing controller, which prices the moves as DMA
+// flows on the fabric and lands the shrink when the last one completes).
 //
 //   $ ./pool_operations
 #include <cstdio>
 
-#include "core/runtime.h"
 #include "core/lmp.h"
+#include "ctrl/controller.h"
+#include "fabric/topology.h"
+#include "sim/fluid.h"
 
 namespace {
 
@@ -36,7 +39,6 @@ int main() {
   auto& manager = pool.manager();
   lmp::MetricsRegistry metrics;
   manager.set_metrics(&metrics);
-  lmp::core::LmpRuntime runtime(&manager);
 
   // A dataset that grows over time (log ingestion, say).
   auto dataset = pool.Allocate(lmp::MiB(8), 0);
@@ -58,11 +60,20 @@ int main() {
   PrintSnapshot(manager.Snapshot(0), "\npool before maintenance:");
 
   // Maintenance: drain server 0's shared region before taking it down.
-  auto moves = runtime.DrainServer(0, lmp::MiB(4), lmp::Seconds(1));
-  LMP_CHECK(moves.ok());
-  std::printf("\ndrained server 0: %zu segment(s) relocated\n",
-              moves->size());
-  PrintSnapshot(manager.Snapshot(lmp::Seconds(1)),
+  lmp::sim::FluidSimulator sim;
+  auto topology = lmp::fabric::Topology::MakeLogical(
+      &sim, pool.cluster().num_servers(), lmp::fabric::LinkProfile::Link1());
+  lmp::ctrl::SizingController controller(
+      {.sim = &sim, .manager = &manager, .topology = &topology});
+  controller.set_metrics(&metrics);
+  LMP_CHECK_OK(controller.Drain(0, lmp::MiB(4)));
+  sim.Run();
+  LMP_CHECK(pool.cluster().server(0).shared_bytes() == lmp::MiB(4));
+  std::printf("\ndrained server 0: %llu MiB relocated in %.0f us\n",
+              static_cast<unsigned long long>(
+                  controller.stats().drain_bytes / lmp::kMiB),
+              sim.now() / lmp::Microseconds(1));
+  PrintSnapshot(manager.Snapshot(sim.now()),
                 "pool after drain (server 0 down to 4 MiB shared):");
 
   // Everything still readable.

@@ -1,6 +1,6 @@
 // Quickstart: create a logical memory pool, allocate a buffer in it, write
-// and read data from different servers, and watch the background runtime
-// migrate a hot buffer toward its user.
+// and read data from different servers, and watch a locality-balancing
+// round migrate a hot buffer toward its user.
 //
 //   $ ./quickstart
 //

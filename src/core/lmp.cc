@@ -23,8 +23,7 @@ PoolOptions PoolOptions::Small() {
 Pool::Pool(const PoolOptions& options) {
   cluster_ = std::make_unique<cluster::Cluster>(options.cluster);
   manager_ = std::make_unique<core::PoolManager>(cluster_.get());
-  runtime_ = std::make_unique<core::LmpRuntime>(manager_.get(),
-                                                options.runtime);
+  migrator_ = std::make_unique<core::MigrationEngine>(manager_.get());
   coherent_ = std::make_unique<core::CoherentRegion>(
       options.coherent_bytes, options.coherence_granularity,
       options.cluster.num_servers);
@@ -41,7 +40,7 @@ StatusOr<std::unique_ptr<Pool>> Pool::Create(const PoolOptions& options) {
     return InvalidArgumentError(
         "coherence directory supports at most 64 hosts");
   }
-  if (options.coherent_bytes == 0 ||
+  if (options.coherent_bytes == 0 || options.coherence_granularity == 0 ||
       options.coherent_bytes % options.coherence_granularity != 0) {
     return InvalidArgumentError(
         "coherent region must be a multiple of the tracking granularity");
@@ -55,5 +54,13 @@ StatusOr<core::BufferId> Pool::Allocate(
 }
 
 Status Pool::Free(core::BufferId buffer) { return manager_->Free(buffer); }
+
+std::vector<core::MigrationRecord> Pool::Tick(SimTime now) {
+  // A failed round keeps the moves it made before the error; the error
+  // concerns the segment it tripped on, and the next round retries.
+  std::vector<core::MigrationRecord> records;
+  (void)migrator_->RunOnce(now, &records);
+  return records;
+}
 
 }  // namespace lmp

@@ -9,10 +9,12 @@
 //   pool.WriteArray(0, buf, 0, std::span<const double>(v));
 //   double sum = pool.shipper().ShipAndReduce(...).value();
 //
-// Pool bundles the cluster, pool manager, runtime (background migrator +
-// sizer), coherent region, compute shipper, and replication manager into
-// one object with a small, documented surface.  Experiments that need the
-// pieces individually can reach them through accessors.
+// Pool bundles the cluster, pool manager, locality migrator, coherent
+// region, compute shipper, and replication manager into one object with a
+// small, documented surface.  Experiments that need the pieces
+// individually can reach them through accessors.  The §3.2 background
+// tasks in sim time — periodic sizing, priced drains, chaos reactions —
+// belong to ctrl::SizingController, which binds to manager().
 #pragma once
 
 #include <memory>
@@ -24,15 +26,14 @@
 #include "common/units.h"
 #include "core/coherent_region.h"
 #include "core/compute_ship.h"
+#include "core/migration.h"
 #include "core/pool_manager.h"
 #include "core/replication.h"
-#include "core/runtime.h"
 
 namespace lmp {
 
 struct PoolOptions {
   cluster::ClusterConfig cluster;
-  core::RuntimeConfig runtime;
   // Coherent region (§3.2): a few GBs in real deployments; default small so
   // functional tests stay cheap.  Granularity is the coherence tracking
   // unit (sub-line 16 B avoids false sharing).
@@ -72,15 +73,13 @@ class Pool {
                           std::as_writable_bytes(out), now);
   }
 
-  // Background tasks ------------------------------------------------------------
-  std::vector<core::MigrationRecord> Tick(SimTime now) {
-    return runtime_->Tick(now);
-  }
+  // Locality balancing -------------------------------------------------------
+  // One migration round at simulated time `now`; returns the moves it made.
+  std::vector<core::MigrationRecord> Tick(SimTime now);
 
   // Components -------------------------------------------------------------------
   cluster::Cluster& cluster() { return *cluster_; }
   core::PoolManager& manager() { return *manager_; }
-  core::LmpRuntime& runtime() { return *runtime_; }
   core::CoherentRegion& coherent() { return *coherent_; }
   core::ComputeShipper& shipper() { return *shipper_; }
   core::ReplicationManager& replication() { return *replication_; }
@@ -90,7 +89,7 @@ class Pool {
 
   std::unique_ptr<cluster::Cluster> cluster_;
   std::unique_ptr<core::PoolManager> manager_;
-  std::unique_ptr<core::LmpRuntime> runtime_;
+  std::unique_ptr<core::MigrationEngine> migrator_;
   std::unique_ptr<core::CoherentRegion> coherent_;
   std::unique_ptr<core::ComputeShipper> shipper_;
   std::unique_ptr<core::ReplicationManager> replication_;

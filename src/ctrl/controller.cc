@@ -1,6 +1,7 @@
 #include "ctrl/controller.h"
 
 #include <algorithm>
+#include <tuple>
 
 #include "common/logging.h"
 #include "common/trace.h"
@@ -24,6 +25,59 @@ core::MigrationConfig ScopedMigration(const ControllerConfig& config) {
 }
 
 }  // namespace
+
+std::vector<DrainVictim> BlockedResidents(core::PoolManager& manager,
+                                          cluster::ServerId server,
+                                          Bytes target_bytes, SimTime now) {
+  // The shrink is blocked by segments holding frames in the region being
+  // removed (the allocator trims from the tail).  Those — and only those —
+  // must leave.
+  const std::uint64_t target_frames = mem::FramesForBytes(
+      target_bytes, manager.cluster().server(server).frame_size());
+  std::vector<DrainVictim> residents;
+  const core::Location here = core::Location::OnServer(server);
+  manager.segment_map().ForEach([&](const core::SegmentInfo& info) {
+    if (info.home != here || info.state != core::SegmentState::kActive) {
+      return;
+    }
+    auto runs_or = manager.local_map(here).RunsOf(info.id);
+    if (!runs_or.ok()) return;
+    for (const mem::FrameRun& run : runs_or.value()) {
+      if (run.end() > target_frames) {
+        residents.push_back(DrainVictim{
+            info.id, info.size,
+            manager.access_tracker().TotalBytes(info.id, now),
+            info.mobility == mem::Mobility::kPinned, info.priority});
+        return;
+      }
+    }
+  });
+  // Tie-break on segment id: ForEach order is hash-map order, and the
+  // drain sequence feeds deterministic traces.
+  std::sort(residents.begin(), residents.end(),
+            [](const DrainVictim& a, const DrainVictim& b) {
+              return std::tie(a.pinned, a.priority, a.heat, a.seg) <
+                     std::tie(b.pinned, b.priority, b.heat, b.seg);
+            });
+  return residents;
+}
+
+cluster::ServerId MostFreePeer(const cluster::Cluster& cluster,
+                               cluster::ServerId first,
+                               cluster::ServerId limit,
+                               cluster::ServerId exclude, Bytes need) {
+  cluster::ServerId best = exclude;
+  Bytes best_free = 0;
+  for (cluster::ServerId id = first; id < limit; ++id) {
+    if (id == exclude || cluster.server(id).crashed()) continue;
+    const Bytes free = cluster.server(id).shared_allocator().free_bytes();
+    if (free >= need && free > best_free) {
+      best = id;
+      best_free = free;
+    }
+  }
+  return best;
+}
 
 SizingController::SizingController(Bindings bindings, ControllerConfig config)
     : sim_(bindings.sim),
@@ -234,37 +288,55 @@ void SizingController::ActuatePass(const core::SizingPlan& plan, SimTime now,
       continue;
     }
 
-    const Status st = srv.ResizeShared(target);
-    if (st.ok()) {
-      if (target > current) {
-        ++stats_.grows;
-        metrics_->Increment("ctrl.grows");
-      } else {
-        ++stats_.shrinks;
-        metrics_->Increment("ctrl.shrinks");
-      }
-      stats_.resize_bytes += delta;
-      metrics_->Increment("ctrl.resize_bytes", delta);
-      cooldown_until_[entry.server] = now + config_.cooldown;
-      if (trace_ != nullptr) {
-        trace_->Instant(trace::Category::kCtrl, "resize", now,
-                        {trace::Arg("server", entry.server),
-                         trace::Arg("from", current),
-                         trace::Arg("to", target)});
-      }
-      continue;
-    }
-    if (IsFailedPrecondition(st)) {
-      // Live frames in the way: the §5 answer is a drain, not a deferral.
-      ++stats_.shrinks_deferred;
-      metrics_->Increment("ctrl.shrinks_deferred");
-      BeginDrain(entry.server, target, now);
-      continue;
-    }
-    // Anything else (bad target) is a solver bug worth surfacing loudly.
-    LMP_CHECK(false) << "resize of server " << entry.server
-                     << " failed: " << st.ToString();
+    // Anything but a landed resize or a drain (bad target) is a solver
+    // bug worth surfacing loudly.
+    const Status st = Drain(entry.server, target);
+    LMP_CHECK(st.ok()) << "resize of server " << entry.server
+                       << " failed: " << st.ToString();
   }
+}
+
+Status SizingController::Drain(cluster::ServerId server, Bytes target) {
+  cluster::Cluster& cluster = manager_->cluster();
+  if (server >= static_cast<cluster::ServerId>(cluster.num_servers())) {
+    return InvalidArgumentError("unknown server");
+  }
+  if (cluster.server(server).crashed()) {
+    return UnavailableError("server is crashed");
+  }
+  if (drains_.count(server) > 0) {
+    return FailedPreconditionError("a drain is already in flight");
+  }
+  const SimTime now = sim_->now();
+  auto& srv = cluster.server(server);
+  const Bytes current = srv.shared_bytes();
+  const Status st = srv.ResizeShared(target);
+  if (st.ok()) {
+    if (target > current) {
+      ++stats_.grows;
+      metrics_->Increment("ctrl.grows");
+    } else {
+      ++stats_.shrinks;
+      metrics_->Increment("ctrl.shrinks");
+    }
+    const Bytes delta = target > current ? target - current : current - target;
+    stats_.resize_bytes += delta;
+    metrics_->Increment("ctrl.resize_bytes", delta);
+    cooldown_until_[server] = now + config_.cooldown;
+    if (trace_ != nullptr) {
+      trace_->Instant(trace::Category::kCtrl, "resize", now,
+                      {trace::Arg("server", server),
+                       trace::Arg("from", current),
+                       trace::Arg("to", target)});
+    }
+    return Status::Ok();
+  }
+  if (!IsFailedPrecondition(st)) return st;
+  // Live frames in the way: the §5 answer is a drain, not a deferral.
+  ++stats_.shrinks_deferred;
+  metrics_->Increment("ctrl.shrinks_deferred");
+  BeginDrain(server, target, now);
+  return Status::Ok();
 }
 
 void SizingController::PriceTransfer(const core::Location& from,
@@ -301,15 +373,16 @@ void SizingController::PriceTransfer(const core::Location& from,
 
 void SizingController::BeginDrain(cluster::ServerId server,
                                   Bytes target_bytes, SimTime now) {
-  const std::vector<core::DrainVictim> victims =
-      core::BlockedResidents(*manager_, server, target_bytes, now);
+  const std::vector<DrainVictim> victims =
+      BlockedResidents(*manager_, server, target_bytes, now);
   cluster::Cluster& cluster = manager_->cluster();
 
-  Drain drain;
+  PendingDrain drain;
   drain.target_bytes = target_bytes;
   drain.started = now;
   std::vector<core::MigrationRecord> records;
-  for (const core::DrainVictim& v : victims) {
+  bool failed = false;
+  for (const DrainVictim& v : victims) {
     if (v.pinned) continue;  // pinned cohorts are never drain victims
     // Placement, best first:
     //  1. The victim's dominant accessor, when it is a live peer with room
@@ -342,38 +415,43 @@ void SizingController::BeginDrain(cluster::ServerId server,
       // No room below the cut: fall through to the most-free in-scope
       // peer (a scoped controller drains within its rack; off-rack room
       // is the spine coordinator's to grant).
-      Bytes best_free = 0;
-      for (cluster::ServerId id = scope_first(); id < scope_limit(); ++id) {
-        if (id == server || cluster.server(id).crashed()) continue;
-        const Bytes free = cluster.server(id).shared_allocator().free_bytes();
-        if (free >= v.size && free > best_free) {
-          dest = id;
-          best_free = free;
-        }
-      }
+      dest = MostFreePeer(cluster, scope_first(), scope_limit(), server,
+                          v.size);
     }
     if (dest == server) {
-      // Nobody can absorb the displaced bytes; give up on this drain —
-      // segments already moved stay moved, and the next epoch re-solves
-      // from the new occupancy.
-      ++stats_.drains_failed;
-      metrics_->Increment("ctrl.drains_failed");
+      // Nobody can absorb the displaced bytes.
       if (trace_ != nullptr) {
         trace_->Instant(trace::Category::kCtrl, "drain_oom", now,
                         {trace::Arg("server", server),
                          trace::Arg("segment", v.seg)});
       }
-      return;
+      failed = true;
+      break;
     }
     auto rec_or = manager_->MigrateSegment(v.seg, dest);
     if (!rec_or.ok()) {
       if (IsFailedPrecondition(rec_or.status())) continue;  // busy; next epoch
-      ++stats_.drains_failed;
-      metrics_->Increment("ctrl.drains_failed");
-      return;
+      failed = true;
+      break;
     }
     records.push_back(*rec_or);
     drain.moved_bytes += rec_or->bytes;
+  }
+
+  if (failed) {
+    // Give up on this drain.  Segments already moved stay moved, so their
+    // bytes still cost fabric time and count as drained; the next epoch
+    // re-solves from the new occupancy.
+    ++stats_.drains_failed;
+    metrics_->Increment("ctrl.drains_failed");
+    if (drain.moved_bytes > 0) {
+      stats_.drain_bytes += drain.moved_bytes;
+      metrics_->Increment("ctrl.drain_bytes", drain.moved_bytes);
+    }
+    for (const core::MigrationRecord& rec : records) {
+      PriceTransfer(rec.from, rec.to, rec.bytes, cluster::ServerId(-1));
+    }
+    return;
   }
 
   ++stats_.drains_started;
@@ -412,7 +490,7 @@ void SizingController::FinishDrainFlow(cluster::ServerId server) {
 }
 
 void SizingController::RetryShrink(cluster::ServerId server) {
-  const Drain drain = drains_.at(server);
+  const PendingDrain drain = drains_.at(server);
   drains_.erase(server);
   const SimTime now = sim_->now();
   auto& srv = manager_->cluster().server(server);

@@ -41,7 +41,6 @@
 #include "core/access_bits.h"
 #include "core/migration.h"
 #include "core/pool_manager.h"
-#include "core/runtime.h"
 #include "core/sizing.h"
 #include "ctrl/admission.h"
 #include "ctrl/demand_estimator.h"
@@ -55,6 +54,34 @@ class TraceCollector;
 namespace lmp::ctrl {
 
 class SloLedger;
+
+// A segment whose frames block a shared-region shrink (it holds at least
+// one frame in the tail the resize would remove).
+struct DrainVictim {
+  core::SegmentId seg = core::kInvalidSegment;
+  Bytes size = 0;
+  double heat = 0;  // decayed traffic at selection time
+  // From the segment's allocation cohort: pinned victims sort last and
+  // drain schedulers skip them (their cohort opted out of being moved).
+  bool pinned = false;
+  double priority = 1.0;  // tenant priority; low drains first
+};
+
+// The active segments blocking a shrink of `server` to `target_bytes`:
+// mobile before pinned, then lowest tenant priority, then coldest (they
+// are the cheapest to lose locality on), then segment id.  Empty when the
+// shrink is already possible; target 0 returns every active resident.
+std::vector<DrainVictim> BlockedResidents(core::PoolManager& manager,
+                                          cluster::ServerId server,
+                                          Bytes target_bytes, SimTime now);
+
+// The live server in [first, limit), other than `exclude`, with the most
+// free shared bytes among those with at least `need` free; ties go to the
+// lowest id.  Returns `exclude` when none qualifies.
+cluster::ServerId MostFreePeer(const cluster::Cluster& cluster,
+                               cluster::ServerId first,
+                               cluster::ServerId limit,
+                               cluster::ServerId exclude, Bytes need);
 
 struct ControllerConfig {
   SimTime period = Milliseconds(100);
@@ -146,6 +173,16 @@ class SizingController {
   // One epoch at the simulator's current time (tests, manual rebalances).
   void RunEpochNow();
 
+  // Resizes `server`'s shared region to `target` bytes at the simulator's
+  // current time, without the epoch's damping; each epoch actuates its
+  // plan through this same step.  The resize lands now when nothing
+  // blocks it; a shrink blocked by live frames starts a drain instead,
+  // whose shrink retries once the displaced segments' DMA flows complete
+  // (run the simulator, then read stats()).  Unavailable for a crashed
+  // server, FailedPrecondition while a drain on it is in flight,
+  // InvalidArgument for a target it cannot hold.
+  Status Drain(cluster::ServerId server, Bytes target);
+
   // Drains the controller currently has in flight.
   int pending_drains() const { return static_cast<int>(drains_.size()); }
 
@@ -179,7 +216,7 @@ class SizingController {
   void set_slo_ledger(SloLedger* ledger) { slo_ledger_ = ledger; }
 
  private:
-  struct Drain {
+  struct PendingDrain {
     Bytes target_bytes = 0;
     int pending_flows = 0;
     Bytes moved_bytes = 0;
@@ -213,7 +250,7 @@ class SizingController {
   bool running_ = false;
   bool epoch_scheduled_ = false;
   std::vector<SimTime> cooldown_until_;           // per server
-  std::map<cluster::ServerId, Drain> drains_;     // in-flight drains
+  std::map<cluster::ServerId, PendingDrain> drains_;  // in flight
 
   struct ProbeState {
     OpSloProbe probe;

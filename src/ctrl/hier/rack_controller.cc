@@ -1,9 +1,6 @@
 #include "ctrl/hier/rack_controller.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
-#include "core/runtime.h"
 
 namespace lmp::ctrl::hier {
 
@@ -111,20 +108,11 @@ Bytes RackController::ExecutePushes(SimTime now, Bytes budget,
     if (cluster.server(src).crashed()) continue;
     // All mobile residents of `src`, coldest first — the cheapest
     // segments to exile across the spine.
-    for (const core::DrainVictim& v :
-         core::BlockedResidents(*manager_, src, 0, now)) {
+    for (const DrainVictim& v : BlockedResidents(*manager_, src, 0, now)) {
       if (v.pinned) continue;
       if (moved + v.size > budget) continue;
-      cluster::ServerId dest = src;
-      Bytes best_free = 0;
-      for (cluster::ServerId d = dst_first; d < dst_limit; ++d) {
-        if (cluster.server(d).crashed()) continue;
-        const Bytes free = cluster.server(d).shared_allocator().free_bytes();
-        if (free >= v.size && free > best_free) {
-          dest = d;
-          best_free = free;
-        }
-      }
+      const cluster::ServerId dest =
+          MostFreePeer(cluster, dst_first, dst_limit, src, v.size);
       if (dest == src) continue;  // destination rack cannot absorb it
       auto rec_or = manager_->MigrateSegment(v.seg, dest);
       if (!rec_or.ok()) continue;  // busy: next victim

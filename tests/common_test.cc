@@ -1,5 +1,5 @@
-// Tests for common/: Status, StatusOr, units, RNG, Zipf, histogram, stats,
-// table printer.
+// Tests for common/: Status, StatusOr, units, RNG, Zipf, histogram, table
+// printer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,7 +9,6 @@
 
 #include "common/histogram.h"
 #include "common/rng.h"
-#include "common/stats.h"
 #include "common/status.h"
 #include "common/table.h"
 #include "common/units.h"
@@ -322,32 +321,6 @@ TEST(HistogramTest, LargeValuesBounded) {
                static_cast<double>(1ull << 39)) /
       static_cast<double>(1ull << 39);
   EXPECT_LT(rel_err, 0.05);
-}
-
-// --- RunningStats -----------------------------------------------------------------
-
-TEST(RunningStatsTest, MeanAndVariance) {
-  RunningStats s;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.Add(v);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), 2.138, 0.01);  // sample stddev
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_EQ(s.count(), 8u);
-}
-
-TEST(RunningStatsTest, SingleValueHasZeroVariance) {
-  RunningStats s;
-  s.Add(3.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(RateMeterTest, ComputesGbps) {
-  RateMeter m;
-  m.Add(97e9, 0, Seconds(1));
-  EXPECT_DOUBLE_EQ(m.gbps(), 97.0);
-  m.Add(97e9, Seconds(1), Seconds(2));
-  EXPECT_DOUBLE_EQ(m.gbps(), 97.0);
 }
 
 // --- TablePrinter --------------------------------------------------------------------

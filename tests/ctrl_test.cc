@@ -1,9 +1,11 @@
 // Tests for the lmp::ctrl control plane: demand estimation (attribution +
 // EWMA smoothing), closed-loop sizing convergence to a fixed point,
-// drain-backed shrinks that land after their priced flows retire, and the
-// admission controller's admit/queue/reject/preempt/promote lifecycle.
+// drain-backed shrinks that land after their priced flows retire (from an
+// epoch or a maintenance Drain), drain victim selection, and the admission
+// controller's admit/queue/reject/preempt/promote lifecycle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -12,6 +14,7 @@
 #include "ctrl/admission.h"
 #include "ctrl/controller.h"
 #include "ctrl/demand_estimator.h"
+#include "fabric/topology.h"
 #include "sim/fluid.h"
 
 namespace lmp::ctrl {
@@ -257,6 +260,255 @@ TEST_F(ControllerTest, CooldownDampsBackToBackResizes) {
   sim_.Run();
   EXPECT_EQ(controller->stats().grows + controller->stats().shrinks, first);
   EXPECT_GE(controller->stats().skipped_cooldown, 1u);
+}
+
+// ------------------------------------------------------- Maintenance drains
+
+class DrainTest : public ::testing::Test {
+ protected:
+  DrainTest()
+      : topology_(fabric::Topology::MakeLogical(&sim_, 4,
+                                                fabric::LinkProfile::Link1())),
+        cluster_(Config(MiB(4))),
+        manager_(&cluster_),
+        controller_({.sim = &sim_, .manager = &manager_,
+                     .topology = &topology_}) {
+    manager_.set_metrics(&metrics_);
+    controller_.set_metrics(&metrics_);
+  }
+
+  // Drains, then runs the priced flows (and the shrink retry) to the end.
+  Status DrainAndRun(cluster::ServerId server, Bytes target) {
+    const Status st = controller_.Drain(server, target);
+    sim_.Run();
+    return st;
+  }
+
+  core::BufferId AllocateFilled(Bytes bytes, cluster::ServerId server,
+                                std::byte fill) {
+    auto buf = manager_.Allocate(bytes, server);
+    EXPECT_TRUE(buf.ok()) << buf.status();
+    std::vector<std::byte> data(bytes, fill);
+    EXPECT_TRUE(manager_.Write(server, *buf, 0, data).ok());
+    return *buf;
+  }
+
+  bool ReadsBack(core::BufferId buf, Bytes bytes, std::byte fill) {
+    std::vector<std::byte> out(bytes);
+    return manager_.Read(1, buf, 0, out).ok() &&
+           std::all_of(out.begin(), out.end(),
+                       [fill](std::byte b) { return b == fill; });
+  }
+
+  sim::FluidSimulator sim_;
+  fabric::Topology topology_;
+  cluster::Cluster cluster_;
+  core::PoolManager manager_;
+  MetricsRegistry metrics_;
+  SizingController controller_;
+};
+
+TEST_F(DrainTest, EmptyServerShrinksWithoutMigration) {
+  ASSERT_TRUE(DrainAndRun(1, MiB(1)).ok());
+  EXPECT_EQ(controller_.stats().drains_started, 0u);
+  EXPECT_EQ(controller_.stats().shrinks, 1u);
+  EXPECT_EQ(metrics_.Counter("lmp.migrate.segments"), 0u);
+  EXPECT_EQ(cluster_.server(1).shared_bytes(), MiB(1));
+}
+
+TEST_F(DrainTest, ResidentSegmentsMigrateOutThenShrink) {
+  // Fill server 0's region so frames reach the tail.
+  const core::BufferId buf = AllocateFilled(MiB(3), 0, std::byte{0x42});
+  ASSERT_TRUE(DrainAndRun(0, MiB(1)).ok());
+  const ControllerStats& stats = controller_.stats();
+  EXPECT_EQ(stats.drains_started, 1u);
+  EXPECT_EQ(stats.drains_completed, 1u);
+  EXPECT_EQ(stats.drain_bytes, MiB(3));
+  EXPECT_EQ(controller_.pending_drains(), 0);
+  EXPECT_GT(sim_.now(), 0.0);  // the moves were priced on the fabric
+  EXPECT_EQ(cluster_.server(0).shared_bytes(), MiB(1));
+
+  // Data intact at its new home; same buffer id.
+  EXPECT_TRUE(ReadsBack(buf, MiB(3), std::byte{0x42}));
+  auto frac = manager_.LocalFraction(buf, 0);
+  ASSERT_TRUE(frac.ok());
+  EXPECT_DOUBLE_EQ(*frac, 0.0);  // fully evicted
+}
+
+TEST_F(DrainTest, ColdSegmentsLeaveBeforeHotOnes) {
+  // Two segments on server 0; make the second hot.  Only the one in the
+  // removed tail must leave, hot or not.
+  const core::BufferId cold = AllocateFilled(MiB(1), 0, std::byte{0x01});
+  const core::BufferId hot = AllocateFilled(MiB(1), 0, std::byte{0x02});
+  const auto hot_seg = manager_.Describe(hot)->segments[0];
+  manager_.access_tracker().RecordAccess(hot_seg, 0, double(MiB(8)), 0);
+
+  ASSERT_TRUE(DrainAndRun(0, MiB(1)).ok());
+  EXPECT_EQ(cluster_.server(0).shared_bytes(), MiB(1));
+  EXPECT_DOUBLE_EQ(manager_.LocalFraction(cold, 0).value_or(-1), 1.0);
+  EXPECT_DOUBLE_EQ(manager_.LocalFraction(hot, 0).value_or(-1), 0.0);
+  EXPECT_TRUE(ReadsBack(cold, MiB(1), std::byte{0x01}));
+  EXPECT_TRUE(ReadsBack(hot, MiB(1), std::byte{0x02}));
+}
+
+TEST_F(DrainTest, PinnedResidentsBlockTheDrain) {
+  core::AllocOptions pinned;
+  pinned.preferred = cluster::ServerId{0};
+  pinned.locus = "tenant/latency";
+  pinned.mobility = mem::Mobility::kPinned;
+  ASSERT_TRUE(manager_.Allocate(MiB(2), pinned).ok());
+  // The pinned resident is never a drain victim, so with nothing else to
+  // move the retried shrink cannot land.
+  ASSERT_TRUE(DrainAndRun(0, MiB(1)).ok());
+  EXPECT_EQ(controller_.stats().drains_failed, 1u);
+  EXPECT_EQ(controller_.stats().drain_bytes, 0u);
+  EXPECT_EQ(cluster_.server(0).shared_bytes(), MiB(4));
+}
+
+TEST_F(DrainTest, FailsWhenPeersFull) {
+  for (cluster::ServerId s = 1; s < 4; ++s) {
+    ASSERT_TRUE(manager_.Allocate(MiB(4), s).ok());
+  }
+  const core::BufferId buf = AllocateFilled(MiB(3), 0, std::byte{0x42});
+  ASSERT_TRUE(DrainAndRun(0, MiB(1)).ok());
+  EXPECT_EQ(controller_.stats().drains_failed, 1u);
+  EXPECT_EQ(controller_.stats().drains_started, 0u);
+  // Server keeps its old size; data untouched.
+  EXPECT_EQ(cluster_.server(0).shared_bytes(), MiB(4));
+  EXPECT_DOUBLE_EQ(manager_.LocalFraction(buf, 0).value_or(-1), 1.0);
+  EXPECT_TRUE(ReadsBack(buf, MiB(3), std::byte{0x42}));
+}
+
+TEST_F(DrainTest, SizingDeferThenDrainConverges) {
+  // The full loop: the optimizer shrinks a loaded server, Apply defers,
+  // the drain completes it.
+  ASSERT_TRUE(manager_.Allocate(MiB(3), 2).ok());
+  core::SizingPlan plan;
+  plan.entries.push_back({2, MiB(1), 0, 0});
+  const core::SizingApplyResult deferred =
+      core::SizingOptimizer::Apply(cluster_, plan);
+  EXPECT_EQ(deferred.deferred_count(), 1);
+  EXPECT_EQ(deferred.deferred[0].server, 2u);
+  EXPECT_GT(deferred.deferred[0].stranded_bytes, 0u);
+  EXPECT_EQ(cluster_.server(2).shared_bytes(), MiB(4));
+
+  ASSERT_TRUE(DrainAndRun(2, MiB(1)).ok());
+  EXPECT_EQ(controller_.stats().drains_completed, 1u);
+  EXPECT_EQ(cluster_.server(2).shared_bytes(), MiB(1));
+  EXPECT_EQ(core::SizingOptimizer::Apply(cluster_, plan).deferred_count(), 0);
+}
+
+TEST_F(DrainTest, FailedDrainCountsAndPricesWhatItMoved) {
+  // Two victims on server 0; the peers have room for the first only.  The
+  // drain fails on the second, but the first already moved: its bytes
+  // must be counted and priced, not dropped.
+  for (cluster::ServerId s = 1; s < 3; ++s) {
+    ASSERT_TRUE(manager_.Allocate(MiB(4), s).ok());
+  }
+  ASSERT_TRUE(manager_.Allocate(MiB(3), 3).ok());
+  ASSERT_TRUE(manager_.Allocate(MiB(1), 0).ok());
+  ASSERT_TRUE(manager_.Allocate(MiB(1), 0).ok());
+  ASSERT_EQ(BlockedResidents(manager_, 0, 0, 0).size(), 2u);
+
+  ASSERT_TRUE(DrainAndRun(0, 0).ok());
+  const ControllerStats& stats = controller_.stats();
+  EXPECT_EQ(stats.drains_failed, 1u);
+  EXPECT_EQ(stats.drains_started, 0u);
+  EXPECT_EQ(controller_.pending_drains(), 0);
+  EXPECT_EQ(metrics_.Counter("lmp.migrate.bytes"), MiB(1));
+  EXPECT_EQ(stats.drain_bytes, metrics_.Counter("lmp.migrate.bytes"));
+  EXPECT_EQ(metrics_.Counter("ctrl.drain_bytes"), stats.drain_bytes);
+  EXPECT_GT(sim_.now(), 0.0);  // the one move cost fabric time
+  EXPECT_EQ(cluster_.server(0).shared_bytes(), MiB(4));
+}
+
+TEST_F(DrainTest, DrainRejectsCrashedAndBusyServers) {
+  ASSERT_TRUE(manager_.Allocate(MiB(3), 0).ok());
+  ASSERT_TRUE(controller_.Drain(0, MiB(1)).ok());
+  EXPECT_EQ(controller_.pending_drains(), 1);
+  EXPECT_TRUE(IsFailedPrecondition(controller_.Drain(0, 0)));
+  sim_.Run();
+  EXPECT_EQ(controller_.pending_drains(), 0);
+  EXPECT_TRUE(IsInvalidArgument(controller_.Drain(0, MiB(64))));
+  EXPECT_TRUE(IsInvalidArgument(controller_.Drain(7, 0)));
+  ASSERT_TRUE(manager_.OnServerCrash(3).ok());
+  EXPECT_TRUE(IsUnavailable(controller_.Drain(3, 0)));
+}
+
+// ------------------------------------------------------- BlockedResidents
+
+class BlockedResidentsTest : public ::testing::Test {
+ protected:
+  BlockedResidentsTest() : cluster_(Config(MiB(4))), manager_(&cluster_) {}
+
+  core::SegmentId AllocateOne(Bytes bytes, core::AllocOptions options) {
+    auto buf = manager_.Allocate(bytes, options);
+    EXPECT_TRUE(buf.ok()) << buf.status();
+    const std::vector<core::SegmentId> segments =
+        manager_.Describe(*buf)->segments;
+    EXPECT_EQ(segments.size(), 1u);
+    return segments.front();
+  }
+
+  static std::vector<core::SegmentId> Ids(
+      const std::vector<DrainVictim>& victims) {
+    std::vector<core::SegmentId> ids;
+    for (const DrainVictim& v : victims) ids.push_back(v.seg);
+    return ids;
+  }
+
+  cluster::Cluster cluster_;
+  core::PoolManager manager_;
+};
+
+TEST_F(BlockedResidentsTest, OnlySegmentsPastTheTargetBlock) {
+  // Three 1 MiB residents pack [0, 3 MiB); only the last crosses 2 MiB.
+  AllocateOne(MiB(1), 0);
+  AllocateOne(MiB(1), 0);
+  const core::SegmentId tail = AllocateOne(MiB(1), 0);
+  EXPECT_EQ(Ids(BlockedResidents(manager_, 0, MiB(2), 0)),
+            std::vector<core::SegmentId>{tail});
+  EXPECT_TRUE(BlockedResidents(manager_, 0, MiB(3), 0).empty());
+}
+
+TEST_F(BlockedResidentsTest, TargetZeroReturnsEveryActiveResident) {
+  const core::SegmentId a = AllocateOne(MiB(1), 0);
+  const core::SegmentId b = AllocateOne(MiB(1), 0);
+  AllocateOne(MiB(1), 1);  // another server's resident never appears
+  const std::vector<DrainVictim> victims =
+      BlockedResidents(manager_, 0, 0, 0);
+  EXPECT_EQ(Ids(victims), (std::vector<core::SegmentId>{a, b}));
+  EXPECT_EQ(victims[0].size, MiB(1));
+  EXPECT_FALSE(victims[0].pinned);
+}
+
+TEST_F(BlockedResidentsTest, MobileThenLowPriorityThenColdThenId) {
+  core::AllocOptions pinned;
+  pinned.preferred = cluster::ServerId{0};
+  pinned.locus = "tenant/latency";
+  pinned.mobility = mem::Mobility::kPinned;
+  pinned.priority = 0.25;  // cheapest tenant, but pinned sorts last
+  core::AllocOptions cheap;
+  cheap.preferred = cluster::ServerId{0};
+  cheap.priority = 0.5;
+
+  const core::SegmentId pin = AllocateOne(KiB(256), pinned);
+  const core::SegmentId hot = AllocateOne(KiB(256), 0);
+  const core::SegmentId cold1 = AllocateOne(KiB(256), 0);
+  const core::SegmentId cheap_hot = AllocateOne(KiB(256), cheap);
+  const core::SegmentId cold2 = AllocateOne(KiB(256), 0);
+  manager_.access_tracker().RecordAccess(hot, 0, double(MiB(8)), 0);
+  manager_.access_tracker().RecordAccess(cheap_hot, 0, double(MiB(16)), 0);
+
+  const std::vector<DrainVictim> victims =
+      BlockedResidents(manager_, 0, 0, 0);
+  // Equal priority and heat: the lower segment id leaves first.
+  EXPECT_EQ(Ids(victims),
+            (std::vector<core::SegmentId>{cheap_hot, cold1, cold2, hot,
+                                          pin}));
+  EXPECT_TRUE(victims.back().pinned);
+  EXPECT_DOUBLE_EQ(victims.front().priority, 0.5);
+  EXPECT_GT(victims.front().heat, victims[3].heat);
 }
 
 // ------------------------------------------------------ AdmissionController

@@ -158,6 +158,12 @@ struct SweepCase {
   bool link1;
 };
 
+// Without this, gtest prints the struct's raw bytes, padding included, so the
+// case names (and the ctest names built from them) change from run to run.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << c.vector_bytes / GiB(1) << "GiB_" << (c.link1 ? "Link1" : "Link0");
+}
+
 class ShapeSweepTest : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(ShapeSweepTest, LogicalNeverLosesToPhysical) {

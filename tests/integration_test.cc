@@ -164,10 +164,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomOpsTest,
 // --- Scenario: the full runtime loop against a shifting workload ----------
 
 TEST(EndToEndTest, RuntimeAdaptsToWorkloadShift) {
-  PoolOptions opts = PoolOptions::Small();
-  opts.runtime.migration_period = 0;
-  opts.runtime.sizing_period = 0;
-  auto pool_or = Pool::Create(opts);
+  auto pool_or = Pool::Create(PoolOptions::Small());
   ASSERT_TRUE(pool_or.ok());
   Pool& pool = **pool_or;
   auto& manager = pool.manager();

@@ -6,7 +6,6 @@
 #include "baselines/logical.h"
 #include "core/erasure.h"
 #include "core/replication.h"
-#include "core/runtime.h"
 
 namespace lmp::core {
 namespace {
