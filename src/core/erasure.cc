@@ -7,11 +7,13 @@
 namespace lmp::core {
 namespace {
 
-// Reads a segment's raw bytes via its home's frame map and backing store.
-// Returns false when the cluster runs without backing (timing-only mode).
+// Reads a segment's raw bytes via its home's frame map and backing store,
+// through the const path so never-written frames read as zeros without
+// being materialized.  Returns false when the cluster runs without backing
+// (timing-only mode).
 bool ReadSegmentBytes(PoolManager& mgr, const SegmentInfo& info,
                       std::vector<std::byte>* out) {
-  mem::BackingStore* store = mgr.BackingAt(info.home);
+  const mem::BackingStore* store = mgr.BackingAt(info.home);
   if (store == nullptr) return false;
   auto runs_or = mgr.local_map(info.home).RunsOf(info.id);
   if (!runs_or.ok()) return false;
@@ -41,8 +43,7 @@ bool WriteSegmentBytes(PoolManager& mgr, const Location& home, SegmentId seg,
   for (const auto& run : runs_or.value()) {
     for (mem::FrameNumber f = run.first; f < run.end() && pos < size; ++f) {
       const Bytes take = std::min(frame_size, size - pos);
-      auto frame = store->Frame(f);
-      std::copy_n(in.begin() + pos, take, frame.begin());
+      store->Write(f * frame_size, in.subspan(pos, take));
       pos += take;
     }
   }

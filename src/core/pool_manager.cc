@@ -493,7 +493,7 @@ Status PoolManager::Touch(cluster::ServerId from, BufferId buffer,
   return AccessImpl(from, buffer, offset, len, {}, {}, now);
 }
 
-Status PoolManager::CopySegmentData(SegmentId seg, const Location& from,
+Status PoolManager::CopySegmentData(const Location& from,
                                     const std::vector<mem::FrameRun>& from_runs,
                                     const Location& to,
                                     const std::vector<mem::FrameRun>& to_runs,
@@ -502,29 +502,25 @@ Status PoolManager::CopySegmentData(SegmentId seg, const Location& from,
   mem::BackingStore* dst = BackingAt(to);
   if (src == nullptr || dst == nullptr) return Status::Ok();  // timing-only
 
-  const Bytes frame_size = cluster_->config().frame_size;
-  // Flatten both run lists into frame sequences and copy frame by frame.
-  auto for_each_frame = [&](const std::vector<mem::FrameRun>& runs,
-                            auto&& fn) {
-    for (const auto& r : runs) {
-      for (mem::FrameNumber f = r.first; f < r.end(); ++f) fn(f);
-    }
+  const std::uint64_t needed =
+      mem::FramesForBytes(size, cluster_->config().frame_size);
+  auto frames_in = [](const std::vector<mem::FrameRun>& runs) {
+    std::uint64_t n = 0;
+    for (const auto& r : runs) n += r.count;
+    return n;
   };
-  std::vector<mem::FrameNumber> src_frames, dst_frames;
-  for_each_frame(from_runs,
-                 [&](mem::FrameNumber f) { src_frames.push_back(f); });
-  for_each_frame(to_runs,
-                 [&](mem::FrameNumber f) { dst_frames.push_back(f); });
-  const std::uint64_t needed = mem::FramesForBytes(size, frame_size);
-  if (src_frames.size() < needed || dst_frames.size() < needed) {
+  if (frames_in(from_runs) < needed || frames_in(to_runs) < needed) {
     return InternalError("copy: runs shorter than segment");
   }
+  // Walk both run lists in lockstep, one frame at a time.
+  auto s = from_runs.begin();
+  auto d = to_runs.begin();
+  std::uint64_t s_off = 0, d_off = 0;  // position within *s / *d
   for (std::uint64_t i = 0; i < needed; ++i) {
-    auto s = src->Frame(src_frames[i]);
-    auto d = dst->Frame(dst_frames[i]);
-    std::copy(s.begin(), s.end(), d.begin());
+    for (; s_off == s->count; s_off = 0) ++s;
+    for (; d_off == d->count; d_off = 0) ++d;
+    dst->CopyFrame(*src, s->first + s_off++, d->first + d_off++);
   }
-  (void)seg;
   return Status::Ok();
 }
 
@@ -571,7 +567,7 @@ StatusOr<MigrationRecord> PoolManager::MigrateSegment(SegmentId seg,
                        AllocateFramesAt(to, info->size, CohortOf(*info)));
 
   info->state = SegmentState::kMigrating;
-  Status st = CopySegmentData(seg, from, src_runs, to, dst_runs, info->size);
+  Status st = CopySegmentData(from, src_runs, to, dst_runs, info->size);
   if (st.ok()) {
     st = local_map(to).Bind(seg, info->size, dst_runs);
   }
@@ -642,7 +638,7 @@ StatusOr<MigrationRecord> PoolManager::CompactSegment(SegmentId seg,
 
   info->state = SegmentState::kMigrating;
   const Status st =
-      CopySegmentData(seg, home, src_runs, home, dst_runs, info->size);
+      CopySegmentData(home, src_runs, home, dst_runs, info->size);
   if (!st.ok()) {
     info->state = SegmentState::kActive;
     LMP_CHECK_OK(FreeFramesAt(home, dst_runs));

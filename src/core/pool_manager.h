@@ -238,7 +238,7 @@ class PoolManager {
   Status FreeFramesAt(const Location& loc,
                       const std::vector<mem::FrameRun>& runs);
   LocalFrameMap& local_map(const Location& loc);
-  Status CopySegmentData(SegmentId seg, const Location& from,
+  Status CopySegmentData(const Location& from,
                          const std::vector<mem::FrameRun>& from_runs,
                          const Location& to,
                          const std::vector<mem::FrameRun>& to_runs,

@@ -57,7 +57,7 @@ Status ReplicationManager::CreateReplica(SegmentInfo* info,
   auto src_runs_or = manager_->local_map(info->home).RunsOf(info->id);
   if (src_runs_or.ok()) {
     const Status st = manager_->CopySegmentData(
-        info->id, info->home, src_runs_or.value(), loc, runs, info->size);
+        info->home, src_runs_or.value(), loc, runs, info->size);
     if (!st.ok()) {
       LMP_CHECK_OK(manager_->FreeFramesAt(loc, runs));
       return st;

@@ -1,6 +1,8 @@
 // Tests for mem/: frame allocator, LRU cache, backing store, NUMA matrix.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "mem/backing_store.h"
 #include "mem/frame_allocator.h"
 #include "mem/lru_cache.h"
@@ -479,6 +481,87 @@ TEST(BackingStoreTest, EnsureFramesGrows) {
   EXPECT_EQ(store.num_frames(), 8u);
   store.EnsureFrames(4);  // never shrinks
   EXPECT_EQ(store.num_frames(), 8u);
+}
+
+// Regression: EnsureFrames used to resize one flat byte vector, which
+// reallocated it and left every earlier Frame() span dangling.
+TEST(BackingStoreTest, FrameSpanSurvivesGrowth) {
+  const std::uint64_t n = 2;
+  BackingStore store(n, KiB(4));
+  auto span = store.Frame(1);
+  store.EnsureFrames(4 * n);
+  span[0] = std::byte{0x5A};
+  span[KiB(4) - 1] = std::byte{0xA5};
+  EXPECT_EQ(std::as_const(store).Frame(1)[0], std::byte{0x5A});
+  std::vector<std::byte> out(2);
+  store.Read(2 * KiB(4) - 1, out);  // last byte of frame 1, first of 2
+  EXPECT_EQ(out[0], std::byte{0xA5});
+  EXPECT_EQ(out[1], std::byte{0});
+}
+
+TEST(BackingStoreTest, UnwrittenFramesReadZerosAndHoldNoMemory) {
+  BackingStore store(4, 16);
+  std::vector<std::byte> out(64, std::byte{0xFF});
+  store.Read(0, out);
+  EXPECT_EQ(out, std::vector<std::byte>(64));
+  EXPECT_EQ(store.resident_frames(), 0u);
+}
+
+TEST(BackingStoreTest, ReadWriteCrossesAbsentAndPresentFrames) {
+  BackingStore store(3, 16);
+  store.Write(16, std::vector<std::byte>(4, std::byte{0x77}));  // frame 1
+  ASSERT_EQ(store.resident_frames(), 1u);
+
+  // Frame 0 is absent, frame 1 present: the write materializes frame 0.
+  std::vector<std::byte> in(12);
+  for (std::size_t i = 0; i < in.size(); ++i) in[i] = std::byte{(uint8_t)i};
+  store.Write(10, in);
+  std::vector<std::byte> out(in.size());
+  store.Read(10, out);
+  EXPECT_EQ(in, out);
+  EXPECT_EQ(store.resident_frames(), 2u);
+
+  // A read from present frame 1 into absent frame 2 sees zeros there and
+  // does not materialize it.
+  std::vector<std::byte> tail(8, std::byte{0xFF});
+  store.Read(28, tail);
+  EXPECT_EQ(tail[3], std::byte{0});
+  EXPECT_EQ(tail[4], std::byte{0});
+  EXPECT_EQ(tail[7], std::byte{0});
+  EXPECT_EQ(store.resident_frames(), 2u);
+}
+
+TEST(BackingStoreTest, WritingZerosToAbsentFrameAllocatesNothing) {
+  BackingStore store(2, 16);
+  store.Write(0, std::vector<std::byte>(32));
+  EXPECT_EQ(store.resident_frames(), 0u);
+}
+
+TEST(BackingStoreTest, CopyFromAbsentFrameReleasesDestination) {
+  BackingStore src(2, 16);
+  BackingStore dst(2, 16);
+  dst.Write(0, std::vector<std::byte>(16, std::byte{0x11}));
+  src.Write(16, std::vector<std::byte>(16, std::byte{0x22}));
+  ASSERT_EQ(dst.resident_frames(), 1u);
+
+  dst.CopyFrame(src, 0, 0);  // src frame 0 was never written
+  EXPECT_EQ(dst.resident_frames(), 0u);
+  std::vector<std::byte> out(16, std::byte{0xFF});
+  dst.Read(0, out);
+  EXPECT_EQ(out, std::vector<std::byte>(16));
+
+  dst.CopyFrame(src, 1, 0);
+  EXPECT_EQ(dst.resident_frames(), 1u);
+  dst.Read(0, out);
+  EXPECT_EQ(out, std::vector<std::byte>(16, std::byte{0x22}));
+}
+
+TEST(BackingStoreTest, ConstFrameOnAbsentFrameAllocatesNothing) {
+  const BackingStore store(2, KiB(4));
+  const auto frame = store.Frame(1);
+  ASSERT_EQ(frame.size(), KiB(4));
+  for (std::byte b : frame) ASSERT_EQ(b, std::byte{0});
+  EXPECT_EQ(store.resident_frames(), 0u);
 }
 
 // --- NumaDistanceMatrix ----------------------------------------------------------------

@@ -6,8 +6,10 @@
 #include <cstring>
 #include <numeric>
 
+#include "core/erasure.h"
 #include "core/hotness.h"
 #include "core/pool_manager.h"
+#include "core/replication.h"
 
 namespace lmp::core {
 namespace {
@@ -32,6 +34,45 @@ class PoolManagerTest : public ::testing::Test {
       v[i] = static_cast<std::byte>((i * 31 + seed) & 0xFF);
     }
     return v;
+  }
+
+  // Frames that own memory across every server's backing store.
+  std::uint64_t ResidentFrames() {
+    std::uint64_t n = 0;
+    for (int s = 0; s < cluster_.num_servers(); ++s) {
+      n += cluster_.server(static_cast<cluster::ServerId>(s))
+               .backing()
+               .resident_frames();
+    }
+    return n;
+  }
+
+  // A segment's bytes as stored at `loc`, read through the const path.
+  std::vector<std::byte> BytesAt(const Location& loc, SegmentId seg) {
+    const SegmentInfo* info = manager_.segment_map().Find(seg);
+    const mem::BackingStore& store = *manager_.BackingAt(loc);
+    const auto runs = manager_.local_map(loc).RunsOf(seg);
+    EXPECT_TRUE(runs.ok());
+    std::vector<std::byte> out;
+    for (const auto& run : runs.value()) {
+      for (mem::FrameNumber f = run.first; f < run.end(); ++f) {
+        const auto frame = store.Frame(f);
+        out.insert(out.end(), frame.begin(), frame.end());
+      }
+    }
+    out.resize(info->size);
+    return out;
+  }
+
+  void ExpectReplicasMatchPrimary(SegmentId seg,
+                                  const std::vector<std::byte>& want) {
+    const SegmentInfo* info = manager_.segment_map().Find(seg);
+    ASSERT_NE(info, nullptr);
+    EXPECT_EQ(BytesAt(info->home, seg), want);
+    ASSERT_FALSE(info->replicas.empty());
+    for (const Location& rep : info->replicas) {
+      EXPECT_EQ(BytesAt(rep, seg), want) << "replica " << rep.server;
+    }
   }
 
   cluster::Cluster cluster_;
@@ -359,6 +400,85 @@ TEST_F(PoolManagerTest, CompactSegmentFailsWithoutRoomBelow) {
   auto rec =
       manager_.CompactSegment(manager_.Describe(*b)->segments[0], MiB(2));
   EXPECT_TRUE(IsOutOfMemory(rec.status()));
+}
+
+// --- Sparse backing: never-written data costs no frames ---------------------
+
+TEST_F(PoolManagerTest, MigratingUnwrittenBufferMaterializesNothing) {
+  auto buf = manager_.Allocate(KiB(64), 0);
+  ASSERT_TRUE(buf.ok());
+  const SegmentId seg = manager_.Describe(*buf)->segments[0];
+  ASSERT_TRUE(manager_.MigrateSegment(seg, 2).ok());
+  EXPECT_EQ(cluster_.server(2).backing().resident_frames(), 0u);
+  EXPECT_EQ(ResidentFrames(), 0u);
+  std::vector<std::byte> out(KiB(64), std::byte{0xFF});
+  ASSERT_TRUE(manager_.Read(1, *buf, 0, out).ok());
+  EXPECT_EQ(out, std::vector<std::byte>(KiB(64)));
+  EXPECT_EQ(ResidentFrames(), 0u);
+}
+
+TEST_F(PoolManagerTest, ReplicatingUnwrittenBufferMaterializesNothing) {
+  ReplicationManager repl(&manager_, 2);
+  auto buf = manager_.Allocate(KiB(64), 0);
+  ASSERT_TRUE(buf.ok());
+  ASSERT_TRUE(repl.ProtectBuffer(*buf).ok());
+  EXPECT_EQ(ResidentFrames(), 0u);
+  const SegmentId seg = manager_.Describe(*buf)->segments[0];
+  ExpectReplicasMatchPrimary(seg, std::vector<std::byte>(KiB(64)));
+  EXPECT_EQ(ResidentFrames(), 0u);
+}
+
+TEST_F(PoolManagerTest, ErasureProtectingUnwrittenSegmentsMaterializesNothing) {
+  XorErasureManager erasure(&manager_, 2);
+  auto a = manager_.Allocate(KiB(32), 0);
+  auto b = manager_.Allocate(KiB(32), 1);
+  ASSERT_TRUE(a.ok() && b.ok());
+  const SegmentId sa = manager_.Describe(*a)->segments[0];
+  const SegmentId sb = manager_.Describe(*b)->segments[0];
+  ASSERT_TRUE(erasure.ProtectSegments({sa, sb}).ok());
+  EXPECT_EQ(ResidentFrames(), 0u);  // the all-zero parity stays absent
+
+  ASSERT_TRUE(manager_.OnServerCrash(0).ok());
+  ASSERT_TRUE(erasure.RecoverSegment(sa).ok());
+  EXPECT_EQ(ResidentFrames(), 0u);
+  std::vector<std::byte> out(KiB(32), std::byte{0xFF});
+  ASSERT_TRUE(manager_.Read(1, *a, 0, out).ok());
+  EXPECT_EQ(out, std::vector<std::byte>(KiB(32)));
+}
+
+TEST_F(PoolManagerTest, WrittenReplicasMatchPrimaryAfterMigrationAndRecover) {
+  ReplicationManager repl(&manager_, 1);
+  auto buf = manager_.Allocate(KiB(32), 0);
+  ASSERT_TRUE(buf.ok());
+  std::vector<std::byte> want = Pattern(KiB(32), 3);
+  ASSERT_TRUE(manager_.Write(0, *buf, 0, want).ok());
+  ASSERT_TRUE(repl.ProtectBuffer(*buf).ok());
+  const SegmentId seg = manager_.Describe(*buf)->segments[0];
+  ExpectReplicasMatchPrimary(seg, want);
+
+  // Migrate to a server that holds neither the primary nor the replica.
+  const SegmentInfo* info = manager_.segment_map().Find(seg);
+  cluster::ServerId dst = 1;
+  while (dst == info->home.server || dst == info->replicas[0].server) ++dst;
+  ASSERT_TRUE(manager_.MigrateSegment(seg, dst).ok());
+  ExpectReplicasMatchPrimary(seg, want);
+
+  // Crash the home: the replica takes over.  The host rejoins empty, and
+  // restoring redundancy copies from the promoted replica.
+  const cluster::ServerId home = info->home.server;
+  ASSERT_TRUE(manager_.OnServerCrash(home).ok());
+  ASSERT_TRUE(manager_.OnServerRecover(home).ok());
+  EXPECT_EQ(cluster_.server(home).backing().resident_frames(), 0u);
+  auto created = repl.RestoreRedundancy();
+  ASSERT_TRUE(created.ok());
+  EXPECT_EQ(*created, 1);
+  ExpectReplicasMatchPrimary(seg, want);
+
+  // Later writes still reach every copy.
+  const auto patch = Pattern(KiB(8), 11);
+  ASSERT_TRUE(manager_.Write(2, *buf, KiB(4), patch).ok());
+  std::copy(patch.begin(), patch.end(), want.begin() + KiB(4));
+  ExpectReplicasMatchPrimary(seg, want);
 }
 
 }  // namespace
