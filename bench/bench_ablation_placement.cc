@@ -27,11 +27,11 @@ int main(int argc, char** argv) {
       baselines::VectorSumParams params;
       params.vector_bytes = GiB(gib);
       params.repetitions = 5;
-      auto r = deployment.RunVectorSum(params);
+      auto r = deployment.RunWorkload({.vector = params});
       LMP_CHECK(r.ok());
       table.AddRow({policy, std::to_string(gib) + " GiB",
-                    TablePrinter::Num(r->local_fraction, 3),
-                    TablePrinter::Num(r->avg_bandwidth_gbps)});
+                    TablePrinter::Num(r->vector.local_fraction, 3),
+                    TablePrinter::Num(r->vector.avg_bandwidth_gbps)});
     }
   }
   table.Print();

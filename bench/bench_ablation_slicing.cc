@@ -33,14 +33,14 @@ int main(int argc, char** argv) {
 
       baselines::LogicalDeployment logical(link);
       baselines::PhysicalDeployment nocache(link, false);
-      auto rl = logical.RunVectorSum(params);
-      auto rn = nocache.RunVectorSum(params);
+      auto rl = logical.RunWorkload({.vector = params});
+      auto rn = nocache.RunWorkload({.vector = params});
       LMP_CHECK(rl.ok() && rn.ok());
       table.AddRow({balanced ? "balanced" : "contiguous", link.name,
-                    TablePrinter::Num(rl->avg_bandwidth_gbps),
-                    TablePrinter::Num(rn->avg_bandwidth_gbps),
-                    TablePrinter::Num(rl->avg_bandwidth_gbps /
-                                          rn->avg_bandwidth_gbps,
+                    TablePrinter::Num(rl->vector.avg_bandwidth_gbps),
+                    TablePrinter::Num(rn->vector.avg_bandwidth_gbps),
+                    TablePrinter::Num(rl->vector.avg_bandwidth_gbps /
+                                          rn->vector.avg_bandwidth_gbps,
                                       2) +
                         "x"});
     }

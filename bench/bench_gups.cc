@@ -31,15 +31,16 @@ int main(int argc, char** argv) {
       baselines::VectorSumParams params;
       params.vector_bytes = GiB(gib);
       params.repetitions = 1;
-      auto r = logical.RunVectorSum(params);
-      LMP_CHECK(r.ok());
+      auto w = logical.RunWorkload({.vector = params});
+      LMP_CHECK(w.ok());
+      const baselines::VectorSumResult& r = w->vector;
 
       GupsThroughputModel lmp_model{
-          .cores = 14, .local_fraction = r->local_fraction, .link = link};
+          .cores = 14, .local_fraction = r.local_fraction, .link = link};
       GupsThroughputModel pool_model{
           .cores = 14, .local_fraction = 0.0, .link = link};
       GupsThroughputModel swap_model{.cores = 14,
-                                     .local_fraction = r->local_fraction,
+                                     .local_fraction = r.local_fraction,
                                      .link = link,
                                      .software_overhead_ns =
                                          Microseconds(4)};

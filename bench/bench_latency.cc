@@ -42,13 +42,13 @@ int main(int argc, char** argv) {
 
       baselines::LogicalDeployment logical(link);
       baselines::PhysicalDeployment cache(link, true);
-      auto rl = logical.RunVectorSum(params);
-      auto rc = cache.RunVectorSum(params);
+      auto rl = logical.RunWorkload({.vector = params});
+      auto rc = cache.RunWorkload({.vector = params});
       LMP_CHECK(rl.ok() && rc.ok());
 
-      const double logical_ns = MixedLatency(rl->local_fraction, link);
+      const double logical_ns = MixedLatency(rl->vector.local_fraction, link);
       // The cache baseline's "local" accesses are its hits.
-      const double cache_ns = MixedLatency(rc->cache_hit_rate, link);
+      const double cache_ns = MixedLatency(rc->vector.cache_hit_rate, link);
       const double nocache_ns = MixedLatency(0.0, link);
       table.AddRow({std::to_string(gib) + " GiB", link.name,
                     TablePrinter::Num(logical_ns, 0),

@@ -26,14 +26,14 @@ int main(int argc, char** argv) {
 
       baselines::LogicalDeployment pull(link);
       baselines::LogicalDeployment ship(link);
-      auto pulled = pull.RunVectorSum(params);
+      auto pulled = pull.RunWorkload({.vector = params});
       auto shipped = ship.RunDistributedSum(params);
       LMP_CHECK(pulled.ok() && shipped.ok());
       table.AddRow({std::to_string(gib) + " GiB", link.name,
-                    TablePrinter::Num(pulled->avg_bandwidth_gbps),
+                    TablePrinter::Num(pulled->vector.avg_bandwidth_gbps),
                     TablePrinter::Num(shipped->avg_bandwidth_gbps),
                     TablePrinter::Num(shipped->avg_bandwidth_gbps /
-                                          pulled->avg_bandwidth_gbps,
+                                          pulled->vector.avg_bandwidth_gbps,
                                       2) +
                         "x"});
     }

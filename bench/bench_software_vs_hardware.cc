@@ -26,14 +26,14 @@ int main(int argc, char** argv) {
       params.repetitions = 5;
       baselines::SoftwareSwapDeployment swap(link);
       baselines::LogicalDeployment logical(link);
-      auto sw = swap.RunVectorSum(params);
-      auto hw = logical.RunVectorSum(params);
+      auto sw = swap.RunWorkload({.vector = params});
+      auto hw = logical.RunWorkload({.vector = params});
       LMP_CHECK(sw.ok() && hw.ok());
       table.AddRow({std::to_string(gib) + " GiB", link.name,
-                    TablePrinter::Num(sw->avg_bandwidth_gbps),
-                    TablePrinter::Num(hw->avg_bandwidth_gbps),
-                    TablePrinter::Num(hw->avg_bandwidth_gbps /
-                                          sw->avg_bandwidth_gbps,
+                    TablePrinter::Num(sw->vector.avg_bandwidth_gbps),
+                    TablePrinter::Num(hw->vector.avg_bandwidth_gbps),
+                    TablePrinter::Num(hw->vector.avg_bandwidth_gbps /
+                                          sw->vector.avg_bandwidth_gbps,
                                       2) +
                         "x"});
     }

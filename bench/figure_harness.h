@@ -55,26 +55,26 @@ inline std::vector<FigureRow> RunFigure(
       baselines::LogicalDeployment logical(link);
       attach(logical.simulator(), "Logical");
       if (trace != nullptr) logical.manager().set_trace(trace);
-      auto r = logical.RunVectorSum(params);
+      auto r = logical.RunWorkload({.vector = params});
       detach();
       LMP_CHECK(r.ok()) << r.status();
-      rows.push_back(FigureRow{"Logical", link.name, r.value()});
+      rows.push_back(FigureRow{"Logical", link.name, r->vector});
     }
     {
       baselines::PhysicalDeployment cache(link, /*use_cache=*/true);
       attach(cache.simulator(), "Physical cache");
-      auto r = cache.RunVectorSum(params);
+      auto r = cache.RunWorkload({.vector = params});
       detach();
       LMP_CHECK(r.ok()) << r.status();
-      rows.push_back(FigureRow{"Physical cache", link.name, r.value()});
+      rows.push_back(FigureRow{"Physical cache", link.name, r->vector});
     }
     {
       baselines::PhysicalDeployment nocache(link, /*use_cache=*/false);
       attach(nocache.simulator(), "Physical no-cache");
-      auto r = nocache.RunVectorSum(params);
+      auto r = nocache.RunWorkload({.vector = params});
       detach();
       LMP_CHECK(r.ok()) << r.status();
-      rows.push_back(FigureRow{"Physical no-cache", link.name, r.value()});
+      rows.push_back(FigureRow{"Physical no-cache", link.name, r->vector});
     }
   }
   return rows;

@@ -53,23 +53,28 @@ int main(int argc, char** argv) {
   const bool distributed =
       config.GetBool("distributed", false).value_or(false);
 
-  StatusOr<baselines::VectorSumResult> result =
-      baselines::VectorSumResult{};
+  StatusOr<baselines::WorkloadResult> result = baselines::WorkloadResult{};
   std::string label;
   if (deployment_name == "cache" || deployment_name == "nocache") {
     baselines::PhysicalDeployment deployment(link,
                                              deployment_name == "cache");
     label = std::string(deployment.name());
-    result = deployment.RunVectorSum(params);
+    result = deployment.RunWorkload({.vector = params});
   } else if (deployment_name == "swap") {
     baselines::SoftwareSwapDeployment deployment(link);
     label = std::string(deployment.name());
-    result = deployment.RunVectorSum(params);
+    result = deployment.RunWorkload({.vector = params});
   } else {
     baselines::LogicalDeployment deployment(link);
     label = std::string(deployment.name());
-    result = distributed ? deployment.RunDistributedSum(params)
-                         : deployment.RunVectorSum(params);
+    if (!distributed) {
+      result = deployment.RunWorkload({.vector = params});
+    } else if (auto shipped = deployment.RunDistributedSum(params);
+               shipped.ok()) {
+      result->vector = *shipped;
+    } else {
+      result = shipped.status();
+    }
   }
 
   if (!result.ok()) {
@@ -77,7 +82,7 @@ int main(int argc, char** argv) {
                  result.status().ToString().c_str());
     return 1;
   }
-  const auto& r = *result;
+  const auto& r = result->vector;
   std::printf("deployment=%s link=%s vector=%llu GiB cores=%d reps=%d%s\n",
               label.c_str(), link.name.c_str(),
               static_cast<unsigned long long>(params.vector_bytes / kGiB),

@@ -47,10 +47,11 @@ void TimingDemo() {
     params.vector_bytes = lmp::GiB(gib);
 
     auto run = [&](lmp::baselines::MemoryDeployment& d) -> std::string {
-      auto r = d.RunVectorSum(params);
+      auto r = d.RunWorkload({.vector = params});
       LMP_CHECK(r.ok());
-      return r->feasible ? lmp::TablePrinter::Num(r->avg_bandwidth_gbps)
-                         : "infeasible";
+      return r->vector.feasible
+                 ? lmp::TablePrinter::Num(r->vector.avg_bandwidth_gbps)
+                 : "infeasible";
     };
     lmp::baselines::LogicalDeployment logical(
         lmp::fabric::LinkProfile::Link1());

@@ -3,20 +3,25 @@
 // §4.1's microbenchmark: one server sums a large vector that lives in
 // disaggregated memory, using all 14 cores (each core sums a contiguous
 // slice), repeated 10 times; the metric is average bandwidth.  Every
-// deployment — Logical, Physical cache, Physical no-cache — implements
-// RunVectorSum over the shared fluid simulator so Figures 2–5 are produced
-// by one harness.
+// deployment — Logical, Physical cache, Physical no-cache, software swap —
+// implements RunWorkload, the one entry point, and hands RunRepetitions a
+// span builder: the shared loop streams each repetition's per-core spans
+// through the fluid simulator, so Figures 2–5 are produced by one harness.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "chaos/fault_injector.h"
 #include "chaos/fault_plan.h"
+#include "cluster/cluster.h"
 #include "common/status.h"
 #include "common/units.h"
 #include "fabric/link.h"
+#include "sim/fluid.h"
+#include "sim/stream.h"
 
 namespace lmp::obs {
 class FlightRecorder;
@@ -59,10 +64,10 @@ struct VectorSumResult {
 // the one entry point benches use for both healthy and chaos runs, so the
 // logical/physical comparison is apples-to-apples.
 struct WorkloadSpec {
-  VectorSumParams vector;
+  VectorSumParams vector{};
   // Failures injected while the workload runs (empty = healthy run).
-  chaos::FaultPlan faults;
-  chaos::InjectorOptions injector;
+  chaos::FaultPlan faults{};
+  chaos::InjectorOptions injector{};
   // > 0: protect the workload buffer with this many extra replicas before
   // faults fire.  Only the logical deployment has a replication layer.
   int replication_factor = 0;
@@ -96,22 +101,25 @@ class MemoryDeployment {
   virtual std::string_view name() const = 0;
   virtual const fabric::LinkProfile& link() const = 0;
 
-  // Runs the paper's aggregation microbenchmark.  An infeasible workload
-  // (vector larger than the pool — Figure 5's physical case) reports
+  // The one entry point: runs the paper's aggregation microbenchmark
+  // `spec.vector` while replaying `spec.faults`.  A healthy run is
+  // `RunWorkload({.vector = params})`.  An infeasible workload (vector
+  // larger than the pool — Figure 5's physical case) reports
   // feasible=false rather than an error: infeasibility IS the result.
-  virtual StatusOr<VectorSumResult> RunVectorSum(
-      const VectorSumParams& params) = 0;
+  // Bad params (see ValidateVectorSum) are InvalidArgument.  A deployment
+  // without a failure model returns kUnimplemented for a fault plan or
+  // replication.
+  virtual StatusOr<WorkloadResult> RunWorkload(const WorkloadSpec& spec) = 0;
 
-  // Unified entry point: run `spec.vector` while replaying `spec.faults`.
-  // The base implementation handles the healthy case by dispatching to
-  // RunVectorSum and returns kUnimplemented when a fault plan or
-  // replication is requested; deployments with a failure model override.
-  virtual StatusOr<WorkloadResult> RunWorkload(const WorkloadSpec& spec);
-
-  // Applies one fault event immediately (outside any plan).  The base
-  // implementation returns kUnimplemented.
-  virtual Status ApplyFault(const chaos::FaultEvent& event);
+  // Applies one fault event immediately (outside any plan).
+  virtual Status ApplyFault(const chaos::FaultEvent& event) = 0;
 };
+
+// InvalidArgument unless `params` fits a deployment of shape `config`:
+// vector_bytes > 0, repetitions >= 1, cores in [1, cores_per_server] and
+// runner in [0, num_servers).
+Status ValidateVectorSum(const VectorSumParams& params,
+                         const cluster::ClusterConfig& config);
 
 // Contiguous per-core slices of [0, total): core i gets
 // [i*total/cores, (i+1)*total/cores).
@@ -120,5 +128,19 @@ struct CoreSlice {
   Bytes length = 0;
 };
 std::vector<CoreSlice> SliceForCores(Bytes total, int cores);
+
+// One repetition's work: a span list per stream (normally one per core,
+// in core order); empty lists are skipped.
+using RepSpans = std::vector<std::vector<sim::Span>>;
+using SpanBuilder = std::function<StatusOr<RepSpans>(int rep)>;
+
+// The vector-sum repetition loop shared by every deployment.  For each of
+// params.repetitions reps it calls build(rep), runs one SpanStream per
+// non-empty list concurrently, and records the rep's bandwidth.  A
+// kDataLoss from build skips the rep (counted in out->reps_unavailable);
+// any other error aborts.  Fills out->vector's total_time_ns and
+// avg/first/steady GB/s; the builder owns every other field.
+Status RunRepetitions(sim::FluidSimulator* sim, const VectorSumParams& params,
+                      const SpanBuilder& build, WorkloadResult* out);
 
 }  // namespace lmp::baselines

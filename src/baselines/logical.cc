@@ -3,24 +3,10 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "sim/stream.h"
+#include "core/compute_ship.h"
+#include "core/task_scheduler.h"
 
 namespace lmp::baselines {
-
-std::vector<CoreSlice> SliceForCores(Bytes total, int cores) {
-  LMP_CHECK(cores > 0);
-  std::vector<CoreSlice> slices;
-  slices.reserve(cores);
-  const Bytes base = total / cores;
-  Bytes pos = 0;
-  for (int c = 0; c < cores; ++c) {
-    // Last core absorbs the remainder.
-    const Bytes len = (c + 1 == cores) ? (total - pos) : base;
-    slices.push_back(CoreSlice{pos, len});
-    pos += len;
-  }
-  return slices;
-}
 
 LogicalDeployment::LogicalDeployment(
     const fabric::LinkProfile& link, const cluster::ClusterConfig& config,
@@ -33,94 +19,6 @@ LogicalDeployment::LogicalDeployment(
   cluster_ = std::make_unique<cluster::Cluster>(config);
   manager_ = std::make_unique<core::PoolManager>(cluster_.get(),
                                                  std::move(placement));
-}
-
-StatusOr<VectorSumResult> LogicalDeployment::RunVectorSum(
-    const VectorSumParams& params) {
-  VectorSumResult result;
-
-  auto buffer_or = manager_->Allocate(
-      params.vector_bytes,
-      static_cast<cluster::ServerId>(params.runner));
-  if (!buffer_or.ok()) {
-    if (IsOutOfMemory(buffer_or.status())) {
-      result.feasible = false;
-      result.infeasible_reason = buffer_or.status().message();
-      return result;
-    }
-    return buffer_or.status();
-  }
-  const core::BufferId buffer = buffer_or.value();
-
-  LMP_ASSIGN_OR_RETURN(
-      result.local_fraction,
-      manager_->LocalFraction(buffer,
-                              static_cast<cluster::ServerId>(params.runner)));
-
-  const auto runner = static_cast<fabric::ServerIndex>(params.runner);
-  const std::vector<CoreSlice> slices =
-      SliceForCores(params.vector_bytes, params.cores);
-
-  // Path for one located span as seen from (runner, core).
-  auto path_for = [&](const core::LocatedSpan& ls, int c) {
-    LMP_CHECK(!ls.location.is_pool());
-    return ls.location.server == runner
-               ? topology_->LocalPath(runner, c)
-               : topology_->RemotePath(runner, c, ls.location.server);
-  };
-
-  // Per-core span lists.  Contiguous: core c walks its own 1/Nth of the
-  // vector.  Balanced: every core takes a proportional share of each
-  // located span, so all cores see the same local/remote mix.
-  std::vector<std::vector<sim::Span>> per_core(params.cores);
-  if (!params.balanced_slices) {
-    for (int c = 0; c < params.cores; ++c) {
-      const CoreSlice& slice = slices[c];
-      if (slice.length == 0) continue;
-      LMP_ASSIGN_OR_RETURN(
-          auto located,
-          manager_->Spans(buffer, slice.offset, slice.length));
-      for (const core::LocatedSpan& ls : located) {
-        per_core[c].push_back(sim::Span{static_cast<double>(ls.bytes),
-                                        path_for(ls, c)});
-      }
-    }
-  } else {
-    LMP_ASSIGN_OR_RETURN(auto located,
-                         manager_->Spans(buffer, 0, params.vector_bytes));
-    for (const core::LocatedSpan& ls : located) {
-      const double share =
-          static_cast<double>(ls.bytes) / params.cores;
-      for (int c = 0; c < params.cores; ++c) {
-        per_core[c].push_back(sim::Span{share, path_for(ls, c)});
-      }
-    }
-  }
-
-  const SimTime start = sim_.now();
-  double first_rep = 0, last_rep = 0;
-  for (int rep = 0; rep < params.repetitions; ++rep) {
-    std::vector<std::unique_ptr<sim::SpanStream>> streams;
-    for (int c = 0; c < params.cores; ++c) {
-      if (per_core[c].empty()) continue;
-      streams.push_back(
-          std::make_unique<sim::SpanStream>(&sim_, per_core[c]));
-    }
-    const sim::ParallelRunResult rep_result =
-        sim::RunStreams(&sim_, std::move(streams));
-    if (rep == 0) first_rep = rep_result.gbps;
-    last_rep = rep_result.gbps;
-  }
-
-  const SimTime elapsed = sim_.now() - start;
-  result.total_time_ns = elapsed;
-  result.avg_bandwidth_gbps =
-      ToGBps(static_cast<double>(params.vector_bytes) * params.repetitions,
-             elapsed);
-  result.first_rep_gbps = first_rep;
-  result.steady_rep_gbps = last_rep;
-  LMP_CHECK_OK(manager_->Free(buffer));
-  return result;
 }
 
 Status LogicalDeployment::EnableReplication(int factor) {
@@ -162,8 +60,9 @@ Status LogicalDeployment::ApplyFault(const chaos::FaultEvent& event) {
 
 StatusOr<WorkloadResult> LogicalDeployment::RunWorkload(
     const WorkloadSpec& spec) {
-  WorkloadResult out;
   const VectorSumParams& params = spec.vector;
+  LMP_RETURN_IF_ERROR(ValidateVectorSum(params, cluster_->config()));
+  WorkloadResult out;
 
   if (spec.replication_factor > 0) {
     LMP_RETURN_IF_ERROR(EnableReplication(spec.replication_factor));
@@ -201,43 +100,13 @@ StatusOr<WorkloadResult> LogicalDeployment::RunWorkload(
   const auto runner = static_cast<fabric::ServerIndex>(params.runner);
   const std::vector<CoreSlice> slices =
       SliceForCores(params.vector_bytes, params.cores);
+  // Path for one located span as seen from (runner, core).
   auto path_for = [&](const core::LocatedSpan& ls, int c) {
     LMP_CHECK(!ls.location.is_pool());
     return ls.location.server == runner
                ? topology_->LocalPath(runner, c)
                : topology_->RemotePath(runner, c, ls.location.server);
   };
-
-  // Unlike RunVectorSum, span lists are rebuilt EVERY repetition: a crash
-  // during rep N fails segments over to new homes, and rep N+1 must read
-  // them from where they live now.
-  auto spans_for_rep =
-      [&](std::vector<std::vector<sim::Span>>* per_core) -> Status {
-    per_core->assign(params.cores, {});
-    if (!params.balanced_slices) {
-      for (int c = 0; c < params.cores; ++c) {
-        const CoreSlice& slice = slices[c];
-        if (slice.length == 0) continue;
-        LMP_ASSIGN_OR_RETURN(
-            auto located, manager_->Spans(buffer, slice.offset, slice.length));
-        for (const core::LocatedSpan& ls : located) {
-          (*per_core)[c].push_back(
-              sim::Span{static_cast<double>(ls.bytes), path_for(ls, c)});
-        }
-      }
-    } else {
-      LMP_ASSIGN_OR_RETURN(auto located,
-                           manager_->Spans(buffer, 0, params.vector_bytes));
-      for (const core::LocatedSpan& ls : located) {
-        const double share = static_cast<double>(ls.bytes) / params.cores;
-        for (int c = 0; c < params.cores; ++c) {
-          (*per_core)[c].push_back(sim::Span{share, path_for(ls, c)});
-        }
-      }
-    }
-    return Status::Ok();
-  };
-
   auto fabric_degraded = [&] {
     for (int s = 0; s < topology_->num_servers(); ++s) {
       if (topology_->link_degraded(static_cast<fabric::ServerIndex>(s))) {
@@ -247,43 +116,38 @@ StatusOr<WorkloadResult> LogicalDeployment::RunWorkload(
     return false;
   };
 
-  const SimTime start = sim_.now();
-  int reps_served = 0;
-  double first_rep = 0, last_rep = 0;
-  std::vector<std::vector<sim::Span>> per_core;
-  for (int rep = 0; rep < params.repetitions; ++rep) {
-    const Status span_status = spans_for_rep(&per_core);
-    if (IsDataLoss(span_status)) {
-      // Part of the buffer is gone and nothing can rebuild it; this
-      // repetition cannot run.  Sim time does not advance, so the
-      // unavailability is charged to the open window, not the workload.
-      ++out.reps_unavailable;
-      continue;
+  // Span lists are rebuilt EVERY repetition: a crash during rep N fails
+  // segments over to new homes, and rep N+1 must read them from where they
+  // live now.  Contiguous: core c walks its own 1/Nth of the vector.
+  // Balanced: every core takes a proportional share of each located span,
+  // so all cores see the same local/remote mix.
+  auto build = [&](int) -> StatusOr<RepSpans> {
+    RepSpans per_core(params.cores);
+    if (!params.balanced_slices) {
+      for (int c = 0; c < params.cores; ++c) {
+        const CoreSlice& slice = slices[c];
+        if (slice.length == 0) continue;
+        LMP_ASSIGN_OR_RETURN(
+            auto located, manager_->Spans(buffer, slice.offset, slice.length));
+        for (const core::LocatedSpan& ls : located) {
+          per_core[c].push_back(
+              sim::Span{static_cast<double>(ls.bytes), path_for(ls, c)});
+        }
+      }
+    } else {
+      LMP_ASSIGN_OR_RETURN(auto located,
+                           manager_->Spans(buffer, 0, params.vector_bytes));
+      for (const core::LocatedSpan& ls : located) {
+        const double share = static_cast<double>(ls.bytes) / params.cores;
+        for (int c = 0; c < params.cores; ++c) {
+          per_core[c].push_back(sim::Span{share, path_for(ls, c)});
+        }
+      }
     }
-    LMP_RETURN_IF_ERROR(span_status);
     if (fabric_degraded()) ++out.reps_degraded;
-    std::vector<std::unique_ptr<sim::SpanStream>> streams;
-    for (int c = 0; c < params.cores; ++c) {
-      if (per_core[c].empty()) continue;
-      streams.push_back(
-          std::make_unique<sim::SpanStream>(&sim_, per_core[c]));
-    }
-    const sim::ParallelRunResult rep_result =
-        sim::RunStreams(&sim_, std::move(streams));
-    if (reps_served == 0) first_rep = rep_result.gbps;
-    last_rep = rep_result.gbps;
-    ++reps_served;
-  }
-
-  const SimTime elapsed = sim_.now() - start;
-  out.vector.total_time_ns = elapsed;
-  if (elapsed > 0) {
-    out.vector.avg_bandwidth_gbps =
-        ToGBps(static_cast<double>(params.vector_bytes) * reps_served,
-               elapsed);
-  }
-  out.vector.first_rep_gbps = first_rep;
-  out.vector.steady_rep_gbps = last_rep;
+    return per_core;
+  };
+  LMP_RETURN_IF_ERROR(RunRepetitions(&sim_, params, build, &out));
 
   // Let outstanding recovery transfers (and any plan tail) finish so
   // time-to-redundancy reflects actual completion, then snapshot SLOs.
@@ -296,6 +160,7 @@ StatusOr<WorkloadResult> LogicalDeployment::RunWorkload(
 
 StatusOr<VectorSumResult> LogicalDeployment::RunDistributedSum(
     const VectorSumParams& params) {
+  LMP_RETURN_IF_ERROR(ValidateVectorSum(params, cluster_->config()));
   VectorSumResult result;
 
   auto buffer_or = manager_->Allocate(
@@ -311,35 +176,35 @@ StatusOr<VectorSumResult> LogicalDeployment::RunDistributedSum(
   }
   const core::BufferId buffer = buffer_or.value();
 
-  // Every server processes exactly the spans it hosts, with its own cores:
-  // computation shipping makes all accesses local (§4.4).
-  LMP_ASSIGN_OR_RETURN(auto located,
-                       manager_->Spans(buffer, 0, params.vector_bytes));
-  // Group bytes per hosting server.
-  std::vector<Bytes> per_server(cluster_->num_servers(), 0);
-  for (const core::LocatedSpan& ls : located) {
-    LMP_CHECK(!ls.location.is_pool());
-    per_server[ls.location.server] += ls.bytes;
+  // Every server processes exactly the bytes it hosts, with its own cores:
+  // computation shipping makes all accesses local (§4.4).  One task per
+  // (host, core) slice, submitted in server-id order.
+  LMP_ASSIGN_OR_RETURN(
+      core::ShipPlan plan,
+      core::ComputeShipper(manager_.get())
+          .Plan(buffer, 0, params.vector_bytes,
+                static_cast<cluster::ServerId>(params.runner)));
+  std::sort(plan.subtasks.begin(), plan.subtasks.end(),
+            [](const core::ShipPlan::SubTask& a,
+               const core::ShipPlan::SubTask& b) {
+              return a.server < b.server;
+            });
+  std::vector<core::ComputeTask> tasks;
+  for (const core::ShipPlan::SubTask& sub : plan.subtasks) {
+    for (const CoreSlice& slice : SliceForCores(sub.bytes, params.cores)) {
+      if (slice.length == 0) continue;
+      tasks.push_back(core::ComputeTask{
+          sub.server, static_cast<double>(slice.length), 0});
+    }
   }
 
+  core::TaskScheduler scheduler(&sim_, topology_.get(), params.cores);
   const SimTime start = sim_.now();
   for (int rep = 0; rep < params.repetitions; ++rep) {
-    std::vector<std::unique_ptr<sim::SpanStream>> streams;
-    for (int s = 0; s < cluster_->num_servers(); ++s) {
-      if (per_server[s] == 0) continue;
-      const auto host = static_cast<fabric::ServerIndex>(s);
-      const std::vector<CoreSlice> slices =
-          SliceForCores(per_server[s], params.cores);
-      for (int c = 0; c < params.cores; ++c) {
-        if (slices[c].length == 0) continue;
-        std::vector<sim::Span> spans{
-            sim::Span{static_cast<double>(slices[c].length),
-                      topology_->LocalPath(host, c)}};
-        streams.push_back(
-            std::make_unique<sim::SpanStream>(&sim_, std::move(spans)));
-      }
+    for (const core::ComputeTask& task : tasks) {
+      LMP_RETURN_IF_ERROR(scheduler.Submit(task));
     }
-    (void)sim::RunStreams(&sim_, std::move(streams));
+    scheduler.Drain();
   }
 
   const SimTime elapsed = sim_.now() - start;

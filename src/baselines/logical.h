@@ -3,12 +3,14 @@
 // 4 servers, 24 GB each, every byte shared (§4.1 "Logical").  The vector is
 // placed local-first from the running server, so an 8/24 GB vector is fully
 // local, a 64 GB vector is 3/8 local, and a 96 GB vector fills the whole
-// pool (feasible, unlike the physical pool).  Each repetition streams every
-// core's slice through the fluid simulator: local spans ride
-// core->local-DRAM, remote spans ride core->port->peer-port->peer-DRAM.
+// pool (feasible, unlike the physical pool).  RunWorkload's span builder
+// re-locates every core's slice each repetition (a crash may move segment
+// homes mid-run): local spans ride core->local-DRAM, remote spans ride
+// core->port->peer-port->peer-DRAM.
 //
-// RunDistributedSum implements §4.4: the sum is shipped to every server so
-// each sums its own local portion with its own cores — all traffic local.
+// RunDistributedSum implements §4.4: ComputeShipper::Plan groups the vector
+// by home server and a TaskScheduler runs each server's share on its own
+// cores — all traffic local.
 #pragma once
 
 #include <memory>
@@ -34,21 +36,20 @@ class LogicalDeployment : public MemoryDeployment {
   std::string_view name() const override { return "Logical"; }
   const fabric::LinkProfile& link() const override { return link_; }
 
-  StatusOr<VectorSumResult> RunVectorSum(
-      const VectorSumParams& params) override;
-
   // §4.4 near-memory computing: every server sums its local part.
   StatusOr<VectorSumResult> RunDistributedSum(const VectorSumParams& params);
 
-  // Chaos-aware run: spans are recomputed every repetition (crash failover
-  // moves segment homes mid-run), the fault plan replays on sim time, and
-  // the injector's recovery SLOs come back in the result.
+  // Spans are recomputed every repetition (crash failover moves segment
+  // homes mid-run), the fault plan replays on sim time, and the injector's
+  // recovery SLOs come back in the result.  Every run, healthy or not,
+  // binds the injector.
   StatusOr<WorkloadResult> RunWorkload(const WorkloadSpec& spec) override;
   Status ApplyFault(const chaos::FaultEvent& event) override;
 
   // Attaches a replication layer (factor = extra copies per segment).
-  // Call before applying faults: the injector binds at first use and a
-  // later-attached layer would not have its recovery traffic priced.
+  // Call before the first RunWorkload or ApplyFault: the injector binds
+  // at first use and a later-attached layer would not have its recovery
+  // traffic priced, so enabling it afterwards is FailedPrecondition.
   Status EnableReplication(int factor);
 
   // Lazily-created injector bound to this deployment's stack.

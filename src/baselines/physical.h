@@ -44,13 +44,12 @@ class PhysicalDeployment : public MemoryDeployment {
   }
   const fabric::LinkProfile& link() const override { return link_; }
 
-  StatusOr<VectorSumResult> RunVectorSum(
-      const VectorSumParams& params) override;
-
   // Chaos-aware run.  The physical pool's failure story is the paper's §5
   // contrast: a server crash loses no pooled data (it lives on the pool
   // box), but every pool access rides the pool link, so degrading it
   // throttles the whole workload.  No replication layer exists here.
+  // An infeasible run still schedules its fault plan and, with
+  // drain_recovery, runs it out so `chaos` reports the faults.
   StatusOr<WorkloadResult> RunWorkload(const WorkloadSpec& spec) override;
   Status ApplyFault(const chaos::FaultEvent& event) override;
 
@@ -63,10 +62,6 @@ class PhysicalDeployment : public MemoryDeployment {
   cluster::Cluster& cluster() { return *cluster_; }
 
  private:
-  StatusOr<VectorSumResult> RunNoCache(const VectorSumParams& params);
-  StatusOr<VectorSumResult> RunPinnedCache(const VectorSumParams& params);
-  StatusOr<VectorSumResult> RunLruCache(const VectorSumParams& params);
-
   fabric::LinkProfile link_;
   bool use_cache_;
   CachePolicy policy_;

@@ -1,7 +1,6 @@
 #include "baselines/software_swap.h"
 
 #include "common/logging.h"
-#include "sim/stream.h"
 
 namespace lmp::baselines {
 
@@ -24,9 +23,15 @@ SoftwareSwapDeployment::SoftwareSwapDeployment(
   }
 }
 
-StatusOr<VectorSumResult> SoftwareSwapDeployment::RunVectorSum(
-    const VectorSumParams& params) {
-  VectorSumResult result;
+StatusOr<WorkloadResult> SoftwareSwapDeployment::RunWorkload(
+    const WorkloadSpec& spec) {
+  const VectorSumParams& params = spec.vector;
+  LMP_RETURN_IF_ERROR(ValidateVectorSum(params, config_));
+  if (!spec.faults.empty() || spec.replication_factor > 0) {
+    return UnimplementedError(std::string(name()) +
+                              " has no fault-injection support");
+  }
+  WorkloadResult out;
   // Resident set = the runner's local memory; swapped = the rest, living
   // in peers' memory (one-third on each of the other three servers).
   const Bytes resident =
@@ -34,25 +39,21 @@ StatusOr<VectorSumResult> SoftwareSwapDeployment::RunVectorSum(
   const Bytes swapped = params.vector_bytes - resident;
   if (swapped >
       config_.server_total_memory * (config_.num_servers - 1)) {
-    result.feasible = false;
-    result.infeasible_reason = "far-memory hosts too small";
-    return result;
+    out.vector.feasible = false;
+    out.vector.infeasible_reason = "far-memory hosts too small";
+    return out;
   }
-  result.local_fraction = static_cast<double>(resident) /
-                          static_cast<double>(params.vector_bytes);
+  out.vector.local_fraction = static_cast<double>(resident) /
+                              static_cast<double>(params.vector_bytes);
 
   const auto runner = static_cast<fabric::ServerIndex>(params.runner);
   const std::vector<CoreSlice> slices =
       SliceForCores(params.vector_bytes, params.cores);
-
-  const SimTime start = sim_.now();
-  double first = 0, last = 0;
-  for (int rep = 0; rep < params.repetitions; ++rep) {
-    std::vector<std::unique_ptr<sim::SpanStream>> streams;
+  auto build = [&](int) -> StatusOr<RepSpans> {
+    RepSpans per_core(params.cores);
     for (int c = 0; c < params.cores; ++c) {
       const CoreSlice& slice = slices[c];
-      if (slice.length == 0) continue;
-      std::vector<sim::Span> spans;
+      std::vector<sim::Span>& spans = per_core[c];
       // Resident prefix of this slice.
       const Bytes res_end = std::min<Bytes>(resident, slice.offset +
                                                            slice.length);
@@ -79,21 +80,11 @@ StatusOr<VectorSumResult> SoftwareSwapDeployment::RunVectorSum(
           swap_len -= take;
         }
       }
-      streams.push_back(
-          std::make_unique<sim::SpanStream>(&sim_, std::move(spans)));
     }
-    const auto rep_result = sim::RunStreams(&sim_, std::move(streams));
-    if (rep == 0) first = rep_result.gbps;
-    last = rep_result.gbps;
-  }
-  const SimTime elapsed = sim_.now() - start;
-  result.total_time_ns = elapsed;
-  result.avg_bandwidth_gbps =
-      ToGBps(static_cast<double>(params.vector_bytes) * params.repetitions,
-             elapsed);
-  result.first_rep_gbps = first;
-  result.steady_rep_gbps = last;
-  return result;
+    return per_core;
+  };
+  LMP_RETURN_IF_ERROR(RunRepetitions(&sim_, params, build, &out));
+  return out;
 }
 
 Status SoftwareSwapDeployment::ApplyFault(const chaos::FaultEvent& event) {

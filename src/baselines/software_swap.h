@@ -43,8 +43,8 @@ class SoftwareSwapDeployment : public MemoryDeployment {
   std::string_view name() const override { return "Software swap"; }
   const fabric::LinkProfile& link() const override { return link_; }
 
-  StatusOr<VectorSumResult> RunVectorSum(
-      const VectorSumParams& params) override;
+  // Healthy runs only: a fault plan or replication is kUnimplemented.
+  StatusOr<WorkloadResult> RunWorkload(const WorkloadSpec& spec) override;
 
   // Link faults only: the swap baseline has no pooled data to lose, but a
   // degraded fabric slows its paging traffic like everyone else's.  Crash

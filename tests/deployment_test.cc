@@ -4,8 +4,12 @@
 // (vector size, link) combination.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "baselines/logical.h"
 #include "baselines/physical.h"
+#include "baselines/software_swap.h"
+#include "core/placement.h"
 
 namespace lmp::baselines {
 namespace {
@@ -17,9 +21,9 @@ VectorSumResult RunSum(MemoryDeployment& deployment, Bytes bytes,
   VectorSumParams params;
   params.vector_bytes = bytes;
   params.repetitions = reps;
-  auto result = deployment.RunVectorSum(params);
+  auto result = deployment.RunWorkload({.vector = params});
   EXPECT_TRUE(result.ok()) << result.status();
-  return result.value_or(VectorSumResult{});
+  return result.ok() ? result->vector : VectorSumResult{};
 }
 
 // --- SliceForCores ------------------------------------------------------------
@@ -144,11 +148,11 @@ TEST(NearMemoryTest, ShippingBeatsSingleServerPull) {
   params.repetitions = 3;
   LogicalDeployment pull(LinkProfile::Link1());
   LogicalDeployment ship(LinkProfile::Link1());
-  auto pulled = pull.RunVectorSum(params);
+  auto pulled = pull.RunWorkload({.vector = params});
   auto shipped = ship.RunDistributedSum(params);
   ASSERT_TRUE(pulled.ok() && shipped.ok());
   EXPECT_GT(shipped->avg_bandwidth_gbps,
-            pulled->avg_bandwidth_gbps * 2);
+            pulled->vector.avg_bandwidth_gbps * 2);
 }
 
 // --- Parameterized shape sweep -------------------------------------------------------
@@ -237,22 +241,261 @@ TEST(CachePolicyAblationTest, DirtyEvictionsChargeWritebackTraffic) {
   write_params.write = true;
 
   PhysicalDeployment writer(LinkProfile::Link1(), true, CachePolicy::kLru);
-  auto w = writer.RunVectorSum(write_params);
+  auto w = writer.RunWorkload({.vector = write_params});
   ASSERT_TRUE(w.ok()) << w.status();
-  ASSERT_TRUE(w->feasible);
-  EXPECT_GT(w->writeback_bytes, 0u);
+  ASSERT_TRUE(w->vector.feasible);
+  EXPECT_GT(w->vector.writeback_bytes, 0u);
   // Nearly every page beyond the cache's capacity gets written back: the
   // sweep dirties all 24 GiB and the cache retains at most 8 GiB.
-  EXPECT_GE(w->writeback_bytes, GiB(24));
+  EXPECT_GE(w->vector.writeback_bytes, GiB(24));
 
   PhysicalDeployment reader(LinkProfile::Link1(), true, CachePolicy::kLru);
   VectorSumParams read_params = write_params;
   read_params.write = false;
-  auto r = reader.RunVectorSum(read_params);
+  auto r = reader.RunWorkload({.vector = read_params});
   ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_EQ(r->writeback_bytes, 0u);
+  EXPECT_EQ(r->vector.writeback_bytes, 0u);
   // Writebacks contend for the fabric, so the write run must be slower.
-  EXPECT_GT(w->total_time_ns, r->total_time_ns);
+  EXPECT_GT(w->vector.total_time_ns, r->vector.total_time_ns);
+}
+
+// --- Golden pin --------------------------------------------------------------
+//
+// Exact results for one small cell per vector-sum path.  The figure tests
+// above check ratios within tolerances; these pin every simulated number
+// bit for bit, so a refactor of the deployment harness that changes any
+// result (flow order, span coalescing, repetition accounting) fails here.
+
+struct Golden {
+  SimTime total_time_ns;
+  double avg_gbps;
+  double first_gbps;
+  double steady_gbps;
+  double cache_hit_rate;
+  Bytes writeback_bytes;
+};
+
+void ExpectGolden(const VectorSumResult& r, const Golden& g) {
+  EXPECT_TRUE(r.feasible);
+  EXPECT_EQ(r.total_time_ns, g.total_time_ns);
+  EXPECT_EQ(r.avg_bandwidth_gbps, g.avg_gbps);
+  EXPECT_EQ(r.first_rep_gbps, g.first_gbps);
+  EXPECT_EQ(r.steady_rep_gbps, g.steady_gbps);
+  EXPECT_EQ(r.cache_hit_rate, g.cache_hit_rate);
+  EXPECT_EQ(r.writeback_bytes, g.writeback_bytes);
+}
+
+VectorSumResult RunGolden(MemoryDeployment& deployment,
+                          const VectorSumParams& params) {
+  auto r = deployment.RunWorkload({.vector = params});
+  EXPECT_TRUE(r.ok()) << r.status();
+  return r.ok() ? r->vector : VectorSumResult{};
+}
+
+VectorSumParams GoldenParams(Bytes bytes, bool balanced = false) {
+  return VectorSumParams{.vector_bytes = bytes,
+                         .repetitions = 3,
+                         .balanced_slices = balanced};
+}
+
+TEST(VectorSumGoldenTest, LogicalContiguous) {
+  LogicalDeployment logical(LinkProfile::Link1());
+  ExpectGolden(RunGolden(logical, GoldenParams(GiB(64))),
+               Golden{0x1.6db6db6e92492p+32, 0x1.0ccccccc2b852p+5,
+                      0x1.0ccccccc2b852p+5, 0x1.0ccccccc2b851p+5, 0, 0});
+}
+
+TEST(VectorSumGoldenTest, LogicalBalanced) {
+  LogicalDeployment logical(LinkProfile::Link1());
+  ExpectGolden(RunGolden(logical, GoldenParams(GiB(64), true)),
+               Golden{0x1.9d382d3e35899p+32, 0x1.dbcbadc7f10d2p+4,
+                      0x1.dbcbadc7f10cfp+4, 0x1.dbcbadc7f10d1p+4, 0, 0});
+}
+
+TEST(VectorSumGoldenTest, LogicalSecondRunOnSameDeployment) {
+  LogicalDeployment logical(LinkProfile::Link0());
+  RunGolden(logical, GoldenParams(GiB(64)));
+  ExpectGolden(RunGolden(logical, GoldenParams(GiB(96))),
+               Golden{0x1.90b21644bd37ap+32, 0x1.6ffffffe34p+5,
+                      0x1.6ffffffe33fffp+5, 0x1.6ffffffe34001p+5, 0, 0});
+}
+
+TEST(VectorSumGoldenTest, DistributedSum) {
+  // Every server sums its own part, so the runner does not matter.
+  for (const int runner : {0, 2}) {
+    LogicalDeployment logical(LinkProfile::Link1());
+    VectorSumParams params = GoldenParams(GiB(64));
+    params.runner = runner;
+    auto r = logical.RunDistributedSum(params);
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_EQ(r->local_fraction, 1.0);
+    ExpectGolden(*r, Golden{0x1.7c0a8e957c0a9p+29, 0x1.02aaaa9ebcf68p+8,
+                            0x1.02aaaa9ebcf68p+8, 0x1.02aaaa9ebcf68p+8, 0,
+                            0});
+  }
+}
+
+TEST(VectorSumGoldenTest, PhysicalNoCache) {
+  PhysicalDeployment nocache(LinkProfile::Link0(), false);
+  ExpectGolden(RunGolden(nocache, GoldenParams(GiB(24))),
+               Golden{0x1.0b21642fc8591p+31, 0x1.13fffffca18p+5,
+                      0x1.13fffffca17ffp+5, 0x1.13fffffca18p+5, 0, 0});
+}
+
+TEST(VectorSumGoldenTest, PhysicalPinnedCache) {
+  PhysicalDeployment pinned(LinkProfile::Link1(), true);
+  ExpectGolden(RunGolden(pinned, GoldenParams(GiB(24))),
+               Golden{0x1.5555555779e79p+31, 0x1.affffffd49b6fp+4,
+                      0x1.4ffffffe5c001p+4, 0x1.f7fffffc4fp+4,
+                      0x1.5555555555555p-2, 0});
+}
+
+TEST(VectorSumGoldenTest, PhysicalLruWriteback) {
+  // A 24 MiB sweep thrashes 8 MiB of local cache and evicts dirty pages,
+  // so a writeback stream runs beside the fills every repetition.
+  cluster::ClusterConfig config = cluster::ClusterConfig::PaperPhysical();
+  config.server_total_memory = MiB(8);
+  PhysicalDeployment lru(LinkProfile::Link1(), true, CachePolicy::kLru,
+                         config);
+  VectorSumParams params = GoldenParams(MiB(24));
+  params.write = true;
+  ExpectGolden(RunGolden(lru, params),
+               Golden{0x1.9cf3cf3cf3cf5p+22, 0x1.6513d66f77f86p+3, 0x1.5p+4,
+                      0x1.53896e7bf5387p+4, 0x1.bdd2b899406f7p-7, 67633152});
+}
+
+TEST(VectorSumGoldenTest, SoftwareSwap) {
+  SoftwareSwapDeployment swap(LinkProfile::Link0());
+  ExpectGolden(RunGolden(swap, GoldenParams(GiB(96))),
+               Golden{0x1.416db6e397p+34, 0x1.cac08306c8b44p+3,
+                      0x1.cac08306c8b44p+3, 0x1.cac08306c8b44p+3, 0, 0});
+}
+
+TEST(VectorSumGoldenTest, CrashWithReplication) {
+  cluster::ClusterConfig config;
+  config.server_total_memory = MiB(4);
+  config.server_shared_memory = MiB(4);
+  config.frame_size = KiB(4);
+  LogicalDeployment logical(
+      LinkProfile::Link0(), config,
+      std::make_unique<core::RoundRobinPlacement>(KiB(512)));
+  WorkloadSpec spec;
+  spec.vector = VectorSumParams{.vector_bytes = MiB(2), .repetitions = 4};
+  spec.replication_factor = 1;
+  spec.faults.DegradeLinkAt(Microseconds(10), 0, 0.5, 2.0)
+      .CrashAt(Microseconds(30), 1)
+      .RestoreLinkAt(Microseconds(120), 0);
+  auto r = logical.RunWorkload(spec);
+  ASSERT_TRUE(r.ok()) << r.status();
+  ExpectGolden(r->vector, Golden{0x1.b1ea5cc0ed73p+17, 0x1.2e116b62b285p+5,
+                              0x1.7087aa7519b1fp+4, 0x1.b3f2bb313b57ep+5, 0,
+                              0});
+  EXPECT_EQ(r->reps_unavailable, 0);
+  EXPECT_EQ(r->reps_degraded, 1);
+  EXPECT_EQ(r->chaos.crashes, 1);
+  EXPECT_EQ(r->chaos.link_degrades, 1);
+  EXPECT_EQ(r->chaos.link_restores, 1);
+  EXPECT_EQ(r->chaos.segments_lost, 0);
+  EXPECT_EQ(r->chaos.replicas_recreated, 2);
+  EXPECT_EQ(r->chaos.bytes_rereplicated, MiB(1));
+  EXPECT_EQ(r->chaos.max_time_to_redundancy, 0x1.7343b8a49873fp+17);
+  EXPECT_EQ(r->chaos.total_unavailability, 0);
+  EXPECT_EQ(r->chaos.degraded_bytes_served, 0x1.cf41bfffffffep+20);
+}
+
+// --- Parameter validation ----------------------------------------------------
+
+enum class Path { kLogical, kDistributed, kCache, kNoCache, kSoftwareSwap };
+
+void PrintTo(Path path, std::ostream* os) {
+  constexpr const char* kNames[] = {"Logical", "Distributed", "Cache",
+                                    "NoCache", "SoftwareSwap"};
+  *os << kNames[static_cast<int>(path)];
+}
+
+Status RunPath(Path path, const VectorSumParams& params) {
+  const LinkProfile link = LinkProfile::Link0();
+  switch (path) {
+    case Path::kLogical:
+      return LogicalDeployment(link).RunWorkload({.vector = params}).status();
+    case Path::kDistributed:
+      return LogicalDeployment(link).RunDistributedSum(params).status();
+    case Path::kCache:
+    case Path::kNoCache:
+      return PhysicalDeployment(link, path == Path::kCache)
+          .RunWorkload({.vector = params})
+          .status();
+    case Path::kSoftwareSwap:
+      return SoftwareSwapDeployment(link)
+          .RunWorkload({.vector = params})
+          .status();
+  }
+  return InternalError("unknown path");
+}
+
+class ParamValidationTest : public ::testing::TestWithParam<Path> {};
+
+TEST_P(ParamValidationTest, BadParamsAreInvalidArgument) {
+  // Every paper config has 4 servers x 14 cores.
+  const VectorSumParams ok{.vector_bytes = GiB(1), .repetitions = 1};
+  auto with = [&](auto field, auto value) {
+    VectorSumParams p = ok;
+    p.*field = value;
+    return p;
+  };
+  const std::pair<const char*, VectorSumParams> bad[] = {
+      {"vector_bytes", with(&VectorSumParams::vector_bytes, Bytes{0})},
+      {"repetitions", with(&VectorSumParams::repetitions, 0)},
+      {"repetitions", with(&VectorSumParams::repetitions, -1)},
+      {"cores", with(&VectorSumParams::cores, 0)},
+      {"cores", with(&VectorSumParams::cores, 15)},
+      {"cores", with(&VectorSumParams::cores, 20)},
+      {"runner", with(&VectorSumParams::runner, -1)},
+      {"runner", with(&VectorSumParams::runner, 4)},
+  };
+  for (const auto& [field, params] : bad) {
+    const Status st = RunPath(GetParam(), params);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << field << ": " << st;
+    EXPECT_NE(st.message().find(field), std::string::npos) << st;
+  }
+  // The edges of each range are accepted.
+  VectorSumParams edge = ok;
+  edge.cores = 14;
+  edge.runner = 3;
+  EXPECT_TRUE(RunPath(GetParam(), edge).ok());
+  edge.cores = 1;
+  edge.runner = 0;
+  EXPECT_TRUE(RunPath(GetParam(), edge).ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(AllDeployments, ParamValidationTest,
+                         ::testing::Values(Path::kLogical, Path::kDistributed,
+                                           Path::kCache, Path::kNoCache,
+                                           Path::kSoftwareSwap));
+
+// --- Contracts of the shared entry point -------------------------------------
+
+TEST(PhysicalChaosTest, InfeasibleRunStillDrainsItsFaultPlan) {
+  // 96 GiB does not fit the 64 GiB pool box; the plan still runs out.
+  PhysicalDeployment cache(LinkProfile::Link0(), true);
+  WorkloadSpec spec{.vector = {.vector_bytes = GiB(96)}};
+  spec.faults.CrashAt(Microseconds(10), 1);
+  auto r = cache.RunWorkload(spec);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_FALSE(r->vector.feasible);
+  EXPECT_FALSE(r->vector.infeasible_reason.empty());
+  EXPECT_GE(cache.simulator().now(), Microseconds(10));
+  EXPECT_EQ(r->chaos.crashes, 1);
+}
+
+TEST(LogicalReplicationTest, EnableReplicationAfterAnyRunFails) {
+  // Every run binds the injector, so a replication layer attached later
+  // would have its recovery traffic unpriced.
+  LogicalDeployment logical(LinkProfile::Link0());
+  ASSERT_TRUE(
+      logical.RunWorkload({.vector = {.vector_bytes = GiB(1)}}).ok());
+  EXPECT_EQ(logical.EnableReplication(1).code(),
+            StatusCode::kFailedPrecondition);
 }
 
 }  // namespace

@@ -71,10 +71,10 @@ TEST(BalancedSlicingTest, SameTotalBytesEitherWay) {
     params.vector_bytes = GiB(64);
     params.repetitions = 2;
     params.balanced_slices = balanced;
-    auto r = logical.RunVectorSum(params);
+    auto r = logical.RunWorkload({.vector = params});
     ASSERT_TRUE(r.ok());
-    EXPECT_DOUBLE_EQ(r->local_fraction, 0.375);
-    EXPECT_TRUE(r->feasible);
+    EXPECT_DOUBLE_EQ(r->vector.local_fraction, 0.375);
+    EXPECT_TRUE(r->vector.feasible);
   }
 }
 
@@ -86,9 +86,9 @@ TEST(BalancedSlicingTest, AdvantageGrowsWithSlowerLink) {
     params.vector_bytes = GiB(64);
     params.repetitions = 3;
     params.balanced_slices = true;
-    auto r = logical.RunVectorSum(params);
+    auto r = logical.RunWorkload({.vector = params});
     EXPECT_TRUE(r.ok());
-    return r->avg_bandwidth_gbps / (link.bandwidth / 1e9);
+    return r->vector.avg_bandwidth_gbps / (link.bandwidth / 1e9);
   };
   EXPECT_GT(ratio(fabric::LinkProfile::Link1()),
             ratio(fabric::LinkProfile::Link0()));
@@ -101,9 +101,9 @@ TEST(BalancedSlicingTest, FullyLocalVectorUnaffected) {
     params.vector_bytes = GiB(8);
     params.repetitions = 2;
     params.balanced_slices = balanced;
-    auto r = logical.RunVectorSum(params);
+    auto r = logical.RunWorkload({.vector = params});
     ASSERT_TRUE(r.ok());
-    EXPECT_NEAR(r->avg_bandwidth_gbps, 97.0, 0.5);
+    EXPECT_NEAR(r->vector.avg_bandwidth_gbps, 97.0, 0.5);
   }
 }
 

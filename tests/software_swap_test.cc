@@ -14,9 +14,9 @@ VectorSumResult RunSwap(SoftwareSwapDeployment& d, Bytes bytes) {
   VectorSumParams params;
   params.vector_bytes = bytes;
   params.repetitions = 3;
-  auto r = d.RunVectorSum(params);
+  auto r = d.RunWorkload({.vector = params});
   EXPECT_TRUE(r.ok()) << r.status();
-  return r.value_or(VectorSumResult{});
+  return r.ok() ? r->vector : VectorSumResult{};
 }
 
 TEST(SoftwareSwapTest, ResidentWorkingSetRunsAtDramSpeed) {
@@ -42,10 +42,11 @@ TEST(SoftwareSwapTest, HardwareDisaggregationWins) {
   VectorSumParams params;
   params.vector_bytes = GiB(96);
   params.repetitions = 3;
-  auto sw = swap.RunVectorSum(params);
-  auto hw = logical.RunVectorSum(params);
+  auto sw = swap.RunWorkload({.vector = params});
+  auto hw = logical.RunWorkload({.vector = params});
   ASSERT_TRUE(sw.ok() && hw.ok());
-  EXPECT_GT(hw->avg_bandwidth_gbps, sw->avg_bandwidth_gbps * 1.5);
+  EXPECT_GT(hw->vector.avg_bandwidth_gbps,
+            sw->vector.avg_bandwidth_gbps * 1.5);
 }
 
 TEST(SoftwareSwapTest, SmallerPagesFaultMore) {
@@ -65,6 +66,19 @@ TEST(SoftwareSwapTest, LatencyGapIsOrdersOfMagnitude) {
   // Fault path: ~4 us overhead dominates the wire time.
   EXPECT_GT(swap.SwappedReadLatency(), 4000.0);
   EXPECT_GT(swap.SwappedReadLatency() / swap.ResidentReadLatency(), 40.0);
+}
+
+TEST(SoftwareSwapTest, FaultPlanOrReplicationIsUnimplemented) {
+  // No failure model: the swap baseline runs healthy workloads only.
+  SoftwareSwapDeployment swap(LinkProfile::Link0());
+  WorkloadSpec faulty{.vector = {.vector_bytes = GiB(8)}};
+  faulty.faults.CrashAt(Microseconds(10), 1);
+  EXPECT_EQ(swap.RunWorkload(faulty).status().code(),
+            StatusCode::kUnimplemented);
+  WorkloadSpec replicated{.vector = {.vector_bytes = GiB(8)},
+                          .replication_factor = 1};
+  EXPECT_EQ(swap.RunWorkload(replicated).status().code(),
+            StatusCode::kUnimplemented);
 }
 
 TEST(SoftwareSwapTest, OversizedWorkingSetInfeasible) {

@@ -102,12 +102,12 @@ TEST(TimingModeTest, PondAndFpgaProfilesRunFigures) {
     baselines::VectorSumParams params;
     params.vector_bytes = GiB(64);
     params.repetitions = 2;
-    auto r = logical.RunVectorSum(params);
+    auto r = logical.RunWorkload({.vector = params});
     ASSERT_TRUE(r.ok());
-    EXPECT_TRUE(r->feasible);
+    EXPECT_TRUE(r->vector.feasible);
     // Remote portion bound by the profile's bandwidth; local still 97.
-    EXPECT_GT(r->avg_bandwidth_gbps, link.bandwidth / 1e9);
-    EXPECT_LT(r->avg_bandwidth_gbps, 97.0);
+    EXPECT_GT(r->vector.avg_bandwidth_gbps, link.bandwidth / 1e9);
+    EXPECT_LT(r->vector.avg_bandwidth_gbps, 97.0);
   }
 }
 
