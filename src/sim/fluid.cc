@@ -32,8 +32,9 @@ ResourceId FluidSimulator::AddResource(std::string name,
   LMP_CHECK(capacity > 0) << "resource " << name << " needs capacity > 0";
   resources_.push_back(Resource{std::move(name), capacity, 0, 0, 0, now_});
   flows_at_.emplace_back();
-  headroom_.push_back(0);
-  unfrozen_.push_back(0);
+  fill_.headroom.push_back(0);
+  fill_.unfrozen.push_back(0);
+  fill_.touched.push_back(0);
   res_epoch_.push_back(0);
   resource_shard_.push_back(kNoShard);
   return static_cast<ResourceId>(resources_.size() - 1);
@@ -50,13 +51,8 @@ Status FluidSimulator::SetCapacity(ResourceId id, BytesPerSec capacity) {
   // which is a no-op.)
   UpdateSmoothedUtil(resources_[id], now_);
   resources_[id].capacity = capacity;
-  if (in_batch_) {
-    batch_seed_.push_back(id);
-    return Status::Ok();
-  }
-  seed_res_.clear();
-  seed_res_.push_back(id);
-  SolveSeeded();
+  batch_seed_.push_back(id);
+  if (!deferring_) SolvePending();
   return Status::Ok();
 }
 
@@ -70,14 +66,16 @@ const std::string& FluidSimulator::ResourceName(ResourceId id) const {
   return resources_[id].name;
 }
 
-double FluidSimulator::Utilization(ResourceId id) const {
+double FluidSimulator::Utilization(ResourceId id) {
   assert(id < resources_.size());
+  SolvePending();
   const Resource& r = resources_[id];
   return r.capacity > 0 ? r.rate_sum / r.capacity : 0.0;
 }
 
-double FluidSimulator::SmoothedUtilization(ResourceId id) const {
+double FluidSimulator::SmoothedUtilization(ResourceId id) {
   assert(id < resources_.size());
+  SolvePending();
   // Fold in the time since the last update at the current rate, without
   // copying the resource (this is called per latency sample).
   return FoldedSmoothedUtil(resources_[id], now_);
@@ -100,7 +98,7 @@ void FluidSimulator::UpdateSmoothedUtil(Resource& r, SimTime t) const {
 void FluidSimulator::SetResourceShard(ResourceId id, ShardId shard) {
   LMP_CHECK(id < resources_.size()) << "no such resource";
   LMP_CHECK(shard != kNoShard) << "reserved shard id";
-  LMP_CHECK(active_.empty()) << "assign shards before starting flows";
+  LMP_CHECK(order_.empty()) << "assign shards before starting flows";
   resource_shard_[id] = shard;
   if (shard >= shard_cross_flows_.size()) {
     shard_cross_flows_.resize(shard + 1, 0);
@@ -176,43 +174,57 @@ FlowId FluidSimulator::StartFlow(double bytes,
     return id;
   }
 
-  Flow& flow =
-      active_
-          .emplace(id, Flow{bytes, path, 0.0, weight, std::move(on_done),
-                            /*visit_epoch=*/0})
-          .first->second;
-  IndexFlow(id, flow);
-  if (in_batch_) {
-    batch_seed_.insert(batch_seed_.end(), path.begin(), path.end());
-    return id;
+  Slot slot = static_cast<Slot>(flows_.size());
+  if (free_slots_.empty()) {
+    flows_.emplace_back();
+    fill_.work_idx.push_back(0);
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
   }
-  seed_res_.clear();
-  seed_res_.insert(seed_res_.end(), path.begin(), path.end());
-  SolveSeeded();
+  Flow& flow = flows_[slot];
+  flow.id = id;
+  flow.remaining = bytes;
+  flow.path.assign(path.begin(), path.end());  // reuses the slot's buffer
+  flow.rate = 0;
+  flow.weight = weight;
+  flow.on_done = std::move(on_done);
+  order_.push_back(slot);  // ids ascend, so order_ stays sorted
+  IndexFlow(slot);
+  batch_seed_.insert(batch_seed_.end(), path.begin(), path.end());
+  if (!deferring_) SolvePending();
   return id;
 }
 
 void FluidSimulator::BeginBatch() {
   LMP_CHECK(!in_batch_) << "BeginBatch inside an open batch";
+  // Reads inside the batch see every change made before it, as they would
+  // had each been solved at once; only the batch's own changes wait.
+  SolvePending();
   in_batch_ = true;
-  batch_seed_.clear();
 }
 
 void FluidSimulator::EndBatch() {
   LMP_CHECK(in_batch_) << "EndBatch without BeginBatch";
   in_batch_ = false;
-  if (batch_seed_.empty()) return;
+  if (!deferring_) SolvePending();
+}
+
+void FluidSimulator::SolvePending() {
+  // Inside an open batch, rates of the batch's flows read 0 until EndBatch.
+  if (in_batch_ || batch_seed_.empty()) return;
   std::swap(seed_res_, batch_seed_);
   batch_seed_.clear();
   SolveSeeded();
 }
 
-void FluidSimulator::IndexFlow(FlowId id, Flow& flow) {
+void FluidSimulator::IndexFlow(Slot slot) {
   // Ids are issued monotonically, so push_back keeps each per-resource
   // index sorted; one entry per path occurrence mirrors the solver's
   // per-occurrence accounting.
+  const Flow& flow = flows_[slot];
   for (ResourceId r : flow.path) {
-    flows_at_[r].push_back(FlowEntry{id, &flow});
+    flows_at_[r].push_back(FlowEntry{flow.id, slot});
   }
   UpdateShardCrossings(flow.path, +1);
 }
@@ -225,7 +237,7 @@ void FluidSimulator::UnindexFlow(FlowId id,
       return e.id < v.id;
     };
     auto [lo, hi] = std::equal_range(entries.begin(), entries.end(),
-                                     FlowEntry{id, nullptr}, cmp);
+                                     FlowEntry{id, 0}, cmp);
     entries.erase(lo, hi);
   }
   UpdateShardCrossings(path, -1);
@@ -275,102 +287,144 @@ void FluidSimulator::ScheduleAfter(SimTime delay, TimerCallback cb) {
   ScheduleAt(now_ + delay, std::move(cb));
 }
 
-void FluidSimulator::ProgressiveFill(std::vector<Work>& work,
-                                     const std::vector<ResourceId>& comp_res,
-                                     std::vector<double>& headroom,
-                                     std::vector<double>& unfrozen) {
-  // Progressive filling: repeatedly find the resource whose equal share for
-  // still-unfrozen flows is smallest, freeze those flows at that share.
-  // comp_res is sorted ascending so bottleneck ties break exactly as a
-  // full scan over all resources would.  This is the single weighted
-  // max-min core: the incremental solver, the full solver, every shard
-  // task, and the CheckAgainstFullSolve oracle all run this code, so none
-  // of them can drift from the others.  Rates land in Work::rate; nothing
-  // is written through Work::flow.
+void FluidSimulator::ProgressiveFill(ShardTask& task,
+                                     FillState& fill) const {
+  // Weighted max-min by progressive filling: repeatedly take the resource
+  // whose fair share per unit of still-unfrozen weight is smallest, and
+  // freeze the flows crossing it at that share.  task.comp_res must hold
+  // every resource the work's flows cross, and task.work every flow
+  // crossing those resources.  This is the single weighted max-min core:
+  // the incremental solver, the full solver, every shard task, and the
+  // CheckAgainstFullSolve oracle all run it.  Rates land in Work::rate;
+  // no flow is written.
+  //
+  // Bit-exactness rests on order.  Each resource's unfrozen weight is summed
+  // over its index entries, which are in flow-id order; a bottleneck's
+  // flows freeze in that same order; and the heap breaks share ties by the
+  // lowest resource id.  Neither comp_res nor work needs sorting.
+  //
+  // Raw pointers: the loops below store through several of these arrays,
+  // and a store through a char-sized element may alias anything.
+  double* const headroom = fill.headroom.data();
+  double* const unfrozen = fill.unfrozen.data();
+  std::uint8_t* const touched = fill.touched.data();
+  std::uint32_t* const work_idx = fill.work_idx.data();
+  const Flow* const flows = flows_.data();
+  Work* const work = task.work.data();
+  const std::size_t work_count = task.work.size();
+  for (std::size_t i = 0; i < work_count; ++i) {
+    work_idx[work[i].slot] = static_cast<std::uint32_t>(i);
+  }
+  // Min-heap on (share, id) with lazy invalidation.  A round changes the
+  // share of every resource it touches, so each is pushed again once at its
+  // new share; the entries it leaves behind are stale, and a popped entry
+  // counts only if it still equals its resource's share.  The smallest
+  // valid entry is the bottleneck a scan over every resource would pick:
+  // smallest share, then lowest id.
+  auto& heap = task.heap;
+  heap.clear();
+  for (ResourceId r : task.comp_res) {
+    double weight = 0;
+    for (const FlowEntry& e : flows_at_[r]) weight += flows[e.slot].weight;
+    headroom[r] = resources_[r].capacity;
+    unfrozen[r] = weight;
+    if (weight > 0) heap.emplace_back(headroom[r] / weight, r);
+  }
+  const auto later = std::greater<std::pair<double, ResourceId>>();
+  std::make_heap(heap.begin(), heap.end(), later);
+
   std::size_t frozen_count = 0;
-  while (frozen_count < work.size()) {
+  while (frozen_count < work_count) {
     double best_share = std::numeric_limits<double>::infinity();
     ResourceId best_res = kNoResource;
-    for (ResourceId r : comp_res) {
-      if (unfrozen[r] <= 0) continue;
-      const double share = headroom[r] / unfrozen[r];
-      if (share < best_share) {
+    while (!heap.empty()) {
+      const auto [share, r] = heap.front();
+      std::pop_heap(heap.begin(), heap.end(), later);
+      heap.pop_back();
+      if (unfrozen[r] > 0 && headroom[r] / unfrozen[r] == share) {
         best_share = share;
         best_res = r;
+        break;
       }
     }
-    if (best_res == kNoResource) {
+    if (best_res == kNoResource ||
+        best_share == std::numeric_limits<double>::infinity()) {
       // Some flows traverse no constrained resource (cannot happen: flows
       // with empty paths complete instantly), but guard anyway by giving
       // them effectively unbounded rate.
-      for (auto& w : work) {
-        if (!w.frozen) {
-          w.rate = std::numeric_limits<double>::max();
-          w.frozen = true;
-          ++frozen_count;
+      for (std::size_t i = 0; i < work_count; ++i) {
+        if (!work[i].frozen) {
+          work[i].rate = std::numeric_limits<double>::max();
+          work[i].frozen = true;
         }
       }
       break;
     }
 
     // Freeze every unfrozen flow crossing the bottleneck at the fair share.
-    for (auto& w : work) {
+    // A flow listed twice (a repeated path hop) freezes at its first entry.
+    for (const FlowEntry& e : flows_at_[best_res]) {
+      Work& w = work[work_idx[e.slot]];
       if (w.frozen) continue;
-      bool crosses = false;
-      for (ResourceId r : w.flow->path) {
-        if (r == best_res) {
-          crosses = true;
-          break;
-        }
-      }
-      if (!crosses) continue;
-      w.rate = best_share * w.flow->weight;
+      const Flow& f = flows[e.slot];
+      const double rate = best_share * f.weight;
+      w.rate = rate;
       w.frozen = true;
       ++frozen_count;
-      for (ResourceId r : w.flow->path) {
-        unfrozen[r] -= w.flow->weight;
-        headroom[r] -= w.rate;
-        if (headroom[r] < 0) headroom[r] = 0;  // round-off guard
+      for (ResourceId r : f.path) {
+        unfrozen[r] -= f.weight;
+        headroom[r] = std::max(headroom[r] - rate, 0.0);  // round-off guard
+        if (touched[r] == 0) {
+          touched[r] = 1;
+          task.touched.push_back(r);
+        }
       }
     }
+    // Every flow crossing the bottleneck is frozen now.  With fractional
+    // weights the subtractions can leave a positive residue (0.4 - 0.1 -
+    // 0.1 - 0.2 = 2.8e-17) over zero headroom, which would win every later
+    // round at share 0 and freeze nothing, forever.
+    unfrozen[best_res] = 0;
+    for (ResourceId r : task.touched) {
+      touched[r] = 0;
+      if (unfrozen[r] > 0) {
+        heap.emplace_back(headroom[r] / unfrozen[r], r);
+        std::push_heap(heap.begin(), heap.end(), later);
+      }
+    }
+    task.touched.clear();
+  }
+}
+
+void FluidSimulator::ApplyRates(const ShardTask& task) {
+  // Each resource sums its flows' rates over its index, i.e. in flow-id
+  // order — the order a full pass over all flows would add them in.
+  for (const Work& w : task.work) flows_[w.slot].rate = w.rate;
+  for (ResourceId r : task.comp_res) {
+    double rate_sum = 0;
+    for (const FlowEntry& e : flows_at_[r]) rate_sum += flows_[e.slot].rate;
+    resources_[r].rate_sum = rate_sum;
   }
 }
 
 void FluidSimulator::RecomputeAll() {
   ++stats_.recompute_calls;
   ++stats_.full_solves;
-  stats_.flows_touched += active_.size();
-  for (auto& r : resources_) {
-    UpdateSmoothedUtil(r, now_);
-    r.rate_sum = 0;
-  }
-  if (active_.empty()) return;
-
+  stats_.flows_touched += order_.size();
   if (tasks_.empty()) tasks_.emplace_back();
   ShardTask& task = tasks_[0];  // scratch reuse; full solves never overlap
-  task.work.clear();
   task.comp_res.clear();
-  for (auto& [id, f] : active_) {
-    task.work.push_back(Work{id, &f, 0.0, false});
-  }
-
-  // Remaining capacity and unfrozen WEIGHT per resource (weighted max-min:
-  // the fair share is per unit of weight).
   for (ResourceId r = 0; r < resources_.size(); ++r) {
-    task.comp_res.push_back(r);
-    headroom_[r] = resources_[r].capacity;
-    unfrozen_[r] = 0;
+    UpdateSmoothedUtil(resources_[r], now_);
+    resources_[r].rate_sum = 0;
+    if (!flows_at_[r].empty()) task.comp_res.push_back(r);
   }
-  for (const Work& w : task.work) {
-    for (ResourceId r : w.flow->path) unfrozen_[r] += w.flow->weight;
-  }
+  if (order_.empty()) return;
 
-  ProgressiveFill(task.work, task.comp_res, headroom_, unfrozen_);
-
-  for (const Work& w : task.work) {
-    w.flow->rate = w.rate;
-    for (ResourceId r : w.flow->path) resources_[r].rate_sum += w.rate;
-  }
+  task.work.clear();
+  for (Slot slot : order_) task.work.push_back(Work{slot});
+  ProgressiveFill(task, fill_);
+  ApplyRates(task);
 }
 
 void FluidSimulator::SolveSeeded() {
@@ -472,7 +526,7 @@ void FluidSimulator::SolveSeededImpl() {
   std::size_t touched = 0;
   for (std::size_t i = 0; i < num_tasks; ++i) touched += tasks_[i].work.size();
   stats_.flows_touched += touched;
-  if (touched == active_.size()) {
+  if (touched == order_.size()) {
     ++stats_.full_solves;
     // The full-solve cooldown exists to skip BFS overhead when the graph
     // keeps collapsing into one whole-cluster component.  A *partitioned*
@@ -511,35 +565,17 @@ void FluidSimulator::SolveTask(ShardTask& task) {
   for (ResourceId r : task.seeds) add_res(r);
   for (std::size_t i = 0; i < task.comp_res.size(); ++i) {
     for (const FlowEntry& e : flows_at_[task.comp_res[i]]) {
-      if (e.flow->visit_epoch == solve_epoch_) continue;
-      e.flow->visit_epoch = solve_epoch_;
-      task.work.push_back(Work{e.id, e.flow, 0.0, false});
-      for (ResourceId r : e.flow->path) add_res(r);
+      Flow& f = flows_[e.slot];
+      if (f.visit_epoch == solve_epoch_) continue;
+      f.visit_epoch = solve_epoch_;
+      task.work.push_back(Work{e.slot});
+      for (ResourceId r : f.path) add_res(r);
     }
   }
-  // Restore the deterministic orders the full pass iterates in: resources
-  // by index (bottleneck tie-break), flows by id (freeze and rate_sum
-  // accumulation order).  Required for bit-exact parity with RecomputeAll.
-  std::sort(task.comp_res.begin(), task.comp_res.end());
-  std::sort(task.work.begin(), task.work.end(),
-            [](const Work& a, const Work& b) { return a.id < b.id; });
 
-  for (ResourceId r : task.comp_res) {
-    UpdateSmoothedUtil(resources_[r], now_);
-    headroom_[r] = resources_[r].capacity;
-    unfrozen_[r] = 0;
-    resources_[r].rate_sum = 0;
-  }
-  for (const Work& w : task.work) {
-    for (ResourceId r : w.flow->path) unfrozen_[r] += w.flow->weight;
-  }
-
-  ProgressiveFill(task.work, task.comp_res, headroom_, unfrozen_);
-
-  for (const Work& w : task.work) {
-    w.flow->rate = w.rate;
-    for (ResourceId r : w.flow->path) resources_[r].rate_sum += w.rate;
-  }
+  for (ResourceId r : task.comp_res) UpdateSmoothedUtil(resources_[r], now_);
+  ProgressiveFill(task, fill_);
+  ApplyRates(task);
 }
 
 void FluidSimulator::CheckAgainstFullSolve() const {
@@ -548,34 +584,26 @@ void FluidSimulator::CheckAgainstFullSolve() const {
   // solve left behind.  Runs the same ProgressiveFill core as production —
   // the parity being checked is component decomposition, not arithmetic.
   // Debug/test-only: allocates.
-  std::vector<Work> work;
-  work.reserve(active_.size());
-  for (const auto& [id, f] : active_) {
-    // ProgressiveFill only reads path/weight through the pointer and
-    // writes rates into Work::rate, so the const_cast is sound.
-    work.push_back(Work{id, const_cast<Flow*>(&f), 0.0, false});
-  }
-  std::vector<ResourceId> comp_res(resources_.size());
-  std::iota(comp_res.begin(), comp_res.end(), 0);
-  std::vector<double> headroom(resources_.size());
-  std::vector<double> unfrozen(resources_.size(), 0);
-  for (std::size_t r = 0; r < resources_.size(); ++r) {
-    headroom[r] = resources_[r].capacity;
-  }
-  for (const Work& w : work) {
-    for (ResourceId r : w.flow->path) unfrozen[r] += w.flow->weight;
-  }
+  ShardTask task;
+  for (Slot slot : order_) task.work.push_back(Work{slot});
+  task.comp_res.resize(resources_.size());
+  std::iota(task.comp_res.begin(), task.comp_res.end(), 0);
+  FillState fill;
+  fill.headroom.resize(resources_.size());
+  fill.unfrozen.resize(resources_.size());
+  fill.touched.resize(resources_.size(), 0);
+  fill.work_idx.resize(flows_.size());
 
-  ProgressiveFill(work, comp_res, headroom, unfrozen);
+  ProgressiveFill(task, fill);
 
-  for (const Work& w : work) {
-    LMP_CHECK(w.rate == w.flow->rate)
+  for (const Work& w : task.work) {
+    LMP_CHECK(w.rate == flows_[w.slot].rate)
         << "incremental solver diverged from full solve: rate "
-        << w.flow->rate << " vs reference " << w.rate;
+        << flows_[w.slot].rate << " vs reference " << w.rate;
   }
   std::vector<double> rate_sum(resources_.size(), 0);
-  for (const Work& w : work) {
-    for (ResourceId r : w.flow->path) rate_sum[r] += w.rate;
+  for (const Work& w : task.work) {
+    for (ResourceId r : flows_[w.slot].path) rate_sum[r] += w.rate;
   }
   for (std::size_t r = 0; r < resources_.size(); ++r) {
     LMP_CHECK(rate_sum[r] == resources_[r].rate_sum)
@@ -584,35 +612,15 @@ void FluidSimulator::CheckAgainstFullSolve() const {
   }
 }
 
-SimTime FluidSimulator::MinRemainingDuration() const {
-  // Durations (not absolute times) so precision is independent of now_ —
-  // the Zeno guard Step() relies on lives here and only here.
-  SimTime best = std::numeric_limits<SimTime>::infinity();
-  for (const auto& [id, f] : active_) {
-    if (f.rate <= 0) continue;
-    best = std::min(best, f.remaining / f.rate * kNsPerSec);
-  }
-  return best;
-}
-
-SimTime FluidSimulator::NextCompletionTime() const {
-  const SimTime best = MinRemainingDuration();
-  return std::isfinite(best)
-             ? now_ + best
-             : std::numeric_limits<SimTime>::infinity();
-}
-
 void FluidSimulator::AdvanceTo(SimTime t) {
   assert(t + kTimeEpsilon >= now_);
   const SimTime dt = std::max<SimTime>(0, t - now_);
   if (dt > 0) {
     const double secs = dt / kNsPerSec;
-    for (auto& [id, f] : active_) {
-      // Clamp to the flow's remaining bytes: the event-defining flows run
-      // out exactly here, and crediting rate * dt past that point
-      // over-counted bytes_served by up to the Zeno tolerance per
-      // completion (historical bug).  Residue the clamp leaves on
-      // force-completed flows is settled by Step().
+    for (Slot slot : order_) {
+      Flow& f = flows_[slot];
+      // Clamp to the flow's remaining bytes: crediting rate * dt past the
+      // point a flow runs out over-counts bytes_served (historical bug).
       const double moved = std::min(f.rate * secs, f.remaining);
       f.remaining -= moved;
       for (ResourceId r : f.path) resources_[r].bytes_served += moved;
@@ -624,12 +632,22 @@ void FluidSimulator::AdvanceTo(SimTime t) {
 
 bool FluidSimulator::Step() {
   LMP_CHECK(!in_batch_) << "Step inside an open flow batch";
-  // Shortest remaining duration among active flows, plus the flows that
-  // achieve it (within a relative tolerance).  Working in durations and
+  // A Step entered from a callback first settles what the callback left.
+  SolvePending();
+  // Shortest remaining duration among active flows.  Each flow's duration
+  // is computed once, here; the tie test in CompleteAt reads the same
+  // value back.  Working in durations (not absolute times) and
   // force-completing the event-defining flows guarantees progress even when
   // now_ is large enough that absolute-time rounding would otherwise strand
   // sub-epsilon residues (a Zeno deadlock).
-  const SimTime min_dt = MinRemainingDuration();
+  durations_.resize(order_.size());
+  SimTime min_dt = std::numeric_limits<SimTime>::infinity();
+  for (std::size_t i = 0; i < order_.size(); ++i) {
+    const Flow& f = flows_[order_[i]];
+    durations_[i] = f.rate > 0 ? f.remaining / f.rate * kNsPerSec
+                               : std::numeric_limits<SimTime>::infinity();
+    min_dt = std::min(min_dt, durations_[i]);
+  }
   const SimTime completion =
       std::isfinite(min_dt) ? now_ + min_dt
                             : std::numeric_limits<SimTime>::infinity();
@@ -654,66 +672,89 @@ bool FluidSimulator::Step() {
       batch.push_back(std::move(timers_.back()));
       timers_.pop_back();
     }
-    // Anything a callback changes (StartFlow, SetCapacity) re-solves its
-    // own component; no blanket recompute is needed afterwards.
+    // What the callbacks start or rescale is solved once, after all of
+    // them.
+    const bool outer_deferring = deferring_;
+    deferring_ = true;
     for (Timer& t : batch) t.cb(now_);
+    deferring_ = outer_deferring;
+    SolvePending();
     batch.clear();
     timer_batch_ = std::move(batch);
     return true;
   }
+  CompleteAt(completion, min_dt);
+  return true;
+}
 
-  // Flows whose remaining duration is (within tolerance) the minimum are
-  // the ones this event completes.  Collect them *before* advancing:
-  // AdvanceTo clamps what it credits to each flow's remaining bytes, and
-  // whatever residue the clamp leaves on these flows (the event definer can
-  // round either way) is settled here, so per-resource BytesServed totals
-  // are exact per flow rather than off by up to the Zeno tolerance.
+void FluidSimulator::CompleteAt(SimTime t, SimTime min_dt) {
+  // One pass over the active flows, in id order: advance each to t, mark
+  // the flows this event completes, retire the finished ones and compact
+  // order_ over the survivors.  The event-defining flows are those whose
+  // duration is (within a relative tolerance) the minimum; advancing clamps
+  // what it credits to each flow's remaining bytes, and whatever residue
+  // the clamp leaves on those flows (the definer can round either way) is
+  // settled after the pass, so per-resource BytesServed totals are exact
+  // per flow rather than off by up to the Zeno tolerance.
+  assert(t + kTimeEpsilon >= now_);
+  const SimTime dt = std::max<SimTime>(0, t - now_);
+  const double secs = dt / kNsPerSec;
   const SimTime dt_tolerance = min_dt * 1e-9 + kTimeEpsilon;
-  auto tied = std::move(tied_scratch_);
-  tied.clear();
-  for (auto& [id, f] : active_) {
-    if (f.rate <= 0) continue;
-    if (f.remaining / f.rate * kNsPerSec <= min_dt + dt_tolerance) {
-      tied.push_back(&f);
-    }
+  const SimTime tie_limit = min_dt + dt_tolerance;
+  if (dt > 0) {
+    for (auto& r : resources_) UpdateSmoothedUtil(r, t);
   }
-  AdvanceTo(completion);
-  for (Flow* f : tied) {
-    if (f->remaining > 0) {
-      for (ResourceId r : f->path) resources_[r].bytes_served += f->remaining;
-      f->remaining = 0;
-    }
-  }
-  tied.clear();
-  tied_scratch_ = std::move(tied);
+  now_ = t;
 
-  // Collect every flow that finished at this instant.
   auto done = std::move(done_scratch_);
   done.clear();
-  seed_res_.clear();
-  for (auto it = active_.begin(); it != active_.end();) {
-    if (it->second.remaining <= kByteEpsilon ||
-        (it->second.rate > 0 &&
-         it->second.remaining / it->second.rate * kNsPerSec < kTimeEpsilon)) {
-      FinishRecord(it->first);
-      done.emplace_back(it->first, std::move(it->second.on_done));
-      seed_res_.insert(seed_res_.end(), it->second.path.begin(),
-                       it->second.path.end());
-      UnindexFlow(it->first, it->second.path);
-      it = active_.erase(it);
-    } else {
-      ++it;
+  tied_scratch_.clear();
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < order_.size(); ++i) {
+    const Slot slot = order_[i];
+    Flow& f = flows_[slot];
+    if (dt > 0) {
+      const double moved = std::min(f.rate * secs, f.remaining);
+      f.remaining -= moved;
+      for (ResourceId r : f.path) resources_[r].bytes_served += moved;
+    }
+    const bool is_tied = durations_[i] <= tie_limit;
+    if (!is_tied && f.remaining > kByteEpsilon &&
+        !(f.rate > 0 && f.remaining / f.rate * kNsPerSec < kTimeEpsilon)) {
+      order_[kept++] = slot;
+      continue;
+    }
+    if (is_tied) tied_scratch_.push_back(slot);
+    FinishRecord(f.id);
+    done.emplace_back(f.id, std::move(f.on_done));
+    batch_seed_.insert(batch_seed_.end(), f.path.begin(), f.path.end());
+    UnindexFlow(f.id, f.path);
+    free_slots_.push_back(slot);  // reused only by a later StartFlow
+  }
+  order_.resize(kept);
+  // Tied residues settle after every flow advanced, in id order, so each
+  // resource's bytes_served sees the same sequence of additions as a
+  // separate advance pass followed by a settle pass.
+  for (Slot slot : tied_scratch_) {
+    Flow& f = flows_[slot];
+    if (f.remaining > 0) {
+      for (ResourceId r : f.path) resources_[r].bytes_served += f.remaining;
+      f.remaining = 0;
     }
   }
-  SolveSeeded();
-  // Callbacks run after rates are consistent; they may start new flows.
+
+  // Callbacks may start new flows; those and the retired flows' components
+  // are solved once, after every callback.
+  const bool outer_deferring = deferring_;
+  deferring_ = true;
   for (auto& [id, cb] : done) {
     if (cb) cb(id, now_);
     if (retention_ == RecordRetention::kDropCompleted) records_.erase(id);
   }
+  deferring_ = outer_deferring;
+  SolvePending();
   done.clear();
   done_scratch_ = std::move(done);
-  return true;
 }
 
 void FluidSimulator::Run() {
@@ -751,9 +792,12 @@ Status FluidSimulator::ReleaseRecord(FlowId id) {
   return Status::Ok();
 }
 
-double FluidSimulator::FlowRate(FlowId id) const {
-  auto it = active_.find(id);
-  return it == active_.end() ? 0.0 : it->second.rate;
+double FluidSimulator::FlowRate(FlowId id) {
+  SolvePending();
+  const auto it = std::lower_bound(
+      order_.begin(), order_.end(), id,
+      [this](Slot slot, FlowId v) { return flows_[slot].id < v; });
+  return it != order_.end() && flows_[*it].id == id ? flows_[*it].rate : 0.0;
 }
 
 double FluidSimulator::BytesServed(ResourceId id) const {

@@ -16,7 +16,24 @@
 // one component touches no accumulator of another — so the component solve
 // is bit-exact with a full progressive-filling pass (enforceable with
 // set_solver_crosscheck).  Scratch buffers persist across solves, so the
-// steady path allocates nothing.
+// steady path allocates nothing.  Within a component, progressive filling
+// picks each bottleneck from a min-heap of per-resource fair shares and
+// freezes only the flows crossing it, so a fill round costs the flows and
+// resources it touches.
+//
+// Storage: active flows live in a slot table (a vector plus a free list);
+// the per-resource index holds slot numbers, and order_ lists the live slots
+// in ascending flow id.  Every pass over active flows walks order_, so the
+// floating-point sums that make results bit-exact always see flows in id
+// order.
+//
+// One solve per event: Step runs its timer and completion callbacks with
+// solving deferred, collects what they start or rescale, and re-solves once
+// after them.  Since a component solve depends only on the final set of
+// flows and capacities, this is bit-exact with solving after every call.
+// Rates settle when read: FlowRate, Utilization and SmoothedUtilization
+// first solve anything pending, so a callback that reads them sees what an
+// immediate solve would give.
 //
 // Sharded parallel solving: resources can carry a shard hint (one shard per
 // rack; see fabric::Topology::AssignRackShards).  A shard crossed by no
@@ -42,6 +59,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -123,12 +141,14 @@ class FluidSimulator {
   const std::string& ResourceName(ResourceId id) const;
 
   // Instantaneous utilization in [0, 1]: sum of allocated rates / capacity.
-  double Utilization(ResourceId id) const;
+  // Settles pending rates first (see the header comment).
+  double Utilization(ResourceId id);
 
   // Exponentially-weighted average utilization, updated as time advances.
   // Latency models use this rather than the instantaneous value so short
-  // gaps between back-to-back flows do not read as an idle link.
-  double SmoothedUtilization(ResourceId id) const;
+  // gaps between back-to-back flows do not read as an idle link.  Settles
+  // pending rates first.
+  double SmoothedUtilization(ResourceId id);
 
   // Sharding ---------------------------------------------------------------
 
@@ -154,6 +174,9 @@ class FluidSimulator {
   // `weight` sets the flow's share under contention (weighted max-min:
   // a weight-2 flow gets twice a weight-1 flow's allocation at a shared
   // bottleneck) — the mechanism behind priority-aware experiments.
+  // Outside Step the flow is rated before StartFlow returns; from a Step
+  // callback (or inside a batch) its solve is deferred, and FlowRate and the
+  // utilization reads settle it on demand.
   FlowId StartFlow(double bytes, const std::vector<ResourceId>& path,
                    FlowCallback on_done = nullptr, double weight = 1.0);
 
@@ -164,7 +187,9 @@ class FluidSimulator {
   // identical to per-call solving — the batch only amortizes solver work
   // (one component solve per shard instead of one per arrival).  Rates of
   // flows started inside the batch read 0 until EndBatch.  Batches cannot
-  // nest and must be closed before Step/Run.
+  // nest and must be closed before Step/Run.  A batch opened in a Step
+  // callback first settles what earlier callbacks left pending, and its
+  // own changes join that Step's deferred solve.
   void BeginBatch();
   void EndBatch();
   bool in_batch() const { return in_batch_; }
@@ -183,6 +208,10 @@ class FluidSimulator {
   // instant fires first; the completion sweeps next step.  All timers due
   // at the same instant dispatch in one Step (FIFO within the batch);
   // timers a callback schedules at that same instant run on the next Step.
+  // The callbacks run with solving deferred; Step re-solves once after
+  // them, so an event costs one solve however many flows its callbacks
+  // start.  Step is re-entrant: a callback may call Step or
+  // RunUntilFlowDone, which first settle what it left pending.
   bool Step();
 
   // Runs until no active flows or pending timers remain.
@@ -193,9 +222,10 @@ class FluidSimulator {
 
   // Introspection -----------------------------------------------------------
 
-  std::size_t active_flow_count() const { return active_.size(); }
+  std::size_t active_flow_count() const { return order_.size(); }
   const FlowRecord* record(FlowId id) const;
-  double FlowRate(FlowId id) const;  // current allocated rate, 0 if inactive
+  // Current allocated rate, 0 if inactive.  Settles pending rates first.
+  double FlowRate(FlowId id);
 
   // Total bytes that have fully traversed each resource so far.
   double BytesServed(ResourceId id) const;
@@ -250,6 +280,10 @@ class FluidSimulator {
   trace::TraceCollector* trace() const { return trace_; }
 
  private:
+  // Index of a flow's slot in flows_.  Slots are recycled through
+  // free_slots_, so a slot outlives its flow; FlowId is the stable name.
+  using Slot = std::uint32_t;
+
   struct Resource {
     std::string name;
     BytesPerSec capacity = 0;
@@ -263,6 +297,7 @@ class FluidSimulator {
   };
 
   struct Flow {
+    FlowId id = kInvalidFlow;
     double remaining = 0;
     std::vector<ResourceId> path;
     double rate = 0;
@@ -272,16 +307,14 @@ class FluidSimulator {
   };
 
   // Per-resource index entry: flows are stored in ascending-id order (ids
-  // are issued monotonically) with one entry per path occurrence.  Flow
-  // pointers stay valid because active_ is a node-based map.
+  // are issued monotonically) with one entry per path occurrence.
   struct FlowEntry {
     FlowId id;
-    Flow* flow;
+    Slot slot;
   };
 
   struct Work {
-    FlowId id;
-    Flow* flow;
+    Slot slot;
     double rate = 0;  // rate assigned by ProgressiveFill
     bool frozen = false;
   };
@@ -294,6 +327,20 @@ class FluidSimulator {
     std::vector<ResourceId> seeds;
     std::vector<ResourceId> comp_res;
     std::vector<Work> work;
+    // ProgressiveFill scratch: the bottleneck min-heap of (share, resource)
+    // and the resources one fill round changed.
+    std::vector<std::pair<double, ResourceId>> heap;
+    std::vector<ResourceId> touched;
+  };
+
+  // Fill state shared by the tasks of one solve.  Tasks touch disjoint
+  // resources and flows, so their writes never overlap (hence bytes, not
+  // vector<bool>, for the touched marks).
+  struct FillState {
+    std::vector<double> headroom;       // by ResourceId
+    std::vector<double> unfrozen;       // by ResourceId: unfrozen weight
+    std::vector<std::uint8_t> touched;  // by ResourceId: in task.touched
+    std::vector<std::uint32_t> work_idx;  // by Slot: index in task.work
   };
 
   struct Timer {
@@ -312,41 +359,45 @@ class FluidSimulator {
   static constexpr std::uint32_t kFullStreakThreshold = 4;
   static constexpr std::uint32_t kFullSolveCooldown = 32;
 
-  // Rate solver.  SolveSeeded() re-rates the connected component(s) of the
-  // resources in seed_res_ (or everything when incremental mode is off):
+  // Rate solver.  SolvePending() hands the seeds collected in batch_seed_
+  // to SolveSeeded(), which re-rates the connected component(s) of those
+  // resources (or everything when incremental mode is off):
   // SolveSeededImpl() partitions the seeds into per-closed-shard tasks plus
   // a spill task and runs SolveTask on each (on the pool when >1 task);
   // RecomputeAll() is the classic full pass.  ProgressiveFill() is the
   // weighted-max-min core every path shares — including the
-  // CheckAgainstFullSolve oracle, so the reference cannot drift from the
-  // production solver.
+  // CheckAgainstFullSolve oracle; the property tests hold it to an
+  // independent naive reference.
+  void SolvePending();
   void SolveSeeded();
   void SolveSeededImpl();
   void RecomputeAll();
   void SolveTask(ShardTask& task);
-  static void ProgressiveFill(std::vector<Work>& work,
-                              const std::vector<ResourceId>& comp_res,
-                              std::vector<double>& headroom,
-                              std::vector<double>& unfrozen);
+  void ProgressiveFill(ShardTask& task, FillState& fill) const;
+  void ApplyRates(const ShardTask& task);
   void CheckAgainstFullSolve() const;
 
-  void IndexFlow(FlowId id, Flow& flow);
+  void IndexFlow(Slot slot);
   void UnindexFlow(FlowId id, const std::vector<ResourceId>& path);
   // Maintains shard_cross_flows_ when a flow is indexed (+1) / removed (-1).
   void UpdateShardCrossings(const std::vector<ResourceId>& path, int delta);
 
   void AdvanceTo(SimTime t);
+  // Step's completion event: advances to `t`, retires every flow the event
+  // finishes and runs their callbacks.
+  void CompleteAt(SimTime t, SimTime min_dt);
   // Folded EWMA at time t without mutating the resource (no copies).
   double FoldedSmoothedUtil(const Resource& r, SimTime t) const;
   void UpdateSmoothedUtil(Resource& r, SimTime t) const;
-  // Shortest remaining duration among active flows (the Zeno guard works in
-  // durations, not absolute times); the single source of truth for Step().
-  SimTime MinRemainingDuration() const;
-  SimTime NextCompletionTime() const;
   void FinishRecord(FlowId id);
 
   std::vector<Resource> resources_;
-  std::map<FlowId, Flow> active_;
+  // Active flows: a slot table with a free list, plus order_, the live
+  // slots in ascending id.  Every pass over active flows walks order_, so
+  // the bit-exact sums see flows in id order.
+  std::vector<Flow> flows_;
+  std::vector<Slot> free_slots_;
+  std::vector<Slot> order_;
   std::map<FlowId, FlowRecord> records_;
   std::vector<Timer> timers_;  // heap ordered by (when, seq)
   std::uint64_t next_flow_id_ = 1;
@@ -355,11 +406,8 @@ class FluidSimulator {
 
   // Incremental-solver state: per-resource crossing-flow index plus
   // persistent scratch reused by every solve (no steady-state allocation).
-  // headroom_/unfrozen_ are indexed by ResourceId and shared by all tasks
-  // of a solve — tasks touch disjoint resources, so there are no races.
   std::vector<std::vector<FlowEntry>> flows_at_;
-  std::vector<double> headroom_;
-  std::vector<double> unfrozen_;
+  FillState fill_;
   std::vector<std::uint64_t> res_epoch_;
   std::vector<ResourceId> seed_res_;
   std::vector<ShardTask> tasks_;
@@ -380,13 +428,18 @@ class FluidSimulator {
   int threads_ = 1;
 
   // Event-loop scratch, reused across Steps to amortize heap churn at high
-  // flow counts (moved out/in so a re-entrant Step degrades gracefully).
+  // flow counts.  timer_batch_ and done_scratch_ live across callbacks, so
+  // they are moved out/in (a re-entrant Step degrades gracefully).
+  std::vector<SimTime> durations_;  // by position in order_
+  std::vector<Slot> tied_scratch_;
   std::vector<Timer> timer_batch_;
-  std::vector<Flow*> tied_scratch_;
   std::vector<std::pair<FlowId, FlowCallback>> done_scratch_;
 
-  // Batched-arrival state.
+  // Deferred solving.  batch_seed_ collects the seeds of every StartFlow
+  // and SetCapacity whose solve is deferred: inside an open batch, and
+  // while Step runs its callbacks (deferring_).
   bool in_batch_ = false;
+  bool deferring_ = false;
   std::vector<ResourceId> batch_seed_;
 
   bool incremental_ = true;

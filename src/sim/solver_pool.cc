@@ -40,7 +40,8 @@ void SolverPool::Run(std::size_t count,
     return;
   }
   {
-    std::lock_guard<std::mutex> lk(mu_);
+    std::unique_lock<std::mutex> lk(mu_);
+    done_cv_.wait(lk, [this] { return active_ == 0; });
     job_ = &fn;
     job_count_ = count;
     next_.store(0, std::memory_order_relaxed);
@@ -49,15 +50,11 @@ void SolverPool::Run(std::size_t count,
   }
   work_cv_.notify_all();
   const std::size_t ran = DrainTasks();
+  if (ran > 0) pending_.fetch_sub(ran, std::memory_order_acq_rel);
   std::unique_lock<std::mutex> lk(mu_);
-  if (ran > 0 &&
-      pending_.fetch_sub(ran, std::memory_order_acq_rel) == ran) {
-    // Caller finished the last tasks itself; nothing to wait for.
-  } else {
-    done_cv_.wait(lk, [this] {
-      return pending_.load(std::memory_order_acquire) == 0;
-    });
-  }
+  done_cv_.wait(lk, [this] {
+    return active_ == 0 && pending_.load(std::memory_order_acquire) == 0;
+  });
   job_ = nullptr;
   job_count_ = 0;
 }
@@ -69,15 +66,14 @@ void SolverPool::WorkerLoop() {
     work_cv_.wait(lk, [&] { return stop_ || generation_ != seen; });
     if (stop_) return;
     seen = generation_;
+    ++active_;
     lk.unlock();
 
     const std::size_t ran = DrainTasks();
+    if (ran > 0) pending_.fetch_sub(ran, std::memory_order_acq_rel);
 
-    if (ran > 0 &&
-        pending_.fetch_sub(ran, std::memory_order_acq_rel) == ran) {
-      std::lock_guard<std::mutex> done_lk(mu_);
-      done_cv_.notify_one();
-    }
+    lk.lock();
+    if (--active_ == 0) done_cv_.notify_all();
   }
 }
 

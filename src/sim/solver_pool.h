@@ -56,6 +56,11 @@ class SolverPool {
   std::condition_variable done_cv_;  // Run() waits for batch completion
   std::uint64_t generation_ = 0;     // bumped per Run() batch (guarded by mu_)
   bool stop_ = false;                // guarded by mu_
+  // Workers between picking up a batch and leaving DrainTasks (guarded by
+  // mu_).  Run() publishes and retires a batch only while it is zero, so
+  // a worker that wakes late never reads job_ or job_count_ while Run()
+  // writes them.
+  std::size_t active_ = 0;
 
   // Batch state, published under mu_ before generation_ is bumped.
   const std::function<void(std::size_t)>* job_ = nullptr;

@@ -11,6 +11,11 @@
 //       together.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "common/rng.h"
 #include "sim/fluid.h"
 #include "sim/stream.h"
@@ -297,6 +302,116 @@ TEST_P(FluidPropertyTest, ShardedSolveMatchesFlatIncremental) {
   }
 }
 
+// Test-only reference for weighted max-min: the naive progressive fill,
+// which rescans every resource for the smallest share each round and then
+// every flow for those crossing it.  It shares no code with the simulator's
+// heap-driven kernel (which the full-solve crosscheck does share), so it
+// catches a kernel bug.  Flows are given in id order.
+struct RefFlow {
+  std::vector<ResourceId> path;
+  double weight;
+};
+
+std::vector<double> ReferenceRates(const std::vector<double>& capacity,
+                                   const std::vector<RefFlow>& flows) {
+  const std::size_t none = capacity.size();
+  std::vector<double> headroom = capacity;
+  std::vector<double> unfrozen(capacity.size(), 0);
+  std::vector<double> rate(flows.size(), 0);
+  std::vector<bool> frozen(flows.size(), false);
+  for (const RefFlow& f : flows) {
+    for (ResourceId r : f.path) unfrozen[r] += f.weight;
+  }
+  std::size_t frozen_count = 0;
+  while (frozen_count < flows.size()) {
+    double best_share = std::numeric_limits<double>::infinity();
+    std::size_t best_res = none;
+    for (std::size_t r = 0; r < capacity.size(); ++r) {
+      if (unfrozen[r] <= 0) continue;
+      const double share = headroom[r] / unfrozen[r];
+      if (share < best_share) {
+        best_share = share;
+        best_res = r;
+      }
+    }
+    if (best_res == none) {
+      for (std::size_t i = 0; i < flows.size(); ++i) {
+        if (!frozen[i]) rate[i] = std::numeric_limits<double>::max();
+      }
+      break;
+    }
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      if (frozen[i]) continue;
+      const RefFlow& f = flows[i];
+      if (std::find(f.path.begin(), f.path.end(), best_res) == f.path.end()) {
+        continue;
+      }
+      rate[i] = best_share * f.weight;
+      frozen[i] = true;
+      ++frozen_count;
+      for (ResourceId r : f.path) {
+        unfrozen[r] -= f.weight;
+        headroom[r] -= rate[i];
+        if (headroom[r] < 0) headroom[r] = 0;
+      }
+    }
+    unfrozen[best_res] = 0;  // round-off residue must not win again
+  }
+  return rate;
+}
+
+// P8  kernel == naive reference: FlowRate equals the reference bit for bit
+//     on every active flow, after the initial batch and after every event.
+//     Capacities come from a small set and weights repeat, so shares tie;
+//     paths may cross one resource twice; about half the weights are
+//     fractional.
+TEST_P(FluidPropertyTest, FillMatchesNaiveReference) {
+  Rng rng(GetParam() ^ 0xF111);
+  FluidSimulator sim;
+  const int num_resources = static_cast<int>(rng.NextInRange(2, 9));
+  std::vector<double> capacity;
+  for (int r = 0; r < num_resources; ++r) {
+    capacity.push_back(GBps(10.0 * static_cast<double>(rng.NextInRange(1, 4))));
+    sim.AddResource("r" + std::to_string(r), capacity.back());
+  }
+  const double weights[] = {1, 2, 3, 0.1, 0.2, 0.3, 0.7, 1.5};
+  std::vector<FlowId> ids;
+  std::vector<RefFlow> specs;
+  const int num_flows = static_cast<int>(rng.NextInRange(5, 40));
+  sim.BeginBatch();
+  for (int f = 0; f < num_flows; ++f) {
+    RefFlow spec;
+    const int hops = static_cast<int>(rng.NextInRange(1, 4));
+    for (int h = 0; h < hops; ++h) {
+      spec.path.push_back(
+          static_cast<ResourceId>(rng.NextBounded(num_resources)));
+    }
+    spec.weight = weights[rng.NextBounded(8)];
+    const double bytes = static_cast<double>(rng.NextInRange(1, 50)) * 1e6;
+    ids.push_back(sim.StartFlow(bytes, spec.path, nullptr, spec.weight));
+    specs.push_back(std::move(spec));
+  }
+  sim.EndBatch();
+
+  int events = 0;
+  do {
+    std::vector<FlowId> active;
+    std::vector<RefFlow> active_specs;
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      if (sim.record(ids[i])->done) continue;
+      active.push_back(ids[i]);
+      active_specs.push_back(specs[i]);
+    }
+    const std::vector<double> expected = ReferenceRates(capacity, active_specs);
+    for (std::size_t i = 0; i < active.size(); ++i) {
+      EXPECT_EQ(sim.FlowRate(active[i]), expected[i])
+          << "flow " << active[i] << " after event " << events;
+    }
+    ASSERT_LT(++events, 1000);
+  } while (sim.Step());
+  EXPECT_EQ(sim.active_flow_count(), 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, FluidPropertyTest,
                          ::testing::Values(11, 22, 33, 44, 55, 66, 77, 88,
                                            99, 1010));
@@ -346,6 +461,27 @@ TEST(WeightedFairnessTest, CompletionOrderFollowsWeights) {
   const FlowId light = sim.StartFlow(10e9, {r}, nullptr, 1.0);
   sim.Run();
   EXPECT_LT(sim.record(heavy)->end, sim.record(light)->end);
+}
+
+// Regression: with fractional weights the bottleneck's unfrozen weight can
+// keep a round-off residue (0.4 - 0.1 - 0.1 - 0.2 = 2.8e-17) over zero
+// headroom, and the fill used to pick that resource at share 0 forever
+// whenever another resource (r1 here) still had unfrozen flows.
+TEST(WeightedFairnessTest, FractionalWeightsTerminate) {
+  FluidSimulator sim;
+  const double cap = GBps(1);
+  const ResourceId r0 = sim.AddResource("r0", cap);
+  const ResourceId r1 = sim.AddResource("r1", GBps(10));
+  sim.BeginBatch();
+  const FlowId a = sim.StartFlow(1e12, {r0}, nullptr, 0.1);
+  const FlowId b = sim.StartFlow(1e12, {r0}, nullptr, 0.1);
+  const FlowId c = sim.StartFlow(1e12, {r0}, nullptr, 0.2);
+  const FlowId d = sim.StartFlow(1e12, {r1});
+  sim.EndBatch();
+  EXPECT_DOUBLE_EQ(sim.FlowRate(a), cap * 0.1 / 0.4);
+  EXPECT_DOUBLE_EQ(sim.FlowRate(b), cap * 0.1 / 0.4);
+  EXPECT_DOUBLE_EQ(sim.FlowRate(c), cap * 0.2 / 0.4);
+  EXPECT_DOUBLE_EQ(sim.FlowRate(d), GBps(10));
 }
 
 TEST(WeightedFairnessTest, SpanStreamCarriesWeight) {
