@@ -81,10 +81,21 @@ StatusOr<std::vector<mem::FrameRun>> PoolManager::AllocateFramesAt(
 
 Status PoolManager::FreeFramesAt(const Location& loc,
                                  const std::vector<mem::FrameRun>& runs) {
-  if (loc.is_pool()) return cluster_->pool().allocator().Free(runs);
-  auto& srv = cluster_->server(loc.server);
-  if (srv.crashed()) return Status::Ok();  // frames die with the host
-  return srv.shared_allocator().Free(runs);
+  if (loc.is_pool()) {
+    LMP_RETURN_IF_ERROR(cluster_->pool().allocator().Free(runs));
+    if (cluster_->pool().crashed()) return Status::Ok();
+  } else {
+    auto& srv = cluster_->server(loc.server);
+    if (srv.crashed()) return Status::Ok();  // frames die with the host
+    LMP_RETURN_IF_ERROR(srv.shared_allocator().Free(runs));
+  }
+  // Every free path (Free, shrink, migration source and rollback,
+  // compaction, replicas) lands here, so this is where a freed frame's
+  // bytes go: the next owner reads zeros.
+  if (mem::BackingStore* store = BackingAt(loc)) {
+    for (const mem::FrameRun& run : runs) store->Release(run.first, run.count);
+  }
+  return Status::Ok();
 }
 
 StatusOr<BufferId> PoolManager::Allocate(Bytes bytes,

@@ -101,6 +101,19 @@ class BackingStore {
     std::memcpy(frames_[to].get(), s, frame_size_);
   }
 
+  // Drops the memory of frames [first, first + count), which read as zeros
+  // again.  Called wherever the allocator takes frames back, so a freed
+  // frame's bytes never reach its next owner.
+  void Release(FrameNumber first, std::uint64_t count) {
+    LMP_CHECK(first + count <= num_frames());
+    for (FrameNumber f = first; f < first + count; ++f) {
+      if (frames_[f]) {
+        frames_[f].reset();
+        --resident_;
+      }
+    }
+  }
+
   // Grow to match a resized FrameAllocator.  Only the pointer table grows;
   // frames never move, so outstanding spans stay valid.  Never shrinks (the
   // allocator guarantees the shrunk tail holds no live data).

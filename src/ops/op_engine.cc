@@ -27,7 +27,11 @@ OpEngine::OpEngine(sim::FluidSimulator* sim, fabric::Topology* topology,
       manager_(manager),
       options_(std::move(options)),
       metrics_(options_.metrics != nullptr ? options_.metrics
-                                           : &MetricsRegistry::Global()) {
+                                           : &MetricsRegistry::Global()),
+      hops_name_(options_.metrics_prefix + ".hops"),
+      lock_spins_name_(options_.metrics_prefix + ".lock_spins"),
+      completed_name_(options_.metrics_prefix + ".completed"),
+      errors_name_(options_.metrics_prefix + ".errors") {
   LMP_CHECK(sim_ != nullptr && topology_ != nullptr && manager_ != nullptr);
   // LinkProfile::min_latency_ns is the unloaded round-trip read latency —
   // exactly the cost of one coherent-region CAS round trip.
@@ -102,7 +106,7 @@ void OpEngine::IssueAccess(Op& op, core::BufferId buffer, Bytes offset,
   }
 
   ++op.hops_;
-  metrics().Increment(options_.metrics_prefix + ".hops");
+  metrics().Increment(hops_name_);
   auto stream = std::make_unique<sim::SpanStream>(sim_, std::move(chain));
   stream->set_on_complete(
       [this, id, propagation, step = std::move(next)](sim::SpanStream&) {
@@ -127,39 +131,38 @@ void OpEngine::Write(Op& op, core::BufferId buffer, Bytes offset, Bytes len,
 
 void OpEngine::Acquire(Op& op, core::DistributedLock* lock, Step next) {
   LMP_CHECK(lock != nullptr);
-  const OpId id = op.id_;
+  LMP_CHECK(op.lock_ == nullptr) << "one Acquire at a time per op";
+  op.lock_ = lock;
+  op.lock_next_ = std::move(next);
   // The first attempt also pays a full round trip: the CAS must reach the
   // coherent region's directory before anyone learns it succeeded.
   sim_->ScheduleAfter(lock_rtt_,
-                      [this, id, lock, step = std::move(next)](SimTime) {
-                        AttemptLock(id, lock, step);
-                      });
+                      [this, id = op.id_](SimTime) { AttemptLock(id); });
 }
 
-void OpEngine::AttemptLock(OpId id, core::DistributedLock* lock,
-                           Step next) {
+void OpEngine::AttemptLock(OpId id) {
   auto it = pending_.find(id);
   if (it == pending_.end()) return;
   Op& op = it->second;
-  auto held_or = lock->TryLock(static_cast<int>(op.server_));
+  auto held_or = op.lock_->TryLock(static_cast<int>(op.server_));
   if (!held_or.ok()) {
     Finish(op, held_or.status());
     return;
   }
   if (*held_or) {
+    // Moved out first: the continuation may park another Acquire on `op`.
+    op.lock_ = nullptr;
+    Step next = std::move(op.lock_next_);
     next(op);
     return;
   }
   ++op.lock_spins_;
-  metrics().Increment(options_.metrics_prefix + ".lock_spins");
+  metrics().Increment(lock_spins_name_);
   if (op.lock_spins_ >= options_.max_lock_spins) {
     Finish(op, UnavailableError("lock held past max_lock_spins"));
     return;
   }
-  sim_->ScheduleAfter(lock_rtt_,
-                      [this, id, lock, step = std::move(next)](SimTime) {
-                        AttemptLock(id, lock, step);
-                      });
+  sim_->ScheduleAfter(lock_rtt_, [this, id](SimTime) { AttemptLock(id); });
 }
 
 void OpEngine::Release(Op& op, core::DistributedLock* lock, Step next) {
@@ -191,10 +194,10 @@ void OpEngine::Finish(Op& op, Status status) {
   pending_.erase(op.id_);  // `op` is dead past this line
 
   ++completed_;
-  metrics().Increment(options_.metrics_prefix + ".completed");
+  metrics().Increment(completed_name_);
   if (!status.ok()) {
     ++failed_;
-    metrics().Increment(options_.metrics_prefix + ".errors");
+    metrics().Increment(errors_name_);
   } else {
     const auto kind_idx = static_cast<std::size_t>(result.kind);
     if (latency_hist_[kind_idx] == nullptr) {

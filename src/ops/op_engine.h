@@ -25,7 +25,8 @@
 // round trip of simulated time, and failed attempts retry from the timer
 // wheel — so lock contention costs sim time and shows up in the op's
 // latency, and a wedged holder exhausts max_lock_spins after a measurable
-// (not instantaneous) wait.
+// (not instantaneous) wait.  The lock and its continuation park on the Op,
+// so a retry timer carries only the engine and the op id.
 //
 // Determinism: the engine takes decisions from simulation state only.  Op
 // ids issue monotonically, continuations run in timer FIFO order, and the
@@ -113,6 +114,9 @@ class OpEngine {
     int hops_ = 0;
     int lock_spins_ = 0;
     std::unique_ptr<sim::SpanStream> stream_;  // current priced access
+    // Parked by Acquire until the lock is held; Finish destroys them.
+    core::DistributedLock* lock_ = nullptr;
+    Step lock_next_;
   };
 
   // All pointers must outlive the engine.  The topology must have been
@@ -149,7 +153,9 @@ class OpEngine {
   // Acquires `lock` for the op's server.  Every attempt costs one lock_rtt
   // of sim time; failures retry from the timer wheel (incrementing
   // lock_spins) until success or max_lock_spins, which finishes the op
-  // kUnavailable.  `next` runs holding the lock.
+  // kUnavailable.  `next` runs holding the lock.  An op has at most one
+  // Acquire outstanding: a second one before the first holds its lock is a
+  // checked error (`next` may itself call Acquire).
   void Acquire(Op& op, core::DistributedLock* lock, Step next);
   // Releases `lock` (one round trip) and runs `next`.
   void Release(Op& op, core::DistributedLock* lock, Step next);
@@ -185,7 +191,7 @@ class OpEngine {
  private:
   void IssueAccess(Op& op, core::BufferId buffer, Bytes offset, Bytes len,
                    double weight, Step next);
-  void AttemptLock(OpId id, core::DistributedLock* lock, Step next);
+  void AttemptLock(OpId id);
   void RunStep(OpId id, const Step& step);
   MetricsRegistry& metrics() { return *metrics_; }
 
@@ -204,6 +210,11 @@ class OpEngine {
   CompletionHook on_complete_;
   // Cached distribution instruments (one lookup per kind, not per op).
   Histogram* latency_hist_[4] = {nullptr, nullptr, nullptr, nullptr};
+  // Counter names, "<prefix>.hops" etc., built once.
+  std::string hops_name_;
+  std::string lock_spins_name_;
+  std::string completed_name_;
+  std::string errors_name_;
 };
 
 }  // namespace lmp::ops

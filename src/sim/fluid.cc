@@ -30,7 +30,7 @@ FluidSimulator::~FluidSimulator() = default;
 ResourceId FluidSimulator::AddResource(std::string name,
                                        BytesPerSec capacity) {
   LMP_CHECK(capacity > 0) << "resource " << name << " needs capacity > 0";
-  resources_.push_back(Resource{std::move(name), capacity, 0, 0, 0, now_});
+  resources_.push_back(Resource{std::move(name), capacity, 0, 0, 0});
   flows_at_.emplace_back();
   fill_.headroom.push_back(0);
   fill_.unfrozen.push_back(0);
@@ -45,11 +45,8 @@ Status FluidSimulator::SetCapacity(ResourceId id, BytesPerSec capacity) {
     return InvalidArgumentError("no such resource");
   }
   if (capacity <= 0) return InvalidArgumentError("capacity must be > 0");
-  // Fold the utilization EWMA *before* the capacity changes: the elapsed
-  // window ran at the old capacity, and folding after the write would
-  // retroactively reprice it.  (The solve below folds again at dt == 0,
-  // which is a no-op.)
-  UpdateSmoothedUtil(resources_[id], now_);
+  // The EWMA was folded up to now_ by the last time sweep, so the elapsed
+  // window is already priced at the old capacity.
   resources_[id].capacity = capacity;
   batch_seed_.push_back(id);
   if (!deferring_) SolvePending();
@@ -76,23 +73,17 @@ double FluidSimulator::Utilization(ResourceId id) {
 double FluidSimulator::SmoothedUtilization(ResourceId id) {
   assert(id < resources_.size());
   SolvePending();
-  // Fold in the time since the last update at the current rate, without
-  // copying the resource (this is called per latency sample).
-  return FoldedSmoothedUtil(resources_[id], now_);
+  // Every resource is folded up to now_ (see FoldUtilization).
+  return resources_[id].smoothed_util;
 }
 
-double FluidSimulator::FoldedSmoothedUtil(const Resource& r, SimTime t) const {
-  const SimTime dt = t - r.smoothed_at;
-  if (dt <= 0) return r.smoothed_util;
-  const double inst = r.capacity > 0 ? r.rate_sum / r.capacity : 0.0;
+void FluidSimulator::FoldUtilization(SimTime dt) {
+  // Every resource was last folded at now_, so one alpha serves them all.
   const double alpha = 1.0 - std::exp(-dt / kUtilTau);
-  return r.smoothed_util + alpha * (inst - r.smoothed_util);
-}
-
-void FluidSimulator::UpdateSmoothedUtil(Resource& r, SimTime t) const {
-  if (t - r.smoothed_at <= 0) return;
-  r.smoothed_util = FoldedSmoothedUtil(r, t);
-  r.smoothed_at = t;
+  for (Resource& r : resources_) {
+    const double inst = r.rate_sum / r.capacity;
+    r.smoothed_util += alpha * (inst - r.smoothed_util);
+  }
 }
 
 void FluidSimulator::SetResourceShard(ResourceId id, ShardId shard) {
@@ -277,10 +268,16 @@ void FluidSimulator::UpdateShardCrossings(const std::vector<ResourceId>& path,
 
 void FluidSimulator::ScheduleAt(SimTime when, TimerCallback cb) {
   LMP_CHECK(when + kTimeEpsilon >= now_) << "timer scheduled in the past";
-  timers_.push_back(Timer{std::max(when, now_), next_timer_seq_++,
-                          std::move(cb)});
-  std::push_heap(timers_.begin(), timers_.end(),
-                 [](const Timer& a, const Timer& b) { return b < a; });
+  std::uint32_t slot = static_cast<std::uint32_t>(timer_cbs_.size());
+  if (free_timer_slots_.empty()) {
+    timer_cbs_.push_back(std::move(cb));
+  } else {
+    slot = free_timer_slots_.back();
+    free_timer_slots_.pop_back();
+    timer_cbs_[slot] = std::move(cb);
+  }
+  timers_.push_back(Timer{std::max(when, now_), next_timer_seq_++, slot});
+  std::push_heap(timers_.begin(), timers_.end(), std::greater<>());
 }
 
 void FluidSimulator::ScheduleAfter(SimTime delay, TimerCallback cb) {
@@ -415,7 +412,6 @@ void FluidSimulator::RecomputeAll() {
   ShardTask& task = tasks_[0];  // scratch reuse; full solves never overlap
   task.comp_res.clear();
   for (ResourceId r = 0; r < resources_.size(); ++r) {
-    UpdateSmoothedUtil(resources_[r], now_);
     resources_[r].rate_sum = 0;
     if (!flows_at_[r].empty()) task.comp_res.push_back(r);
   }
@@ -573,7 +569,6 @@ void FluidSimulator::SolveTask(ShardTask& task) {
     }
   }
 
-  for (ResourceId r : task.comp_res) UpdateSmoothedUtil(resources_[r], now_);
   ProgressiveFill(task, fill_);
   ApplyRates(task);
 }
@@ -625,7 +620,7 @@ void FluidSimulator::AdvanceTo(SimTime t) {
       f.remaining -= moved;
       for (ResourceId r : f.path) resources_[r].bytes_served += moved;
     }
-    for (auto& r : resources_) UpdateSmoothedUtil(r, t);
+    FoldUtilization(dt);
   }
   now_ = t;
 }
@@ -662,21 +657,24 @@ bool FluidSimulator::Step() {
     // running any callback, so a wave of same-time timers costs one Step
     // (and one heap drain) instead of one Step each.  Timers a callback
     // schedules at this same instant have larger seq values and would sort
-    // after the drained batch anyway; they run on the next Step.  The
-    // scratch is moved out so a re-entrant Step cannot clobber it.
+    // after the drained batch anyway; they run on the next Step.  Each
+    // callback moves out of its slot, which is then free for the callbacks
+    // to reuse.  The scratch is moved out so a re-entrant Step cannot
+    // clobber it.
     auto batch = std::move(timer_batch_);
     batch.clear();
-    const auto heap_cmp = [](const Timer& a, const Timer& b) { return b < a; };
     while (!timers_.empty() && timers_.front().when == timer) {
-      std::pop_heap(timers_.begin(), timers_.end(), heap_cmp);
-      batch.push_back(std::move(timers_.back()));
+      std::pop_heap(timers_.begin(), timers_.end(), std::greater<>());
+      const std::uint32_t slot = timers_.back().slot;
       timers_.pop_back();
+      batch.push_back(std::move(timer_cbs_[slot]));
+      free_timer_slots_.push_back(slot);
     }
     // What the callbacks start or rescale is solved once, after all of
     // them.
     const bool outer_deferring = deferring_;
     deferring_ = true;
-    for (Timer& t : batch) t.cb(now_);
+    for (TimerCallback& cb : batch) cb(now_);
     deferring_ = outer_deferring;
     SolvePending();
     batch.clear();
@@ -701,9 +699,7 @@ void FluidSimulator::CompleteAt(SimTime t, SimTime min_dt) {
   const double secs = dt / kNsPerSec;
   const SimTime dt_tolerance = min_dt * 1e-9 + kTimeEpsilon;
   const SimTime tie_limit = min_dt + dt_tolerance;
-  if (dt > 0) {
-    for (auto& r : resources_) UpdateSmoothedUtil(r, t);
-  }
+  if (dt > 0) FoldUtilization(dt);
   now_ = t;
 
   auto done = std::move(done_scratch_);

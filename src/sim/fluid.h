@@ -35,6 +35,11 @@
 // first solve anything pending, so a callback that reads them sees what an
 // immediate solve would give.
 //
+// Timer events are cheap: timers are a heap of (when, seq, slot) entries
+// over a slab of callbacks, and the utilization EWMA that latency models
+// read is folded once per time advance, with one exp() shared by every
+// resource (see Resource::smoothed_util for the invariant).
+//
 // Sharded parallel solving: resources can carry a shard hint (one shard per
 // rack; see fabric::Topology::AssignRackShards).  A shard crossed by no
 // active cross-shard flow is *closed*: its connected components cannot
@@ -131,8 +136,8 @@ class FluidSimulator {
 
   // Dynamically rescale a resource (used to model uncore-frequency changes
   // and degraded links).  Takes effect at the current simulated time; the
-  // utilization EWMA is folded at the old capacity first, so the elapsed
-  // window is priced as it actually ran.
+  // utilization EWMA already covers the elapsed window at the old capacity,
+  // so that window is priced as it actually ran.
   Status SetCapacity(ResourceId id, BytesPerSec capacity);
 
   BytesPerSec capacity(ResourceId id) const;
@@ -144,10 +149,11 @@ class FluidSimulator {
   // Settles pending rates first (see the header comment).
   double Utilization(ResourceId id);
 
-  // Exponentially-weighted average utilization, updated as time advances.
-  // Latency models use this rather than the instantaneous value so short
-  // gaps between back-to-back flows do not read as an idle link.  Settles
-  // pending rates first.
+  // Exponentially-weighted average utilization, folded for every resource
+  // at once each time simulated time advances (one exp() per event, not
+  // per resource).  Latency models use this rather than the instantaneous
+  // value so short gaps between back-to-back flows do not read as an idle
+  // link.  Settles pending rates first.
   double SmoothedUtilization(ResourceId id);
 
   // Sharding ---------------------------------------------------------------
@@ -289,11 +295,13 @@ class FluidSimulator {
     BytesPerSec capacity = 0;
     double rate_sum = 0;       // sum of currently allocated flow rates
     double bytes_served = 0;
-    // EWMA of utilization with time constant kUtilTau.  Invariant: the EWMA
-    // is folded *before* rate_sum or capacity changes, so each elapsed
-    // window is priced at the rate and capacity it actually ran with.
+    // EWMA of rate_sum / capacity with time constant kUtilTau.  Invariant:
+    // every resource's EWMA is folded up to now_.  Only the time sweeps
+    // (AdvanceTo, CompleteAt) move now_, and they fold every resource
+    // first, at the utilization the elapsed window ran with; rate_sum and
+    // capacity change only between sweeps, where no time passes.  So all
+    // resources share one fold per sweep, and a read needs no fold at all.
     double smoothed_util = 0;
-    SimTime smoothed_at = 0;
   };
 
   struct Flow {
@@ -343,12 +351,14 @@ class FluidSimulator {
     std::vector<std::uint32_t> work_idx;  // by Slot: index in task.work
   };
 
+  // Timer heap entry.  The callback lives in timer_cbs_[slot], so sifting
+  // the heap moves 24 trivially copyable bytes, never a std::function.
   struct Timer {
     SimTime when;
     std::uint64_t seq;  // FIFO tiebreak
-    TimerCallback cb;
-    bool operator<(const Timer& o) const {
-      return when == o.when ? seq < o.seq : when < o.when;
+    std::uint32_t slot;
+    bool operator>(const Timer& o) const {
+      return when == o.when ? seq > o.seq : when > o.when;
     }
   };
 
@@ -386,9 +396,10 @@ class FluidSimulator {
   // Step's completion event: advances to `t`, retires every flow the event
   // finishes and runs their callbacks.
   void CompleteAt(SimTime t, SimTime min_dt);
-  // Folded EWMA at time t without mutating the resource (no copies).
-  double FoldedSmoothedUtil(const Resource& r, SimTime t) const;
-  void UpdateSmoothedUtil(Resource& r, SimTime t) const;
+  // The time sweep's EWMA fold: advances every resource's smoothed_util by
+  // dt > 0 at its current utilization.  AdvanceTo and CompleteAt call it
+  // before now_ moves.
+  void FoldUtilization(SimTime dt);
   void FinishRecord(FlowId id);
 
   std::vector<Resource> resources_;
@@ -399,7 +410,11 @@ class FluidSimulator {
   std::vector<Slot> free_slots_;
   std::vector<Slot> order_;
   std::map<FlowId, FlowRecord> records_;
-  std::vector<Timer> timers_;  // heap ordered by (when, seq)
+  // Timers: a min-heap on (when, seq) over a callback slab with a free
+  // list.  Step moves each due callback out of its slot and frees the slot.
+  std::vector<Timer> timers_;
+  std::vector<TimerCallback> timer_cbs_;
+  std::vector<std::uint32_t> free_timer_slots_;
   std::uint64_t next_flow_id_ = 1;
   std::uint64_t next_timer_seq_ = 0;
   SimTime now_ = 0;
@@ -432,7 +447,7 @@ class FluidSimulator {
   // they are moved out/in (a re-entrant Step degrades gracefully).
   std::vector<SimTime> durations_;  // by position in order_
   std::vector<Slot> tied_scratch_;
-  std::vector<Timer> timer_batch_;
+  std::vector<TimerCallback> timer_batch_;
   std::vector<std::pair<FlowId, FlowCallback>> done_scratch_;
 
   // Deferred solving.  batch_seed_ collects the seeds of every StartFlow

@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
@@ -412,6 +414,137 @@ TEST_P(FluidPropertyTest, FillMatchesNaiveReference) {
   EXPECT_EQ(sim.active_flow_count(), 0u);
 }
 
+// Test-only copy of the utilization EWMA as the simulator computed it
+// before it shared one alpha per time sweep: every resource keeps its own
+// fold time, and each fold prices the window since then at the utilization
+// that window ran with, using its own exp().
+constexpr SimTime kRefUtilTau = Microseconds(10);
+
+struct RefEwma {
+  double smoothed = 0;
+  SimTime at = 0;
+
+  void FoldTo(SimTime t, double util) {
+    const SimTime dt = t - at;
+    if (dt <= 0) return;
+    const double alpha = 1.0 - std::exp(-dt / kRefUtilTau);
+    smoothed = smoothed + alpha * (util - smoothed);
+    at = t;
+  }
+};
+
+// P9  EWMA == per-resource reference: after every Step, every resource's
+//     SmoothedUtilization equals the reference bit for bit.  The events mix
+//     flows on random paths, timers that fire between flows, SetCapacity
+//     and new resources (from timer callbacks and between Steps), resources
+//     no flow ever crosses, and one resource that runs saturated long
+//     enough for its EWMA to reach its utilization exactly.  Runs with the
+//     incremental solver and with full solves, which rewrite every
+//     resource's utilization.
+void CheckEwmaAgainstReference(std::uint64_t seed, bool incremental) {
+  SCOPED_TRACE(incremental ? "incremental" : "full solves");
+  Rng rng(seed ^ 0xE3A);
+  FluidSimulator sim;
+  sim.set_incremental(incremental);
+  std::vector<RefEwma> ref;  // by ResourceId
+  std::vector<ResourceId> busy;  // resources random flows may cross
+  const auto add_resource = [&](double gbps) {
+    const ResourceId r =
+        sim.AddResource("r" + std::to_string(ref.size()), GBps(gbps));
+    ref.push_back(RefEwma{0, sim.now()});
+    return r;
+  };
+  const auto random_gbps = [&] {
+    return 10.0 * static_cast<double>(rng.NextInRange(1, 4));
+  };
+  const auto start_random_flow = [&] {
+    std::vector<ResourceId> path;
+    const int hops = static_cast<int>(rng.NextInRange(1, 3));
+    for (int h = 0; h < hops; ++h) {
+      path.push_back(busy[rng.NextBounded(busy.size())]);
+    }
+    sim.StartFlow(static_cast<double>(rng.NextInRange(1, 20)) * 1e5, path);
+  };
+  const auto set_random_capacity = [&] {
+    ASSERT_TRUE(
+        sim.SetCapacity(busy[rng.NextBounded(busy.size())], GBps(random_gbps()))
+            .ok());
+  };
+
+  add_resource(10);  // idle throughout
+  const ResourceId saturated = add_resource(10);
+  const int num_busy = static_cast<int>(rng.NextInRange(2, 6));
+  for (int i = 0; i < num_busy; ++i) busy.push_back(add_resource(random_gbps()));
+  add_resource(25);  // idle throughout
+  // Alone on its resource for 10 ms, so its utilization is exactly 1.
+  sim.StartFlow(GBps(10) * 1e-2, {saturated});
+
+  // Random timers over the first 2 ms: most random flows are done within
+  // microseconds, so many of these fire between flows.
+  std::function<void(SimTime)> action = [&](SimTime) {
+    switch (rng.NextBounded(5)) {
+      case 0:
+        start_random_flow();
+        break;
+      case 1:
+        set_random_capacity();
+        break;
+      case 2:
+        busy.push_back(add_resource(random_gbps()));
+        break;
+      case 3:
+        sim.ScheduleAt(sim.now(), action);  // runs on the next Step
+        break;
+      default:
+        break;
+    }
+  };
+  const int num_timers = static_cast<int>(rng.NextInRange(100, 300));
+  for (int i = 0; i < num_timers; ++i) {
+    sim.ScheduleAt(Microseconds(static_cast<double>(rng.NextInRange(0, 2000))),
+                   action);
+  }
+  // Quiet gaps of hundreds of time constants: the saturated EWMA reaches
+  // exactly 1, then idles down to exactly 0.
+  for (double ms : {5.0, 6.0, 7.0, 12.0, 13.0}) {
+    sim.ScheduleAt(Microseconds(1000 * ms), [](SimTime) {});
+  }
+  for (int i = 0; i < 4; ++i) start_random_flow();
+
+  int steps = 0;
+  int settled_busy = 0;  // resources read busy with EWMA == utilization
+  while (true) {
+    // The window the next Step sweeps runs at the current utilization.
+    std::vector<double> util(ref.size());
+    for (ResourceId r = 0; r < util.size(); ++r) util[r] = sim.Utilization(r);
+    if (!sim.Step()) break;
+    ASSERT_LT(++steps, 100000);
+    for (ResourceId r = 0; r < util.size(); ++r) {
+      ref[r].FoldTo(sim.now(), util[r]);
+    }
+    for (ResourceId r = 0; r < ref.size(); ++r) {
+      const double smoothed = sim.SmoothedUtilization(r);
+      EXPECT_EQ(smoothed, ref[r].smoothed)
+          << "resource " << r << " after step " << steps;
+      if (util.size() > r && util[r] > 0 && smoothed == util[r]) {
+        ++settled_busy;
+      }
+    }
+    // Changes made between Steps, at the current instant.
+    if (rng.NextBernoulli(0.2)) start_random_flow();
+    if (rng.NextBernoulli(0.05)) set_random_capacity();
+    if (rng.NextBernoulli(0.02)) busy.push_back(add_resource(random_gbps()));
+  }
+  EXPECT_GT(settled_busy, 0) << "no busy resource's EWMA reached its "
+                                "utilization; that case went untested";
+  EXPECT_EQ(sim.SmoothedUtilization(saturated), 0.0);
+}
+
+TEST_P(FluidPropertyTest, SmoothedUtilizationMatchesPerResourceFold) {
+  CheckEwmaAgainstReference(GetParam(), /*incremental=*/true);
+  CheckEwmaAgainstReference(GetParam(), /*incremental=*/false);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, FluidPropertyTest,
                          ::testing::Values(11, 22, 33, 44, 55, 66, 77, 88,
                                            99, 1010));
@@ -421,6 +554,43 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FluidPropertyTest,
 
 namespace lmp::sim {
 namespace {
+
+// --- Timers -------------------------------------------------------------------
+
+// Equal-time timers fire in scheduling order even when their callbacks sit
+// in recycled slots, and a timer scheduled from a callback for its own
+// instant runs after every timer already due then.
+TEST(FluidTimerTest, EqualTimeTimersStayFifoAfterSlotReuse) {
+  FluidSimulator sim;
+  std::vector<int> fired;
+  const auto record = [&fired](int tag) {
+    return [&fired, tag](SimTime) { fired.push_back(tag); };
+  };
+  // Eight slots, filled and freed: later timers reuse them.
+  for (int i = 0; i < 8; ++i) sim.ScheduleAt(Nanoseconds(10), record(i));
+  ASSERT_TRUE(sim.Step());
+
+  for (int i = 0; i < 12; ++i) {
+    sim.ScheduleAt(Nanoseconds(100), record(100 + i));
+    if (i % 4 == 0) {
+      sim.ScheduleAt(Nanoseconds(50), [&, i](SimTime) {
+        fired.push_back(50 + i);
+        sim.ScheduleAt(Nanoseconds(100), record(200 + i));
+      });
+    }
+  }
+  sim.ScheduleAt(Nanoseconds(100), [&](SimTime) {
+    fired.push_back(300);
+    sim.ScheduleAt(sim.now(), record(301));
+  });
+  sim.Run();
+
+  std::vector<int> want = {0, 1, 2, 3, 4, 5, 6, 7, 50, 54, 58};
+  for (int i = 0; i < 12; ++i) want.push_back(100 + i);
+  want.insert(want.end(), {300, 200, 204, 208, 301});
+  EXPECT_EQ(fired, want);
+  EXPECT_EQ(sim.now(), Nanoseconds(100));
+}
 
 // --- Weighted max-min fairness ------------------------------------------------
 

@@ -564,6 +564,22 @@ TEST(BackingStoreTest, ConstFrameOnAbsentFrameAllocatesNothing) {
   EXPECT_EQ(store.resident_frames(), 0u);
 }
 
+TEST(BackingStoreTest, ReleaseDropsFramesWhichReadZerosAgain) {
+  BackingStore store(4, 16);
+  store.Write(0, std::vector<std::byte>(64, std::byte{0xAB}));
+  ASSERT_EQ(store.resident_frames(), 4u);
+  store.Release(1, 2);
+  EXPECT_EQ(store.resident_frames(), 2u);
+  std::vector<std::byte> out(64);
+  store.Read(0, out);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const bool released = i >= 16 && i < 48;
+    EXPECT_EQ(out[i], released ? std::byte{0} : std::byte{0xAB}) << i;
+  }
+  store.Release(0, 4);  // absent frames are skipped
+  EXPECT_EQ(store.resident_frames(), 0u);
+}
+
 // --- NumaDistanceMatrix ----------------------------------------------------------------
 
 TEST(NumaTest, SelfDistanceIsTen) {

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "baselines/logical.h"
@@ -212,6 +213,160 @@ TEST(OpEngineTest, WedgedLockFailsAfterMeasuredSpins) {
   // The timeout took max_lock_spins round trips of sim time, not zero.
   EXPECT_GE(results[0].finish_time - results[0].submit_time,
             7 * engine.lock_rtt());
+}
+
+// A continuation parked by Acquire runs exactly once, including when it
+// parks a second Acquire on the same op, and whether the lock was free or
+// contended.
+TEST(OpEngineTest, ParkedContinuationRunsExactlyOnce) {
+  Harness h;
+  core::CoherentRegion region(64, 8, 4);
+  core::DistributedLock outer(&region, 0);
+  core::DistributedLock inner(&region, 8);
+  std::map<OpId, int> outer_runs;
+  std::map<OpId, int> inner_runs;
+  std::map<OpId, OpResult> results;
+  h.engine.set_on_complete([&](const OpResult& r) { results[r.id] = r; });
+
+  auto nested_op = [&](cluster::ServerId server) {
+    return h.engine.Submit(OpKind::kPut, server, 0, [&](OpEngine::Op& op) {
+      h.engine.Acquire(op, &outer, [&](OpEngine::Op& o1) {
+        ++outer_runs[o1.id()];
+        h.engine.Acquire(o1, &inner, [&](OpEngine::Op& o2) {
+          ++inner_runs[o2.id()];
+          h.engine.Release(o2, &inner, [&](OpEngine::Op& o3) {
+            h.engine.Release(o3, &outer, [&](OpEngine::Op& o4) {
+              h.engine.Finish(o4);
+            });
+          });
+        });
+      });
+    });
+  };
+  // Holds `inner` for a while, so the nested acquires spin on it too.
+  const OpId hog = h.engine.Submit(
+      OpKind::kPut, 3, 0, [&](OpEngine::Op& op) {
+        h.engine.Acquire(op, &inner, [&](OpEngine::Op& o1) {
+          ++inner_runs[o1.id()];
+          h.engine.Delay(o1, Microseconds(5), [&](OpEngine::Op& o2) {
+            h.engine.Release(o2, &inner, [&](OpEngine::Op& o3) {
+              h.engine.Finish(o3);
+            });
+          });
+        });
+      });
+  const std::vector<OpId> ids = {nested_op(0), nested_op(1), nested_op(2)};
+  ASSERT_TRUE(h.engine.Drain().ok());
+
+  int spins = 0;
+  for (OpId id : ids) {
+    EXPECT_EQ(outer_runs[id], 1) << "op " << id;
+    EXPECT_EQ(inner_runs[id], 1) << "op " << id;
+    ASSERT_TRUE(results.count(id));
+    EXPECT_TRUE(results[id].status.ok());
+    spins += results[id].lock_spins;
+  }
+  EXPECT_EQ(inner_runs[hog], 1);
+  EXPECT_GT(spins, 0);
+  EXPECT_FALSE(outer.IsHeld());
+  EXPECT_FALSE(inner.IsHeld());
+}
+
+// A wedged acquire gives up after max_lock_spins and destroys the
+// continuation it parked, without running it.
+TEST(OpEngineTest, WedgedAcquireDestroysItsContinuation) {
+  Harness h;
+  core::CoherentRegion region(64, 8, 4);
+  core::DistributedLock lock(&region, 0);
+  ASSERT_TRUE(*lock.TryLock(3));  // wedged peer
+
+  OpEngine::Options opts;
+  opts.metrics = &h.metrics;
+  opts.max_lock_spins = 4;
+  OpEngine engine(&h.deploy.simulator(), &h.deploy.topology(),
+                  &h.deploy.manager(), opts);
+  std::vector<OpResult> results;
+  engine.set_on_complete([&](const OpResult& r) { results.push_back(r); });
+  auto token = std::make_shared<int>(0);
+  bool ran = false;
+  engine.Submit(OpKind::kPut, 0, 0, [&, token](OpEngine::Op& op) {
+    engine.Acquire(op, &lock, [&ran, token, &engine](OpEngine::Op& o) {
+      ran = true;
+      engine.Finish(o);
+    });
+  });
+  EXPECT_GT(token.use_count(), 1);
+  ASSERT_TRUE(engine.Drain().ok());
+
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(token.use_count(), 1) << "a step closure outlived its op";
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_TRUE(IsUnavailable(results[0].status));
+  EXPECT_EQ(results[0].lock_spins, 4);
+}
+
+// Runs reads, a contended lock and a wedged lock with counters under
+// `prefix`; returns the engine's counters and latency-histogram counts,
+// keyed by name without the prefix.
+std::map<std::string, std::uint64_t> EngineMetricsUnder(
+    const std::string& prefix) {
+  MetricsRegistry registry;
+  LogicalDeployment deploy(fabric::LinkProfile::Link0(), SmallBackedConfig());
+  OpEngine::Options opts;
+  opts.metrics = &registry;
+  opts.metrics_prefix = prefix;
+  opts.max_lock_spins = 5;
+  OpEngine engine(&deploy.simulator(), &deploy.topology(), &deploy.manager(),
+                  opts);
+  auto buf = deploy.manager().Allocate(MiB(1), 0);
+  EXPECT_TRUE(buf.ok());
+  core::CoherentRegion region(64, 8, 4);
+  core::DistributedLock shared(&region, 0);
+  core::DistributedLock wedged(&region, 8);
+  EXPECT_TRUE(*wedged.TryLock(3));
+
+  for (int i = 0; i < 4; ++i) {
+    const auto server = static_cast<cluster::ServerId>(i);
+    engine.Submit(OpKind::kPut, server, 0, [&](OpEngine::Op& op) {
+      engine.Acquire(op, &shared, [&](OpEngine::Op& o1) {
+        engine.Write(o1, *buf, 0, KiB(4), [&](OpEngine::Op& o2) {
+          engine.Release(o2, &shared, [&](OpEngine::Op& o3) {
+            engine.Finish(o3);
+          });
+        });
+      });
+    });
+    engine.Submit(OpKind::kGet, server, 1, [&](OpEngine::Op& op) {
+      engine.Read(op, *buf, KiB(8), KiB(4), [&](OpEngine::Op& o) {
+        engine.Finish(o);
+      });
+    });
+  }
+  engine.Submit(OpKind::kPut, 0, 2, [&](OpEngine::Op& op) {
+    engine.Acquire(op, &wedged, [&](OpEngine::Op& o) { engine.Finish(o); });
+  });
+  EXPECT_TRUE(engine.Drain().ok());
+
+  std::map<std::string, std::uint64_t> out;
+  const std::string dot = prefix + ".";
+  for (const auto& [name, value] : registry.counters()) {
+    if (name.starts_with(dot)) out[name.substr(dot.size())] = value;
+  }
+  for (const auto& [name, hist] : registry.histograms()) {
+    if (name.starts_with(dot)) {
+      out[name.substr(dot.size()) + ".count"] = hist.count();
+    }
+  }
+  return out;
+}
+
+TEST(OpEngineTest, MetricsPrefixOnlyRenamesCounters) {
+  const auto ops = EngineMetricsUnder("ops");
+  EXPECT_EQ(EngineMetricsUnder("kv"), ops);
+  for (const char* name : {"hops", "lock_spins", "completed", "errors",
+                           "get.count", "put.count"}) {
+    EXPECT_GT(ops.count(name) ? ops.at(name) : 0u, 0u) << name;
+  }
 }
 
 // --- BtreeOpDriver ----------------------------------------------------------

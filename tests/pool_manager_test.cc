@@ -481,5 +481,75 @@ TEST_F(PoolManagerTest, WrittenReplicasMatchPrimaryAfterMigrationAndRecover) {
   ExpectReplicasMatchPrimary(seg, want);
 }
 
+// --- Freed frames drop their bytes -------------------------------------------
+
+TEST_F(PoolManagerTest, FreedFramesReadZerosToTheNextOwner) {
+  auto old_buf = manager_.Allocate(KiB(64), 0);
+  ASSERT_TRUE(old_buf.ok());
+  ASSERT_TRUE(manager_
+                  .Write(0, *old_buf, 0,
+                         std::vector<std::byte>(KiB(64), std::byte{0xAB}))
+                  .ok());
+  ASSERT_EQ(ResidentFrames(), 16u);
+  ASSERT_TRUE(manager_.Free(*old_buf).ok());
+  EXPECT_EQ(ResidentFrames(), 0u);
+
+  // The whole server, so the new buffer covers the old one's frames.
+  auto new_buf = manager_.Allocate(MiB(4), 0);
+  ASSERT_TRUE(new_buf.ok());
+  ASSERT_EQ(manager_.Describe(*new_buf)->segments.size(), 1u);
+  std::vector<std::byte> out(MiB(4), std::byte{0xFF});
+  ASSERT_TRUE(manager_.Read(0, *new_buf, 0, out).ok());
+  EXPECT_EQ(out, std::vector<std::byte>(MiB(4)));
+}
+
+TEST_F(PoolManagerTest, MigrationSourceAndFreeReleaseFrames) {
+  auto buf = manager_.Allocate(KiB(64), 0);
+  ASSERT_TRUE(buf.ok());
+  const auto data = Pattern(KiB(64), 5);
+  ASSERT_TRUE(manager_.Write(0, *buf, 0, data).ok());
+  const SegmentId seg = manager_.Describe(*buf)->segments[0];
+  ASSERT_TRUE(manager_.MigrateSegment(seg, 1).ok());
+  // Only the new home holds the bytes.
+  EXPECT_EQ(cluster_.server(0).backing().resident_frames(), 0u);
+  EXPECT_EQ(cluster_.server(1).backing().resident_frames(), 16u);
+  std::vector<std::byte> out(KiB(64));
+  ASSERT_TRUE(manager_.Read(2, *buf, 0, out).ok());
+  EXPECT_EQ(out, data);
+  ASSERT_TRUE(manager_.Free(*buf).ok());
+  EXPECT_EQ(ResidentFrames(), 0u);
+}
+
+TEST_F(PoolManagerTest, CompactionAndFreeReleaseFrames) {
+  auto hole = manager_.Allocate(MiB(1), 0);
+  auto buf = manager_.Allocate(MiB(1), 0);
+  ASSERT_TRUE(hole.ok() && buf.ok());
+  ASSERT_TRUE(manager_.Write(0, *hole, 0, Pattern(MiB(1), 1)).ok());
+  const auto data = Pattern(MiB(1), 7);
+  ASSERT_TRUE(manager_.Write(0, *buf, 0, data).ok());
+  ASSERT_TRUE(manager_.Free(*hole).ok());
+  EXPECT_EQ(ResidentFrames(), 256u);
+
+  const SegmentId seg = manager_.Describe(*buf)->segments[0];
+  ASSERT_TRUE(manager_.CompactSegment(seg, MiB(1)).ok());
+  EXPECT_EQ(ResidentFrames(), 256u);  // the vacated frames hold nothing
+  std::vector<std::byte> out(MiB(1));
+  ASSERT_TRUE(manager_.Read(0, *buf, 0, out).ok());
+  EXPECT_EQ(out, data);
+  ASSERT_TRUE(manager_.Free(*buf).ok());
+  EXPECT_EQ(ResidentFrames(), 0u);
+}
+
+TEST_F(PoolManagerTest, FreeReleasesReplicaFrames) {
+  ReplicationManager repl(&manager_, 2);
+  auto buf = manager_.Allocate(KiB(32), 0);
+  ASSERT_TRUE(buf.ok());
+  ASSERT_TRUE(manager_.Write(0, *buf, 0, Pattern(KiB(32), 9)).ok());
+  ASSERT_TRUE(repl.ProtectBuffer(*buf).ok());
+  EXPECT_EQ(ResidentFrames(), 24u);
+  ASSERT_TRUE(manager_.Free(*buf).ok());
+  EXPECT_EQ(ResidentFrames(), 0u);
+}
+
 }  // namespace
 }  // namespace lmp::core
