@@ -14,16 +14,21 @@
 //                       chaos flight-recorder postmortems (crash snapshots)
 //
 // Unknown arguments are ignored: benches with their own flags parse argv
-// themselves after (or before) Args::Parse.  Benches must print identical
-// stdout when none of these flags are given — status notes about written
-// files go to stderr.
+// themselves after (or before) Args::Parse.  A --seed= or --threads= value
+// that is not a whole decimal number (or a thread count below 1) prints
+// "bad --seed= value '<v>'" to stderr and exits 2.  Benches must print
+// identical stdout when none of these flags are given — status notes about
+// written files go to stderr.
 #pragma once
 
 #include <charconv>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <string_view>
-#include <vector>
+#include <type_traits>
+#include <utility>
 
 namespace lmp::bench {
 
@@ -41,70 +46,43 @@ struct Args {
 
   static Args Parse(int argc, char** argv) {
     Args args;
+    const std::pair<std::string_view, std::string*> paths[] = {
+        {"--trace-out=", &args.trace_out},
+        {"--metrics-out=", &args.metrics_out},
+        {"--fault-plan=", &args.fault_plan},
+        {"--series-out=", &args.series_out},
+        {"--slo-out=", &args.slo_out},
+        {"--postmortem-out=", &args.postmortem_out}};
     for (int i = 1; i < argc; ++i) {
       const std::string_view arg = argv[i];
-      constexpr std::string_view kTrace = "--trace-out=";
-      constexpr std::string_view kMetrics = "--metrics-out=";
-      constexpr std::string_view kPlan = "--fault-plan=";
-      constexpr std::string_view kSeries = "--series-out=";
-      constexpr std::string_view kSlo = "--slo-out=";
-      constexpr std::string_view kPostmortem = "--postmortem-out=";
+      for (const auto& [flag, out] : paths) {
+        if (arg.starts_with(flag)) *out = arg.substr(flag.size());
+      }
       constexpr std::string_view kSeed = "--seed=";
       constexpr std::string_view kThreads = "--threads=";
-      if (arg.substr(0, kTrace.size()) == kTrace) {
-        args.trace_out = std::string(arg.substr(kTrace.size()));
-      } else if (arg.substr(0, kMetrics.size()) == kMetrics) {
-        args.metrics_out = std::string(arg.substr(kMetrics.size()));
-      } else if (arg.substr(0, kPlan.size()) == kPlan) {
-        args.fault_plan = std::string(arg.substr(kPlan.size()));
-      } else if (arg.substr(0, kSeries.size()) == kSeries) {
-        args.series_out = std::string(arg.substr(kSeries.size()));
-      } else if (arg.substr(0, kSlo.size()) == kSlo) {
-        args.slo_out = std::string(arg.substr(kSlo.size()));
-      } else if (arg.substr(0, kPostmortem.size()) == kPostmortem) {
-        args.postmortem_out = std::string(arg.substr(kPostmortem.size()));
-      } else if (arg.substr(0, kSeed.size()) == kSeed) {
-        const std::string_view value = arg.substr(kSeed.size());
-        std::uint64_t seed = 0;
-        auto [ptr, ec] =
-            std::from_chars(value.data(), value.data() + value.size(), seed);
-        if (ec == std::errc() && ptr == value.data() + value.size()) {
-          args.seed = seed;
-        }
-      } else if (arg.substr(0, kThreads.size()) == kThreads) {
-        const std::string_view value = arg.substr(kThreads.size());
-        int threads = 0;
-        auto [ptr, ec] =
-            std::from_chars(value.data(), value.data() + value.size(),
-                            threads);
-        if (ec == std::errc() && ptr == value.data() + value.size() &&
-            threads >= 1) {
-          args.threads = threads;
-        }
+      if (arg.starts_with(kSeed)) {
+        ParseOrExit(kSeed, arg.substr(kSeed.size()), 0, &args.seed);
+      } else if (arg.starts_with(kThreads)) {
+        ParseOrExit(kThreads, arg.substr(kThreads.size()), 1, &args.threads);
       }
     }
     return args;
   }
 
-  // argv with the sidecar flags removed (argv[0] kept), for benches whose
-  // own parser rejects unknown flags (google-benchmark binaries).  The
-  // returned pointers alias `argv`, which must stay alive.
-  static std::vector<char*> Strip(int argc, char** argv) {
-    std::vector<char*> kept;
-    if (argc > 0) kept.push_back(argv[0]);
-    for (int i = 1; i < argc; ++i) {
-      const std::string_view arg = argv[i];
-      const bool ours = arg.rfind("--trace-out=", 0) == 0 ||
-                        arg.rfind("--metrics-out=", 0) == 0 ||
-                        arg.rfind("--fault-plan=", 0) == 0 ||
-                        arg.rfind("--series-out=", 0) == 0 ||
-                        arg.rfind("--slo-out=", 0) == 0 ||
-                        arg.rfind("--postmortem-out=", 0) == 0 ||
-                        arg.rfind("--seed=", 0) == 0 ||
-                        arg.rfind("--threads=", 0) == 0;
-      if (!ours) kept.push_back(argv[i]);
-    }
-    return kept;
+ private:
+  // Parses `value` as a whole decimal number of at least `min`.  Anything
+  // else would silently run a different experiment than the one being
+  // replayed, so it prints "bad <flag> value '<value>'" and exits 2.
+  template <typename T>
+  static void ParseOrExit(std::string_view flag, std::string_view value,
+                          std::type_identity_t<T> min, T* out) {
+    const char* end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end, *out);
+    if (ec == std::errc() && ptr == end && *out >= min) return;
+    std::fprintf(stderr, "bad %.*s value '%.*s'\n",
+                 static_cast<int>(flag.size()), flag.data(),
+                 static_cast<int>(value.size()), value.data());
+    std::exit(2);
   }
 };
 

@@ -1,16 +1,22 @@
-// Address-translation microbenchmarks (§5 "Address translation"),
-// google-benchmark.
+// Address translation (§5): two-step vs flat directory.
 //
-// Measures the real CPU cost of the two-step path (cached hit, cold miss,
-// post-migration stale refresh) and contrasts with a *modelled* flat
-// directory, where every translation would pay a remote fabric access —
-// the design §5 rejects.  The FabricNs counter on each benchmark reports
-// the simulated fabric latency the scheme adds per translation.
-#include <benchmark/benchmark.h>
+// Two-step translation resolves a segment's home through a per-server
+// cache backed by the replicated coarse map, so a hit, a miss and a
+// post-migration stale refresh all stay on the issuing server.  The design
+// §5 rejects, one flat directory homed on one server, costs every other
+// server a fabric round trip per lookup, charged at Link0's unloaded
+// latency.  stdout holds only deterministic numbers; the host ns per lookup
+// go to stderr as `wall.translate_<case>_ns=` lines.
+#include <chrono>
+#include <cstdint>
+#include <cstdio>
+#include <string>
 
 #include "args.h"
 #include "trace_sidecar.h"
 
+#include "common/logging.h"
+#include "common/table.h"
 #include "core/segment_map.h"
 #include "core/translation.h"
 #include "fabric/link.h"
@@ -21,119 +27,126 @@ using namespace lmp;
 using core::AddressTranslator;
 using core::Location;
 using core::SegmentId;
-using core::SegmentInfo;
-using core::SegmentMap;
 
-SegmentMap MakeMap(int segments) {
-  SegmentMap map;
-  for (int i = 0; i < segments; ++i) {
-    SegmentInfo info;
-    info.id = static_cast<SegmentId>(i);
+constexpr std::uint64_t kLookups = 1 << 20;
+
+core::SegmentMap MakeMap(SegmentId segments) {
+  core::SegmentMap map;
+  for (SegmentId s = 0; s < segments; ++s) {
+    core::SegmentInfo info;
+    info.id = s;
     info.size = GiB(1);
-    info.home = Location::OnServer(i % 4);
+    info.home = Location::OnServer(static_cast<int>(s % 4));
     LMP_CHECK_OK(map.Insert(info));
   }
   return map;
 }
 
-void BM_TwoStep_CacheHit(benchmark::State& state) {
-  SegmentMap map = MakeMap(1024);
-  AddressTranslator translator(&map, 4096);
-  // Warm the cache.
-  for (SegmentId s = 0; s < 1024; ++s) {
-    (void)translator.TranslateHome(s);
-  }
-  SegmentId s = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(translator.TranslateHome(s));
-    s = (s + 1) & 1023;
-  }
-  // Two-step with a hot cache: zero fabric traffic.
-  state.counters["FabricNs"] = 0;
+// Host ns spent in `body`.
+template <typename Body>
+double Timed(Body body) {
+  const auto start = std::chrono::steady_clock::now();
+  body();
+  return std::chrono::duration<double, std::nano>(
+             std::chrono::steady_clock::now() - start)
+      .count();
 }
-BENCHMARK(BM_TwoStep_CacheHit);
 
-void BM_TwoStep_CacheMiss(benchmark::State& state) {
-  SegmentMap map = MakeMap(65536);
-  // Cache far smaller than the segment population: every lookup misses.
-  AddressTranslator translator(&map, 64);
-  SegmentId s = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(translator.TranslateHome(s));
-    s = (s + 9973) % 65536;
+// Translates segments 0..count-1 in order.
+void Sweep(AddressTranslator& translator, SegmentId count) {
+  for (SegmentId s = 0; s < count; ++s) {
+    LMP_CHECK(translator.TranslateHome(s).ok());
   }
-  // A miss still resolves against the LOCAL replica of the coarse map.
-  state.counters["FabricNs"] = 0;
 }
-BENCHMARK(BM_TwoStep_CacheMiss);
 
-void BM_TwoStep_StaleAfterMigration(benchmark::State& state) {
-  SegmentMap map = MakeMap(16);
-  AddressTranslator translator(&map, 4096);
-  for (SegmentId s = 0; s < 16; ++s) (void)translator.TranslateHome(s);
-  int flip = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    // Migrate segment 3 so the cached entry is stale by generation.
-    LMP_CHECK_OK(map.UpdateHome(3, Location::OnServer(flip++ & 3)));
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(translator.TranslateHome(SegmentId{3}));
-  }
-  state.counters["FabricNs"] = 0;
+// `s` is null for the flat directory, which has no cache.
+void AddRow(TablePrinter& table, const char* wall_name, const char* scheme,
+            double host_ns, const core::TranslationStats* s,
+            double fabric_ns) {
+  std::fprintf(stderr, "wall.translate_%s_ns=%.1f\n", wall_name,
+               host_ns / kLookups);
+  const auto count = [s](std::uint64_t core::TranslationStats::*field) {
+    return s == nullptr ? std::string("-") : std::to_string(s->*field);
+  };
+  table.AddRow({scheme, std::to_string(kLookups),
+                count(&core::TranslationStats::hits),
+                count(&core::TranslationStats::misses),
+                count(&core::TranslationStats::stale_hits),
+                TablePrinter::Num(fabric_ns, 0)});
 }
-BENCHMARK(BM_TwoStep_StaleAfterMigration);
-
-// The rejected design: a single flat directory homed on one server.  The
-// lookup itself is as cheap as ours — but 3 of 4 servers pay a remote
-// fabric round-trip per translation.  We charge the Link0 unloaded latency
-// as a counter (the simulated fabric is not the CPU being benchmarked).
-void BM_FlatDirectory_RemoteLookup(benchmark::State& state) {
-  SegmentMap map = MakeMap(1024);
-  const auto link = fabric::LinkProfile::Link0();
-  SegmentId s = 0;
-  double fabric_ns = 0;
-  std::int64_t lookups = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(map.Lookup(s));
-    fabric_ns += link.LoadedLatency(0);  // remote round-trip per lookup
-    ++lookups;
-    s = (s + 1) & 1023;
-  }
-  state.counters["FabricNs"] =
-      benchmark::Counter(fabric_ns / static_cast<double>(lookups));
-}
-BENCHMARK(BM_FlatDirectory_RemoteLookup);
-
-// Hit-rate sweep: cache capacity as a fraction of the working set.
-void BM_TwoStep_HitRateSweep(benchmark::State& state) {
-  const int segments = 4096;
-  const int capacity = static_cast<int>(state.range(0));
-  SegmentMap map = MakeMap(segments);
-  AddressTranslator translator(&map, capacity);
-  SegmentId s = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(translator.TranslateHome(s));
-    s = (s + 1) % segments;
-  }
-  state.counters["HitRate"] = translator.stats().HitRate();
-}
-BENCHMARK(BM_TwoStep_HitRateSweep)->Arg(256)->Arg(1024)->Arg(4096);
 
 }  // namespace
 
-// Sidecar flags (--trace-out=/--metrics-out=) are stripped before
-// google-benchmark sees argv, so its strict parser does not reject them.
 int main(int argc, char** argv) {
-  const lmp::bench::Args args = lmp::bench::Args::Parse(argc, argv);
-  lmp::bench::TraceSidecar sidecar(args);
-  std::vector<char*> kept = lmp::bench::Args::Strip(argc, argv);
-  int kept_argc = static_cast<int>(kept.size());
-  benchmark::Initialize(&kept_argc, kept.data());
-  if (benchmark::ReportUnrecognizedArguments(kept_argc, kept.data())) {
-    return 1;
+  lmp::bench::TraceSidecar sidecar(lmp::bench::Args::Parse(argc, argv));
+  std::printf("== Fabric ns each translation scheme adds per lookup ==\n");
+  TablePrinter schemes({"Scheme", "Lookups", "Hits", "Misses", "Stale",
+                        "Fabric ns/lookup"});
+  core::SegmentMap map = MakeMap(1024);
+
+  // Hit: 1024 segments, all cached by a warm-up sweep.
+  AddressTranslator translator(&map, 4096);
+  Sweep(translator, 1024);
+  translator.ResetStats();
+  const double hit_ns = Timed([&] {
+    for (std::uint64_t i = 0; i < kLookups / 1024; ++i) {
+      Sweep(translator, 1024);
+    }
+  });
+  AddRow(schemes, "hit", "two-step, cache hit", hit_ns, &translator.stats(),
+         0);
+
+  // Miss: a 64-entry cache over 65536 segments, strided so every lookup
+  // misses; it still resolves against the LOCAL replica of the coarse map.
+  const core::SegmentMap big_map = MakeMap(65536);
+  AddressTranslator cold(&big_map, 64);
+  const double miss_ns = Timed([&] {
+    for (std::uint64_t i = 0; i < kLookups; ++i) {
+      LMP_CHECK(cold.TranslateHome((i * 9973) % 65536).ok());
+    }
+  });
+  AddRow(schemes, "miss", "two-step, cache miss", miss_ns, &cold.stats(),
+         0);
+
+  // Stale: each round migrates all 1024 cached segments (untimed), so every
+  // lookup finds its entry stale by generation and refreshes it locally.
+  translator.ResetStats();
+  double stale_ns = 0;
+  for (std::uint64_t round = 1; round <= kLookups / 1024; ++round) {
+    for (SegmentId s = 0; s < 1024; ++s) {
+      LMP_CHECK_OK(map.UpdateHome(
+          s, Location::OnServer(static_cast<int>((s + round) % 4))));
+    }
+    stale_ns += Timed([&] { Sweep(translator, 1024); });
   }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  AddRow(schemes, "stale", "two-step, stale after migration", stale_ns,
+         &translator.stats(), 0);
+
+  // Flat directory: the lookup is as cheap as a hit, but each one made by
+  // a server other than the directory's home crosses Link0.
+  const double flat_ns = Timed([&] {
+    for (std::uint64_t i = 0; i < kLookups; ++i) {
+      LMP_CHECK(map.Lookup(i % 1024).ok());
+    }
+  });
+  AddRow(schemes, "flat", "flat directory (remote)", flat_ns, nullptr,
+         fabric::LinkProfile::Link0().LoadedLatency(0));
+  schemes.Print();
+
+  // Hit rate against capacity over a cyclic sweep: an LRU smaller than the
+  // cycle evicts each entry just before its reuse.
+  std::printf("\n== Translation-cache hit rate, cyclic sweep over 4096 "
+              "segments x 16 passes ==\n");
+  TablePrinter sweep({"Cache entries", "Lookups", "Hits", "Hit rate"});
+  const core::SegmentMap sweep_map = MakeMap(4096);
+  for (const std::size_t capacity : {256, 1024, 4096}) {
+    AddressTranslator lru(&sweep_map, capacity);
+    for (int pass = 0; pass < 16; ++pass) Sweep(lru, 4096);
+    const core::TranslationStats& s = lru.stats();
+    sweep.AddRow({std::to_string(capacity), std::to_string(16 * 4096),
+                  std::to_string(s.hits), TablePrinter::Num(s.HitRate(), 4)});
+  }
+  sweep.Print();
   sidecar.Flush();
   return 0;
 }

@@ -38,10 +38,6 @@ class TraceSidecar {
         slo_path_(args.slo_out),
         postmortem_path_(args.postmortem_out) {}
 
-  // Legacy form; new benches parse Args once and share it.
-  TraceSidecar(int argc, char** argv)
-      : TraceSidecar(Args::Parse(argc, argv)) {}
-
   // Null when --trace-out was not given: emitters skip all work.
   trace::TraceCollector* collector() {
     return trace_path_.empty() ? nullptr : &collector_;

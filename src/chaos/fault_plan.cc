@@ -184,24 +184,6 @@ StatusOr<FaultEvent> ParseSpec(std::string_view spec) {
 
 }  // namespace
 
-std::string_view FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kServerCrash:
-      return "crash";
-    case FaultKind::kServerRecover:
-      return "recover";
-    case FaultKind::kLinkDegrade:
-      return "degrade";
-    case FaultKind::kLinkRestore:
-      return "restore";
-    case FaultKind::kLinkFlap:
-      return "flap";
-    case FaultKind::kRackFail:
-      return "rack";
-  }
-  return "unknown";
-}
-
 void FaultPlan::Add(FaultEvent event) {
   // Stable by time: ties keep insertion order, so a plan file's listing
   // order is the execution order within one instant.

@@ -45,8 +45,6 @@ enum class FaultKind {
   kRackFail,  // correlated crash of every listed server
 };
 
-std::string_view FaultKindName(FaultKind kind);
-
 struct FaultEvent {
   SimTime at = 0;
   FaultKind kind = FaultKind::kServerCrash;

@@ -11,16 +11,6 @@ SimTime LinkProfile::LoadedLatency(double utilization) const {
   return min_latency_ns + (max_latency_ns - min_latency_ns) * f;
 }
 
-LinkProfile LinkProfile::Degraded(double bandwidth_mult,
-                                  double latency_mult) const {
-  LinkProfile degraded = *this;
-  degraded.name = name + "-degraded";
-  degraded.bandwidth = bandwidth * std::clamp(bandwidth_mult, 0.0, 1.0);
-  degraded.min_latency_ns = min_latency_ns * std::max(latency_mult, 1.0);
-  degraded.max_latency_ns = max_latency_ns * std::max(latency_mult, 1.0);
-  return degraded;
-}
-
 LinkProfile LinkProfile::Link0() {
   return LinkProfile{"Link0", 163.0, 418.0, GBps(34.5)};
 }

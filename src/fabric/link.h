@@ -25,11 +25,6 @@ struct LinkProfile {
   // normalised so f(0)=0, f(1)=1 (documented in DESIGN.md §2).
   SimTime LoadedLatency(double utilization) const;
 
-  // A degraded copy of this profile: bandwidth scaled by `bandwidth_mult`
-  // (0, 1], latencies by `latency_mult` >= 1.  Used by the chaos layer to
-  // model a flaky or congested link without inventing a new calibration.
-  LinkProfile Degraded(double bandwidth_mult, double latency_mult) const;
-
   // --- Calibrated profiles (DESIGN.md §5) -------------------------------
 
   // Table 2, Link0: default UPI. 163–418 ns, 34.5 GB/s.

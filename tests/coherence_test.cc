@@ -94,19 +94,29 @@ TEST(CoherenceTest, RangeSpanningBlocksTouchesEach) {
   EXPECT_EQ(*msgs, 2);
 }
 
-TEST(CoherenceTest, FalseSharingAtLineGranularity) {
-  // Two hosts write adjacent 8-byte counters within one 64-byte line:
-  // line-granularity tracking ping-pongs; 8-byte tracking does not.
-  CoherenceDirectory line(1024, 64, 2);
-  CoherenceDirectory sub(1024, 8, 2);
+// Invalidations over 10 rounds in which host 0 writes the 8 bytes at 0 and
+// host 1 the 8 bytes at `host1_offset`.
+std::uint64_t PingPongInvalidations(Bytes granularity, Bytes host1_offset) {
+  CoherenceDirectory dir(1024, granularity, 2);
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(line.AcquireExclusive(0, 0, 8).ok());
-    ASSERT_TRUE(line.AcquireExclusive(1, 8, 8).ok());
-    ASSERT_TRUE(sub.AcquireExclusive(0, 0, 8).ok());
-    ASSERT_TRUE(sub.AcquireExclusive(1, 8, 8).ok());
+    EXPECT_TRUE(dir.AcquireExclusive(0, 0, 8).ok());
+    EXPECT_TRUE(dir.AcquireExclusive(1, host1_offset, 8).ok());
   }
-  EXPECT_GT(line.stats().invalidation_msgs, 15u);  // ping-pong every round
-  EXPECT_EQ(sub.stats().invalidation_msgs, 0u);    // disjoint blocks
+  return dir.stats().invalidation_msgs;
+}
+
+TEST(CoherenceTest, FalseSharingAtLineGranularity) {
+  // Adjacent counters: while one block holds both (64 B lines, 16 B blocks)
+  // each of the 20 writes but the first steals it; 8 B blocks do not.
+  EXPECT_EQ(PingPongInvalidations(64, 8), 19u);
+  EXPECT_EQ(PingPongInvalidations(16, 8), 19u);
+  EXPECT_EQ(PingPongInvalidations(8, 8), 0u);
+}
+
+TEST(CoherenceTest, TrueSharingPingPongsAtEveryGranularity) {
+  // The same word: no block size separates the two writers.
+  EXPECT_EQ(PingPongInvalidations(64, 0), 19u);
+  EXPECT_EQ(PingPongInvalidations(8, 0), 19u);
 }
 
 TEST(CoherenceTest, ReleaseHostDropsItsCopies) {

@@ -16,7 +16,6 @@
 #include "core/erasure.h"
 #include "core/lmp.h"
 #include "core/replication.h"
-#include "workloads/trace.h"
 
 namespace lmp {
 namespace {
@@ -195,7 +194,7 @@ TEST(EndToEndTest, RuntimeAdaptsToWorkloadShift) {
   EXPECT_DOUBLE_EQ(*frac, 1.0);
 }
 
-// --- Scenario: trace-driven balancing with the replayer --------------------
+// --- Scenario: Zipf-driven balancing --------------------------------------
 
 TEST(EndToEndTest, ZipfTraceBalancingImprovesLocality) {
   cluster::ClusterConfig config;
@@ -215,20 +214,37 @@ TEST(EndToEndTest, ZipfTraceBalancingImprovesLocality) {
     ASSERT_TRUE(buf.ok());
     buffers.push_back(*buf);
   }
-  workloads::TraceReplayer replayer(&manager, buffers);
-  const workloads::Trace trace = workloads::TraceGenerator::ZipfOverBuffers(
-      0, 8, MiB(1), KiB(64), 0.9, 2000, 11);
+  // 2000 Zipf(0.9) reads of 64 KiB chunks from server 0, which owns none
+  // of the buffers: the buffer and the chunk within it are both zipfian.
+  ZipfGenerator buffer_zipf(buffers.size(), 0.9, 11);
+  ZipfGenerator chunk_zipf(MiB(1) / KiB(64), 0.9, 11 ^ 0x9e3779b9);
+  std::vector<std::pair<core::BufferId, Bytes>> reads;
+  for (int i = 0; i < 2000; ++i) {
+    const core::BufferId buffer = buffers[buffer_zipf.Next()];
+    reads.emplace_back(buffer, chunk_zipf.Next() * KiB(64));
+  }
+  // Replays the reads at `now` (recording hotness) and returns the fraction
+  // of bytes homed on the reading server.
+  auto replay = [&](SimTime now) {
+    double local = 0;
+    for (const auto& [buffer, offset] : reads) {
+      auto spans = manager.Spans(buffer, offset, KiB(64));
+      EXPECT_TRUE(spans.ok() &&
+                  manager.Touch(0, buffer, offset, KiB(64), now).ok());
+      for (const core::LocatedSpan& span : spans.value_or({})) {
+        if (!span.location.is_pool() && span.location.server == 0) {
+          local += static_cast<double>(span.bytes);
+        }
+      }
+    }
+    return local / static_cast<double>(reads.size() * KiB(64));
+  };
 
-  auto before = replayer.Replay(trace, Seconds(1));
-  ASSERT_TRUE(before.ok());
-  EXPECT_DOUBLE_EQ(before->LocalFraction(), 0.0);
-
+  EXPECT_DOUBLE_EQ(replay(Seconds(1)), 0.0);
   for (int round = 0; round < 4; ++round) {
     ASSERT_TRUE(engine.RunOnce(Seconds(2)).ok());
   }
-  auto after = replayer.Replay(trace, Seconds(3));
-  ASSERT_TRUE(after.ok());
-  EXPECT_GT(after->LocalFraction(), 0.5);
+  EXPECT_GT(replay(Seconds(3)), 0.5);
 }
 
 // --- Scenario: erasure + migration interplay -------------------------------

@@ -1,4 +1,4 @@
-// Tests for mem/: frame allocator, LRU cache, backing store, NUMA matrix.
+// Tests for mem/: frame allocator, LRU cache, backing store.
 #include <gtest/gtest.h>
 
 #include <utility>
@@ -6,7 +6,6 @@
 #include "mem/backing_store.h"
 #include "mem/frame_allocator.h"
 #include "mem/lru_cache.h"
-#include "mem/numa.h"
 
 namespace lmp::mem {
 namespace {
@@ -578,29 +577,6 @@ TEST(BackingStoreTest, ReleaseDropsFramesWhichReadZerosAgain) {
   }
   store.Release(0, 4);  // absent frames are skipped
   EXPECT_EQ(store.resident_frames(), 0u);
-}
-
-// --- NumaDistanceMatrix ----------------------------------------------------------------
-
-TEST(NumaTest, SelfDistanceIsTen) {
-  NumaDistanceMatrix m(4);
-  EXPECT_EQ(m.Distance(2, 2), NumaDistanceMatrix::kSelfDistance);
-  EXPECT_EQ(m.Distance(0, 3), 20);
-}
-
-TEST(NumaTest, SetDistanceIsSymmetric) {
-  NumaDistanceMatrix m(4);
-  m.SetDistance(0, 1, 15);
-  EXPECT_EQ(m.Distance(0, 1), 15);
-  EXPECT_EQ(m.Distance(1, 0), 15);
-}
-
-TEST(NumaTest, NearestPrefersCloser) {
-  NumaDistanceMatrix m(4);
-  m.SetDistance(0, 2, 12);
-  m.SetDistance(0, 3, 40);
-  EXPECT_EQ(m.Nearest(0, {3, 2}), 2);
-  EXPECT_EQ(m.Nearest(0, {0, 2}), 0);  // self wins
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 # Usage: sim_identity.sh OLD_BUILD NEW_BUILD [SCRATCH_DIR] [BENCH...]
 #
 # OLD_BUILD and NEW_BUILD are CMake build directories of the two trees.
+# A third argument that names a bench in OLD_BUILD/bench starts the BENCH
+# list; any other third argument is the scratch directory.
 # Each bench under OLD_BUILD/bench (or each named BENCH) runs once per build
 # with the same sidecars, and these are compared:
 #   stdout   byte for byte;
@@ -20,15 +22,20 @@
 #            bench_scaling);
 #   trace    solver/rate_change instants (one per solve).
 # Benches that print host time on stdout are skipped unless named:
-# bench_solver, bench_frame_size, and the Google Benchmark microbenches
-# bench_coherence, bench_substrate and bench_translation.  Prints one line
-# per bench and exits 1 if any output differs.
+# bench_solver and bench_frame_size.  Prints one line per bench and exits 1
+# if any output differs, a run fails ("FAIL NAME"), or a bench runs in
+# OLD_BUILD but is missing from NEW_BUILD ("only-old NAME").  To compare across a change that adds
+# or rewrites benches, name the benches both builds share.
 set -eu
 
 old="$1"
 new="$2"
-scratch="${3:-${TMPDIR:-/tmp}/sim_identity}"
-if [ $# -ge 3 ]; then shift 3; else shift 2; fi
+shift 2
+scratch="${TMPDIR:-/tmp}/sim_identity"
+if [ $# -ge 1 ] && [ ! -x "$old/bench/$1" ]; then
+  scratch="$1"
+  shift
+fi
 
 if [ $# -eq 0 ]; then
   for path in "$old"/bench/bench_*; do
@@ -36,7 +43,6 @@ if [ $# -eq 0 ]; then
     name="$(basename "$path")"
     case "$name" in
       bench_solver|bench_frame_size) ;;
-      bench_coherence|bench_substrate|bench_translation) ;;
       *) set -- "$@" "$name" ;;
     esac
   done
@@ -69,16 +75,26 @@ EOF
 
 status=0
 for name in "$@"; do
+  if [ ! -x "$new/bench/$name" ]; then
+    echo "only-old $name"
+    status=1
+    continue
+  fi
   dir="$scratch/$name"
   mkdir -p "$dir"
+  rm -f "$dir"/*.raw
   for side in old new; do
     if [ "$side" = old ]; then build="$old"; else build="$new"; fi
-    "$build/bench/$name" \
+    if ! "$build/bench/$name" \
       --series-out="$dir/$side.series.raw" \
       --slo-out="$dir/$side.slo.raw" \
       --metrics-out="$dir/$side.metrics.raw" \
       --trace-out="$dir/$side.trace.raw" \
-      > "$dir/$side.stdout" 2> "$dir/$side.stderr"
+      > "$dir/$side.stdout" 2> "$dir/$side.stderr"; then
+      echo "FAIL  $name: $side run failed, see $dir/$side.stderr"
+      status=1
+      continue 2
+    fi
     for kind in series slo metrics trace; do
       canon "$kind" "$dir/$side.$kind.raw" "$dir/$side.$kind"
     done
