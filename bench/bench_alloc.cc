@@ -6,8 +6,7 @@
 // controller's HighestAllocatedEnd / AllocatedFramesFrom queries walk the
 // whole bitmap.  This bench keeps a faithful replica of that bitmap
 // allocator as the baseline and races it against the run-indexed
-// FrameAllocator driven through the AllocRequest API
-// (prefer_contiguous best-fit — the intended use of the redesign).
+// FrameAllocator's default (next-fit) policy on the same op sequence.
 //
 // Three fragmentation levels: the heap is filled to ~99.5% with random
 // objects, then 10% / 50% / 90% of them are freed and re-allocated at new
@@ -17,10 +16,9 @@
 // Everything on stdout is simulated/deterministic (op counts, placement
 // checksums, fragmentation, sizing-query answers); wall-clock throughput
 // and the speedup ratio go to stderr so the determinism canary can diff
-// stdout byte-for-byte.  A separate equivalence phase re-runs a churn
-// sequence through the run-indexed allocator's *default* policy and checks
-// its placement checksum against the bitmap replica — the drop-in
-// compatibility claim, executed at scale on every run.
+// stdout byte-for-byte.  At every level the run-index row must equal the
+// bitmap row (placement checksum, free runs, highest end, tail frames) —
+// the drop-in compatibility claim, checked at full scale on every run.
 //
 // Flags (besides the sidecar flags in args.h):
 //   --frames=N   region size in frames (default 1500000)
@@ -150,18 +148,12 @@ struct BitmapSide {
 };
 
 struct RunIndexSide {
-  // `contiguous` selects the redesigned placement (best-fit via the size
-  // buckets); false replays the legacy next-fit policy for the equivalence
-  // check.
-  RunIndexSide(std::uint64_t frames, bool contiguous, bool metrics)
-      : alloc(frames, mem::kDefaultFrameSize), contiguous_(contiguous) {
-    if (metrics) alloc.set_metrics(&MetricsRegistry::Global());
+  explicit RunIndexSide(std::uint64_t frames)
+      : alloc(frames, mem::kDefaultFrameSize) {
+    alloc.set_metrics(&MetricsRegistry::Global());
   }
   std::optional<std::vector<mem::FrameRun>> TryAlloc(std::uint64_t frames) {
-    mem::AllocRequest request;
-    request.frames = frames;
-    request.prefer_contiguous = contiguous_;
-    auto runs = alloc.Allocate(request);
+    auto runs = alloc.Allocate(mem::AllocRequest::Of(frames));
     if (!runs.ok()) return std::nullopt;
     return std::move(runs).value();
   }
@@ -177,7 +169,6 @@ struct RunIndexSide {
     return alloc.AllocatedFramesFrom(f);
   }
   mem::FrameAllocator alloc;
-  bool contiguous_;
 };
 
 // ---------------------------------------------------------------------------
@@ -300,42 +291,23 @@ std::string Hex(std::uint64_t v) {
   return buf;
 }
 
-// Drop-in equivalence: the run-indexed allocator's default policy must
-// place byte-identically to the bitmap next-fit on the same op sequence.
-void RunEquivalence(std::uint64_t frames) {
-  BitmapSide bitmap(frames);
-  RunIndexSide runidx(frames, /*contiguous=*/false, /*metrics=*/false);
-  const LevelResult a = RunLevel(bitmap, frames, 50, 2000, 0xE95EED);
-  const LevelResult b = RunLevel(runidx, frames, 50, 2000, 0xE95EED);
-  LMP_CHECK(a.checksum == b.checksum) << "default policy diverged";
-  LMP_CHECK(a.free_runs == b.free_runs);
-  LMP_CHECK(a.highest_end == b.highest_end);
-  LMP_CHECK(a.tail_frames == b.tail_frames);
-  std::printf(
-      "drop-in equivalence (default policy, %" PRIu64
-      " frames, 50%% churn): checksum %s, %" PRIu64 " free runs -- ok\n",
-      frames, Hex(a.checksum).c_str(), a.free_runs);
-}
-
-// Locus packing demo: two cohorts on one allocator; mobile frames pack
-// low, pinned frames pack high, the buffered locus serves small grabs
-// contiguously.
-void RunLociDemo() {
+// Cohort packing demo: mobile and pinned requests interleaved on one
+// allocator; mobile frames pack low, pinned frames pack high.
+void RunCohortDemo() {
   mem::FrameAllocator alloc(4096, mem::kDefaultFrameSize);
-  const mem::LocusId mobile = alloc.RegisterLocus(
-      mem::LocusSpec{"tenant/mobile", mem::Mobility::kMobile, 64});
-  const mem::LocusId pinned = alloc.RegisterLocus(
-      mem::LocusSpec{"tenant/pinned", mem::Mobility::kPinned, 64});
   Rng rng(0x10C1);
   std::vector<std::vector<mem::FrameRun>> held[2];
+  std::uint64_t allocs[2] = {0, 0};
+  std::uint64_t frames[2] = {0, 0};
   for (int round = 0; round < 400; ++round) {
-    const mem::LocusId locus = (round & 1) ? pinned : mobile;
     const int side = round & 1;
     mem::AllocRequest request;
     request.frames = 1 + rng.NextBounded(16);
-    request.locus = locus;
+    request.cohort = side ? mem::Mobility::kPinned : mem::Mobility::kMobile;
     auto runs = alloc.Allocate(request);
     LMP_CHECK(runs.ok());
+    ++allocs[side];
+    frames[side] += request.frames;
     held[side].push_back(std::move(runs).value());
     if (held[side].size() > 4 && rng.NextBernoulli(0.3)) {
       const std::uint64_t pick = rng.NextBounded(held[side].size());
@@ -352,19 +324,15 @@ void RunLociDemo() {
   for (const auto& obj : held[1]) {
     for (const auto& r : obj) pinned_min = std::min(pinned_min, r.first);
   }
-  const mem::LocusStats& ms = alloc.locus_stats(mobile);
-  const mem::LocusStats& ps = alloc.locus_stats(pinned);
   std::printf(
-      "locus packing (4096 frames, 400 interleaved grabs, 30%% churn):\n"
-      "  mobile: %" PRIu64 " allocs / %" PRIu64 " frames / %" PRIu64
-      " refills, max frame end %" PRIu64 "\n"
-      "  pinned: %" PRIu64 " allocs / %" PRIu64 " frames / %" PRIu64
-      " refills, min frame %" PRIu64 "\n"
-      "  cohorts disjoint (mobile below pinned): %s, buffered frames %"
-      PRIu64 "\n",
-      ms.allocs, ms.frames, ms.buffer_refills, mobile_max, ps.allocs,
-      ps.frames, ps.buffer_refills, pinned_min,
-      mobile_max <= pinned_min ? "yes" : "NO", alloc.buffered_frames());
+      "cohort packing (4096 frames, 400 interleaved grabs, 30%% churn):\n"
+      "  mobile: %" PRIu64 " allocs / %" PRIu64 " frames, max frame end %"
+      PRIu64 "\n"
+      "  pinned: %" PRIu64 " allocs / %" PRIu64 " frames, min frame %" PRIu64
+      "\n"
+      "  cohorts disjoint (mobile below pinned): %s\n",
+      allocs[0], frames[0], mobile_max, allocs[1], frames[1], pinned_min,
+      mobile_max <= pinned_min ? "yes" : "NO");
   LMP_CHECK(mobile_max <= pinned_min);
 }
 
@@ -401,11 +369,15 @@ int main(int argc, char** argv) {
     const std::uint64_t seed = 0xA110C000 + static_cast<std::uint64_t>(churn);
     BitmapSide bitmap(frames);
     const LevelResult bm = RunLevel(bitmap, frames, churn, ops_cap, seed);
-    RunIndexSide runidx(frames, /*contiguous=*/true, /*metrics=*/true);
+    RunIndexSide runidx(frames);
     const LevelResult ri = RunLevel(runidx, frames, churn, ops_cap, seed);
     LMP_CHECK(bm.objects == ri.objects && bm.timed_ops == ri.timed_ops);
     LMP_CHECK(bm.oom_skips == ri.oom_skips)
         << "capacity accounting diverged between implementations";
+    LMP_CHECK(bm.checksum == ri.checksum) << "default policy diverged";
+    LMP_CHECK(bm.free_runs == ri.free_runs);
+    LMP_CHECK(bm.highest_end == ri.highest_end);
+    LMP_CHECK(bm.tail_frames == ri.tail_frames);
     table.AddRow({std::to_string(churn) + "%", "bitmap-scan",
                   std::to_string(bm.objects), std::to_string(bm.timed_ops),
                   std::to_string(bm.oom_skips), std::to_string(bm.free_runs),
@@ -430,14 +402,12 @@ int main(int argc, char** argv) {
                min_speedup);
 
   std::printf("\n");
-  RunEquivalence(std::max<std::uint64_t>(frames / 8, 4096));
-  RunLociDemo();
+  RunCohortDemo();
   std::printf(
       "\nThe table is fully deterministic: placement checksums cover every\n"
-      "run handed out, the run-index rows show the best-fit policy's lower\n"
-      "external fragmentation, and the equivalence line proves the default\n"
-      "policy is a drop-in for the bitmap scan.  Wall-clock throughput and\n"
-      "the speedup ratios are on stderr.\n");
+      "run handed out, and each run-index row equals its bitmap row, so the\n"
+      "default policy is a drop-in for the bitmap scan.  Wall-clock\n"
+      "throughput and the speedup ratios are on stderr.\n");
   sidecar.Flush();
   return 0;
 }

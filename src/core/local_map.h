@@ -43,7 +43,6 @@ class LocalFrameMap {
   StatusOr<std::vector<mem::FrameRun>> RunsOf(SegmentId id) const;
 
   Bytes frame_size() const { return frame_size_; }
-  std::size_t segment_count() const { return map_.size(); }
 
  private:
   struct Binding {

@@ -23,11 +23,6 @@ PoolManager::PoolManager(cluster::Cluster* cluster,
   LMP_CHECK(cluster != nullptr);
 }
 
-void PoolManager::set_placement(std::unique_ptr<PlacementPolicy> policy) {
-  LMP_CHECK(policy != nullptr);
-  policy_ = std::move(policy);
-}
-
 LocalFrameMap& PoolManager::local_map(const Location& loc) {
   auto it = local_maps_.find(loc);
   if (it == local_maps_.end()) {
@@ -48,18 +43,13 @@ mem::BackingStore* PoolManager::BackingAt(const Location& loc) {
 
 namespace {
 
-// Resolve an AllocOptions cohort against one allocator: get-or-create the
-// named locus (registration order is deterministic per allocator) and
-// build the frame-level request.  Empty cohort = the default locus.
-mem::AllocRequest FrameRequestFor(mem::FrameAllocator& alloc,
-                                  std::uint64_t frames,
+// The frame-level request for an AllocOptions cohort: a named cohort
+// places by its mobility, an empty one keeps next-fit.
+mem::AllocRequest FrameRequestFor(std::uint64_t frames,
                                   const AllocOptions& options) {
   mem::AllocRequest request;
   request.frames = frames;
-  if (!options.locus.empty()) {
-    request.locus = alloc.RegisterLocus(
-        mem::LocusSpec{options.locus, options.mobility, /*buffer_frames=*/0});
-  }
+  if (!options.locus.empty()) request.cohort = options.mobility;
   return request;
 }
 
@@ -70,13 +60,12 @@ StatusOr<std::vector<mem::FrameRun>> PoolManager::AllocateFramesAt(
   const Bytes frame_size = cluster_->config().frame_size;
   const std::uint64_t frames = mem::FramesForBytes(bytes, frame_size);
   if (loc.is_pool()) {
-    auto& alloc = cluster_->pool().allocator();
-    return alloc.Allocate(FrameRequestFor(alloc, frames, options));
+    return cluster_->pool().allocator().Allocate(
+        FrameRequestFor(frames, options));
   }
   auto& srv = cluster_->server(loc.server);
   if (srv.crashed()) return UnavailableError("server crashed");
-  auto& alloc = srv.shared_allocator();
-  return alloc.Allocate(FrameRequestFor(alloc, frames, options));
+  return srv.shared_allocator().Allocate(FrameRequestFor(frames, options));
 }
 
 Status PoolManager::FreeFramesAt(const Location& loc,
@@ -642,10 +631,9 @@ StatusOr<MigrationRecord> PoolManager::CompactSegment(SegmentId seg,
   if (!past_cut) return MigrationRecord{seg, home, home, /*bytes=*/0};
 
   const std::uint64_t frames = mem::FramesForBytes(info->size, frame_size);
-  mem::AllocRequest request =
-      FrameRequestFor(srv.shared_allocator(), frames, CohortOf(*info));
-  request.bound = bound;
-  LMP_ASSIGN_OR_RETURN(auto dst_runs, srv.shared_allocator().Allocate(request));
+  LMP_ASSIGN_OR_RETURN(
+      auto dst_runs,
+      srv.shared_allocator().Allocate(mem::AllocRequest::Below(frames, bound)));
 
   info->state = SegmentState::kMigrating;
   const Status st =

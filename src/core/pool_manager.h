@@ -69,8 +69,8 @@ struct MigrationRecord {
 struct AllocOptions {
   // Server whose shared region placement should prefer.
   std::optional<cluster::ServerId> preferred;
-  // Allocation cohort name threaded down to mem::FrameAllocator loci;
-  // empty uses the default cohort (legacy next-fit placement).
+  // Allocation cohort name; a non-empty one places frames by `mobility`
+  // (mem::AllocRequest::cohort), empty uses legacy next-fit placement.
   std::string locus;
   mem::Mobility mobility = mem::Mobility::kMobile;
   // Tenant priority recorded on the segments; drains evict low first.
@@ -96,7 +96,6 @@ class PoolManager {
   const SegmentMap& segment_map() const { return segments_; }
   AccessTracker& access_tracker() { return tracker_; }
   PlacementPolicy& placement() { return *policy_; }
-  void set_placement(std::unique_ptr<PlacementPolicy> policy);
 
   // Allocation --------------------------------------------------------------
 
@@ -227,7 +226,7 @@ class PoolManager {
       const Location& loc, Bytes bytes, const AllocOptions& options = {});
 
   // The cohort a segment was allocated under, for re-homing paths that
-  // must keep it in the same locus at the destination.
+  // must keep it in the same cohort at the destination.
   static AllocOptions CohortOf(const SegmentInfo& info) {
     AllocOptions options;
     options.locus = info.locus;

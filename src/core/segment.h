@@ -48,9 +48,9 @@ struct SegmentInfo {
   std::uint64_t generation = 0;
   // Replica homes (excluding the primary).  Maintained by ReplicationManager.
   std::vector<Location> replicas;
-  // Allocation cohort (mem::LocusSpec name; empty = the default cohort).
-  // Carried so re-homing keeps the segment in the same cohort on the
-  // destination allocator.
+  // Allocation cohort name (empty = none, next-fit placement).  Carried so
+  // re-homing places the segment by the same cohort on the destination
+  // allocator.
   std::string locus;
   // Pinned segments pack high in their home allocator and are never chosen
   // as drain/compaction victims.

@@ -118,10 +118,10 @@ class AdmissionController {
 
   // PoolManager allocation options for a lease: preferred server (the
   // active attribution point, else the spec's preference), the tenant's
-  // per-cohort locus ("tenant/<name>"), mobility, and priority.  This is
-  // how admission identity reaches frame placement — allocate a lease's
+  // cohort name ("tenant/<name>"), mobility, and priority.  This is how
+  // admission identity reaches frame placement — allocate a lease's
   // buffers with `manager.Allocate(bytes, admission.AllocOptionsFor(lease))`
-  // and its frames land in a per-tenant cohort.
+  // and its frames are placed by the tenant's mobility.
   core::AllocOptions AllocOptionsFor(const Lease& lease) const;
 
   // The server a fresh activation would be attributed to.  Injected by the

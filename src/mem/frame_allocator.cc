@@ -1,7 +1,7 @@
 #include "mem/frame_allocator.h"
 
 #include <algorithm>
-#include <bit>
+#include <string>
 
 #include "common/logging.h"
 
@@ -24,18 +24,7 @@ FrameAllocator::FrameAllocator(std::uint64_t num_frames, Bytes frame_size)
     : num_frames_(num_frames), free_frames_(num_frames),
       frame_size_(frame_size) {
   LMP_CHECK(frame_size > 0);
-  if (num_frames > 0) {
-    free_runs_.emplace(0, num_frames);
-    buckets_[BucketOf(num_frames)].insert(0);
-  }
-  // The default locus: legacy next-fit placement, never buffered.
-  loci_.push_back(LocusState{LocusSpec{"", Mobility::kMobile, 0}, 0, 0, {}});
-  locus_by_name_.emplace("", kDefaultLocus);
-}
-
-unsigned FrameAllocator::BucketOf(std::uint64_t count) {
-  LMP_CHECK(count > 0);
-  return static_cast<unsigned>(std::bit_width(count) - 1);
+  if (num_frames > 0) free_runs_.emplace(0, num_frames);
 }
 
 void FrameAllocator::InsertFreeRun(FrameNumber start, std::uint64_t count) {
@@ -47,19 +36,16 @@ void FrameAllocator::InsertFreeRun(FrameNumber start, std::uint64_t count) {
     LMP_CHECK(prev->first + prev->second <= start)
         << "free-run insert overlaps an existing run";
     if (prev->first + prev->second == start) {  // coalesce left
-      buckets_[BucketOf(prev->second)].erase(prev->first);
       start = prev->first;
       count += prev->second;
       free_runs_.erase(prev);
     }
   }
   if (next != free_runs_.end() && start + count == next->first) {  // right
-    buckets_[BucketOf(next->second)].erase(next->first);
     count += next->second;
     free_runs_.erase(next);
   }
   free_runs_.emplace(start, count);
-  buckets_[BucketOf(count)].insert(start);
 }
 
 void FrameAllocator::CarveFreeRun(FrameNumber run_start, FrameNumber start,
@@ -68,53 +54,12 @@ void FrameAllocator::CarveFreeRun(FrameNumber run_start, FrameNumber start,
   LMP_CHECK(it != free_runs_.end()) << "carve from a missing free run";
   const std::uint64_t len = it->second;
   LMP_CHECK(start >= run_start && start + count <= run_start + len);
-  buckets_[BucketOf(len)].erase(run_start);
   free_runs_.erase(it);
   const std::uint64_t left = start - run_start;
   const std::uint64_t right = (run_start + len) - (start + count);
-  if (left > 0) {
-    free_runs_.emplace(run_start, left);
-    buckets_[BucketOf(left)].insert(run_start);
-  }
-  if (right > 0) {
-    free_runs_.emplace(start + count, right);
-    buckets_[BucketOf(right)].insert(start + count);
-  }
+  if (left > 0) free_runs_.emplace(run_start, left);
+  if (right > 0) free_runs_.emplace(start + count, right);
   free_frames_ -= count;
-}
-
-LocusId FrameAllocator::RegisterLocus(const LocusSpec& spec) {
-  auto it = locus_by_name_.find(spec.name);
-  if (it != locus_by_name_.end()) return it->second;
-  const LocusId id = static_cast<LocusId>(loci_.size());
-  loci_.push_back(LocusState{spec, 0, 0, {}});
-  locus_by_name_.emplace(spec.name, id);
-  return id;
-}
-
-const LocusSpec& FrameAllocator::locus_spec(LocusId id) const {
-  LMP_CHECK(id < loci_.size());
-  return loci_[id].spec;
-}
-
-const LocusStats& FrameAllocator::locus_stats(LocusId id) const {
-  LMP_CHECK(id < loci_.size());
-  return loci_[id].stats;
-}
-
-std::uint64_t FrameAllocator::buffered_frames() const {
-  std::uint64_t total = 0;
-  for (const LocusState& locus : loci_) total += locus.buf_end - locus.buf_next;
-  return total;
-}
-
-void FrameAllocator::FlushLocusBuffers() {
-  for (LocusState& locus : loci_) {
-    if (locus.buf_next < locus.buf_end) {
-      InsertFreeRun(locus.buf_next, locus.buf_end - locus.buf_next);
-    }
-    locus.buf_next = locus.buf_end = 0;
-  }
 }
 
 // Reproduces the original next-fit bitmap scan exactly: free frames are
@@ -214,128 +159,23 @@ StatusOr<std::vector<FrameRun>> FrameAllocator::FitDescending(
   return runs;
 }
 
-std::optional<FrameRun> FrameAllocator::TakeContiguous(std::uint64_t frames,
-                                                       Mobility mobility,
-                                                       bool directional) {
-  if (frames == 0 || frames > free_frames_) return std::nullopt;
-  // Only the request's own size class can contain runs that are too
-  // short; every run in a higher bucket qualifies.
-  const unsigned first_bucket = BucketOf(frames);
-  std::optional<FrameNumber> best;
-  for (unsigned b = first_bucket; b < buckets_.size(); ++b) {
-    const std::set<FrameNumber>& bucket = buckets_[b];
-    if (mobility == Mobility::kMobile) {
-      // Lowest qualifying run in this bucket (starts ascend in the set).
-      for (FrameNumber start : bucket) {
-        if (best.has_value() && start >= *best) break;
-        if (free_runs_.at(start) < frames) continue;
-        best = start;
-        break;
-      }
-    } else {
-      // Highest qualifying run in this bucket.
-      for (auto it = bucket.rbegin(); it != bucket.rend(); ++it) {
-        if (best.has_value() && *it <= *best) break;
-        if (free_runs_.at(*it) < frames) continue;
-        best = *it;
-        break;
-      }
-    }
-    // Best fit: stop at the snuggest size class that had a qualifying
-    // run.  Directional: keep looking — a bigger run further out in the
-    // packing direction wins over a snug one in the middle.
-    if (!directional && best.has_value()) break;
-  }
-  if (!best.has_value()) return std::nullopt;
-  const FrameNumber start = *best;
-  const std::uint64_t len = free_runs_.at(start);
-  if (mobility == Mobility::kMobile) {
-    CarveFreeRun(start, start, frames);
-    return FrameRun{start, frames};
-  }
-  CarveFreeRun(start, start + len - frames, frames);
-  return FrameRun{start + len - frames, frames};
-}
-
-StatusOr<std::vector<FrameRun>> FrameAllocator::AllocateInLocus(
-    const AllocRequest& request, LocusState& locus) {
-  const std::uint64_t frames = request.frames;
-  const Mobility mobility = locus.spec.mobility;
-
-  // Bump-pointer buffered path: small grabs come out of a per-locus
-  // contiguous reservation, amortizing index work and keeping cohort data
-  // clustered.  Mobile buffers bump upward, pinned buffers bump downward —
-  // the same outward packing the unbuffered policies produce.
-  if (locus.spec.buffer_frames > 0 && frames <= locus.spec.buffer_frames &&
-      !request.prefer_contiguous) {
-    if (locus.buf_end - locus.buf_next < frames) {
-      if (locus.buf_next < locus.buf_end) {  // flush the stub, then refill
-        InsertFreeRun(locus.buf_next, locus.buf_end - locus.buf_next);
-        locus.buf_next = locus.buf_end = 0;
-      }
-      if (auto chunk = TakeContiguous(locus.spec.buffer_frames, mobility,
-                                      /*directional=*/true)) {
-        locus.buf_next = chunk->first;
-        locus.buf_end = chunk->end();
-        ++locus.stats.buffer_refills;
-        if (metrics_ != nullptr) metrics_->Increment("mem.alloc.refills");
-      }
-    }
-    if (locus.buf_end - locus.buf_next >= frames) {
-      FrameRun run;
-      if (mobility == Mobility::kMobile) {
-        run = FrameRun{locus.buf_next, frames};
-        locus.buf_next += frames;
-      } else {
-        run = FrameRun{locus.buf_end - frames, frames};
-        locus.buf_end -= frames;
-      }
-      if (metrics_ != nullptr) metrics_->Increment("mem.alloc.buffered");
-      return std::vector<FrameRun>{run};
-    }
-    // No contiguous chunk for a refill: fall through and scatter.
-  }
-
-  if (request.prefer_contiguous) {
-    if (auto run = TakeContiguous(frames, mobility, /*directional=*/true)) {
-      if (metrics_ != nullptr) metrics_->Increment("mem.alloc.contiguous");
-      return std::vector<FrameRun>{*run};
-    }
-  }
-  return mobility == Mobility::kMobile ? FitAscending(frames, num_frames_)
-                                       : FitDescending(frames);
-}
-
 StatusOr<std::vector<FrameRun>> FrameAllocator::Allocate(
     const AllocRequest& request) {
-  if (request.locus >= loci_.size()) {
-    return InvalidArgumentError("unknown locus");
-  }
   if (request.frames == 0) return std::vector<FrameRun>{};
 
   StatusOr<std::vector<FrameRun>> runs_or = [&] {
+    // Bounded requests override the cohort: compaction needs the frames
+    // below the cut wherever they are.
     if (request.bound.has_value()) {
-      // Bounded requests override cohort placement: compaction needs the
-      // frames below the cut wherever they are.
       return FitAscending(request.frames, *request.bound);
     }
-    if (request.locus == kDefaultLocus) {
-      if (request.prefer_contiguous) {
-        if (auto run = TakeContiguous(request.frames, Mobility::kMobile,
-                                      /*directional=*/false)) {
-          if (metrics_ != nullptr) metrics_->Increment("mem.alloc.contiguous");
-          return StatusOr<std::vector<FrameRun>>(std::vector<FrameRun>{*run});
-        }
-      }
-      return NextFit(request.frames);
-    }
-    return AllocateInLocus(request, loci_[request.locus]);
+    if (!request.cohort.has_value()) return NextFit(request.frames);
+    return *request.cohort == Mobility::kMobile
+               ? FitAscending(request.frames, num_frames_)
+               : FitDescending(request.frames);
   }();
   if (!runs_or.ok()) return runs_or;
 
-  LocusStats& stats = loci_[request.locus].stats;
-  ++stats.allocs;
-  stats.frames += request.frames;
   if (metrics_ != nullptr) {
     metrics_->Increment("mem.alloc.requests");
     metrics_->Increment("mem.alloc.frames", request.frames);
@@ -365,13 +205,6 @@ Status FrameAllocator::Free(const std::vector<FrameRun>& runs) {
     }
     if (it != free_runs_.end() && it->first < r.end()) {
       return InvalidArgumentError("double free of frame");
-    }
-    // Frames parked in a locus buffer were never handed out.
-    for (const LocusState& locus : loci_) {
-      if (locus.buf_next < locus.buf_end && r.first < locus.buf_end &&
-          locus.buf_next < r.end()) {
-        return InvalidArgumentError("freeing reserved locus-buffer frame");
-      }
     }
   }
   // Overlap within the request itself is also a double free (the bitmap
@@ -407,9 +240,6 @@ Status FrameAllocator::Resize(std::uint64_t new_num_frames) {
     num_frames_ = new_num_frames;
     return Status::Ok();
   }
-  // Unconsumed reservations would read as allocated tail frames; give them
-  // back before judging the cut.
-  FlushLocusBuffers();
   // The tail [new_num_frames, num_frames_) must be one free piece: a run
   // covering the cut and reaching the end of the region.
   auto it = free_runs_.upper_bound(new_num_frames);

@@ -9,29 +9,22 @@
 // out of the allocator rather than being hard-coded.
 //
 // Internally the allocator is run-indexed: free space lives in an ordered
-// map of coalescing free runs keyed by start frame, with a size-bucketed
-// index (runs grouped by floor(log2(length))) for best-fit lookups.
-// Allocate/Free are amortized O(runs · log n); HighestAllocatedEnd and
-// AllocatedFramesFrom are queries over the run set instead of bitmap
-// scans.  The default placement policy byte-for-byte reproduces the
-// original next-fit bitmap scan, so identical request sequences produce
-// identical frame layouts.
+// map of coalescing free runs keyed by start frame.  Allocate/Free are
+// amortized O(runs · log n); HighestAllocatedEnd and AllocatedFramesFrom
+// are queries over the run set instead of bitmap scans.  The default
+// placement policy byte-for-byte reproduces the original next-fit bitmap
+// scan, so identical request sequences produce identical frame layouts.
 //
-// Loci (MPS-style allocation cohorts): callers may register named cohorts
-// carrying a mobility hint.  Mobile cohorts pack low (first-fit ascending —
-// cheap future CompactSegment/shrink cuts), pinned cohorts pack high
-// (first-fit descending from the top of the region), and each locus may
-// reserve a bump-pointer buffer so small grabs are amortized O(1) and land
-// contiguously.  The default locus (id 0) keeps the legacy next-fit policy
-// and never buffers.
+// Placement is a function of the request alone.  A request may name a
+// cohort mobility: mobile cohorts pack low (first-fit ascending — cheap
+// future CompactSegment/shrink cuts), pinned cohorts pack high (first-fit
+// descending from the top of the region).  No cohort keeps the legacy
+// next-fit policy.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
-#include <string>
 #include <vector>
 
 #include "common/metrics.h"
@@ -49,33 +42,9 @@ struct FrameRun {
   friend bool operator==(const FrameRun&, const FrameRun&) = default;
 };
 
-// Allocation cohorts.  Id 0 is the always-present default locus (legacy
-// next-fit placement, unbuffered); ids are dense and assigned in
-// registration order, so identical registration sequences give identical
-// ids — determinism does not depend on names hashing anywhere.
-using LocusId = std::uint32_t;
-inline constexpr LocusId kDefaultLocus = 0;
-
 enum class Mobility : std::uint8_t {
   kMobile,  // may be compacted/migrated; packs low
   kPinned,  // never moved by drains; packs high, away from shrink cuts
-};
-
-struct LocusSpec {
-  std::string name;
-  Mobility mobility = Mobility::kMobile;
-  // Frames reserved per bump-pointer refill; 0 disables buffering and the
-  // locus falls back to unbuffered first-fit (ascending or descending per
-  // mobility).  Requests larger than the buffer always bypass it.
-  std::uint64_t buffer_frames = 0;
-};
-
-// Cumulative per-locus counters (monotonic; frames freed later still count
-// as allocated-through-the-locus here).
-struct LocusStats {
-  std::uint64_t allocs = 0;
-  std::uint64_t frames = 0;
-  std::uint64_t buffer_refills = 0;
 };
 
 // One request struct instead of a growing tail of positional parameters:
@@ -86,12 +55,11 @@ struct AllocRequest {
   // When set, every frame must land strictly below `bound` (first-fit from
   // frame 0): the compaction primitive.  A shrink to `bound` frames needs
   // live data packed below the cut; default next-fit can land anywhere,
-  // this cannot.  The next-fit hint is untouched.  Overrides locus policy.
+  // this cannot.  The next-fit hint is untouched.  Overrides the cohort.
   std::optional<FrameNumber> bound;
-  LocusId locus = kDefaultLocus;
-  // Try a single contiguous run via the size-bucketed best-fit index
-  // before falling back to the locus policy (which may scatter).
-  bool prefer_contiguous = false;
+  // Cohort placement: unset is next-fit, kMobile first-fit ascending,
+  // kPinned first-fit descending (the high end of each run).
+  std::optional<Mobility> cohort;
 
   static AllocRequest Of(std::uint64_t frames) {
     AllocRequest request;
@@ -110,13 +78,6 @@ class FrameAllocator {
  public:
   FrameAllocator(std::uint64_t num_frames, Bytes frame_size);
 
-  // Registers (or looks up, by name) an allocation cohort.  Re-registering
-  // an existing name returns the original id; the spec is not updated.
-  LocusId RegisterLocus(const LocusSpec& spec);
-  const LocusSpec& locus_spec(LocusId id) const;
-  const LocusStats& locus_stats(LocusId id) const;
-  std::size_t num_loci() const { return loci_.size(); }
-
   // Allocates exactly `request.frames` frames, as few runs as the placement
   // policy finds.  Fails with kOutOfMemory when they cannot be found (for
   // bounded requests: below the bound).  Placement is computed against the
@@ -124,15 +85,14 @@ class FrameAllocator {
   // so failure never mutates state — there is no partial grab to roll back.
   StatusOr<std::vector<FrameRun>> Allocate(const AllocRequest& request);
 
-  // Frees previously allocated runs.  Double-free (any frame already free,
-  // sitting in a locus buffer, or repeated within `runs`) is an error and
-  // leaves state untouched.  O(runs · log n) via the run index.
+  // Frees previously allocated runs.  Double-free (any frame already free
+  // or repeated within `runs`) is an error and leaves state untouched.
+  // O(runs · log n) via the run index.
   Status Free(const std::vector<FrameRun>& runs);
 
   // Grow/shrink the managed frame count (shared-region resizing, §5).
-  // Shrinking flushes locus buffers (unconsumed reservations return to the
-  // free index), then fails with kFailedPrecondition if any frame in the
-  // removed tail is still allocated.
+  // Shrinking fails with kFailedPrecondition if any frame in the removed
+  // tail is still allocated.
   Status Resize(std::uint64_t new_num_frames);
 
   std::uint64_t num_frames() const { return num_frames_; }
@@ -145,13 +105,6 @@ class FrameAllocator {
   // Number of runs in the free index — the external fragmentation measure
   // bench_alloc reports.
   std::size_t free_run_count() const { return free_runs_.size(); }
-
-  // Frames reserved into locus bump buffers but not yet handed out.  They
-  // read as allocated (not in the free index) until flushed.
-  std::uint64_t buffered_frames() const;
-
-  // Returns unconsumed locus-buffer reservations to the free index.
-  void FlushLocusBuffers();
 
   bool IsAllocated(FrameNumber f) const;
 
@@ -171,23 +124,12 @@ class FrameAllocator {
   void set_metrics(MetricsRegistry* registry) { metrics_ = registry; }
 
  private:
-  struct LocusState {
-    LocusSpec spec;
-    // Unconsumed bump-pointer reservation [buf_next, buf_end); empty when
-    // buf_next == buf_end.  Reserved frames are absent from the free index.
-    FrameNumber buf_next = 0;
-    FrameNumber buf_end = 0;
-    LocusStats stats;
-  };
-
   // Free-run index maintenance.  Insert coalesces with both neighbours;
   // Carve removes [start, start+count) from the run at `run_start`,
-  // splitting when the cut is interior.  Both keep the size buckets and
-  // free_frames_ in sync.
+  // splitting when the cut is interior.  Both keep free_frames_ in sync.
   void InsertFreeRun(FrameNumber start, std::uint64_t count);
   void CarveFreeRun(FrameNumber run_start, FrameNumber start,
                     std::uint64_t count);
-  static unsigned BucketOf(std::uint64_t count);
 
   // Placement policies.  All compute the full take list against the free
   // index and commit only on success.
@@ -195,28 +137,14 @@ class FrameAllocator {
   StatusOr<std::vector<FrameRun>> FitAscending(std::uint64_t frames,
                                                FrameNumber bound);
   StatusOr<std::vector<FrameRun>> FitDescending(std::uint64_t frames);
-  // Single contiguous run via the bucket index; nullopt when no run fits.
-  // `directional` makes address direction dominate (mobile: lowest
-  // qualifying run, pinned: highest) — the cohort-packing invariant —
-  // while non-directional picks the snuggest size class first (best fit,
-  // the default-locus prefer_contiguous policy).
-  std::optional<FrameRun> TakeContiguous(std::uint64_t frames,
-                                         Mobility mobility, bool directional);
-  StatusOr<std::vector<FrameRun>> AllocateInLocus(const AllocRequest& request,
-                                                  LocusState& locus);
 
   std::uint64_t num_frames_;
   std::uint64_t free_frames_;
   Bytes frame_size_;
-  FrameNumber hint_ = 0;  // next-fit start position (default locus)
+  FrameNumber hint_ = 0;  // next-fit start position
 
   // start frame -> run length; runs never touch (coalesced on insert).
   std::map<FrameNumber, std::uint64_t> free_runs_;
-  // Run start frames grouped by floor(log2(length)): the best-fit index.
-  std::array<std::set<FrameNumber>, 64> buckets_;
-
-  std::vector<LocusState> loci_;  // [0] = default locus
-  std::map<std::string, LocusId> locus_by_name_;
 
   MetricsRegistry* metrics_ = nullptr;
 };

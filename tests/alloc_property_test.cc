@@ -1,7 +1,7 @@
 // Property/fuzz tests for the run-indexed FrameAllocator: random
 // Allocate/Free/Resize/bounded-allocation sequences are cross-checked
 // against a reference bitmap model (the pre-run-index implementation's
-// semantics, kept here as the executable spec), and locus placement is
+// semantics, kept here as the executable spec), and cohort placement is
 // checked against per-frame first-fit models plus the packing invariant
 // (mobile cohorts stay below pinned cohorts).
 #include <gtest/gtest.h>
@@ -17,18 +17,17 @@
 namespace lmp::mem {
 namespace {
 
-// Request builders the tests use; keeps call sites one-liners without
+// Request builder the tests use; keeps call sites one-liners without
 // tripping -Wmissing-field-initializers on the skipped optional fields.
-AllocRequest InLocus(std::uint64_t frames, LocusId locus) {
-  AllocRequest request;
-  request.frames = frames;
-  request.locus = locus;
+AllocRequest InCohort(std::uint64_t frames, Mobility cohort) {
+  AllocRequest request = AllocRequest::Of(frames);
+  request.cohort = cohort;
   return request;
 }
 
 // The executable spec: a per-frame bitmap with the exact semantics of the
 // original FrameAllocator (next-fit scan with a wrapping hint, first-fit
-// below a bound) plus per-frame models of the locus policies (first-fit
+// below a bound) plus per-frame models of the cohort policies (first-fit
 // ascending for mobile, descending-from-the-top for pinned).
 class ReferenceBitmap {
  public:
@@ -72,12 +71,12 @@ class ReferenceBitmap {
     return runs;
   }
 
-  // Mobile-locus model: the lowest `frames` free frames.
+  // Mobile-cohort model: the lowest `frames` free frames.
   std::optional<std::vector<FrameRun>> FitLow(std::uint64_t frames) {
     return FitBelow(frames, bitmap_.size());
   }
 
-  // Pinned-locus model: the highest `frames` free frames, taken in
+  // Pinned-cohort model: the highest `frames` free frames, taken in
   // descending order (runs coalesce downward).
   std::optional<std::vector<FrameRun>> FitHigh(std::uint64_t frames) {
     if (frames == 0) return std::vector<FrameRun>{};
@@ -201,7 +200,7 @@ void CheckAgreement(const FrameAllocator& alloc, const ReferenceBitmap& model,
             model.AllocatedFramesFrom(probe));
 }
 
-// Random Allocate/Free/Resize/bounded sequences on the default locus: the
+// Random Allocate/Free/Resize/bounded sequences with no cohort: the
 // new allocator must be frame-for-frame identical to the bitmap spec,
 // including run order and the next-fit hint trajectory.
 TEST(AllocPropertyTest, DefaultLocusMatchesBitmapSpecExactly) {
@@ -248,24 +247,32 @@ TEST(AllocPropertyTest, DefaultLocusMatchesBitmapSpecExactly) {
   }
 }
 
-// Unbuffered loci against the per-frame models: mobile takes the lowest
-// free frames, pinned the highest.
+// Cohorts against the per-frame models: mobile takes the lowest free
+// frames, pinned the highest, and next-fit requests interleaved on the
+// same allocator keep their own hint trajectory.
 TEST(AllocPropertyTest, LocusPlacementMatchesFirstFitModels) {
   Rng rng(0x10C05);
   FrameAllocator alloc(512, KiB(4));
   ReferenceBitmap model(512);
-  const LocusId mobile = alloc.RegisterLocus({"m", Mobility::kMobile});
-  const LocusId pinned = alloc.RegisterLocus({"p", Mobility::kPinned});
   std::vector<std::vector<FrameRun>> live;
 
   for (int step = 0; step < 6000; ++step) {
     const std::uint64_t dice = rng.NextBounded(10);
     if (dice < 5) {
-      const bool low = rng.NextBernoulli(0.5);
+      const std::uint64_t policy = rng.NextBounded(3);
       const std::uint64_t frames = rng.NextBounded(32) + 1;
-      auto got = alloc.Allocate(
-          InLocus(frames, low ? mobile : pinned));
-      auto want = low ? model.FitLow(frames) : model.FitHigh(frames);
+      AllocRequest request = AllocRequest::Of(frames);
+      std::optional<std::vector<FrameRun>> want;
+      if (policy == 0) {
+        request.cohort = Mobility::kMobile;
+        want = model.FitLow(frames);
+      } else if (policy == 1) {
+        request.cohort = Mobility::kPinned;
+        want = model.FitHigh(frames);
+      } else {
+        want = model.NextFit(frames);
+      }
+      auto got = alloc.Allocate(request);
       ASSERT_EQ(got.ok(), want.has_value()) << "step " << step;
       if (got.ok()) {
         ASSERT_EQ(Sorted(*got), Sorted(*want)) << "step " << step;
@@ -289,15 +296,10 @@ TEST(AllocPropertyTest, LocusPlacementMatchesFirstFitModels) {
 
 // The packing invariant: while the two cohorts' footprints stay clear of
 // the midpoint, every mobile frame sits below every pinned frame — under
-// churn, not just on a fresh allocator.  Buffered loci included: the
-// reservations bump outward exactly like the unbuffered policies.
+// churn, not just on a fresh allocator.
 TEST(AllocPropertyTest, MobileStaysBelowPinnedUnderChurn) {
   Rng rng(0xB0D1);
   FrameAllocator alloc(1024, KiB(4));
-  const LocusId mobile =
-      alloc.RegisterLocus({"m", Mobility::kMobile, /*buffer_frames=*/16});
-  const LocusId pinned =
-      alloc.RegisterLocus({"p", Mobility::kPinned, /*buffer_frames=*/16});
   struct Held {
     std::vector<FrameRun> runs;
     std::uint64_t frames = 0;
@@ -306,16 +308,16 @@ TEST(AllocPropertyTest, MobileStaysBelowPinnedUnderChurn) {
   std::vector<Held> live;
   std::uint64_t mobile_frames = 0;
   std::uint64_t pinned_frames = 0;
-  const std::uint64_t kBudget = 300;  // per cohort, buffers included
+  const std::uint64_t kBudget = 300;  // per cohort
 
   for (int step = 0; step < 8000; ++step) {
     const bool is_mobile = rng.NextBernoulli(0.5);
     std::uint64_t& held = is_mobile ? mobile_frames : pinned_frames;
     if (rng.NextBernoulli(0.6)) {
       const std::uint64_t frames = rng.NextBounded(24) + 1;
-      if (held + frames + 16 > kBudget) continue;  // +16: a buffer refill
-      auto runs = alloc.Allocate(
-          InLocus(frames, is_mobile ? mobile : pinned));
+      if (held + frames > kBudget) continue;
+      auto runs = alloc.Allocate(InCohort(
+          frames, is_mobile ? Mobility::kMobile : Mobility::kPinned));
       ASSERT_TRUE(runs.ok()) << "step " << step;
       live.push_back(Held{*runs, frames, is_mobile});
       held += frames;
@@ -351,45 +353,6 @@ TEST(AllocPropertyTest, MobileStaysBelowPinnedUnderChurn) {
       ASSERT_LT(mobile_max, pinned_min) << "step " << step;
     }
   }
-}
-
-// Buffered allocation accounting: free/used/buffered always reconcile,
-// and every handed-out frame reads as allocated.
-TEST(AllocPropertyTest, BufferedAccountingReconciles) {
-  Rng rng(0xBF01);
-  FrameAllocator alloc(256, KiB(4));
-  const LocusId id =
-      alloc.RegisterLocus({"b", Mobility::kMobile, /*buffer_frames=*/8});
-  std::vector<std::vector<FrameRun>> live;
-  std::uint64_t handed_out = 0;
-
-  for (int step = 0; step < 4000; ++step) {
-    if (rng.NextBernoulli(0.55) && handed_out + 8 < 200) {
-      const std::uint64_t frames = rng.NextBounded(6) + 1;
-      auto runs = alloc.Allocate(InLocus(frames, id));
-      ASSERT_TRUE(runs.ok()) << "step " << step;
-      for (const FrameRun& r : *runs) {
-        for (FrameNumber f = r.first; f < r.end(); ++f) {
-          ASSERT_TRUE(alloc.IsAllocated(f)) << "step " << step;
-        }
-      }
-      live.push_back(*runs);
-      handed_out += frames;
-    } else if (!live.empty()) {
-      const std::size_t pick = rng.NextBounded(live.size());
-      std::uint64_t freed = 0;
-      for (const FrameRun& r : live[pick]) freed += r.count;
-      ASSERT_TRUE(alloc.Free(live[pick]).ok()) << "step " << step;
-      handed_out -= freed;
-      live[pick] = live.back();
-      live.pop_back();
-    }
-    ASSERT_EQ(alloc.free_frames() + alloc.buffered_frames() + handed_out,
-              alloc.num_frames())
-        << "step " << step;
-  }
-  alloc.FlushLocusBuffers();
-  ASSERT_EQ(alloc.free_frames() + handed_out, alloc.num_frames());
 }
 
 }  // namespace

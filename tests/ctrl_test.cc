@@ -567,7 +567,7 @@ TEST(AdmissionTest, AllocOptionsCarryTenantIdentity) {
   ASSERT_TRUE(lease.ok());
   ASSERT_EQ(lease->state, LeaseState::kActive);
 
-  // Active lease: the attribution server, the per-tenant locus, and the
+  // Active lease: the attribution server, the per-tenant cohort, and the
   // spec's mobility/priority flow into frame placement.
   const core::AllocOptions options = adm.AllocOptionsFor(*lease);
   EXPECT_EQ(options.preferred, std::optional<cluster::ServerId>(3));

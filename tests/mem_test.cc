@@ -10,19 +10,11 @@
 namespace lmp::mem {
 namespace {
 
-// Request builders the tests use; keeps call sites one-liners without
+// Request builder the tests use; keeps call sites one-liners without
 // tripping -Wmissing-field-initializers on the skipped optional fields.
-AllocRequest InLocus(std::uint64_t frames, LocusId locus) {
-  AllocRequest request;
-  request.frames = frames;
-  request.locus = locus;
-  return request;
-}
-
-AllocRequest Contiguous(std::uint64_t frames) {
-  AllocRequest request;
-  request.frames = frames;
-  request.prefer_contiguous = true;
+AllocRequest InCohort(std::uint64_t frames, Mobility cohort) {
+  AllocRequest request = AllocRequest::Of(frames);
+  request.cohort = cohort;
   return request;
 }
 
@@ -183,7 +175,7 @@ TEST(FrameAllocatorTest, BoundedShortageLeavesStateUntouched) {
 
 
 TEST(FrameAllocatorTest, DefaultPlacementMatchesLegacyNextFit) {
-  // The default locus reproduces the bitmap-era next-fit scan exactly:
+  // A request with no cohort reproduces the bitmap-era next-fit scan exactly:
   // frames are taken in scan order from the hint, wrapping once.
   FrameAllocator alloc(8, KiB(4));
   auto a = alloc.Allocate(AllocRequest::Of(3));  // 0..2
@@ -238,96 +230,26 @@ TEST(FrameAllocatorTest, OverlappingRunsInOneFreeRejected) {
 
 TEST(FrameAllocatorTest, MobileLocusPacksLowPinnedPacksHigh) {
   FrameAllocator alloc(100, KiB(4));
-  const LocusId mobile = alloc.RegisterLocus({"tenant/a", Mobility::kMobile});
-  const LocusId pinned = alloc.RegisterLocus({"tenant/b", Mobility::kPinned});
-  auto lo = alloc.Allocate(InLocus(10, mobile));
-  auto hi = alloc.Allocate(InLocus(10, pinned));
+  auto lo = alloc.Allocate(InCohort(10, Mobility::kMobile));
+  auto hi = alloc.Allocate(InCohort(10, Mobility::kPinned));
   ASSERT_TRUE(lo.ok() && hi.ok());
   EXPECT_EQ((*lo)[0], (FrameRun{0, 10}));
   EXPECT_EQ((*hi)[0], (FrameRun{90, 10}));
   // The cohorts keep packing outward on subsequent grabs.
-  auto lo2 = alloc.Allocate(InLocus(5, mobile));
-  auto hi2 = alloc.Allocate(InLocus(5, pinned));
+  auto lo2 = alloc.Allocate(InCohort(5, Mobility::kMobile));
+  auto hi2 = alloc.Allocate(InCohort(5, Mobility::kPinned));
   ASSERT_TRUE(lo2.ok() && hi2.ok());
   EXPECT_EQ((*lo2)[0], (FrameRun{10, 5}));
   EXPECT_EQ((*hi2)[0], (FrameRun{85, 5}));
 }
 
-TEST(FrameAllocatorTest, RegisterLocusIsGetOrCreate) {
+TEST(FrameAllocatorTest, BoundOverridesCohort) {
   FrameAllocator alloc(100, KiB(4));
-  const LocusId a = alloc.RegisterLocus({"tenant/a", Mobility::kPinned});
-  const LocusId again = alloc.RegisterLocus({"tenant/a", Mobility::kMobile});
-  EXPECT_EQ(a, again);
-  EXPECT_EQ(alloc.locus_spec(a).mobility, Mobility::kPinned);  // first wins
-  EXPECT_EQ(alloc.RegisterLocus({""}), kDefaultLocus);
-}
-
-TEST(FrameAllocatorTest, BufferedLocusServesContiguousSmallGrabs) {
-  FrameAllocator alloc(100, KiB(4));
-  const LocusId id = alloc.RegisterLocus(
-      {"tenant/buf", Mobility::kMobile, /*buffer_frames=*/16});
-  auto a = alloc.Allocate(InLocus(3, id));
-  auto b = alloc.Allocate(InLocus(3, id));
-  ASSERT_TRUE(a.ok() && b.ok());
-  // Both grabs bump within one 16-frame reservation: contiguous frames,
-  // one refill, and the reservation reads as allocated.
-  EXPECT_EQ((*a)[0], (FrameRun{0, 3}));
-  EXPECT_EQ((*b)[0], (FrameRun{3, 3}));
-  EXPECT_EQ(alloc.locus_stats(id).buffer_refills, 1u);
-  EXPECT_EQ(alloc.buffered_frames(), 10u);
-  EXPECT_EQ(alloc.free_frames(), 84u);
-  EXPECT_TRUE(alloc.IsAllocated(8));  // reserved, not yet handed out
-  alloc.FlushLocusBuffers();
-  EXPECT_EQ(alloc.buffered_frames(), 0u);
-  EXPECT_EQ(alloc.free_frames(), 94u);
-  EXPECT_FALSE(alloc.IsAllocated(8));
-}
-
-TEST(FrameAllocatorTest, ShrinkFlushesLocusBuffers) {
-  FrameAllocator alloc(100, KiB(4));
-  const LocusId id = alloc.RegisterLocus(
-      {"tenant/buf", Mobility::kPinned, /*buffer_frames=*/16});
-  // The pinned buffer reserves the top 16 frames; only 2 are handed out.
-  auto runs = alloc.Allocate(InLocus(2, id));
+  AllocRequest request = InCohort(4, Mobility::kPinned);
+  request.bound = 50;
+  auto runs = alloc.Allocate(request);
   ASSERT_TRUE(runs.ok());
-  EXPECT_EQ((*runs)[0], (FrameRun{98, 2}));
-  // A shrink to 50 would be blocked by the reservation alone; the resize
-  // flushes it and fails only on the 2 truly live frames.
-  auto st = alloc.Resize(50);
-  EXPECT_FALSE(st.ok());
-  EXPECT_EQ(alloc.buffered_frames(), 0u);
-  ASSERT_TRUE(alloc.Free(*runs).ok());
-  EXPECT_TRUE(alloc.Resize(50).ok());
-}
-
-TEST(FrameAllocatorTest, PreferContiguousUsesBestFitBucket) {
-  FrameAllocator alloc(64, KiB(4));
-  auto a = alloc.Allocate(AllocRequest::Of(8));    // 0..7
-  auto b = alloc.Allocate(AllocRequest::Of(40));   // 8..47
-  ASSERT_TRUE(a.ok() && b.ok());
-  ASSERT_TRUE(alloc.Free(*a).ok());
-  // Free runs: {0..7} (8 frames) and {48..63} (16 frames).  A contiguous
-  // request for 6 takes the snugger 8-frame hole, not the next-fit pick.
-  auto c = alloc.Allocate(Contiguous(6));
-  ASSERT_TRUE(c.ok());
-  ASSERT_EQ(c->size(), 1u);
-  EXPECT_EQ((*c)[0], (FrameRun{0, 6}));
-}
-
-TEST(FrameAllocatorTest, LocusStatsAccumulate) {
-  FrameAllocator alloc(100, KiB(4));
-  const LocusId id = alloc.RegisterLocus({"tenant/a", Mobility::kMobile});
-  ASSERT_TRUE(alloc.Allocate(InLocus(4, id)).ok());
-  ASSERT_TRUE(alloc.Allocate(InLocus(6, id)).ok());
-  EXPECT_EQ(alloc.locus_stats(id).allocs, 2u);
-  EXPECT_EQ(alloc.locus_stats(id).frames, 10u);
-  EXPECT_EQ(alloc.num_loci(), 2u);  // default + tenant/a
-}
-
-TEST(FrameAllocatorTest, UnknownLocusRejected) {
-  FrameAllocator alloc(10, KiB(4));
-  auto runs = alloc.Allocate(InLocus(1, 7));
-  EXPECT_FALSE(runs.ok());
+  EXPECT_EQ(*runs, (std::vector<FrameRun>{FrameRun{0, 4}}));
 }
 
 // --- LruCache -------------------------------------------------------------------
