@@ -4,16 +4,18 @@
 // A PoolBtree arena (nodes in pool buffers) is preloaded with a keyspace,
 // then closed-loop clients on server 0 drive Zipf-distributed get/put/scan
 // ops through ops::BtreeOpDriver.  Every pointer chase is a priced pool
-// access: root-to-leaf descents, record reads, lock acquisitions, and the
-// chained node writes of a put all ride the fluid simulator, so the
-// latency histograms move when placement does.
+// access: root-to-leaf descents, record reads and the chained node writes
+// of a put all ride the fluid simulator, so the latency histograms move
+// when placement does.  Puts take a striped writer lock whose round trips
+// are priced and whose waiters queue FIFO behind the holder.
 //
 //   * local fraction: before the run, a fraction of the arena's segments
 //     is migrated away from the client server — the p99 gap between rows
 //     is the remote-hop cost the paper's sizing lever controls (§4.5).
 //   * churn: a background migrator re-homes one arena segment every
-//     200us while ops are in flight, exercising span re-resolution and
-//     generation-based retranslation under load.
+//     10us for the first 64 periods, while ops are in flight, exercising
+//     span re-resolution under load (each hop resolves its spans at issue
+//     time; address retranslation itself is not priced).
 //
 // Deterministic: all randomness flows from --seed through lmp::Rng /
 // ZipfGenerator on the sim clock; stdout, --metrics-out and --series-out
@@ -235,9 +237,11 @@ int main(int argc, char** argv) {
       "\nEvery row is the same tree and the same Zipf stream; only node\n"
       "placement differs.  Fully-local descents bottom out at DRAM-side\n"
       "latency, remote arenas pay one fabric round trip per pointer chase\n"
-      "(heights compound it), and churn adds retranslation stalls on top —\n"
-      "the op engine prices each hop individually, so the p99/p999 split\n"
-      "shows which ops crossed a migration mid-descent.\n");
+      "(heights compound it).  Churn re-homes slices mid-run, and each hop\n"
+      "resolves its spans when issued, so an op that crosses a migration\n"
+      "pays the new home (retranslation itself is not priced).  Put tails\n"
+      "are lock queueing: writers to a hot stripe wait in FIFO order, each\n"
+      "granted one coherent round trip after the previous release.\n");
   sidecar.Flush();
   return 0;
 }

@@ -94,13 +94,40 @@ StatusOr<bool> DistributedLock::TryLock(int host) {
   return true;
 }
 
+DistributedLock::Ticket DistributedLock::Enqueue(int host,
+                                                 GrantFn on_grant) {
+  LMP_CHECK(IsHeld()) << "enqueue on a free lock; TryLock first";
+  const Ticket ticket = next_ticket_++;
+  waiters_.push_back(Waiter{ticket, host, std::move(on_grant)});
+  return ticket;
+}
+
+void DistributedLock::Leave(Ticket ticket) {
+  std::erase_if(waiters_,
+                [ticket](const Waiter& w) { return w.ticket == ticket; });
+}
+
 Status DistributedLock::Unlock(int host) {
   LMP_ASSIGN_OR_RETURN(std::uint64_t cur, region_->Load(host, offset_));
   if (cur != static_cast<std::uint64_t>(host) + 1) {
     return FailedPreconditionError("unlock by non-holder");
   }
-  LMP_RETURN_IF_ERROR(region_->Store(host, offset_, 0));
-  holder_ = -1;
+  if (waiters_.empty()) {
+    LMP_RETURN_IF_ERROR(region_->Store(host, offset_, 0));
+    holder_ = -1;
+    return Status::Ok();
+  }
+  // Hand-off: the releaser writes the successor into the cell and the
+  // successor's load observes it, so the directory sees the transfer.
+  Waiter next = std::move(waiters_.front());
+  waiters_.pop_front();
+  LMP_RETURN_IF_ERROR(region_->Store(
+      host, offset_, static_cast<std::uint64_t>(next.host) + 1));
+  LMP_ASSIGN_OR_RETURN(std::uint64_t seen, region_->Load(next.host, offset_));
+  (void)seen;
+  holder_ = next.host;
+  ++acquisitions_;
+  next.on_grant();
   return Status::Ok();
 }
 

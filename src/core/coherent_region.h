@@ -4,12 +4,14 @@
 //
 // The region holds real bytes; every load/store goes through the
 // CoherenceDirectory so tests and benches observe true MSI traffic.  On top
-// of the raw cells sit a spin lock, a sense-reversing barrier, and a
-// fetch-add counter — the NUMA-aware-coordination building blocks §5 points
-// at.
+// of the raw cells sit a queued hand-off lock, a sense-reversing barrier,
+// and a fetch-add counter — the NUMA-aware-coordination building blocks §5
+// points at.
 #pragma once
 
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <vector>
 
 #include "common/status.h"
@@ -46,24 +48,51 @@ class CoherentRegion {
   std::vector<std::uint64_t> data_;
 };
 
-// Test-and-test-and-set lock on one coherent cell.  TryLock/Unlock —
-// callers are logical hosts interleaved by the (single-threaded) harness.
+// Test-and-test-and-set lock on one coherent cell, with a FIFO of waiters.
+// Callers are logical hosts interleaved by the (single-threaded) harness.
+// A host that finds the lock held may Enqueue instead of retrying; every
+// Unlock then hands the cell straight to the head waiter — the releaser's
+// store names the successor and the successor's load observes it, both
+// through the directory — and runs that waiter's grant callback.  So the
+// lock is never free while anyone waits, and waiters are served in
+// arrival order.
 class DistributedLock {
  public:
+  using Ticket = std::uint64_t;
+  using GrantFn = std::function<void()>;
+
   DistributedLock(CoherentRegion* region, Bytes cell_offset);
 
   StatusOr<bool> TryLock(int host);
+  // Queues `host` behind the current holder; the lock must be held.  When
+  // an Unlock hands it the lock, `on_grant` runs inside that Unlock with
+  // `host` already the holder.  The ticket names the waiter for Leave.
+  Ticket Enqueue(int host, GrantFn on_grant);
+  // Removes a queued waiter without running its callback; a no-op once
+  // the ticket is no longer queued (granted or already left).
+  void Leave(Ticket ticket);
+  // Releases the lock, or hands it to the head waiter.
   Status Unlock(int host);
   bool IsHeld() const { return holder_ >= 0; }
   int holder() const { return holder_; }
+  std::size_t waiters() const { return waiters_.size(); }
 
+  // Hand-offs count as acquisitions.
   std::uint64_t acquisitions() const { return acquisitions_; }
   std::uint64_t failed_attempts() const { return failed_attempts_; }
 
  private:
+  struct Waiter {
+    Ticket ticket;
+    int host;
+    GrantFn on_grant;
+  };
+
   CoherentRegion* region_;
   Bytes offset_;
   int holder_ = -1;  // mirror for assertions; truth lives in the region
+  std::deque<Waiter> waiters_;
+  Ticket next_ticket_ = 1;
   std::uint64_t acquisitions_ = 0;
   std::uint64_t failed_attempts_ = 0;
 };

@@ -168,7 +168,8 @@ void BtreeOpDriver::PutHop(OpEngine::Op& op, std::uint32_t node,
         auto step = tree_->DescendStep(o.server(), node, key,
                                        engine_->simulator()->now());
         if (!step.ok()) {
-          FailLocked(o, lock, step.status());
+          // Finishing hands the stripe to the next queued writer.
+          engine_->Finish(o, step.status());
           return;
         }
         if (!step->leaf) {
@@ -182,7 +183,7 @@ void BtreeOpDriver::PutHop(OpEngine::Op& op, std::uint32_t node,
             tree_->InsertAtPath(o.server(), *path, key, value,
                                 engine_->simulator()->now(), written.get());
         if (!applied.ok()) {
-          FailLocked(o, lock, applied);
+          engine_->Finish(o, applied);
           return;
         }
         PriceWrites(o, written, 0, lock);
@@ -202,14 +203,6 @@ void BtreeOpDriver::PriceWrites(OpEngine::Op& op, WritesPtr written,
                  [this, written, index, lock](OpEngine::Op& o) {
                    PriceWrites(o, written, index + 1, lock);
                  });
-}
-
-void BtreeOpDriver::FailLocked(OpEngine::Op& op, core::DistributedLock* lock,
-                               Status status) {
-  // Failing while holding the stripe must not wedge every later writer;
-  // drop the lock functionally (no priced round trip — the op is dying).
-  (void)lock->Unlock(static_cast<int>(op.server()));
-  engine_->Finish(op, std::move(status));
 }
 
 }  // namespace lmp::ops

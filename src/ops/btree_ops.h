@@ -5,11 +5,12 @@
 // simulator delivers that node's transfer, and the node's home is resolved
 // at hop time (migration mid-descent changes what later hops cost, exactly
 // like a real RDMA tree walk with no client-side node cache).  Each put
-// acquires a striped writer lock (priced coherent round trips), re-descends
-// under the lock, applies the mutation, then prices every node the insert
-// wrote — leaf, split siblings, ancestors — as a dependent write chain
-// before releasing.  Each scan descends to the start leaf and pays one
-// priced read per chained leaf it consumes.
+// acquires a striped writer lock (priced round trips, FIFO hand-off),
+// re-descends under the lock, applies the mutation, then prices every node
+// the insert wrote — leaf, split siblings, ancestors — as a dependent write
+// chain before releasing.  A put that fails under the lock hands it on as
+// it finishes.  Each scan descends to the start leaf and pays one priced
+// read per chained leaf it consumes.
 //
 // The functional tree operation happens at completion time (when the priced
 // transfer lands), so PoolManager's hotness profile sees each node access
@@ -84,8 +85,6 @@ class BtreeOpDriver {
               std::uint64_t value, core::DistributedLock* lock, PathPtr path);
   void PriceWrites(OpEngine::Op& op, WritesPtr written, std::size_t index,
                    core::DistributedLock* lock);
-  void FailLocked(OpEngine::Op& op, core::DistributedLock* lock,
-                  Status status);
 
   OpEngine* engine_;
   workloads::PoolBtree* tree_;

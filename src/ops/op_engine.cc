@@ -1,5 +1,6 @@
 #include "ops/op_engine.h"
 
+#include <cmath>
 #include <utility>
 
 #include "common/logging.h"
@@ -31,7 +32,8 @@ OpEngine::OpEngine(sim::FluidSimulator* sim, fabric::Topology* topology,
       hops_name_(options_.metrics_prefix + ".hops"),
       lock_spins_name_(options_.metrics_prefix + ".lock_spins"),
       completed_name_(options_.metrics_prefix + ".completed"),
-      errors_name_(options_.metrics_prefix + ".errors") {
+      errors_name_(options_.metrics_prefix + ".errors"),
+      lock_wait_name_(options_.metrics_prefix + ".lock_wait_ns") {
   LMP_CHECK(sim_ != nullptr && topology_ != nullptr && manager_ != nullptr);
   // LinkProfile::min_latency_ns is the unloaded round-trip read latency —
   // exactly the cost of one coherent-region CAS round trip.
@@ -144,25 +146,63 @@ void OpEngine::AttemptLock(OpId id) {
   auto it = pending_.find(id);
   if (it == pending_.end()) return;
   Op& op = it->second;
-  auto held_or = op.lock_->TryLock(static_cast<int>(op.server_));
+  const int host = static_cast<int>(op.server_);
+  auto held_or = op.lock_->TryLock(host);
   if (!held_or.ok()) {
     Finish(op, held_or.status());
     return;
   }
   if (*held_or) {
-    // Moved out first: the continuation may park another Acquire on `op`.
-    op.lock_ = nullptr;
-    Step next = std::move(op.lock_next_);
-    next(op);
+    EnterLock(op, 0);
     return;
   }
-  ++op.lock_spins_;
-  metrics().Increment(lock_spins_name_);
-  if (op.lock_spins_ >= options_.max_lock_spins) {
-    Finish(op, UnavailableError("lock held past max_lock_spins"));
-    return;
+  // Held: queue behind the holder.  The hand-off wakes the op; until then
+  // only the wedge deadline is scheduled.
+  op.lock_wait_start_ = sim_->now();
+  op.lock_ticket_ = op.lock_->Enqueue(host, [this, id] { OnLockGranted(id); });
+  op.lock_deadline_ = sim_->ScheduleAfter(
+      options_.max_lock_spins * lock_rtt_,
+      [this, id](SimTime) { OnLockDeadline(id); });
+}
+
+void OpEngine::OnLockGranted(OpId id) {
+  Op& op = pending_.at(id);  // Finish takes a queued op out of the queue
+  op.lock_ticket_ = 0;
+  sim_->CancelTimer(op.lock_deadline_);
+  // The hand-off reaches the waiter one round trip after the release.
+  sim_->ScheduleAfter(lock_rtt_, [this, id](SimTime) {
+    Op& granted = pending_.at(id);  // nothing else drives a parked op
+    EnterLock(granted, sim_->now() - granted.lock_wait_start_);
+  });
+}
+
+void OpEngine::OnLockDeadline(OpId id) {
+  Op& op = pending_.at(id);  // granting or finishing cancels the deadline
+  RecordLockWait(options_.max_lock_spins, sim_->now() - op.lock_wait_start_);
+  op.lock_spins_ += options_.max_lock_spins;
+  Finish(op, UnavailableError("lock held past max_lock_spins"));
+}
+
+void OpEngine::EnterLock(Op& op, SimTime wait) {
+  // Whole round trips waited; the epsilon absorbs rounding in `wait`.
+  const int spins = static_cast<int>(std::floor(wait / lock_rtt_ + 1e-6));
+  op.lock_spins_ += spins;
+  RecordLockWait(spins, wait);
+  op.held_.push_back(op.lock_);
+  // Moved out first: the continuation may park another Acquire on `op`.
+  op.lock_ = nullptr;
+  Step next = std::move(op.lock_next_);
+  next(op);
+}
+
+void OpEngine::RecordLockWait(int spins, SimTime wait) {
+  if (spins > 0) {
+    metrics().Increment(lock_spins_name_, static_cast<std::uint64_t>(spins));
   }
-  sim_->ScheduleAfter(lock_rtt_, [this, id](SimTime) { AttemptLock(id); });
+  if (lock_wait_hist_ == nullptr) {
+    lock_wait_hist_ = &metrics().GetHistogram(lock_wait_name_);
+  }
+  lock_wait_hist_->Record(static_cast<std::uint64_t>(wait));
 }
 
 void OpEngine::Release(Op& op, core::DistributedLock* lock, Step next) {
@@ -172,6 +212,7 @@ void OpEngine::Release(Op& op, core::DistributedLock* lock, Step next) {
     Finish(op, st);
     return;
   }
+  std::erase(op.held_, lock);
   Delay(op, lock_rtt_, std::move(next));
 }
 
@@ -183,6 +224,15 @@ void OpEngine::Delay(Op& op, SimTime delay, Step next) {
 }
 
 void OpEngine::Finish(Op& op, Status status) {
+  if (op.lock_ticket_ != 0) {
+    op.lock_->Leave(op.lock_ticket_);
+    sim_->CancelTimer(op.lock_deadline_);
+  }
+  // Dropped without a priced round trip (the op is dying), but handed off
+  // like a Release, so no waiter is stranded.
+  for (core::DistributedLock* lock : op.held_) {
+    (void)lock->Unlock(static_cast<int>(op.server_));
+  }
   OpResult result;
   result.id = op.id_;
   result.kind = op.kind_;

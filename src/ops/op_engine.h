@@ -6,12 +6,12 @@
 // is the layer §6's inherited RDMA applications (FaRM-style KV stores,
 // distributed ordered indexes) run on: each in-flight operation is a
 // lightweight state machine advanced only by simulator completions.  Every
-// hop — a root→leaf pointer chase, a record read or write, a lock
-// acquisition round trip — is priced as a SpanStream over the fluid
-// simulator's resource graph, resolved against the segment map at issue
-// time.  There are no cached-node shortcuts: if a node is remote when the
-// op reaches it, the op pays the remote path; if migration moved it since
-// the previous hop, the op pays the new home.
+// hop — a root→leaf pointer chase, a record read or write — is priced as a
+// SpanStream over the fluid simulator's resource graph, resolved against
+// the segment map at issue time; a lock round trip is a timed delay.
+// There are no cached-node shortcuts: if a node is remote when the op
+// reaches it, the op pays the remote path; if migration moved it since the
+// previous hop, the op pays the new home.
 //
 // Shape (after the sst-elements async B+tree): ops live in a pending map,
 // each step issues one priced access and parks a continuation, and the
@@ -21,12 +21,20 @@
 // MetricsRegistry distribution "<prefix>.get|put|scan|op", which is where
 // the percentile plumbing (bench sidecars, metrics JSON) picks it up.
 //
-// Locks: Acquire() prices every TryLock attempt as one coherent-region
-// round trip of simulated time, and failed attempts retry from the timer
-// wheel — so lock contention costs sim time and shows up in the op's
-// latency, and a wedged holder exhausts max_lock_spins after a measurable
-// (not instantaneous) wait.  The lock and its continuation park on the Op,
-// so a retry timer carries only the engine and the op id.
+// Locks: Acquire() prices its TryLock as one coherent-region round trip of
+// simulated time.  An op that finds the lock held joins the lock's FIFO
+// queue and schedules nothing but its wedged-peer deadline; the holder's
+// Unlock hands the lock to the head waiter, whose continuation runs one
+// round trip later.  So contention costs sim time and shows up in the op's
+// latency, but a wait costs one event, not a poll per round trip.  A waiter
+// still queued max_lock_spins round trips after its first attempt fails
+// kUnavailable; a granted waiter's deadline timer is cancelled.  Each
+// acquire records the sim time contention added to it — from the first
+// attempt to the continuation, 0 for a free lock — into the distribution
+// "<prefix>.lock_wait_ns".  The lock and its continuation park on the Op,
+// so timers carry only the engine and the op id.  Finish hands any lock
+// the op still holds to its next waiter and takes a queued op out of its
+// queue, so no ending strands a waiter.
 //
 // Determinism: the engine takes decisions from simulation state only.  Op
 // ids issue monotonically, continuations run in timer FIFO order, and the
@@ -39,12 +47,14 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/metrics.h"
 #include "common/status.h"
 #include "core/coherent_region.h"
 #include "core/pool_manager.h"
 #include "fabric/topology.h"
+#include "sim/fluid.h"
 #include "sim/stream.h"
 
 namespace lmp::ops {
@@ -63,7 +73,7 @@ struct OpResult {
   SimTime submit_time = 0;
   SimTime finish_time = 0;
   int hops = 0;        // priced accesses issued
-  int lock_spins = 0;  // failed TryLock round trips
+  int lock_spins = 0;  // whole lock round trips spent waiting
 };
 
 class OpEngine {
@@ -73,9 +83,9 @@ class OpEngine {
     // store).  0 derives it from the topology's link profile: the
     // unloaded remote round-trip latency.
     SimTime lock_rtt = 0;
-    // An Acquire() that loses this many TryLock rounds fails kUnavailable
-    // (the wedged-peer guard) — after max_lock_spins * lock_rtt of sim
-    // time, not instantaneously.
+    // The wedged-peer guard, in round trips of waiting: an Acquire() still
+    // queued max_lock_spins * lock_rtt after its first attempt fails
+    // kUnavailable with lock_spins == max_lock_spins.
     int max_lock_spins = 1000;
     // Distribution/counter namespace, "<prefix>.get" etc.
     std::string metrics_prefix = "ops";
@@ -117,6 +127,13 @@ class OpEngine {
     // Parked by Acquire until the lock is held; Finish destroys them.
     core::DistributedLock* lock_ = nullptr;
     Step lock_next_;
+    // While queued on lock_ (ticket != 0): the wedge deadline, and when
+    // the first attempt found the lock held.
+    core::DistributedLock::Ticket lock_ticket_ = 0;
+    sim::TimerHandle lock_deadline_;
+    SimTime lock_wait_start_ = 0;
+    // Locks held and not yet released; Finish hands them off.
+    std::vector<core::DistributedLock*> held_;
   };
 
   // All pointers must outlive the engine.  The topology must have been
@@ -150,21 +167,25 @@ class OpEngine {
   void Write(Op& op, core::BufferId buffer, Bytes offset, Bytes len,
              Step next);
 
-  // Acquires `lock` for the op's server.  Every attempt costs one lock_rtt
-  // of sim time; failures retry from the timer wheel (incrementing
-  // lock_spins) until success or max_lock_spins, which finishes the op
-  // kUnavailable.  `next` runs holding the lock.  An op has at most one
-  // Acquire outstanding: a second one before the first holds its lock is a
-  // checked error (`next` may itself call Acquire).
+  // Acquires `lock` for the op's server.  The first attempt costs one
+  // lock_rtt of sim time; if the lock is held, the op queues (FIFO) and
+  // runs one lock_rtt after the hand-off, with lock_spins the whole round
+  // trips it waited.  Still queued max_lock_spins round trips after the
+  // first attempt, it finishes kUnavailable.  `next` runs holding the
+  // lock.  An op has at most one Acquire outstanding: a second one before
+  // the first holds its lock is a checked error (`next` may itself call
+  // Acquire).  The lock must outlive every op queued on it.
   void Acquire(Op& op, core::DistributedLock* lock, Step next);
-  // Releases `lock` (one round trip) and runs `next`.
+  // Releases `lock`, handing it to its next waiter, and runs `next` one
+  // round trip later.
   void Release(Op& op, core::DistributedLock* lock, Step next);
 
   // Pure sim-time delay (compute, client think time).
   void Delay(Op& op, SimTime delay, Step next);
 
-  // Completes the op: records its latency distribution and counters, runs
-  // the completion hook, and destroys the Op.
+  // Completes the op: leaves any lock queue, hands off locks it still holds
+  // (no priced round trip), records its latency distribution and counters,
+  // runs the completion hook, and destroys the Op.
   void Finish(Op& op, Status status = Status::Ok());
 
   // Introspection ------------------------------------------------------------
@@ -192,6 +213,13 @@ class OpEngine {
   void IssueAccess(Op& op, core::BufferId buffer, Bytes offset, Bytes len,
                    double weight, Step next);
   void AttemptLock(OpId id);
+  // Runs inside the releaser's Unlock once `id` holds the lock.
+  void OnLockGranted(OpId id);
+  void OnLockDeadline(OpId id);
+  // Runs the parked continuation with the lock held, `wait` after the
+  // first attempt found it held (0 when it was free).
+  void EnterLock(Op& op, SimTime wait);
+  void RecordLockWait(int spins, SimTime wait);
   void RunStep(OpId id, const Step& step);
   MetricsRegistry& metrics() { return *metrics_; }
 
@@ -210,11 +238,13 @@ class OpEngine {
   CompletionHook on_complete_;
   // Cached distribution instruments (one lookup per kind, not per op).
   Histogram* latency_hist_[4] = {nullptr, nullptr, nullptr, nullptr};
-  // Counter names, "<prefix>.hops" etc., built once.
+  Histogram* lock_wait_hist_ = nullptr;
+  // Metric names, "<prefix>.hops" etc., built once.
   std::string hops_name_;
   std::string lock_spins_name_;
   std::string completed_name_;
   std::string errors_name_;
+  std::string lock_wait_name_;
 };
 
 }  // namespace lmp::ops

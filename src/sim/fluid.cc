@@ -266,22 +266,62 @@ void FluidSimulator::UpdateShardCrossings(const std::vector<ResourceId>& path,
   }
 }
 
-void FluidSimulator::ScheduleAt(SimTime when, TimerCallback cb) {
+TimerHandle FluidSimulator::ScheduleAt(SimTime when, TimerCallback cb) {
   LMP_CHECK(when + kTimeEpsilon >= now_) << "timer scheduled in the past";
-  std::uint32_t slot = static_cast<std::uint32_t>(timer_cbs_.size());
+  std::uint32_t slot = static_cast<std::uint32_t>(timer_slots_.size());
   if (free_timer_slots_.empty()) {
-    timer_cbs_.push_back(std::move(cb));
+    timer_slots_.emplace_back();
   } else {
     slot = free_timer_slots_.back();
     free_timer_slots_.pop_back();
-    timer_cbs_[slot] = std::move(cb);
   }
-  timers_.push_back(Timer{std::max(when, now_), next_timer_seq_++, slot});
+  const TimerHandle handle{slot, next_timer_seq_++};
+  timer_slots_[slot].cb = std::move(cb);
+  timer_slots_[slot].seq = handle.seq;
+  timers_.push_back(Timer{std::max(when, now_), handle.seq, slot});
   std::push_heap(timers_.begin(), timers_.end(), std::greater<>());
+  return handle;
 }
 
-void FluidSimulator::ScheduleAfter(SimTime delay, TimerCallback cb) {
-  ScheduleAt(now_ + delay, std::move(cb));
+TimerHandle FluidSimulator::ScheduleAfter(SimTime delay, TimerCallback cb) {
+  return ScheduleAt(now_ + delay, std::move(cb));
+}
+
+void FluidSimulator::CancelTimer(TimerHandle handle) {
+  if (handle.slot >= timer_slots_.size() ||
+      timer_slots_[handle.slot].seq != handle.seq) {
+    return;  // fired, firing, already cancelled, or the slot was reused
+  }
+  FreeTimerSlot(handle.slot);
+  ++stale_timers_;
+  if (stale_timers_ > 64 && stale_timers_ * 2 > timers_.size()) {
+    PurgeStaleTimers();
+  }
+}
+
+void FluidSimulator::FreeTimerSlot(std::uint32_t slot) {
+  timer_slots_[slot].cb = nullptr;
+  timer_slots_[slot].seq = TimerHandle().seq;
+  free_timer_slots_.push_back(slot);
+}
+
+void FluidSimulator::PopStaleTimers() {
+  while (!timers_.empty() && IsStale(timers_.front())) {
+    std::pop_heap(timers_.begin(), timers_.end(), std::greater<>());
+    timers_.pop_back();
+    --stale_timers_;
+  }
+}
+
+void FluidSimulator::PurgeStaleTimers() {
+  // Entries are totally ordered by (when, seq), so rebuilding the heap
+  // leaves the firing order unchanged.
+  const std::size_t before = timers_.size();
+  std::erase_if(timers_, [this](const Timer& t) { return IsStale(t); });
+  std::make_heap(timers_.begin(), timers_.end(), std::greater<>());
+  // Cancelled members of a Step's running batch are not in the heap; they
+  // stay counted until that Step skips them.
+  stale_timers_ -= before - timers_.size();
 }
 
 void FluidSimulator::ProgressiveFill(ShardTask& task,
@@ -646,6 +686,7 @@ bool FluidSimulator::Step() {
   const SimTime completion =
       std::isfinite(min_dt) ? now_ + min_dt
                             : std::numeric_limits<SimTime>::infinity();
+  PopStaleTimers();
   const SimTime timer = timers_.empty()
                             ? std::numeric_limits<SimTime>::infinity()
                             : timers_.front().when;
@@ -658,23 +699,29 @@ bool FluidSimulator::Step() {
     // (and one heap drain) instead of one Step each.  Timers a callback
     // schedules at this same instant have larger seq values and would sort
     // after the drained batch anyway; they run on the next Step.  Each
-    // callback moves out of its slot, which is then free for the callbacks
-    // to reuse.  The scratch is moved out so a re-entrant Step cannot
-    // clobber it.
+    // callback moves out of its slot just before it runs, which frees the
+    // slot; a batch member an earlier callback cancelled is skipped.  The
+    // scratch is moved out so a re-entrant Step cannot clobber it.
     auto batch = std::move(timer_batch_);
     batch.clear();
     while (!timers_.empty() && timers_.front().when == timer) {
       std::pop_heap(timers_.begin(), timers_.end(), std::greater<>());
-      const std::uint32_t slot = timers_.back().slot;
+      batch.push_back(timers_.back());
       timers_.pop_back();
-      batch.push_back(std::move(timer_cbs_[slot]));
-      free_timer_slots_.push_back(slot);
     }
     // What the callbacks start or rescale is solved once, after all of
     // them.
     const bool outer_deferring = deferring_;
     deferring_ = true;
-    for (TimerCallback& cb : batch) cb(now_);
+    for (const Timer& t : batch) {
+      if (IsStale(t)) {
+        --stale_timers_;
+        continue;
+      }
+      TimerCallback cb = std::move(timer_slots_[t.slot].cb);
+      FreeTimerSlot(t.slot);
+      cb(now_);
+    }
     deferring_ = outer_deferring;
     SolvePending();
     batch.clear();

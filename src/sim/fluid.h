@@ -38,7 +38,9 @@
 // Timer events are cheap: timers are a heap of (when, seq, slot) entries
 // over a slab of callbacks, and the utilization EWMA that latency models
 // read is folded once per time advance, with one exp() shared by every
-// resource (see Resource::smoothed_util for the invariant).
+// resource (see Resource::smoothed_util for the invariant).  A cancelled
+// timer frees its slot at once and leaves a stale heap entry that Step
+// discards unseen, so it never moves the clock or costs an event.
 //
 // Sharded parallel solving: resources can carry a shard hint (one shard per
 // rack; see fabric::Topology::AssignRackShards).  A shard crossed by no
@@ -111,6 +113,12 @@ struct SolverStats {
                                       // so stats are thread-count-invariant.
   std::uint64_t solve_ns = 0;         // wall ns in the solver (needs
                                       // set_solver_timing(true); else 0)
+};
+
+// Names one scheduled timer, for CancelTimer.  A default handle names none.
+struct TimerHandle {
+  std::uint32_t slot = 0;
+  std::uint64_t seq = std::numeric_limits<std::uint64_t>::max();
 };
 
 // What happens to a FlowRecord once its flow completes.  Long-running
@@ -202,8 +210,16 @@ class FluidSimulator {
 
   // Timers -----------------------------------------------------------------
 
-  void ScheduleAt(SimTime when, TimerCallback cb);
-  void ScheduleAfter(SimTime delay, TimerCallback cb);
+  // The handle names the timer for CancelTimer; callers may ignore it.
+  TimerHandle ScheduleAt(SimTime when, TimerCallback cb);
+  TimerHandle ScheduleAfter(SimTime delay, TimerCallback cb);
+
+  // Destroys a pending timer's callback at once; the timer never fires,
+  // never moves now() and never costs a Step.  A no-op once the timer has
+  // fired (or is firing) or its slot has been reused, so a stale handle is
+  // always safe to cancel.  A timer due in the Step now running that has
+  // not yet run is still pending and is cancelled.
+  void CancelTimer(TimerHandle handle);
 
   // Execution ---------------------------------------------------------------
 
@@ -351,8 +367,10 @@ class FluidSimulator {
     std::vector<std::uint32_t> work_idx;  // by Slot: index in task.work
   };
 
-  // Timer heap entry.  The callback lives in timer_cbs_[slot], so sifting
-  // the heap moves 24 trivially copyable bytes, never a std::function.
+  // Timer heap entry.  The callback lives in timer_slots_[slot], so sifting
+  // the heap moves 24 trivially copyable bytes, never a std::function.  The
+  // entry is stale (its timer was cancelled) when the slot no longer holds
+  // `seq`.
   struct Timer {
     SimTime when;
     std::uint64_t seq;  // FIFO tiebreak
@@ -360,6 +378,13 @@ class FluidSimulator {
     bool operator>(const Timer& o) const {
       return when == o.when ? seq > o.seq : when > o.when;
     }
+  };
+
+  // A callback slab entry: `seq` names the pending timer the slot holds,
+  // or is TimerHandle's default when the slot is free.
+  struct TimerSlot {
+    TimerCallback cb;
+    std::uint64_t seq = TimerHandle().seq;
   };
 
   static constexpr SimTime kUtilTau = Microseconds(10);
@@ -401,6 +426,16 @@ class FluidSimulator {
   // before now_ moves.
   void FoldUtilization(SimTime dt);
   void FinishRecord(FlowId id);
+  // Timer slab upkeep.  FreeTimerSlot returns a slot to the free list;
+  // PopStaleTimers discards cancelled entries at the heap's front;
+  // PurgeStaleTimers rebuilds the heap without them once they outnumber
+  // the live ones, so cancelled far-future timers cannot pile up.
+  void FreeTimerSlot(std::uint32_t slot);
+  bool IsStale(const Timer& timer) const {
+    return timer_slots_[timer.slot].seq != timer.seq;
+  }
+  void PopStaleTimers();
+  void PurgeStaleTimers();
 
   std::vector<Resource> resources_;
   // Active flows: a slot table with a free list, plus order_, the live
@@ -411,10 +446,12 @@ class FluidSimulator {
   std::vector<Slot> order_;
   std::map<FlowId, FlowRecord> records_;
   // Timers: a min-heap on (when, seq) over a callback slab with a free
-  // list.  Step moves each due callback out of its slot and frees the slot.
+  // list.  Step moves each due callback out of its slot, frees the slot and
+  // runs it.  stale_timers_ counts cancelled entries not yet discarded.
   std::vector<Timer> timers_;
-  std::vector<TimerCallback> timer_cbs_;
+  std::vector<TimerSlot> timer_slots_;
   std::vector<std::uint32_t> free_timer_slots_;
+  std::size_t stale_timers_ = 0;
   std::uint64_t next_flow_id_ = 1;
   std::uint64_t next_timer_seq_ = 0;
   SimTime now_ = 0;
@@ -447,7 +484,7 @@ class FluidSimulator {
   // they are moved out/in (a re-entrant Step degrades gracefully).
   std::vector<SimTime> durations_;  // by position in order_
   std::vector<Slot> tied_scratch_;
-  std::vector<TimerCallback> timer_batch_;
+  std::vector<Timer> timer_batch_;
   std::vector<std::pair<FlowId, FlowCallback>> done_scratch_;
 
   // Deferred solving.  batch_seed_ collects the seeds of every StartFlow

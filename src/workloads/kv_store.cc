@@ -140,29 +140,23 @@ Status PoolKvStore::PutLocked(core::DistributedLock* lock,
                               int max_spins, SimTime spin_rtt,
                               SimTime* completed_at) {
   if (lock == nullptr) return InvalidArgumentError("null lock");
+  if (max_spins < 1) return InvalidArgumentError("max_spins must be >= 1");
   if (spin_rtt <= 0) spin_rtt = fabric::LinkProfile::Link0().min_latency_ns;
-  // Each TryLock is a CAS round trip to the coherent region: it costs wall
-  // time and directory traffic whether it wins or loses, so losing spins
-  // advance the clock instead of retrying at the same instant.
-  SimTime clock = now;
-  bool held = false;
-  for (int spin = 0; spin < max_spins; ++spin) {
-    clock += spin_rtt;
-    auto held_or = lock->TryLock(static_cast<int>(from));
-    if (!held_or.ok()) {
-      if (completed_at) *completed_at = clock;
-      return held_or.status();
-    }
-    held = *held_or;
-    if (held) break;
+  // One TryLock: a CAS round trip to the coherent region.  The call is
+  // synchronous, so nothing can release a held lock while it waits; a
+  // queued wait would time out, which is priced in closed form.
+  auto held_or = lock->TryLock(static_cast<int>(from));
+  if (!held_or.ok()) {
+    if (completed_at) *completed_at = now + spin_rtt;
+    return held_or.status();
   }
-  if (!held) {
-    if (completed_at) *completed_at = clock;
+  if (!*held_or) {
+    if (completed_at) *completed_at = now + max_spins * spin_rtt;
     return UnavailableError("kv lock held too long");
   }
-  const Status put = Put(from, key, value, clock);
-  clock += spin_rtt;  // the unlock store pays its round trip too
-  if (completed_at) *completed_at = clock;
+  const Status put = Put(from, key, value, now + spin_rtt);
+  // The unlock store pays its round trip too.
+  if (completed_at) *completed_at = now + 2 * spin_rtt;
   LMP_RETURN_IF_ERROR(lock->Unlock(static_cast<int>(from)));
   return put;
 }

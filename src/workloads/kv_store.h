@@ -45,16 +45,16 @@ class PoolKvStore {
 
   // Multi-writer safe Put: serializes the mutation through a lock in the
   // pool's coherent region (§3.2 — coordination is exactly what the small
-  // coherent slice exists for).  Spins on TryLock up to `max_spins`;
-  // returns kUnavailable if the lock never frees (a wedged peer).
+  // coherent slice exists for).  One TryLock; a held lock (a wedged peer —
+  // the call is synchronous, so no holder can release meanwhile) returns
+  // kUnavailable after the wait a queued acquirer would give up on.
   //
-  // Time model: every TryLock attempt — successful or not — is a CAS round
-  // trip to the coherent region and costs `spin_rtt` of simulated time
-  // (<= 0 uses Link0's unloaded round trip), as does the final unlock.  The
-  // put itself runs at the advanced clock, so contention shows up in the
-  // hotness profile's timestamps; `completed_at` (optional) reports when
-  // the call — including a kUnavailable timeout, which takes
-  // max_spins * spin_rtt, never zero time — finished.
+  // Time model: the TryLock is a CAS round trip to the coherent region and
+  // costs `spin_rtt` of simulated time (<= 0 uses Link0's unloaded round
+  // trip), as does the final unlock.  The put itself runs after the CAS,
+  // so the hotness profile's timestamps see the lock's cost; `completed_at`
+  // (optional) reports when the call finished — a kUnavailable timeout
+  // takes max_spins * spin_rtt (max_spins >= 1), never zero time.
   Status PutLocked(core::DistributedLock* lock, cluster::ServerId from,
                    std::uint64_t key, std::span<const std::byte> value,
                    SimTime now = 0, int max_spins = 1000,

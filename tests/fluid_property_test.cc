@@ -15,6 +15,7 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -590,6 +591,80 @@ TEST(FluidTimerTest, EqualTimeTimersStayFifoAfterSlotReuse) {
   want.insert(want.end(), {300, 200, 204, 208, 301});
   EXPECT_EQ(fired, want);
   EXPECT_EQ(sim.now(), Nanoseconds(100));
+}
+
+// A cancelled timer destroys its callback at once and never fires, moves
+// the clock or costs a Step — including a same-instant batch member that
+// an earlier callback cancels, and a heap full of cancelled far-future
+// timers (rebuilt without them) that leaves the live ones in order.
+TEST(FluidTimerTest, CancelledTimerNeverAdvancesClock) {
+  FluidSimulator sim;
+  std::vector<int> fired;
+  auto token = std::make_shared<int>(0);
+  const TimerHandle far = sim.ScheduleAt(
+      Seconds(1), [&fired, token](SimTime) { fired.push_back(-1); });
+  sim.CancelTimer(far);
+  EXPECT_EQ(token.use_count(), 1) << "cancel kept the callback alive";
+
+  TimerHandle doomed;
+  sim.ScheduleAt(Nanoseconds(10), [&](SimTime) {
+    fired.push_back(10);
+    sim.CancelTimer(doomed);
+  });
+  doomed = sim.ScheduleAt(Nanoseconds(10), [&](SimTime) {
+    fired.push_back(-10);
+  });
+  // Many cancelled far-future timers among live ones.
+  for (int i = 0; i < 300; ++i) {
+    const TimerHandle h =
+        sim.ScheduleAt(Seconds(2) + Nanoseconds(i),
+                       [&fired](SimTime) { fired.push_back(-2); });
+    sim.ScheduleAt(Nanoseconds(100 + i),
+                   [&fired, i](SimTime) { fired.push_back(100 + i); });
+    sim.CancelTimer(h);
+  }
+
+  int steps = 0;
+  while (sim.Step()) ++steps;
+  std::vector<int> want = {10};
+  for (int i = 0; i < 300; ++i) want.push_back(100 + i);
+  EXPECT_EQ(fired, want);
+  EXPECT_EQ(steps, 301);
+  EXPECT_EQ(sim.now(), Nanoseconds(399));
+}
+
+// Cancelling is a no-op once the timer has fired, while it is firing, once
+// it was already cancelled, or when its slot now holds another timer.
+TEST(FluidTimerTest, CancelAfterFireOrSlotReuseIsNoop) {
+  FluidSimulator sim;
+  std::vector<int> fired;
+  const auto record = [&fired](int tag) {
+    return [&fired, tag](SimTime) { fired.push_back(tag); };
+  };
+  const TimerHandle first = sim.ScheduleAt(Nanoseconds(10), record(1));
+  ASSERT_TRUE(sim.Step());
+  sim.CancelTimer(first);  // already fired
+
+  // The freed slot is reused; the stale handle must not cancel its tenant.
+  const TimerHandle second = sim.ScheduleAt(Nanoseconds(20), record(2));
+  EXPECT_EQ(second.slot, first.slot);
+  sim.CancelTimer(first);
+
+  TimerHandle self;
+  self = sim.ScheduleAt(Nanoseconds(30), [&](SimTime) {
+    sim.CancelTimer(self);  // firing
+    fired.push_back(3);
+  });
+  const TimerHandle twice = sim.ScheduleAt(Nanoseconds(40), record(-4));
+  sim.CancelTimer(twice);
+  const TimerHandle reuse = sim.ScheduleAt(Nanoseconds(50), record(5));
+  EXPECT_EQ(reuse.slot, twice.slot);
+  sim.CancelTimer(twice);         // already cancelled, slot reused
+  sim.CancelTimer(TimerHandle());  // names no timer
+  sim.Run();
+
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 5}));
+  EXPECT_EQ(sim.now(), Nanoseconds(50));
 }
 
 // --- Weighted max-min fairness ------------------------------------------------

@@ -305,6 +305,114 @@ TEST(OpEngineTest, WedgedAcquireDestroysItsContinuation) {
   EXPECT_EQ(results[0].lock_spins, 4);
 }
 
+// Ops that find a lock held queue in arrival order (not submission order),
+// and each is granted exactly one round trip after the previous release:
+// the hand-off, not a poll, wakes the next waiter.
+TEST(OpEngineTest, QueuedAcquiresAreGrantedInArrivalOrder) {
+  Harness h;
+  sim::FluidSimulator& sim = h.deploy.simulator();
+  core::CoherentRegion region(64, 8, 4);
+  core::DistributedLock lock(&region, 0);
+  const SimTime hold = Microseconds(2);
+  std::vector<OpId> granted;
+  std::vector<SimTime> granted_at;
+  std::vector<SimTime> released_at;
+  std::map<OpId, OpResult> results;
+  h.engine.set_on_complete([&](const OpResult& r) { results[r.id] = r; });
+
+  // Each op waits `arrive` before its Acquire, holds for `hold`, releases.
+  auto locked_op = [&](cluster::ServerId server, SimTime arrive) {
+    return h.engine.Submit(
+        OpKind::kPut, server, 0, [&, arrive](OpEngine::Op& op) {
+          h.engine.Delay(op, arrive, [&](OpEngine::Op& o0) {
+            h.engine.Acquire(o0, &lock, [&](OpEngine::Op& o1) {
+              granted.push_back(o1.id());
+              granted_at.push_back(sim.now());
+              h.engine.Delay(o1, hold, [&](OpEngine::Op& o2) {
+                released_at.push_back(sim.now());
+                h.engine.Release(o2, &lock, [&](OpEngine::Op& o3) {
+                  h.engine.Finish(o3);
+                });
+              });
+            });
+          });
+        });
+  };
+  const OpId holder = locked_op(0, 0);
+  // Submitted in id order, arriving in reverse, all while the lock is held.
+  const OpId late = locked_op(1, Nanoseconds(300));
+  const OpId mid = locked_op(2, Nanoseconds(200));
+  const OpId early = locked_op(3, Nanoseconds(100));
+  ASSERT_LT(Nanoseconds(300) + h.engine.lock_rtt(), h.engine.lock_rtt() + hold);
+  ASSERT_TRUE(h.engine.Drain().ok());
+
+  EXPECT_EQ(granted, (std::vector<OpId>{holder, early, mid, late}));
+  ASSERT_EQ(granted_at.size(), 4u);
+  ASSERT_EQ(released_at.size(), 4u);
+  EXPECT_DOUBLE_EQ(granted_at[0], h.engine.lock_rtt());
+  for (std::size_t i = 1; i < 4; ++i) {
+    EXPECT_DOUBLE_EQ(granted_at[i], released_at[i - 1] + h.engine.lock_rtt())
+        << "grant " << i;
+  }
+  for (OpId id : {holder, early, mid, late}) {
+    ASSERT_TRUE(results.count(id));
+    EXPECT_TRUE(results[id].status.ok());
+  }
+  EXPECT_EQ(results[holder].lock_spins, 0);
+  EXPECT_GT(results[early].lock_spins, 0);
+  EXPECT_GT(results[late].lock_spins, results[mid].lock_spins);
+  EXPECT_FALSE(lock.IsHeld());
+  EXPECT_EQ(lock.waiters(), 0u);
+}
+
+// A contended acquire costs a bounded number of simulator events however
+// long the holder keeps the lock (a poll per round trip would cost ~6,000
+// Steps behind a 1 ms hold), and its cancelled wedge deadline leaves
+// nothing behind on the timer wheel.
+TEST(OpEngineTest, ContendedAcquireStepsDoNotGrowWithHoldTime) {
+  auto steps_behind = [](SimTime hold, int* waiter_spins) {
+    Harness h;
+    OpEngine::Options opts;
+    opts.metrics = &h.metrics;
+    opts.max_lock_spins = 1000000;
+    OpEngine engine(&h.deploy.simulator(), &h.deploy.topology(),
+                    &h.deploy.manager(), opts);
+    core::CoherentRegion region(64, 8, 4);
+    core::DistributedLock lock(&region, 0);
+    std::vector<OpResult> results;
+    engine.set_on_complete([&](const OpResult& r) { results.push_back(r); });
+    for (cluster::ServerId server : {0, 1}) {
+      engine.Submit(OpKind::kPut, server, 0, [&, hold](OpEngine::Op& op) {
+        engine.Acquire(op, &lock, [&, hold](OpEngine::Op& o1) {
+          engine.Delay(o1, hold, [&](OpEngine::Op& o2) {
+            engine.Release(o2, &lock,
+                           [&](OpEngine::Op& o3) { engine.Finish(o3); });
+          });
+        });
+      });
+    }
+    sim::FluidSimulator& sim = h.deploy.simulator();
+    int steps = 0;
+    while (engine.in_flight() > 0 && sim.Step()) ++steps;
+    EXPECT_EQ(results.size(), 2u);
+    for (const OpResult& r : results) EXPECT_TRUE(r.status.ok());
+    const SimTime end = sim.now();
+    EXPECT_FALSE(sim.Step()) << "a timer outlived the ops";
+    EXPECT_EQ(sim.now(), end);
+    *waiter_spins = results.back().lock_spins;
+    return steps;
+  };
+  int short_spins = 0;
+  int long_spins = 0;
+  const int short_steps = steps_behind(Microseconds(10), &short_spins);
+  const int long_steps = steps_behind(Milliseconds(1), &long_spins);
+  EXPECT_EQ(long_steps, short_steps);
+  EXPECT_LE(long_steps, 10);
+  // The wait is still priced in round trips: ~hold / lock_rtt of them.
+  EXPECT_GT(long_spins, 50 * short_spins);
+  EXPECT_GT(long_spins, 1000);
+}
+
 // Runs reads, a contended lock and a wedged lock with counters under
 // `prefix`; returns the engine's counters and latency-histogram counts,
 // keyed by name without the prefix.
@@ -364,7 +472,7 @@ TEST(OpEngineTest, MetricsPrefixOnlyRenamesCounters) {
   const auto ops = EngineMetricsUnder("ops");
   EXPECT_EQ(EngineMetricsUnder("kv"), ops);
   for (const char* name : {"hops", "lock_spins", "completed", "errors",
-                           "get.count", "put.count"}) {
+                           "get.count", "put.count", "lock_wait_ns.count"}) {
     EXPECT_GT(ops.count(name) ? ops.at(name) : 0u, 0u) << name;
   }
 }
@@ -462,6 +570,74 @@ TEST(BtreeOpsTest, AsyncPutsVisibleToSyncLookupAndSerialized) {
   const Histogram* hist = h.metrics.FindHistogram("ops.put");
   ASSERT_NE(hist, nullptr);
   EXPECT_EQ(hist->count(), 2u);
+}
+
+// A put that fails while holding its stripe (its descent reaches a segment
+// lost in a crash) hands the stripe to the next queued put as it finishes,
+// and that put completes.
+TEST(BtreeOpsTest, FailedLockedPutHandsStripeToNextWriter) {
+  Harness h;
+  core::PoolManager& manager = h.deploy.manager();
+  auto tree_or = PoolBtree::Create(&manager, 512, 0);
+  ASSERT_TRUE(tree_or.ok());
+  PoolBtree& tree = *tree_or;
+  constexpr std::uint64_t kKeys = 4000;
+  for (std::uint64_t k = 0; k < kKeys; ++k) {
+    ASSERT_TRUE(tree.Insert(0, k, k).ok());
+  }
+  const std::uint64_t doomed_key = kKeys - 1;  // rightmost leaf, allocated last
+  const std::uint64_t safe_key = 0;
+  std::vector<std::uint32_t> doomed_path;
+  std::vector<std::uint32_t> safe_path;
+  ASSERT_TRUE(tree.DescendPath(0, doomed_key, 0, &doomed_path).ok());
+  ASSERT_TRUE(tree.DescendPath(0, safe_key, 0, &safe_path).ok());
+
+  // Isolate the doomed leaf's frame in its own segment, home it on server
+  // 2, and crash server 2.  Every other node either put reads survives.
+  const Bytes frame = h.deploy.cluster().config().frame_size;
+  const Bytes leaf_frame = tree.NodeOffset(doomed_path.back()) / frame;
+  const auto in_leaf_frame = [&](std::uint32_t node) {
+    return tree.NodeOffset(node) / frame == leaf_frame;
+  };
+  for (std::size_t i = 0; i + 1 < doomed_path.size(); ++i) {
+    ASSERT_FALSE(in_leaf_frame(doomed_path[i]));
+  }
+  for (std::uint32_t node : safe_path) ASSERT_FALSE(in_leaf_frame(node));
+  ASSERT_TRUE(manager.SplitSegmentAt(tree.buffer(), leaf_frame * frame).ok());
+  const Bytes arena = tree.max_nodes() * PoolBtree::kNodeBytes;
+  if ((leaf_frame + 1) * frame < arena) {
+    ASSERT_TRUE(
+        manager.SplitSegmentAt(tree.buffer(), (leaf_frame + 1) * frame).ok());
+  }
+  auto spans = manager.Spans(tree.buffer(), leaf_frame * frame, frame);
+  ASSERT_TRUE(spans.ok());
+  ASSERT_EQ(spans->size(), 1u);
+  ASSERT_TRUE(manager.MigrateSegment((*spans)[0].segment, 2).ok());
+  auto lost = manager.OnServerCrash(2);
+  ASSERT_TRUE(lost.ok());
+  ASSERT_EQ(lost->size(), 1u);
+
+  BtreeOpDriver::Options dopts;
+  dopts.lock_stripes = 1;
+  BtreeOpDriver driver(&h.engine, &tree, 4, dopts);
+  std::map<OpId, OpResult> results;
+  h.engine.set_on_complete([&](const OpResult& r) { results[r.id] = r; });
+  // Same instant: the doomed put takes the stripe, the safe one queues.
+  const OpId doomed = driver.SubmitPut(0, 0, doomed_key, 7);
+  const OpId safe = driver.SubmitPut(1, 0, safe_key, 9);
+  ASSERT_TRUE(h.engine.Drain().ok());
+
+  ASSERT_TRUE(results.count(doomed) && results.count(safe));
+  EXPECT_FALSE(results[doomed].status.ok());
+  EXPECT_EQ(results[doomed].lock_spins, 0);
+  EXPECT_TRUE(results[safe].status.ok()) << results[safe].status;
+  EXPECT_GT(results[safe].lock_spins, 0);
+  auto v = tree.Lookup(0, safe_key);
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(*v, 9u);
+  core::DistributedLock* stripe = driver.lock_for(safe_key);
+  EXPECT_FALSE(stripe->IsHeld());
+  EXPECT_EQ(stripe->waiters(), 0u);
 }
 
 TEST(BtreeOpsTest, GetPaysMoreHopsAsTheTreeDeepens) {
