@@ -17,9 +17,14 @@
 //     span re-resolution under load (each hop resolves its spans at issue
 //     time; address retranslation itself is not priced).
 //
+// Count is the ops that succeeded (the latency columns cover them only);
+// Failed is the ops that completed with an error, e.g. a put whose lock
+// wait reached max_lock_spins round trips.
+//
 // Deterministic: all randomness flows from --seed through lmp::Rng /
 // ZipfGenerator on the sim clock; stdout, --metrics-out and --series-out
 // are byte-identical across runs and --threads values.
+#include <array>
 #include <cstdio>
 #include <functional>
 #include <memory>
@@ -65,6 +70,8 @@ struct Scenario {
 
 struct Outcome {
   double observed_local = 0;  // arena segments homed on server 0 at the end
+  // Ops that completed with a non-OK status, indexed by OpKind.
+  std::array<std::uint64_t, 3> failed{};
 };
 
 cluster::ClusterConfig Config() {
@@ -185,7 +192,11 @@ Outcome Run(const Scenario& scenario, const lmp::bench::Args& args,
       driver.SubmitScan(0, 0, key, 16);
     }
   };
-  engine.set_on_complete([&](const ops::OpResult&) {
+  Outcome out;
+  engine.set_on_complete([&](const ops::OpResult& result) {
+    if (!result.status.ok() && result.kind != ops::OpKind::kOther) {
+      ++out.failed[static_cast<std::size_t>(result.kind)];
+    }
     if (submitted < kOpsPerScenario) submit_one();
   });
   for (int i = 0; i < kWindow && submitted < kOpsPerScenario; ++i) {
@@ -196,7 +207,6 @@ Outcome Run(const Scenario& scenario, const lmp::bench::Args& args,
             static_cast<std::uint64_t>(kOpsPerScenario));
 
   if (recorder != nullptr) keep->push_back(std::move(recorder));
-  Outcome out;
   out.observed_local = ArenaLocalFraction(manager, tree.buffer());
   return out;
 }
@@ -213,8 +223,8 @@ int main(int argc, char** argv) {
       "(window %d, Zipf 0.99, %llu keys) ==\n",
       kOpsPerScenario, kWindow,
       static_cast<unsigned long long>(kKeys));
-  lmp::TablePrinter table({"Cell", "Local frac", "Op", "Count", "p50 ns",
-                           "p99 ns", "p999 ns"});
+  lmp::TablePrinter table({"Cell", "Local frac", "Op", "Count", "Failed",
+                           "p50 ns", "p99 ns", "p999 ns"});
   const std::vector<Scenario> scenarios = {
       {"ops.l100.c0", 1.0, false}, {"ops.l100.c1", 1.0, true},
       {"ops.l050.c0", 0.5, false}, {"ops.l050.c1", 0.5, true},
@@ -222,14 +232,20 @@ int main(int argc, char** argv) {
   };
   for (const Scenario& s : scenarios) {
     const Outcome out = Run(s, args, sidecar.wants_series(), &recorders);
-    for (const char* kind : {"get", "put", "scan"}) {
-      const lmp::Histogram* h = MetricsRegistry::Global().FindHistogram(
-          s.label + "." + kind);
-      if (h == nullptr || h->count() == 0) continue;
+    for (const ops::OpKind kind :
+         {ops::OpKind::kGet, ops::OpKind::kPut, ops::OpKind::kScan}) {
+      const char* name = ops::OpKindName(kind);
+      const lmp::Histogram* h =
+          MetricsRegistry::Global().FindHistogram(s.label + "." + name);
+      const std::uint64_t count = h == nullptr ? 0 : h->count();
+      const std::uint64_t failed = out.failed[static_cast<std::size_t>(kind)];
+      if (count == 0 && failed == 0) continue;
       table.AddRow({s.label + (s.churn ? " (churn)" : ""),
-                    lmp::TablePrinter::Num(out.observed_local, 2), kind,
-                    std::to_string(h->count()), std::to_string(h->p50()),
-                    std::to_string(h->p99()), std::to_string(h->p999())});
+                    lmp::TablePrinter::Num(out.observed_local, 2), name,
+                    std::to_string(count), std::to_string(failed),
+                    count == 0 ? "-" : std::to_string(h->p50()),
+                    count == 0 ? "-" : std::to_string(h->p99()),
+                    count == 0 ? "-" : std::to_string(h->p999())});
     }
   }
   table.Print();

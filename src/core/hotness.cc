@@ -1,48 +1,52 @@
 #include "core/hotness.h"
 
+#include <algorithm>
+
 namespace lmp::core {
 
 void AccessTracker::RecordAccess(SegmentId seg, cluster::ServerId from,
                                  double bytes, SimTime now) {
-  Counter& c = table_[seg][from];
-  c.bytes = Decayed(c, now) + bytes;
-  c.updated = now;
+  Row& row = table_[seg];
+  auto it = std::lower_bound(
+      row.begin(), row.end(), from,
+      [](const Counter& c, cluster::ServerId s) { return c.server < s; });
+  if (it == row.end() || it->server != from) {
+    it = row.insert(it, Counter{from, 0, 0});
+  }
+  it->bytes = Decayed(*it, now) + bytes;
+  it->updated = now;
 }
 
 double AccessTracker::AccessedBytes(SegmentId seg, cluster::ServerId from,
                                     SimTime now) const {
   auto seg_it = table_.find(seg);
   if (seg_it == table_.end()) return 0;
-  auto it = seg_it->second.find(from);
-  if (it == seg_it->second.end()) return 0;
-  return Decayed(it->second, now);
+  for (const Counter& c : seg_it->second) {
+    if (c.server == from) return Decayed(c, now);
+  }
+  return 0;
 }
 
 double AccessTracker::TotalBytes(SegmentId seg, SimTime now) const {
-  auto seg_it = table_.find(seg);
-  if (seg_it == table_.end()) return 0;
   double total = 0;
-  for (const auto& [server, counter] : seg_it->second) {
-    total += Decayed(counter, now);
-  }
+  ForEachAccessor(seg, now,
+                  [&](cluster::ServerId, double b) { total += b; });
   return total;
 }
 
 bool AccessTracker::Dominant(SegmentId seg, SimTime now,
                              DominantAccessor* out) const {
-  auto seg_it = table_.find(seg);
-  if (seg_it == table_.end()) return false;
   double total = 0;
   double best = 0;
   cluster::ServerId best_server = 0;
-  for (const auto& [server, counter] : seg_it->second) {
-    const double b = Decayed(counter, now);
+  // Strict > over ascending servers: the lowest id wins a tie.
+  ForEachAccessor(seg, now, [&](cluster::ServerId server, double b) {
     total += b;
     if (b > best) {
       best = b;
       best_server = server;
     }
-  }
+  });
   if (total <= 0) return false;
   out->server = best_server;
   out->share = best / total;

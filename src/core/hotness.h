@@ -6,6 +6,17 @@
 // exponential decay, so the migration policy sees *recent* traffic.  The
 // decay is applied lazily on read using a configurable half-life in
 // simulated time.
+//
+// Layout: one row per segment, holding one counter per server that has
+// ever accessed it, sorted by server id.  A segment is touched by a
+// handful of servers, so every read is one hash lookup plus a scan of a
+// few entries.  Each counter decays on its own, as bytes * 2^(-dt/h) since
+// its last update.
+//
+// Order rules (so results do not depend on hash layout): TotalBytes,
+// Dominant and ForEachAccessor visit a row's servers in ascending id
+// order, sums accumulate in that order, and a Dominant tie goes to the
+// lowest server id.
 #pragma once
 
 #include <cmath>
@@ -36,17 +47,29 @@ class AccessTracker {
   double AccessedBytes(SegmentId seg, cluster::ServerId from,
                        SimTime now) const;
 
-  // Total decayed bytes on `seg` across all servers.
+  // Total decayed bytes on `seg` across all servers, summed in ascending
+  // server order.
   double TotalBytes(SegmentId seg, SimTime now) const;
 
-  // The server with the highest decayed traffic on `seg`, and its share of
-  // the total.  Returns false if the segment has no recorded traffic.
+  // The server with the highest decayed traffic on `seg` (lowest id on a
+  // tie), and its share of the total.  Returns false if the segment has no
+  // recorded traffic.
   struct DominantAccessor {
     cluster::ServerId server = 0;
     double share = 0.0;   // fraction of total traffic
     double bytes = 0.0;
   };
   bool Dominant(SegmentId seg, SimTime now, DominantAccessor* out) const;
+
+  // Calls fn(server, decayed_bytes) for every server with a counter on
+  // `seg`, in ascending server order.  Servers that never accessed the
+  // segment are not visited (their AccessedBytes is exactly 0).
+  template <typename Fn>
+  void ForEachAccessor(SegmentId seg, SimTime now, Fn&& fn) const {
+    auto it = table_.find(seg);
+    if (it == table_.end()) return;
+    for (const Counter& c : it->second) fn(c.server, Decayed(c, now));
+  }
 
   void Forget(SegmentId seg);
   void Clear() { table_.clear(); }
@@ -55,9 +78,11 @@ class AccessTracker {
 
  private:
   struct Counter {
+    cluster::ServerId server = 0;
     double bytes = 0;
     SimTime updated = 0;
   };
+  using Row = std::vector<Counter>;  // sorted by server
 
   double Decayed(const Counter& c, SimTime now) const {
     if (c.bytes == 0) return 0;
@@ -67,9 +92,7 @@ class AccessTracker {
   }
 
   SimTime half_life_;
-  std::unordered_map<SegmentId,
-                     std::unordered_map<cluster::ServerId, Counter>>
-      table_;
+  std::unordered_map<SegmentId, Row> table_;
 };
 
 }  // namespace lmp::core

@@ -42,6 +42,12 @@ class LocalFrameMap {
   // Frame runs backing a segment (migration source / free on unbind).
   StatusOr<std::vector<mem::FrameRun>> RunsOf(SegmentId id) const;
 
+  // Calls fn(id, runs) for every bound segment, in unspecified order.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (const auto& [id, binding] : map_) fn(id, binding.runs);
+  }
+
   Bytes frame_size() const { return frame_size_; }
 
  private:

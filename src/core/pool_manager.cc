@@ -32,6 +32,11 @@ LocalFrameMap& PoolManager::local_map(const Location& loc) {
   return it->second;
 }
 
+const LocalFrameMap* PoolManager::FindLocalMap(const Location& loc) const {
+  auto it = local_maps_.find(loc);
+  return it == local_maps_.end() ? nullptr : &it->second;
+}
+
 mem::BackingStore* PoolManager::BackingAt(const Location& loc) {
   if (loc.is_pool()) {
     return cluster_->pool().has_backing() ? &cluster_->pool().backing()

@@ -237,6 +237,10 @@ class PoolManager {
   Status FreeFramesAt(const Location& loc,
                       const std::vector<mem::FrameRun>& runs);
   LocalFrameMap& local_map(const Location& loc);
+  // The frame map at `loc`, or null when none exists (nothing was ever
+  // bound there, or the server crashed).  Unlike local_map(), never
+  // creates one.
+  const LocalFrameMap* FindLocalMap(const Location& loc) const;
   Status CopySegmentData(const Location& from,
                          const std::vector<mem::FrameRun>& from_runs,
                          const Location& to,

@@ -36,18 +36,23 @@ std::vector<DrainVictim> BlockedResidents(core::PoolManager& manager,
       target_bytes, manager.cluster().server(server).frame_size());
   std::vector<DrainVictim> residents;
   const core::Location here = core::Location::OnServer(server);
-  manager.segment_map().ForEach([&](const core::SegmentInfo& info) {
-    if (info.home != here || info.state != core::SegmentState::kActive) {
+  // Only frames bound on this server can block its shrink, so walk its
+  // frame map rather than the whole segment map.  Replicas bound here for
+  // a segment homed elsewhere are not residents.
+  const core::LocalFrameMap* frames = manager.FindLocalMap(here);
+  if (frames == nullptr) return residents;
+  frames->ForEach([&](core::SegmentId id,
+                      const std::vector<mem::FrameRun>& runs) {
+    const core::SegmentInfo* info = manager.segment_map().Find(id);
+    if (info == nullptr || info->home != here ||
+        info->state != core::SegmentState::kActive) {
       return;
     }
-    auto runs_or = manager.local_map(here).RunsOf(info.id);
-    if (!runs_or.ok()) return;
-    for (const mem::FrameRun& run : runs_or.value()) {
+    for (const mem::FrameRun& run : runs) {
       if (run.end() > target_frames) {
         residents.push_back(DrainVictim{
-            info.id, info.size,
-            manager.access_tracker().TotalBytes(info.id, now),
-            info.mobility == mem::Mobility::kPinned, info.priority});
+            id, info->size, manager.access_tracker().TotalBytes(id, now),
+            info->mobility == mem::Mobility::kPinned, info->priority});
         return;
       }
     }

@@ -116,13 +116,17 @@ std::vector<core::ServerDemand> DemandEstimator::Estimate(SimTime now) {
 double DemandEstimator::ObservedLocalFraction(SimTime now) const {
   const core::AccessTracker& tracker = manager_->access_tracker();
   double local = 0, total = 0;
+  // Only servers with a counter are visited: a scoped server that never
+  // touched the segment would add exactly +0.0, so skipping it leaves both
+  // sums bit-identical to a walk over the whole scope.
   manager_->segment_map().ForEach([&](const core::SegmentInfo& info) {
     if (info.state == core::SegmentState::kLost) return;
-    for (cluster::ServerId s = scope_first_; s < scope_limit_; ++s) {
-      const double bytes = tracker.AccessedBytes(info.id, s, now);
-      total += bytes;
-      if (!info.home.is_pool() && info.home.server == s) local += bytes;
-    }
+    tracker.ForEachAccessor(
+        info.id, now, [&](cluster::ServerId s, double bytes) {
+          if (!InScope(s)) return;
+          total += bytes;
+          if (!info.home.is_pool() && info.home.server == s) local += bytes;
+        });
   });
   return total == 0 ? 1.0 : local / total;
 }

@@ -7,9 +7,11 @@
 
 #include <algorithm>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "core/pool_manager.h"
+#include "core/replication.h"
 #include "core/sizing.h"
 #include "ctrl/admission.h"
 #include "ctrl/controller.h"
@@ -509,6 +511,108 @@ TEST_F(BlockedResidentsTest, MobileThenLowPriorityThenColdThenId) {
   EXPECT_TRUE(victims.back().pinned);
   EXPECT_DOUBLE_EQ(victims.front().priority, 0.5);
   EXPECT_GT(victims.front().heat, victims[3].heat);
+}
+
+// The victim list as a walk over the whole segment map: every active
+// segment homed on `server` with a run past the cut, sorted the same way.
+std::vector<DrainVictim> SegmentMapWalk(core::PoolManager& manager,
+                                        cluster::ServerId server,
+                                        Bytes target_bytes, SimTime now) {
+  const std::uint64_t target_frames = mem::FramesForBytes(
+      target_bytes, manager.cluster().server(server).frame_size());
+  const core::Location here = core::Location::OnServer(server);
+  const core::LocalFrameMap* frames = manager.FindLocalMap(here);
+  std::vector<DrainVictim> out;
+  manager.segment_map().ForEach([&](const core::SegmentInfo& info) {
+    if (info.home != here || info.state != core::SegmentState::kActive ||
+        frames == nullptr) {
+      return;
+    }
+    auto runs_or = frames->RunsOf(info.id);
+    if (!runs_or.ok()) return;
+    for (const mem::FrameRun& run : runs_or.value()) {
+      if (run.end() > target_frames) {
+        out.push_back(DrainVictim{
+            info.id, info.size,
+            manager.access_tracker().TotalBytes(info.id, now),
+            info.mobility == mem::Mobility::kPinned, info.priority});
+        break;
+      }
+    }
+  });
+  std::sort(out.begin(), out.end(),
+            [](const DrainVictim& a, const DrainVictim& b) {
+              return std::tie(a.pinned, a.priority, a.heat, a.seg) <
+                     std::tie(b.pinned, b.priority, b.heat, b.seg);
+            });
+  return out;
+}
+
+using VictimKey = std::tuple<core::SegmentId, Bytes, double, bool, double>;
+
+std::vector<VictimKey> Keys(const std::vector<DrainVictim>& victims) {
+  std::vector<VictimKey> keys;
+  for (const DrainVictim& v : victims) {
+    keys.emplace_back(v.seg, v.size, v.heat, v.pinned, v.priority);
+  }
+  return keys;
+}
+
+TEST_F(BlockedResidentsTest, MatchesSegmentMapWalk) {
+  // A segment homed on server 1 whose replica is bound on server 0 (the
+  // most free host): server 0's frame map holds it, but it is no resident.
+  const core::SegmentId replicated = AllocateOne(KiB(256), 1);
+  core::ReplicationManager replication(&manager_, 1);
+  ASSERT_TRUE(replication.ProtectSegment(replicated).ok());
+  ASSERT_EQ(manager_.segment_map().Find(replicated)->replicas,
+            std::vector<core::Location>{core::Location::OnServer(0)});
+
+  core::AllocOptions pinned;
+  pinned.preferred = cluster::ServerId{0};
+  pinned.mobility = mem::Mobility::kPinned;
+  const core::SegmentId pin = AllocateOne(KiB(256), pinned);
+  std::vector<core::SegmentId> residents;
+  for (int i = 0; i < 6; ++i) residents.push_back(AllocateOne(KiB(256), 0));
+  // Bound on server 0 but lost: not a resident either.
+  ASSERT_TRUE(manager_.mutable_segment_map()
+                  .SetState(residents[2], core::SegmentState::kLost)
+                  .ok());
+  // Heat from up to three accessors per segment, and one exact heat tie.
+  core::AccessTracker& tracker = manager_.access_tracker();
+  for (std::size_t i = 0; i < residents.size(); ++i) {
+    for (cluster::ServerId s = 0; s < 3; ++s) {
+      tracker.RecordAccess(residents[i], s, double((i % 3) * 1000 + s), 0);
+    }
+  }
+  tracker.RecordAccess(pin, 2, 5000, 0);
+  tracker.RecordAccess(replicated, 0, 9000, 0);
+  // Server 3 crashes with a segment homed there: that segment is lost and
+  // server 3 keeps no frame map at all.
+  const core::SegmentId on_three = AllocateOne(KiB(256), 3);
+  ASSERT_TRUE(manager_.OnServerCrash(3).ok());
+  ASSERT_EQ(manager_.segment_map().Find(on_three)->state,
+            core::SegmentState::kLost);
+  ASSERT_EQ(manager_.FindLocalMap(core::Location::OnServer(3)), nullptr);
+
+  const SimTime now = Milliseconds(3);
+  for (cluster::ServerId server = 0; server < 4; ++server) {
+    for (const Bytes target : {Bytes{0}, KiB(512), MiB(1), MiB(4)}) {
+      EXPECT_EQ(Keys(BlockedResidents(manager_, server, target, now)),
+                Keys(SegmentMapWalk(manager_, server, target, now)))
+          << "server " << server << " target " << target;
+    }
+  }
+  // The setup exercises what it claims: server 0 has six residents (one
+  // lost, one pinned) and the replica bound there.
+  const std::vector<DrainVictim> zero = BlockedResidents(manager_, 0, 0, now);
+  EXPECT_EQ(zero.size(), 6u);
+  EXPECT_TRUE(zero.back().pinned);
+  ASSERT_NE(manager_.FindLocalMap(core::Location::OnServer(0)), nullptr);
+  EXPECT_TRUE(
+      manager_.FindLocalMap(core::Location::OnServer(0))->Contains(replicated));
+  // Asking about a server with no frame map does not create one.
+  EXPECT_TRUE(BlockedResidents(manager_, 3, 0, now).empty());
+  EXPECT_EQ(manager_.FindLocalMap(core::Location::OnServer(3)), nullptr);
 }
 
 // ------------------------------------------------------ AdmissionController

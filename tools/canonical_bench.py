@@ -10,7 +10,16 @@ The commands are bench_btree, bench_hier, bench_ctrl, bench_scaling at
 --threads=1 and --threads=4, bench_solver, and `ctest -j4` (the tier-1
 suite).  The ledger also records nproc and the commit of the source tree
 the build was configured from ("unknown" outside a git checkout; "dirty"
-when tracked files differ from it).
+when tracked files differ from it), plus "tree": the git tree hash of that
+source tree with every change added, untracked files included, and the
+ledger file itself left out (git write-tree over a temporary index; the
+real index is left alone).  The ledger cannot hash a tree that holds its
+own hash, so "tree" names the committed tree minus the ledger: when the
+ledger is the last file written before a commit, this reproduces it
+
+    GIT_INDEX_FILE=/tmp/i git read-tree COMMIT
+    GIT_INDEX_FILE=/tmp/i git rm -q --cached BENCH_canonical.json
+    GIT_INDEX_FILE=/tmp/i git write-tree
 
 User, sys and peak RSS come from the rusage that wait4() returns for the
 child, which covers the child and every descendant it waited for (ctest's
@@ -32,6 +41,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -63,20 +73,31 @@ def run_once(cmd, cwd):
             "peak_rss_mib": round(usage.ru_maxrss / 1024.0, 2)}
 
 
-def commit(build):
-    """The git commit of the source tree `build` was configured from."""
+def commit(build, ledger):
+    """The git commit and tree of the source `build` was configured from."""
     source = ROOT
     with open(os.path.join(build, "CMakeCache.txt"), encoding="utf-8") as f:
         for line in f:
             if line.startswith("CMAKE_HOME_DIRECTORY:"):
                 source = line.split("=", 1)[1].strip()
 
-    def git(*args):
+    def git(*args, env=None):
         return subprocess.run(["git", *args], cwd=source, text=True,
-                              capture_output=True).stdout.strip()
+                              capture_output=True, env=env).stdout.strip()
+
+    # The working tree's hash, as a commit of everything would record it,
+    # without the ledger.
+    with tempfile.TemporaryDirectory() as tmp:
+        env = dict(os.environ, GIT_INDEX_FILE=os.path.join(tmp, "index"))
+        git("read-tree", "HEAD", env=env)
+        git("add", "-A", env=env)
+        git("rm", "-q", "--cached", "--ignore-unmatch", "--",
+            os.path.relpath(os.path.abspath(ledger), source), env=env)
+        tree = git("write-tree", env=env)
     return {"commit": git("rev-parse", "HEAD") or "unknown",
             "dirty": bool(git("status", "--porcelain",
-                              "--untracked-files=no"))}
+                              "--untracked-files=no")),
+            "tree": tree or "unknown"}
 
 
 def main():
@@ -106,7 +127,7 @@ def main():
               % (name, best["wall_s"], best["user_s"], best["sys_s"],
                  best["peak_rss_mib"]))
 
-    ledger = dict(commit(build), nproc=len(os.sched_getaffinity(0)),
+    ledger = dict(commit(build, args.out), nproc=len(os.sched_getaffinity(0)),
                   reps=args.reps, rule="fastest repetition by wall_s",
                   rss_floor_mib=run_once(["true"], build)["peak_rss_mib"],
                   runs=runs)
