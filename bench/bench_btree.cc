@@ -5,13 +5,15 @@
 // then closed-loop clients on server 0 drive Zipf-distributed get/put/scan
 // ops through ops::BtreeOpDriver.  Every pointer chase is a priced pool
 // access: root-to-leaf descents, record reads and the chained node writes
-// of a put all ride the fluid simulator, so the latency histograms move
-// when placement does.  Puts take a striped writer lock whose round trips
-// are priced and whose waiters queue FIFO behind the holder.
+// of a put each cost the path's loaded latency plus serialization at its
+// fair share, and wait for one of the client core's miss slots, so the
+// latency histograms move when placement does.  Puts take a striped writer
+// lock whose round trips are priced and whose waiters queue FIFO behind
+// the holder.
 //
 //   * local fraction: before the run, a fraction of the arena's segments
-//     is migrated away from the client server — the p99 gap between rows
-//     is the remote-hop cost the paper's sizing lever controls (§4.5).
+//     is migrated away from the client server — the gap between rows is
+//     the remote-hop cost the paper's sizing lever controls (§4.5).
 //   * churn: a background migrator re-homes one arena segment every
 //     10us for the first 64 periods, while ops are in flight, exercising
 //     span re-resolution under load (each hop resolves its spans at issue
@@ -19,7 +21,9 @@
 //
 // Count is the ops that succeeded (the latency columns cover them only);
 // Failed is the ops that completed with an error, e.g. a put whose lock
-// wait reached max_lock_spins round trips.
+// wait reached max_lock_spins round trips.  Events/op is the simulator
+// steps the cell's drain took over its ops; under --series-out the
+// recorder's 100us ticks (one or two per cell) are steps too.
 //
 // Deterministic: all randomness flows from --seed through lmp::Rng /
 // ZipfGenerator on the sim clock; stdout, --metrics-out and --series-out
@@ -70,6 +74,7 @@ struct Scenario {
 
 struct Outcome {
   double observed_local = 0;  // arena segments homed on server 0 at the end
+  std::uint64_t steps = 0;    // simulator steps until the last op finished
   // Ops that completed with a non-OK status, indexed by OpKind.
   std::array<std::uint64_t, 3> failed{};
 };
@@ -202,7 +207,9 @@ Outcome Run(const Scenario& scenario, const lmp::bench::Args& args,
   for (int i = 0; i < kWindow && submitted < kOpsPerScenario; ++i) {
     submit_one();
   }
-  LMP_CHECK_OK(engine.Drain());
+  auto steps = engine.Drain();
+  LMP_CHECK_OK(steps.status());
+  out.steps = *steps;
   LMP_CHECK(engine.completed() ==
             static_cast<std::uint64_t>(kOpsPerScenario));
 
@@ -223,8 +230,8 @@ int main(int argc, char** argv) {
       "(window %d, Zipf 0.99, %llu keys) ==\n",
       kOpsPerScenario, kWindow,
       static_cast<unsigned long long>(kKeys));
-  lmp::TablePrinter table({"Cell", "Local frac", "Op", "Count", "Failed",
-                           "p50 ns", "p99 ns", "p999 ns"});
+  lmp::TablePrinter table({"Cell", "Local frac", "Events/op", "Op", "Count",
+                           "Failed", "p50 ns", "p99 ns", "p999 ns"});
   const std::vector<Scenario> scenarios = {
       {"ops.l100.c0", 1.0, false}, {"ops.l100.c1", 1.0, true},
       {"ops.l050.c0", 0.5, false}, {"ops.l050.c1", 0.5, true},
@@ -241,7 +248,10 @@ int main(int argc, char** argv) {
       const std::uint64_t failed = out.failed[static_cast<std::size_t>(kind)];
       if (count == 0 && failed == 0) continue;
       table.AddRow({s.label + (s.churn ? " (churn)" : ""),
-                    lmp::TablePrinter::Num(out.observed_local, 2), name,
+                    lmp::TablePrinter::Num(out.observed_local, 2),
+                    lmp::TablePrinter::Num(
+                        static_cast<double>(out.steps) / kOpsPerScenario, 2),
+                    name,
                     std::to_string(count), std::to_string(failed),
                     count == 0 ? "-" : std::to_string(h->p50()),
                     count == 0 ? "-" : std::to_string(h->p99()),
@@ -251,13 +261,17 @@ int main(int argc, char** argv) {
   table.Print();
   std::printf(
       "\nEvery row is the same tree and the same Zipf stream; only node\n"
-      "placement differs.  Fully-local descents bottom out at DRAM-side\n"
-      "latency, remote arenas pay one fabric round trip per pointer chase\n"
-      "(heights compound it).  Churn re-homes slices mid-run, and each hop\n"
-      "resolves its spans when issued, so an op that crosses a migration\n"
-      "pays the new home (retranslation itself is not priced).  Put tails\n"
-      "are lock queueing: writers to a hot stripe wait in FIFO order, each\n"
-      "granted one coherent round trip after the previous release.\n");
+      "placement differs.  Each pointer chase pays its path's loaded\n"
+      "latency (DRAM-side locally, one fabric round trip remotely) plus\n"
+      "serialization, holding one of the client core's miss slots; the\n"
+      "window's ops queue FIFO for those slots, so a slower hop also\n"
+      "delays every access behind it.  Churn re-homes slices mid-run, and\n"
+      "each hop resolves its spans when issued, so an op that crosses a\n"
+      "migration pays the new home (retranslation itself is not priced).\n"
+      "Put tails are lock queueing: writers to a hot stripe wait in FIFO\n"
+      "order, each granted one coherent round trip after the previous\n"
+      "release.\n");
+  for (const auto& rec : recorders) sidecar.AddSeriesRecorder(rec.get());
   sidecar.Flush();
   return 0;
 }

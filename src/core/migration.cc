@@ -49,9 +49,11 @@ StatusOr<MigrationRoundStats> MigrationEngine::RunOnce(
   });
 
   stats.candidates = static_cast<int>(candidates.size());
+  // Candidates were collected in SegmentMap hash order; the id tie-break
+  // makes equal scores migrate in the same order on every build.
   std::sort(candidates.begin(), candidates.end(),
             [](const Candidate& a, const Candidate& b) {
-              return a.score > b.score;
+              return a.score != b.score ? a.score > b.score : a.seg < b.seg;
             });
 
   for (const Candidate& c : candidates) {

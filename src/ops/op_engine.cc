@@ -40,10 +40,16 @@ OpEngine::OpEngine(sim::FluidSimulator* sim, fabric::Topology* topology,
   lock_rtt_ = options_.lock_rtt > 0 ? options_.lock_rtt
                                     : topology_->link().min_latency_ns;
   LMP_CHECK(lock_rtt_ > 0) << "lock round trip must cost sim time";
+  const int cores = topology_->machine().cores_per_server;
+  slots_.resize(static_cast<std::size_t>(topology_->num_servers()) *
+                static_cast<std::size_t>(cores));
 }
 
 OpId OpEngine::Submit(OpKind kind, cluster::ServerId server, int core,
                       Step first) {
+  LMP_CHECK(static_cast<int>(server) < topology_->num_servers() && core >= 0 &&
+            core < topology_->machine().cores_per_server)
+      << "op issued from an unknown (server, core)";
   const OpId id = next_id_++;
   Op& op = pending_[id];
   op.id_ = id;
@@ -67,7 +73,8 @@ void OpEngine::RunStep(OpId id, const Step& step) {
 }
 
 void OpEngine::IssueAccess(Op& op, core::BufferId buffer, Bytes offset,
-                           Bytes len, double weight, Step next) {
+                           Bytes len, Step next) {
+  LMP_CHECK(!op.access_next_) << "one access at a time per op";
   const OpId id = op.id_;
   auto spans_or = manager_->Spans(buffer, offset, len);
   if (!spans_or.ok()) {
@@ -82,14 +89,8 @@ void OpEngine::IssueAccess(Op& op, core::BufferId buffer, Bytes offset,
   }
 
   const auto src = static_cast<fabric::ServerIndex>(op.server_);
-  std::vector<sim::Span> chain;
-  chain.reserve(spans_or->size());
-  // Bandwidth rides the fluid solver (the span chain below); propagation
-  // rides the topology's loaded-latency model, summed per span and applied
-  // as a timed delay after the stream drains.  Without it, small accesses
-  // under light load price identically wherever the segment is homed — the
-  // whole point of a local-fraction lever is that they must not.
   SimTime propagation = 0;
+  SimTime serialization = 0;
   for (const core::LocatedSpan& ls : *spans_or) {
     std::vector<sim::ResourceId> path;
     if (ls.location.is_pool()) {
@@ -103,32 +104,62 @@ void OpEngine::IssueAccess(Op& op, core::BufferId buffer, Bytes offset,
       path = topology_->RemotePath(src, op.core_, dst);
       propagation += topology_->RemoteLoadedLatency(src, dst);
     }
-    chain.push_back(sim::Span{static_cast<double>(ls.bytes), std::move(path),
-                              weight});
+    serialization +=
+        static_cast<double>(ls.bytes) / sim_->FairShare(path) * kNsPerSec;
   }
 
   ++op.hops_;
   metrics().Increment(hops_name_);
-  auto stream = std::make_unique<sim::SpanStream>(sim_, std::move(chain));
-  stream->set_on_complete(
-      [this, id, propagation, step = std::move(next)](sim::SpanStream&) {
-        sim_->ScheduleAt(sim_->now() + propagation,
-                         [this, id, step](SimTime) { RunStep(id, step); });
-      });
-  // Replacing the previous stream destroys it; its completion timer (the
-  // one that delivered the step now issuing this access) has already fired.
-  op.stream_ = std::move(stream);
-  op.stream_->Start();
+  op.propagation_ += propagation;
+  op.serialization_ += serialization;
+  op.access_cost_ = propagation + serialization;
+  op.access_next_ = std::move(next);
+  CoreSlots& slots = SlotsOf(op);
+  if (slots.free > 0) {
+    --slots.free;
+    StartAccess(op, 0);
+  } else {
+    slots.waiting.emplace_back(id, sim_->now());
+  }
+}
+
+void OpEngine::StartAccess(Op& op, SimTime wait) {
+  op.slot_wait_ += wait;
+  sim_->ScheduleAfter(op.access_cost_,
+                      [this, id = op.id_](SimTime) { EndAccess(id); });
+}
+
+void OpEngine::EndAccess(OpId id) {
+  Op& op = pending_.at(id);  // an op with an access in flight never finishes
+  CoreSlots& slots = SlotsOf(op);
+  if (!slots.waiting.empty()) {
+    const auto [waiter, since] = slots.waiting.front();
+    slots.waiting.pop_front();
+    StartAccess(pending_.at(waiter), sim_->now() - since);
+  } else {
+    ++slots.free;
+  }
+  // Moved out first: the continuation may issue the op's next access.
+  Step next = std::move(op.access_next_);
+  op.access_next_ = nullptr;
+  next(op);
+}
+
+OpEngine::CoreSlots& OpEngine::SlotsOf(const Op& op) {
+  return slots_[static_cast<std::size_t>(op.server_) *
+                    static_cast<std::size_t>(
+                        topology_->machine().cores_per_server) +
+                static_cast<std::size_t>(op.core_)];
 }
 
 void OpEngine::Read(Op& op, core::BufferId buffer, Bytes offset, Bytes len,
                     Step next) {
-  IssueAccess(op, buffer, offset, len, /*weight=*/1.0, std::move(next));
+  IssueAccess(op, buffer, offset, len, std::move(next));
 }
 
 void OpEngine::Write(Op& op, core::BufferId buffer, Bytes offset, Bytes len,
                      Step next) {
-  IssueAccess(op, buffer, offset, len, /*weight=*/1.0, std::move(next));
+  IssueAccess(op, buffer, offset, len, std::move(next));
 }
 
 void OpEngine::Acquire(Op& op, core::DistributedLock* lock, Step next) {
@@ -224,6 +255,7 @@ void OpEngine::Delay(Op& op, SimTime delay, Step next) {
 }
 
 void OpEngine::Finish(Op& op, Status status) {
+  LMP_CHECK(!op.access_next_) << "op finished with an access in flight";
   if (op.lock_ticket_ != 0) {
     op.lock_->Leave(op.lock_ticket_);
     sim_->CancelTimer(op.lock_deadline_);
@@ -241,6 +273,8 @@ void OpEngine::Finish(Op& op, Status status) {
   result.finish_time = sim_->now();
   result.hops = op.hops_;
   result.lock_spins = op.lock_spins_;
+  const SimTime breakdown[3] = {op.propagation_, op.serialization_,
+                                op.slot_wait_};
   pending_.erase(op.id_);  // `op` is dead past this line
 
   ++completed_;
@@ -256,19 +290,30 @@ void OpEngine::Finish(Op& op, Status status) {
     }
     latency_hist_[kind_idx]->Record(
         static_cast<std::uint64_t>(result.finish_time - result.submit_time));
+    static constexpr const char* kComponents[3] = {
+        ".propagation", ".serialization", ".slot_wait"};
+    for (int c = 0; c < 3; ++c) {
+      Histogram*& hist = breakdown_hist_[kind_idx][c];
+      if (hist == nullptr) {
+        hist = &metrics().GetHistogram(options_.metrics_prefix + "." +
+                                       OpKindName(result.kind) +
+                                       kComponents[c]);
+      }
+      hist->Record(static_cast<std::uint64_t>(breakdown[c]));
+    }
   }
   if (on_complete_) on_complete_(result);
 }
 
-Status OpEngine::Drain() {
-  while (!pending_.empty() && sim_->Step()) {
-  }
+StatusOr<std::uint64_t> OpEngine::Drain() {
+  std::uint64_t steps = 0;
+  while (!pending_.empty() && sim_->Step()) ++steps;
   if (!pending_.empty()) {
     return InternalError("op engine drained with " +
                          std::to_string(pending_.size()) +
                          " ops still in flight");
   }
-  return Status::Ok();
+  return steps;
 }
 
 }  // namespace lmp::ops

@@ -5,13 +5,26 @@
 // *requests* — the p50/p99/p999 of individual gets, puts, and scans.  This
 // is the layer §6's inherited RDMA applications (FaRM-style KV stores,
 // distributed ordered indexes) run on: each in-flight operation is a
-// lightweight state machine advanced only by simulator completions.  Every
-// hop — a root→leaf pointer chase, a record read or write — is priced as a
-// SpanStream over the fluid simulator's resource graph, resolved against
-// the segment map at issue time; a lock round trip is a timed delay.
-// There are no cached-node shortcuts: if a node is remote when the op
-// reaches it, the op pays the remote path; if migration moved it since the
-// previous hop, the op pays the new home.
+// lightweight state machine advanced only by simulator events.  Every hop
+// — a root→leaf pointer chase, a record read or write — is resolved
+// against the segment map at issue time and priced in closed form; a lock
+// round trip is a timed delay.  There are no cached-node shortcuts: if a
+// node is remote when the op reaches it, the op pays the remote path; if
+// migration moved it since the previous hop, the op pays the new home.
+//
+// Pricing: an access costs, per located span, the path's loaded latency
+// (Topology::{Local,Remote,Pool}LoadedLatency, read off the smoothed
+// utilization that bulk flows drive) plus serialization, the span's bytes
+// at the path's fair share (FluidSimulator::FairShare).  Accesses are not
+// flows: they never enter the solver.  Instead each holds one of the
+// issuing core's kMissSlotsPerCore outstanding-miss slots for its whole
+// cost; with every slot taken it waits in the core's FIFO, and the access
+// that frees a slot starts the head waiter in the same callback.  So an
+// access is one timer event, queueing adds none, and what a core's
+// outstanding ops contend for is its memory-level parallelism.  Each
+// successful op records the three components summed over its hops into
+// "<prefix>.<kind>.propagation", ".serialization" and ".slot_wait"; for an
+// op that takes no lock they add up to its latency.
 //
 // Shape (after the sst-elements async B+tree): ops live in a pending map,
 // each step issues one priced access and parks a continuation, and the
@@ -43,10 +56,11 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
@@ -55,7 +69,6 @@
 #include "core/pool_manager.h"
 #include "fabric/topology.h"
 #include "sim/fluid.h"
-#include "sim/stream.h"
 
 namespace lmp::ops {
 
@@ -64,6 +77,12 @@ using OpId = std::uint64_t;
 enum class OpKind : std::uint8_t { kGet, kPut, kScan, kOther };
 
 const char* OpKindName(OpKind kind);
+
+// Outstanding-miss slots per core: how many accesses one core keeps in
+// flight; the rest wait FIFO.  The testbed core's L1D line-fill-buffer
+// count (Skylake-SP: 10), one slot per access rather than per line
+// (DESIGN.md §2).
+inline constexpr int kMissSlotsPerCore = 10;
 
 // Final accounting for one completed op.
 struct OpResult {
@@ -123,7 +142,14 @@ class OpEngine {
     SimTime submit_time_ = 0;
     int hops_ = 0;
     int lock_spins_ = 0;
-    std::unique_ptr<sim::SpanStream> stream_;  // current priced access
+    // The access in flight (access_next_ set until it completes) and its
+    // closed-form cost.
+    Step access_next_;
+    SimTime access_cost_ = 0;
+    // Latency components summed over the op's accesses.
+    SimTime propagation_ = 0;
+    SimTime serialization_ = 0;
+    SimTime slot_wait_ = 0;
     // Parked by Acquire until the lock is held; Finish destroys them.
     core::DistributedLock* lock_ = nullptr;
     Step lock_next_;
@@ -155,13 +181,15 @@ class OpEngine {
   // Steps (called from inside a Step) --------------------------------------
 
   // Prices a read/write of [offset, offset+len) of `buffer` from the op's
-  // (server, core): one sim::Span per located span — local DRAM path,
-  // remote fabric path, or pool path, resolved at issue time — chained as
-  // one SpanStream.  `next` runs when the last span completes.  The engine
-  // prices only; the functional access (and its hotness accounting) is the
-  // caller's, typically performed inside `next` at completion time.
-  // Unresolvable spans (kDataLoss after a crash, unknown buffers) finish
-  // the op with that status instead of running `next`.
+  // (server, core): each located span — local DRAM path, remote fabric
+  // path, or pool path, resolved at issue time — costs its loaded latency
+  // plus serialization at the path's fair share, and the access holds one
+  // of the core's miss slots (waiting FIFO for one) for the summed cost.
+  // `next` runs when it completes.  An op has at most one access in flight.
+  // The engine prices only; the functional access (and its hotness
+  // accounting) is the caller's, typically performed inside `next` at
+  // completion time.  Unresolvable spans (kDataLoss after a crash, unknown
+  // buffers) finish the op with that status instead of running `next`.
   void Read(Op& op, core::BufferId buffer, Bytes offset, Bytes len,
             Step next);
   void Write(Op& op, core::BufferId buffer, Bytes offset, Bytes len,
@@ -184,8 +212,9 @@ class OpEngine {
   void Delay(Op& op, SimTime delay, Step next);
 
   // Completes the op: leaves any lock queue, hands off locks it still holds
-  // (no priced round trip), records its latency distribution and counters,
-  // runs the completion hook, and destroys the Op.
+  // (no priced round trip), records its latency distribution, breakdown
+  // and counters, runs the completion hook, and destroys the Op.  An op
+  // with an access in flight cannot finish (checked).
   void Finish(Op& op, Status status = Status::Ok());
 
   // Introspection ------------------------------------------------------------
@@ -195,11 +224,12 @@ class OpEngine {
   std::uint64_t completed() const { return completed_; }
   std::uint64_t failed() const { return failed_; }
 
-  // Runs the simulator until every submitted op has finished.  Closed-loop
-  // drivers that resubmit from the completion hook drain naturally once
-  // they stop.  Fails if the simulator goes idle with ops still parked
-  // (a stuck state machine — means an engine or driver bug).
-  Status Drain();
+  // Runs the simulator until every submitted op has finished and returns
+  // the number of simulator steps that took.  Closed-loop drivers that
+  // resubmit from the completion hook drain naturally once they stop.
+  // Fails if the simulator goes idle with ops still parked (a stuck state
+  // machine — means an engine or driver bug).
+  StatusOr<std::uint64_t> Drain();
 
   // Fired after each op finishes (closed-loop drivers resubmit here; the
   // hook runs inside a timer callback, so submitting is safe).
@@ -210,8 +240,21 @@ class OpEngine {
   core::PoolManager* manager() { return manager_; }
 
  private:
+  // A core's outstanding-miss slots: how many are free, and the accesses
+  // waiting for one in FIFO order, each with the time it began waiting.
+  struct CoreSlots {
+    int free = kMissSlotsPerCore;
+    std::deque<std::pair<OpId, SimTime>> waiting;
+  };
+
   void IssueAccess(Op& op, core::BufferId buffer, Bytes offset, Bytes len,
-                   double weight, Step next);
+                   Step next);
+  // Starts a slot-holding access that waited `wait` for its slot: its
+  // completion is due access_cost_ on.
+  void StartAccess(Op& op, SimTime wait);
+  // The access's one event: passes the slot on, then runs the continuation.
+  void EndAccess(OpId id);
+  CoreSlots& SlotsOf(const Op& op);
   void AttemptLock(OpId id);
   // Runs inside the releaser's Unlock once `id` holds the lock.
   void OnLockGranted(OpId id);
@@ -236,9 +279,13 @@ class OpEngine {
   std::uint64_t completed_ = 0;
   std::uint64_t failed_ = 0;
   CompletionHook on_complete_;
+  // By server * cores_per_server + core.
+  std::vector<CoreSlots> slots_;
   // Cached distribution instruments (one lookup per kind, not per op).
   Histogram* latency_hist_[4] = {nullptr, nullptr, nullptr, nullptr};
   Histogram* lock_wait_hist_ = nullptr;
+  // "<prefix>.<kind>.propagation|serialization|slot_wait", by kind.
+  Histogram* breakdown_hist_[4][3] = {};
   // Metric names, "<prefix>.hops" etc., built once.
   std::string hops_name_;
   std::string lock_spins_name_;

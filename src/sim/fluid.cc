@@ -110,14 +110,35 @@ void FluidSimulator::set_threads(int n) {
   if (n > 1) pool_ = std::make_unique<SolverPool>(n);
 }
 
+FlowRecord* FluidSimulator::FindRecord(FlowId id) {
+  return const_cast<FlowRecord*>(std::as_const(*this).FindRecord(id));
+}
+
+const FlowRecord* FluidSimulator::FindRecord(FlowId id) const {
+  if (id < records_base_ || id - records_base_ >= records_.size()) {
+    return nullptr;
+  }
+  const RecordEntry& e = records_[id - records_base_];
+  return e.live ? &e.rec : nullptr;
+}
+
+void FluidSimulator::DropRecord(FlowId id) {
+  if (FindRecord(id) == nullptr) return;
+  records_[id - records_base_].live = false;
+  --live_records_;
+  while (!records_.empty() && !records_.front().live) {
+    records_.pop_front();
+    ++records_base_;
+  }
+}
+
 void FluidSimulator::FinishRecord(FlowId id) {
-  auto it = records_.find(id);
-  if (it == records_.end()) return;
-  it->second.done = true;
-  it->second.end = now_;
+  FlowRecord* rec = FindRecord(id);
+  if (rec == nullptr) return;
+  rec->done = true;
+  rec->end = now_;
   if (flow_duration_hist_ != nullptr) {
-    flow_duration_hist_->Record(
-        static_cast<std::uint64_t>(now_ - it->second.start));
+    flow_duration_hist_->Record(static_cast<std::uint64_t>(now_ - rec->start));
   }
   if (trace_ != nullptr) {
     trace_->End(trace::Category::kFlow, "flow", id, now_);
@@ -135,7 +156,8 @@ FlowId FluidSimulator::StartFlow(double bytes,
                                  const std::vector<ResourceId>& path,
                                  FlowCallback on_done, double weight) {
   const FlowId id = next_flow_id_++;
-  records_[id] = FlowRecord{now_, now_, bytes, false};
+  records_.push_back(RecordEntry{FlowRecord{now_, now_, bytes, false}});
+  ++live_records_;
 
   LMP_CHECK(weight > 0) << "flow weight must be positive";
   for (ResourceId r : path) {
@@ -157,10 +179,10 @@ FlowId FluidSimulator::StartFlow(double bytes,
     if (on_done) {
       ScheduleAt(now_, [this, id, cb = std::move(on_done)](SimTime t) {
         cb(id, t);
-        if (retention_ == RecordRetention::kDropCompleted) records_.erase(id);
+        if (retention_ == RecordRetention::kDropCompleted) DropRecord(id);
       });
     } else if (retention_ == RecordRetention::kDropCompleted) {
-      records_.erase(id);
+      DropRecord(id);
     }
     return id;
   }
@@ -792,7 +814,7 @@ void FluidSimulator::CompleteAt(SimTime t, SimTime min_dt) {
   deferring_ = true;
   for (auto& [id, cb] : done) {
     if (cb) cb(id, now_);
-    if (retention_ == RecordRetention::kDropCompleted) records_.erase(id);
+    if (retention_ == RecordRetention::kDropCompleted) DropRecord(id);
   }
   deferring_ = outer_deferring;
   SolvePending();
@@ -812,8 +834,8 @@ Status FluidSimulator::RunUntilFlowDone(FlowId id) {
   // One lookup per iteration (records can be released mid-run); a missing
   // record for a known id means it was already retired, i.e. completed.
   while (true) {
-    const auto it = records_.find(id);
-    if (it == records_.end() || it->second.done) return Status::Ok();
+    const FlowRecord* rec = FindRecord(id);
+    if (rec == nullptr || rec->done) return Status::Ok();
     if (!Step()) {
       return InternalError("simulation drained before flow completed");
     }
@@ -821,17 +843,14 @@ Status FluidSimulator::RunUntilFlowDone(FlowId id) {
 }
 
 const FlowRecord* FluidSimulator::record(FlowId id) const {
-  auto it = records_.find(id);
-  return it == records_.end() ? nullptr : &it->second;
+  return FindRecord(id);
 }
 
 Status FluidSimulator::ReleaseRecord(FlowId id) {
-  auto it = records_.find(id);
-  if (it == records_.end()) return NotFoundError("no record for flow");
-  if (!it->second.done) {
-    return FailedPreconditionError("flow is still active");
-  }
-  records_.erase(it);
+  const FlowRecord* rec = FindRecord(id);
+  if (rec == nullptr) return NotFoundError("no record for flow");
+  if (!rec->done) return FailedPreconditionError("flow is still active");
+  DropRecord(id);
   return Status::Ok();
 }
 
@@ -846,6 +865,17 @@ double FluidSimulator::FlowRate(FlowId id) {
 double FluidSimulator::BytesServed(ResourceId id) const {
   assert(id < resources_.size());
   return resources_[id].bytes_served;
+}
+
+double FluidSimulator::FairShare(const std::vector<ResourceId>& path) const {
+  LMP_CHECK(!path.empty()) << "fair share of an empty path";
+  double share = std::numeric_limits<double>::infinity();
+  for (ResourceId r : path) {
+    assert(r < resources_.size());
+    share = std::min(share, resources_[r].capacity /
+                                static_cast<double>(flows_at_[r].size() + 1));
+  }
+  return share;
 }
 
 void FluidSimulator::ExportSolverMetrics(MetricsRegistry& registry) {

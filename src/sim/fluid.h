@@ -61,9 +61,9 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <limits>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -252,6 +252,14 @@ class FluidSimulator {
   // Total bytes that have fully traversed each resource so far.
   double BytesServed(ResourceId id) const;
 
+  // Closed-form bandwidth for a small access that is not a flow: the share
+  // a unit-weight flow joining `path` would get at its tightest resource,
+  // min over the path of capacity / (1 + flows crossing that resource).
+  // It reads only capacities and the crossing index, both current at every
+  // call, so unlike the rate readers it has nothing to settle.  The path
+  // must be non-empty.
+  double FairShare(const std::vector<ResourceId>& path) const;
+
   // Records -----------------------------------------------------------------
 
   // Drops the record of a completed flow (bounds memory in long runs where
@@ -259,7 +267,7 @@ class FluidSimulator {
   Status ReleaseRecord(FlowId id);
 
   void set_record_retention(RecordRetention policy) { retention_ = policy; }
-  std::size_t record_count() const { return records_.size(); }
+  std::size_t record_count() const { return live_records_; }
 
   // Solver ------------------------------------------------------------------
 
@@ -426,6 +434,12 @@ class FluidSimulator {
   // before now_ moves.
   void FoldUtilization(SimTime dt);
   void FinishRecord(FlowId id);
+  // The record table.  FindRecord returns null for a retired (or never
+  // issued) id; DropRecord retires a record if it is still held and trims
+  // retired records off the table's front.
+  FlowRecord* FindRecord(FlowId id);
+  const FlowRecord* FindRecord(FlowId id) const;
+  void DropRecord(FlowId id);
   // Timer slab upkeep.  FreeTimerSlot returns a slot to the free list;
   // PopStaleTimers discards cancelled entries at the heap's front;
   // PurgeStaleTimers rebuilds the heap without them once they outnumber
@@ -444,7 +458,22 @@ class FluidSimulator {
   std::vector<Flow> flows_;
   std::vector<Slot> free_slots_;
   std::vector<Slot> order_;
-  std::map<FlowId, FlowRecord> records_;
+  // Flow records by id: records_[id - records_base_] holds flow `id`.  Ids
+  // issue monotonically, so StartFlow appends; a retired record stays as a
+  // dead entry until every older one is retired too, then leaves from the
+  // front.  Missing (before the base, or dead) means retired.  So the
+  // table's size is bounded by the flows started since the oldest record
+  // still held, not by the records held: one long-lived record (an active
+  // flow, or a kKeepAll record never released) pins a dead entry for every
+  // flow started after it.  Entries never move, so record pointers stay
+  // valid until the record is retired.
+  struct RecordEntry {
+    FlowRecord rec;
+    bool live = true;
+  };
+  std::deque<RecordEntry> records_;
+  FlowId records_base_ = 1;
+  std::size_t live_records_ = 0;
   // Timers: a min-heap on (when, seq) over a callback slab with a free
   // list.  Step moves each due callback out of its slot, frees the slot and
   // runs it.  stale_timers_ counts cancelled entries not yet discarded.

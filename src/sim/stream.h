@@ -4,9 +4,9 @@
 // ordered list of memory spans: span i+1 starts only when span i finishes.
 // The vector-sum microbenchmark runs 14 of these concurrently, one per core,
 // each walking its slice of the vector (local spans at DRAM speed, remote
-// spans through the fabric link).  The request/op engine (src/ops) chains
-// one SpanStream per priced access, advancing op state machines from the
-// stream's completion callback.
+// spans through the fabric link).  Streams carry bulk traffic only: the
+// request/op engine (src/ops) prices its small accesses in closed form and
+// never starts a flow.
 #pragma once
 
 #include <functional>

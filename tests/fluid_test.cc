@@ -216,6 +216,114 @@ TEST(FluidTest, RunUntilFlowDoneWorksWithReleasedRecords) {
   ASSERT_TRUE(sim.RunUntilFlowDone(slow).ok());
 }
 
+TEST(FluidTest, RecordsReleasedOutOfOrderAcrossRetentionModes) {
+  FluidSimulator sim;
+  const ResourceId r = sim.AddResource("link", GBps(1));
+  const FlowId slow = sim.StartFlow(10e9, {r});
+  std::vector<FlowId> quick;
+  for (int i = 0; i < 4; ++i) quick.push_back(sim.StartFlow(0.1e9, {r}));
+  ASSERT_TRUE(sim.RunUntilFlowDone(quick.back()).ok());
+  // Keep-all: release from the middle and the back, not the front.
+  ASSERT_TRUE(sim.ReleaseRecord(quick[3]).ok());
+  ASSERT_TRUE(sim.ReleaseRecord(quick[1]).ok());
+  EXPECT_EQ(sim.record(quick[1]), nullptr);
+  EXPECT_EQ(sim.record(quick[3]), nullptr);
+  EXPECT_FALSE(sim.ReleaseRecord(quick[1]).ok());
+  EXPECT_EQ(sim.record_count(), 3u);  // slow, quick[0], quick[2]
+  const FlowRecord* kept = sim.record(quick[2]);
+  ASSERT_NE(kept, nullptr);
+  EXPECT_TRUE(kept->done);
+  const SimTime kept_end = kept->end;
+
+  // Drop-completed: later flows retire themselves, and the slow flow
+  // (started under keep-all) is dropped when it completes too.
+  sim.set_record_retention(RecordRetention::kDropCompleted);
+  std::vector<FlowId> later;
+  for (int i = 0; i < 1000; ++i) later.push_back(sim.StartFlow(1e6, {r}));
+  ASSERT_TRUE(sim.RunUntilFlowDone(later.front()).ok());
+  EXPECT_EQ(sim.record(later.front()), nullptr);
+  EXPECT_EQ(sim.record(quick[2]), kept);  // records never move
+  sim.Run();
+  EXPECT_EQ(sim.record(slow), nullptr);
+  ASSERT_TRUE(sim.RunUntilFlowDone(slow).ok());  // retired means done
+  EXPECT_EQ(sim.record_count(), 2u);             // quick[0], quick[2]
+  EXPECT_EQ(kept->end, kept_end);
+  ASSERT_TRUE(sim.ReleaseRecord(quick[0]).ok());
+  ASSERT_TRUE(sim.ReleaseRecord(quick[2]).ok());
+  EXPECT_EQ(sim.record_count(), 0u);
+
+  // Ids past every retired record still start, complete and release.
+  sim.set_record_retention(RecordRetention::kKeepAll);
+  const FlowId last = sim.StartFlow(1e6, {r});
+  sim.Run();
+  ASSERT_NE(sim.record(last), nullptr);
+  EXPECT_TRUE(sim.record(last)->done);
+  EXPECT_EQ(sim.record_count(), 1u);
+  EXPECT_FALSE(sim.ReleaseRecord(last + 1).ok());
+}
+
+// One long flow holds the record table's front while thousands of later
+// flows start and retire behind it: lookups stay exact, and once the long
+// flow retires the table trims past every dead entry.
+TEST(FluidTest, PinnedFrontKeepsLookupsExactAndTrimsOnRetire) {
+  FluidSimulator sim;
+  sim.set_record_retention(RecordRetention::kDropCompleted);
+  const ResourceId pinned_link = sim.AddResource("pinned", GBps(1));
+  const ResourceId r = sim.AddResource("link", GBps(1));
+  const FlowId pinned = sim.StartFlow(1e9, {pinned_link});  // 1 s
+  const FlowRecord* pinned_rec = sim.record(pinned);
+  ASSERT_NE(pinned_rec, nullptr);
+  FlowId last = 0;
+  for (int wave = 0; wave < 4; ++wave) {
+    std::vector<FlowId> ids;
+    for (int i = 0; i < 1000; ++i) ids.push_back(sim.StartFlow(1e3, {r}));
+    while (sim.record_count() > 1) ASSERT_TRUE(sim.Step());
+    for (FlowId id : ids) EXPECT_EQ(sim.record(id), nullptr);
+    EXPECT_EQ(sim.record(pinned), pinned_rec);
+    EXPECT_FALSE(pinned_rec->done);
+    // A kept record behind the dead entries, released by hand.
+    sim.set_record_retention(RecordRetention::kKeepAll);
+    const FlowId kept = sim.StartFlow(1e3, {r});
+    ASSERT_TRUE(sim.RunUntilFlowDone(kept).ok());
+    sim.set_record_retention(RecordRetention::kDropCompleted);
+    ASSERT_NE(sim.record(kept), nullptr);
+    EXPECT_TRUE(sim.record(kept)->done);
+    EXPECT_EQ(sim.record_count(), 2u);
+    ASSERT_TRUE(sim.ReleaseRecord(kept).ok());
+    EXPECT_EQ(sim.record(kept), nullptr);
+    EXPECT_EQ(sim.record_count(), 1u);
+    last = kept;
+  }
+  ASSERT_TRUE(sim.RunUntilFlowDone(pinned).ok());
+  EXPECT_EQ(sim.record(pinned), nullptr);
+  EXPECT_EQ(sim.record_count(), 0u);
+  EXPECT_EQ(sim.record(last), nullptr);
+  const FlowId next = sim.StartFlow(1e3, {r});
+  EXPECT_EQ(next, last + 1);
+  ASSERT_NE(sim.record(next), nullptr);
+  EXPECT_EQ(sim.record_count(), 1u);
+  sim.Run();
+  EXPECT_EQ(sim.record(next), nullptr);
+  EXPECT_EQ(sim.record_count(), 0u);
+}
+
+TEST(FluidTest, FairShareIsTightestCapacityOverCrossingFlowsPlusOne) {
+  FluidSimulator sim;
+  const ResourceId wide = sim.AddResource("wide", GBps(10));
+  const ResourceId narrow = sim.AddResource("narrow", GBps(4));
+  EXPECT_DOUBLE_EQ(sim.FairShare({wide}), GBps(10));
+  EXPECT_DOUBLE_EQ(sim.FairShare({wide, narrow}), GBps(4));
+  sim.StartFlow(1e12, {wide});
+  EXPECT_DOUBLE_EQ(sim.FairShare({wide}), GBps(5));
+  EXPECT_DOUBLE_EQ(sim.FairShare({wide, narrow}), GBps(4));
+  sim.StartFlow(1e12, {narrow});
+  sim.StartFlow(1e12, {narrow, wide});
+  EXPECT_DOUBLE_EQ(sim.FairShare({wide, narrow}), GBps(4) / 3);
+  const SolverStats before = sim.solver_stats();
+  (void)sim.FairShare({wide});
+  EXPECT_EQ(sim.solver_stats().recompute_calls, before.recompute_calls);
+}
+
 // --- Solver introspection ---------------------------------------------------
 
 TEST(FluidTest, SolverTouchesOnlyTheAffectedComponent) {

@@ -2,6 +2,9 @@
 // and end-to-end hot-data locality improvement.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/migration.h"
 #include "core/pool_manager.h"
 
@@ -103,6 +106,23 @@ TEST_F(MigrationTest, HighestNetBenefitMovesFirst) {
   ASSERT_TRUE(engine.RunOnce(0, &records).ok());
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].segment, hot);
+}
+
+TEST_F(MigrationTest, EqualScoresMigrateLowestSegmentFirst) {
+  MigrationConfig config;
+  config.max_migrations_per_round = 1;
+  MigrationEngine engine(&manager_, config);
+  std::vector<SegmentId> segs;
+  for (int i = 0; i < 6; ++i) {
+    segs.push_back(AllocOn(0, KiB(16)));
+    manager_.access_tracker().RecordAccess(segs.back(), 1, double(MiB(1)), 0);
+  }
+  std::vector<MigrationRecord> records;
+  const auto stats = engine.RunOnce(0, &records);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->candidates, 6);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].segment, *std::min_element(segs.begin(), segs.end()));
 }
 
 TEST_F(MigrationTest, SkipsWhenDestinationFull) {

@@ -468,6 +468,169 @@ std::map<std::string, std::uint64_t> EngineMetricsUnder(
   return out;
 }
 
+// --- Closed-form pricing -----------------------------------------------------
+
+// k + 1 same-priced accesses from one core with k miss slots: the first k
+// run at once and the last starts, FIFO, exactly when the first completes.
+// Another core's access does not queue behind them.
+TEST(OpEngineTest, AccessBeyondTheMissSlotsWaitsForTheFirstToComplete) {
+  constexpr int kSlots = kMissSlotsPerCore;
+  MetricsRegistry metrics;
+  cluster::Cluster cluster(SmallBackedConfig());
+  core::PoolManager manager(&cluster);
+  sim::FluidSimulator sim;
+  fabric::Topology topology = fabric::Topology::MakeLogical(
+      &sim, 4, fabric::LinkProfile::Link0(), fabric::MachineProfile{});
+  OpEngine engine(&sim, &topology, &manager,
+                  Harness::MakeOptions(&metrics));
+  auto buf = manager.Allocate(MiB(1), 0);
+  ASSERT_TRUE(buf.ok());
+
+  std::map<OpId, SimTime> finish;
+  engine.set_on_complete(
+      [&](const OpResult& r) { finish[r.id] = r.finish_time; });
+  auto submit = [&](int core) {
+    return engine.Submit(OpKind::kGet, 0, core, [&](OpEngine::Op& op) {
+      engine.Read(op, *buf, 0, 512,
+                  [&](OpEngine::Op& o) { engine.Finish(o); });
+    });
+  };
+  std::vector<OpId> same_core;
+  for (int i = 0; i <= kSlots; ++i) same_core.push_back(submit(0));
+  const OpId other_core = submit(1);
+  ASSERT_TRUE(engine.Drain().ok());
+
+  const SimTime access = finish.at(same_core.front());
+  EXPECT_GT(access, 0);
+  for (int i = 0; i < kSlots; ++i) {
+    EXPECT_EQ(finish.at(same_core[static_cast<std::size_t>(i)]), access);
+  }
+  EXPECT_EQ(finish.at(same_core.back()), access + access);
+  EXPECT_EQ(finish.at(other_core), access);
+  const Histogram* wait = metrics.FindHistogram("ops.get.slot_wait");
+  ASSERT_NE(wait, nullptr);
+  EXPECT_EQ(wait->count(), static_cast<std::uint64_t>(kSlots + 2));
+  EXPECT_EQ(wait->min(), 0u);
+  EXPECT_EQ(wait->max(), static_cast<std::uint64_t>(access));
+}
+
+// A get that takes no lock spends its whole latency in its accesses:
+// propagation + serialization + slot wait, summed over its hops, is the
+// recorded latency (each component is truncated to whole ns once).
+TEST(OpEngineTest, LockFreeGetBreakdownSumsToItsLatency) {
+  Harness h;
+  auto tree_or = PoolBtree::Create(&h.deploy.manager(), 2048, 0);
+  ASSERT_TRUE(tree_or.ok());
+  PoolBtree& tree = *tree_or;
+  for (std::uint64_t k = 0; k < 5000; ++k) {
+    ASSERT_TRUE(tree.Insert(0, k, k).ok());
+  }
+  ASSERT_GE(tree.height(), 3);
+  // Half the arena off the client server, so the hops mix both paths.
+  auto arena = h.deploy.manager().Describe(tree.buffer());
+  ASSERT_TRUE(arena.ok());
+  ASSERT_TRUE(h.deploy.manager()
+                  .SplitSegmentAt(tree.buffer(), arena->size / 2)
+                  .ok());
+  arena = h.deploy.manager().Describe(tree.buffer());
+  ASSERT_TRUE(h.deploy.manager().MigrateSegment(arena->segments[1], 2).ok());
+
+  BtreeOpDriver driver(&h.engine, &tree, 4);
+  int hops = 0;
+  h.engine.set_on_complete([&](const OpResult& r) {
+    EXPECT_TRUE(r.status.ok());
+    hops = r.hops;
+  });
+  driver.SubmitGet(0, 0, 4321);
+  ASSERT_TRUE(h.engine.Drain().ok());
+  ASSERT_EQ(hops, tree.height());
+
+  auto one = [&](const std::string& name) {
+    const Histogram* hist = h.metrics.FindHistogram(name);
+    EXPECT_NE(hist, nullptr) << name;
+    if (hist == nullptr) return std::uint64_t{0};
+    EXPECT_EQ(hist->count(), 1u) << name;
+    return hist->min();
+  };
+  const std::uint64_t latency = one("ops.get");
+  const std::uint64_t propagation = one("ops.get.propagation");
+  const std::uint64_t serialization = one("ops.get.serialization");
+  const std::uint64_t slot_wait = one("ops.get.slot_wait");
+  EXPECT_GT(propagation, 0u);
+  EXPECT_GT(serialization, 0u);
+  EXPECT_EQ(slot_wait, 0u);  // one op never waits for a slot
+  const std::uint64_t sum = propagation + serialization + slot_wait;
+  EXPECT_LE(sum, latency);
+  EXPECT_LE(latency - sum, static_cast<std::uint64_t>(hops));
+}
+
+// The closed-form price follows placement: on two servers, the same gets
+// cost strictly more as more of the arena is homed on the peer.
+TEST(OpEngineTest, GetLatencyIsOrderedByLocalFraction) {
+  auto mean_get = [](int remote_slices) {
+    cluster::ClusterConfig cfg = SmallBackedConfig();
+    cfg.num_servers = 2;
+    MetricsRegistry metrics;
+    LogicalDeployment deploy(fabric::LinkProfile::Link0(), cfg);
+    OpEngine engine(&deploy.simulator(), &deploy.topology(),
+                    &deploy.manager(), Harness::MakeOptions(&metrics));
+    auto tree_or = PoolBtree::Create(&deploy.manager(), 256, 0);
+    EXPECT_TRUE(tree_or.ok());
+    PoolBtree& tree = *tree_or;
+    for (std::uint64_t k = 0; k < 3000; ++k) {
+      EXPECT_TRUE(tree.Insert(0, k * 3, k).ok());
+    }
+    core::PoolManager& manager = deploy.manager();
+    const Bytes arena = manager.Describe(tree.buffer())->size;
+    EXPECT_TRUE(manager.SplitSegmentAt(tree.buffer(), arena / 2).ok());
+    const auto segs = manager.Describe(tree.buffer())->segments;
+    for (int i = 0; i < remote_slices; ++i) {
+      EXPECT_TRUE(
+          manager.MigrateSegment(segs[segs.size() - 1 - i], 1).ok());
+    }
+    BtreeOpDriver driver(&engine, &tree, 2);
+    // One get at a time, so no access waits for a slot.
+    std::uint64_t key = 0;
+    engine.set_on_complete([&](const OpResult& r) {
+      EXPECT_TRUE(r.status.ok());
+      key += 3 * 29;
+      if (key < 3000 * 3) driver.SubmitGet(0, 0, key);
+    });
+    driver.SubmitGet(0, 0, key);
+    EXPECT_TRUE(engine.Drain().ok());
+    const Histogram* hist = metrics.FindHistogram("ops.get");
+    return hist == nullptr ? 0.0 : hist->mean();
+  };
+  const double local = mean_get(0);
+  const double half = mean_get(1);
+  const double remote = mean_get(2);
+  EXPECT_GT(local, 0);
+  EXPECT_LT(local, half);
+  EXPECT_LT(half, remote);
+}
+
+// Gets and puts never enter the fluid solver: their accesses are timers.
+TEST(OpEngineTest, BtreeOpsDriveNoSolverCalls) {
+  Harness h;
+  auto tree_or = PoolBtree::Create(&h.deploy.manager(), 2048, 0);
+  ASSERT_TRUE(tree_or.ok());
+  PoolBtree& tree = *tree_or;
+  for (std::uint64_t k = 0; k < 3000; ++k) {
+    ASSERT_TRUE(tree.Insert(0, k, k).ok());
+  }
+  BtreeOpDriver driver(&h.engine, &tree, 4);
+  const std::uint64_t calls =
+      h.deploy.simulator().solver_stats().recompute_calls;
+  for (std::uint64_t k = 0; k < 64; ++k) {
+    driver.SubmitGet(static_cast<cluster::ServerId>(k % 4), 0, k * 40);
+    driver.SubmitPut(static_cast<cluster::ServerId>(k % 4), 1, k * 40 + 1, k);
+  }
+  ASSERT_TRUE(h.engine.Drain().ok());
+  EXPECT_EQ(h.engine.completed(), 128u);
+  EXPECT_EQ(h.engine.failed(), 0u);
+  EXPECT_EQ(h.deploy.simulator().solver_stats().recompute_calls, calls);
+}
+
 TEST(OpEngineTest, MetricsPrefixOnlyRenamesCounters) {
   const auto ops = EngineMetricsUnder("ops");
   EXPECT_EQ(EngineMetricsUnder("kv"), ops);
