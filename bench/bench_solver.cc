@@ -5,8 +5,8 @@
 //
 // Every arrival and completion triggers a re-solve.  The full pass re-rates
 // every active flow each time (O(flows x resources), fresh allocations);
-// the incremental solver re-rates only the connected component sharing a
-// resource with the change, reusing persistent scratch.  Both modes are
+// the incremental solver re-rates only the flows the change reaches through
+// saturated resources, reusing persistent scratch.  Both modes are
 // bit-identical in simulated results — checked here — so the speedup is
 // pure solver wall-clock.
 #include <chrono>
@@ -164,8 +164,8 @@ int main(int argc, char** argv) {
   // per server, so the incremental solver re-rates ~1/4 of the flows.
   RunSweep(/*remote_fraction=*/0.0, sidecar.collector());
   // Bridged churn: 5% remote flows keep all servers in one connected
-  // component, so incrementality degenerates to a full (but allocation-free
-  // and sort-free) pass — the floor, not the headline.
+  // component, but they cross only unsaturated cores and link ports, so a
+  // solve still re-rates about the flows of the DRAMs the event touches.
   RunSweep(/*remote_fraction=*/0.05, sidecar.collector());
   std::printf(
       "Simulated results are bit-identical in both modes (checked); the\n"

@@ -48,7 +48,7 @@ Status FluidSimulator::SetCapacity(ResourceId id, BytesPerSec capacity) {
   // The EWMA was folded up to now_ by the last time sweep, so the elapsed
   // window is already priced at the old capacity.
   resources_[id].capacity = capacity;
-  batch_seed_.push_back(id);
+  batch_capacity_.push_back(id);
   if (!deferring_) SolvePending();
   return Status::Ok();
 }
@@ -204,7 +204,7 @@ FlowId FluidSimulator::StartFlow(double bytes,
   flow.on_done = std::move(on_done);
   order_.push_back(slot);  // ids ascend, so order_ stays sorted
   IndexFlow(slot);
-  batch_seed_.insert(batch_seed_.end(), path.begin(), path.end());
+  batch_new_.push_back(slot);
   if (!deferring_) SolvePending();
   return id;
 }
@@ -225,10 +225,15 @@ void FluidSimulator::EndBatch() {
 
 void FluidSimulator::SolvePending() {
   // Inside an open batch, rates of the batch's flows read 0 until EndBatch.
-  if (in_batch_ || batch_seed_.empty()) return;
-  std::swap(seed_res_, batch_seed_);
-  batch_seed_.clear();
+  if (in_batch_ || (batch_seed_.empty() && batch_capacity_.empty() &&
+                    batch_new_.empty())) {
+    return;
+  }
+  // The solve runs no callback, so nothing adds to the lists under it.
   SolveSeeded();
+  batch_seed_.clear();
+  batch_capacity_.clear();
+  batch_new_.clear();
 }
 
 void FluidSimulator::IndexFlow(Slot slot) {
@@ -351,8 +356,11 @@ void FluidSimulator::ProgressiveFill(ShardTask& task,
   // Weighted max-min by progressive filling: repeatedly take the resource
   // whose fair share per unit of still-unfrozen weight is smallest, and
   // freeze the flows crossing it at that share.  task.comp_res must hold
-  // every resource the work's flows cross, and task.work every flow
-  // crossing those resources.  This is the single weighted max-min core:
+  // every resource the work's flows cross but those in task.cut, and
+  // task.work every flow crossing a comp_res resource.  Cut resources enter
+  // with no unfrozen weight; the freeze loop only lowers it, so they never
+  // join the heap and are never a bottleneck.  This is the single weighted
+  // max-min core:
   // the incremental solver, the full solver, every shard task, and the
   // CheckAgainstFullSolve oracle all run it.  Rates land in Work::rate;
   // no flow is written.
@@ -389,6 +397,7 @@ void FluidSimulator::ProgressiveFill(ShardTask& task,
     unfrozen[r] = weight;
     if (weight > 0) heap.emplace_back(headroom[r] / weight, r);
   }
+  for (ResourceId r : task.cut) unfrozen[r] = 0;
   const auto later = std::greater<std::pair<double, ResourceId>>();
   std::make_heap(heap.begin(), heap.end(), later);
 
@@ -457,13 +466,17 @@ void FluidSimulator::ProgressiveFill(ShardTask& task,
 
 void FluidSimulator::ApplyRates(const ShardTask& task) {
   // Each resource sums its flows' rates over its index, i.e. in flow-id
-  // order — the order a full pass over all flows would add them in.
+  // order — the order a full pass over all flows would add them in.  A cut
+  // resource's index also holds flows left out of the solve, at the rates
+  // they keep.
   for (const Work& w : task.work) flows_[w.slot].rate = w.rate;
-  for (ResourceId r : task.comp_res) {
+  const auto resum = [this](ResourceId r) {
     double rate_sum = 0;
     for (const FlowEntry& e : flows_at_[r]) rate_sum += flows_[e.slot].rate;
     resources_[r].rate_sum = rate_sum;
-  }
+  };
+  for (ResourceId r : task.comp_res) resum(r);
+  for (ResourceId r : task.cut) resum(r);
 }
 
 void FluidSimulator::RecomputeAll() {
@@ -473,6 +486,7 @@ void FluidSimulator::RecomputeAll() {
   if (tasks_.empty()) tasks_.emplace_back();
   ShardTask& task = tasks_[0];  // scratch reuse; full solves never overlap
   task.comp_res.clear();
+  task.cut.clear();
   for (ResourceId r = 0; r < resources_.size(); ++r) {
     resources_[r].rate_sum = 0;
     if (!flows_at_[r].empty()) task.comp_res.push_back(r);
@@ -521,47 +535,57 @@ void FluidSimulator::SolveSeededImpl() {
     return;
   }
   ++stats_.recompute_calls;
-  ++solve_epoch_;
+  // Two fresh stamps per solve: one for the cut walk, one for a fallback.
+  solve_epoch_ += 2;
 
-  // Partition the seed resources into solver tasks.  A shard with zero
-  // cross-shard flows is *closed*: every flow touching it lies entirely
-  // inside it, so its connected components cannot extend past the shard
-  // boundary and its BFS + solve is independent of every other task.  Seeds
-  // in open shards or on unsharded resources funnel into one sequential
-  // "spill" task; spill components may span open shards but can never reach
-  // into a closed one (any flow that could bridge them would have held the
-  // shard open).  With no shards assigned, everything spills and the solve
-  // is exactly the classic single-component pass.
+  // Partition the seeds into solver tasks.  A shard with zero cross-shard
+  // flows is *closed*: every flow touching it lies entirely inside it, so
+  // its connected components cannot extend past the shard boundary and its
+  // walk + solve is independent of every other task.  Seeds in open shards
+  // or on unsharded resources funnel into one sequential "spill" task;
+  // spill components may span open shards but can never reach into a
+  // closed one (any flow that could bridge them would have held the shard
+  // open).  A new flow's hops all route to one task, so it goes to the
+  // task of its first hop.  With no shards assigned, everything spills and
+  // the solve is exactly the single-task pass.
   std::size_t num_tasks = 0;
   std::size_t spill = kNoTask;
+  const auto open_task = [&]() -> std::size_t {
+    const std::size_t i = num_tasks++;
+    if (i == tasks_.size()) tasks_.emplace_back();
+    tasks_[i].seeds.clear();
+    tasks_[i].capacity_seeds.clear();
+    tasks_[i].new_flows.clear();
+    return i;
+  };
   const auto task_index_for = [&](ResourceId r) -> std::size_t {
     const ShardId shard = resource_shard_[r];
     if (shard == kNoShard || shard_cross_flows_[shard] != 0) {
-      if (spill == kNoTask) {
-        spill = num_tasks++;
-        if (spill == tasks_.size()) tasks_.emplace_back();
-        tasks_[spill].seeds.clear();
-      }
+      if (spill == kNoTask) spill = open_task();
       return spill;
     }
     if (shard_task_epoch_[shard] != solve_epoch_) {
       shard_task_epoch_[shard] = solve_epoch_;
-      shard_task_[shard] = num_tasks++;
-      if (shard_task_[shard] == tasks_.size()) tasks_.emplace_back();
-      tasks_[shard_task_[shard]].seeds.clear();
+      shard_task_[shard] = open_task();
     }
     return shard_task_[shard];
   };
   if (shard_cross_flows_.empty()) {
-    // Fast path: no shards assigned, single spill task.
-    spill = num_tasks++;
-    if (tasks_.empty()) tasks_.emplace_back();
-    tasks_[0].seeds.clear();
-    tasks_[0].seeds.insert(tasks_[0].seeds.end(), seed_res_.begin(),
-                           seed_res_.end());
+    // Fast path: no shards assigned, single spill task.  SolvePending
+    // clears the batch lists after the solve, so the task can take them.
+    spill = open_task();
+    std::swap(tasks_[spill].seeds, batch_seed_);
+    std::swap(tasks_[spill].capacity_seeds, batch_capacity_);
+    std::swap(tasks_[spill].new_flows, batch_new_);
   } else {
-    for (ResourceId r : seed_res_) {
+    for (ResourceId r : batch_seed_) {
       tasks_[task_index_for(r)].seeds.push_back(r);
+    }
+    for (ResourceId r : batch_capacity_) {
+      tasks_[task_index_for(r)].capacity_seeds.push_back(r);
+    }
+    for (Slot slot : batch_new_) {
+      tasks_[task_index_for(flows_[slot].path[0])].new_flows.push_back(slot);
     }
   }
 
@@ -569,7 +593,7 @@ void FluidSimulator::SolveSeededImpl() {
   // flows/resources, and each performs identical arithmetic in identical
   // order regardless of which thread runs it — results are byte-identical
   // for any thread count.  The shared epoch stamps (res_epoch_,
-  // visit_epoch) are written at most once per solve per element, always by
+  // visit_epoch) are written at most once per walk per element, always by
   // the single task owning that element.
   stats_.shard_tasks += num_tasks;
   if (num_tasks > 1) ++stats_.parallel_solves;
@@ -580,15 +604,18 @@ void FluidSimulator::SolveSeededImpl() {
   }
 
   // Deterministic merge: aggregate stats in task order (task order is a
-  // pure function of seed_res_ and the shard map, never of the schedule).
+  // pure function of the seeds and the shard map, never of the schedule).
   std::size_t touched = 0;
-  for (std::size_t i = 0; i < num_tasks; ++i) touched += tasks_[i].work.size();
+  for (std::size_t i = 0; i < num_tasks; ++i) {
+    touched += tasks_[i].work.size();
+    if (tasks_[i].fell_back) ++stats_.cut_fallbacks;
+  }
   stats_.flows_touched += touched;
   if (touched == order_.size()) {
     ++stats_.full_solves;
-    // The full-solve cooldown exists to skip BFS overhead when the graph
+    // The full-solve cooldown exists to skip walk overhead when the graph
     // keeps collapsing into one whole-cluster component.  A *partitioned*
-    // whole-graph solve is the opposite case: the BFS is what split it into
+    // whole-graph solve is the opposite case: the walk is what split it into
     // small per-shard tasks, and falling back to RecomputeAll would replace
     // them with one sequential cluster-wide fill.  Only single-task streaks
     // arm the cooldown.
@@ -607,30 +634,63 @@ void FluidSimulator::SolveSeededImpl() {
   if (crosscheck_) CheckAgainstFullSolve();
 }
 
-void FluidSimulator::SolveTask(ShardTask& task) {
-  // Connected component(s) of the task's seed resources: alternate
-  // resource -> its crossing flows -> their paths until closed.  Epoch
-  // stamps make the visited sets allocation-free and are safe to share
-  // across concurrent tasks because components are disjoint.
+void FluidSimulator::WalkComponent(ShardTask& task, std::uint64_t epoch,
+                                   bool cut) {
+  // Alternate crossed resource -> its crossing flows -> their paths until
+  // closed.  Epoch stamps make the visited sets allocation-free and are safe
+  // to share across concurrent tasks because their walks are disjoint.  A
+  // resource is crossed or cut when first reached and never changes, so the
+  // resources that must be crossed whatever their load go first: SetCapacity
+  // targets, and every hop of a new flow that crosses no saturated resource
+  // (a saturated hop is crossed anyway and brings the new flow in).
   task.comp_res.clear();
+  task.cut.clear();
   task.work.clear();
-  const auto add_res = [&](ResourceId r) {
-    if (res_epoch_[r] != solve_epoch_) {
-      res_epoch_[r] = solve_epoch_;
+  const auto add_res = [&](ResourceId r, bool cross) {
+    if (res_epoch_[r] == epoch) return;
+    res_epoch_[r] = epoch;
+    if (!cut || cross || Saturated(r)) {
       task.comp_res.push_back(r);
+    } else {
+      task.cut.push_back(r);
     }
   };
-  for (ResourceId r : task.seeds) add_res(r);
+  for (ResourceId r : task.capacity_seeds) add_res(r, true);
+  for (Slot slot : task.new_flows) {
+    const std::vector<ResourceId>& path = flows_[slot].path;
+    const bool joins_saturated =
+        cut && std::any_of(path.begin(), path.end(),
+                           [this](ResourceId r) { return Saturated(r); });
+    for (ResourceId r : path) {
+      if (!joins_saturated || Saturated(r)) add_res(r, true);
+    }
+  }
+  for (ResourceId r : task.seeds) add_res(r, false);
   for (std::size_t i = 0; i < task.comp_res.size(); ++i) {
     for (const FlowEntry& e : flows_at_[task.comp_res[i]]) {
       Flow& f = flows_[e.slot];
-      if (f.visit_epoch == solve_epoch_) continue;
-      f.visit_epoch = solve_epoch_;
+      if (f.visit_epoch == epoch) continue;
+      f.visit_epoch = epoch;
       task.work.push_back(Work{e.slot});
-      for (ResourceId r : f.path) add_res(r);
+      for (ResourceId r : f.path) add_res(r, false);
     }
   }
+}
 
+void FluidSimulator::SolveTask(ShardTask& task) {
+  // The cut walk, stamped solve_epoch_ - 1; the classic component walk, if
+  // a cut resource ends saturated, stamped solve_epoch_.  The fallback's
+  // fill rewrites every rate and rate_sum the cut solve wrote.
+  task.fell_back = false;
+  WalkComponent(task, solve_epoch_ - 1, /*cut=*/true);
+  ProgressiveFill(task, fill_);
+  ApplyRates(task);
+  if (std::none_of(task.cut.begin(), task.cut.end(),
+                   [this](ResourceId r) { return Saturated(r); })) {
+    return;
+  }
+  task.fell_back = true;
+  WalkComponent(task, solve_epoch_, /*cut=*/false);
   ProgressiveFill(task, fill_);
   ApplyRates(task);
 }
@@ -889,6 +949,8 @@ void FluidSimulator::ExportSolverMetrics(MetricsRegistry& registry) {
                      stats_.shard_tasks - exported_.shard_tasks);
   registry.Increment("fluid.solver.parallel_solves",
                      stats_.parallel_solves - exported_.parallel_solves);
+  registry.Increment("fluid.solver.cut_fallbacks",
+                     stats_.cut_fallbacks - exported_.cut_fallbacks);
   // Wall clock, not sim time: the wall. namespace keeps it out of the
   // byte-deterministic metrics JSON.
   registry.Increment("wall.fluid.solver.solve_ns",

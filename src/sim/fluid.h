@@ -10,16 +10,30 @@
 // link at 34.5/21 GB/s) while staying deterministic and fast.
 //
 // Rate recomputation is incremental: each resource keeps an index of the
-// flows crossing it, and an arrival/completion/capacity change re-solves
-// only the connected component of flows that share a resource (directly or
-// transitively) with the change.  Components never interact — a freeze in
-// one component touches no accumulator of another — so the component solve
-// is bit-exact with a full progressive-filling pass (enforceable with
-// set_solver_crosscheck).  Scratch buffers persist across solves, so the
-// steady path allocates nothing.  Within a component, progressive filling
-// picks each bottleneck from a min-heap of per-resource fair shares and
-// freezes only the flows crossing it, so a fill round costs the flows and
-// resources it touches.
+// flows crossing it, and an arrival/completion/capacity change re-rates only
+// the flows it can move.  The component walk starts at the event's resources
+// and crosses (expands to every flow on) only three kinds of resource:
+// those saturated as of the last solve (rate_sum >= capacity * (1 - 1e-9)),
+// SetCapacity targets, and every hop of a new flow none of whose hops is
+// saturated.  The unsaturated resources the re-rated flows also cross are
+// *cut*: they are never a bottleneck candidate, and after the fill their
+// rate_sum is summed again over every crossing flow.  This is bit-exact
+// with a full progressive-filling pass (enforceable with
+// set_solver_crosscheck):
+//   - a resource that ends with slack never has the smallest share while it
+//     still has unfrozen flows (shares only rise, so it would end full), so
+//     no fill ever picks it and dropping it as a candidate changes nothing;
+//   - every flow crossing a saturated resource is re-rated with it, so each
+//     bottleneck sees the same subtractions in the same order, and the
+//     flows left out keep bottlenecks the event never reached.
+// If a cut resource ends at or above the slack limit, the argument fails
+// and the task re-runs the classic walk, which crosses every resource of
+// the connected component, and solves that instead (SolverStats::
+// cut_fallbacks).  Scratch buffers persist across solves, so the steady
+// path allocates nothing.  Within a component, progressive filling picks
+// each bottleneck from a min-heap of per-resource fair shares and freezes
+// only the flows crossing it, so a fill round costs the flows and resources
+// it touches.
 //
 // Storage: active flows live in a slot table (a vector plus a free list);
 // the per-resource index holds slot numbers, and order_ lists the live slots
@@ -111,6 +125,9 @@ struct SolverStats {
   std::uint64_t parallel_solves = 0;  // solves that partitioned into > 1
                                       // task.  Counted even at threads == 1
                                       // so stats are thread-count-invariant.
+  std::uint64_t cut_fallbacks = 0;    // tasks whose cut walk left a cut
+                                      // resource at the slack limit and
+                                      // re-solved the whole component
   std::uint64_t solve_ns = 0;         // wall ns in the solver (needs
                                       // set_solver_timing(true); else 0)
 };
@@ -290,9 +307,9 @@ class FluidSimulator {
 
   // Adds the stats accumulated since the previous export to `registry` as
   // counters fluid.solver.{recompute_calls,flows_touched,full_solves,
-  // shard_tasks,parallel_solves}.  solve_ns is wall clock, so it exports
-  // as wall.fluid.solver.solve_ns — excluded from the deterministic
-  // metrics JSON (see MetricsRegistry::kWallPrefix).
+  // shard_tasks,parallel_solves,cut_fallbacks}.  solve_ns is wall clock, so
+  // it exports as wall.fluid.solver.solve_ns — excluded from the
+  // deterministic metrics JSON (see MetricsRegistry::kWallPrefix).
   void ExportSolverMetrics(MetricsRegistry& registry);
 
   // Optional distribution sink: completed flows record their sim-time
@@ -351,14 +368,22 @@ class FluidSimulator {
     bool frozen = false;
   };
 
-  // One solver task: the seed resources routed to it, plus the connected
-  // component(s) it grew from them.  Tasks touch disjoint flows/resources,
-  // so they can run on different pool threads without synchronization; the
-  // vectors persist across solves as per-task scratch.
+  // One solver task: the seeds routed to it, plus the component(s) it grew
+  // from them.  Tasks touch disjoint flows/resources, so they can run on
+  // different pool threads without synchronization; the vectors persist
+  // across solves as per-task scratch.
   struct ShardTask {
+    // Seeds: the resources of retired flows, the SetCapacity targets and the
+    // flows started since the last solve.
     std::vector<ResourceId> seeds;
+    std::vector<ResourceId> capacity_seeds;
+    std::vector<Slot> new_flows;
+    // The walk: crossed resources (bottleneck candidates), cut resources
+    // (re-summed only; see the header comment) and the flows re-rated.
     std::vector<ResourceId> comp_res;
+    std::vector<ResourceId> cut;
     std::vector<Work> work;
+    bool fell_back = false;  // the cut solve gave way to the component's
     // ProgressiveFill scratch: the bottleneck min-heap of (share, resource)
     // and the resources one fill round changed.
     std::vector<std::pair<double, ResourceId>> heap;
@@ -397,25 +422,39 @@ class FluidSimulator {
 
   static constexpr SimTime kUtilTau = Microseconds(10);
 
+  // A cut resource must end below capacity * (1 - kSaturationSlack), and a
+  // resource at or above it counts as saturated.  Round-off in a fill is
+  // ~1e-13 relative, far inside the slack.
+  static constexpr double kSaturationSlack = 1e-9;
+
   // After this many consecutive whole-graph components, skip the component
   // BFS and solve fully for kFullSolveCooldown events before re-probing.
   static constexpr std::uint32_t kFullStreakThreshold = 4;
   static constexpr std::uint32_t kFullSolveCooldown = 32;
 
-  // Rate solver.  SolvePending() hands the seeds collected in batch_seed_
-  // to SolveSeeded(), which re-rates the connected component(s) of those
-  // resources (or everything when incremental mode is off):
-  // SolveSeededImpl() partitions the seeds into per-closed-shard tasks plus
-  // a spill task and runs SolveTask on each (on the pool when >1 task);
-  // RecomputeAll() is the classic full pass.  ProgressiveFill() is the
-  // weighted-max-min core every path shares — including the
-  // CheckAgainstFullSolve oracle; the property tests hold it to an
-  // independent naive reference.
+  // Rate solver.  SolvePending() hands the seeds collected in the batch_*
+  // lists to SolveSeeded(), which re-rates what they can move (or
+  // everything when incremental mode is off): SolveSeededImpl() partitions
+  // the seeds into per-closed-shard tasks plus a spill task and runs
+  // SolveTask on each (on the pool when >1 task), which walks the cut
+  // component (WalkComponent), fills it, and falls back to the classic
+  // component when a cut resource ends saturated; RecomputeAll() is the
+  // classic full pass.  ProgressiveFill() is the weighted-max-min core every
+  // path shares — including the CheckAgainstFullSolve oracle; the property
+  // tests hold it to an independent naive reference.
   void SolvePending();
   void SolveSeeded();
   void SolveSeededImpl();
   void RecomputeAll();
   void SolveTask(ShardTask& task);
+  // Grows task.comp_res, task.cut and task.work from the task's seeds,
+  // stamping with `epoch`.  With cut == false every reached resource is
+  // crossed: the classic connected component.
+  void WalkComponent(ShardTask& task, std::uint64_t epoch, bool cut);
+  bool Saturated(ResourceId r) const {
+    return resources_[r].rate_sum >=
+           resources_[r].capacity * (1 - kSaturationSlack);
+  }
   void ProgressiveFill(ShardTask& task, FillState& fill) const;
   void ApplyRates(const ShardTask& task);
   void CheckAgainstFullSolve() const;
@@ -490,7 +529,6 @@ class FluidSimulator {
   std::vector<std::vector<FlowEntry>> flows_at_;
   FillState fill_;
   std::vector<std::uint64_t> res_epoch_;
-  std::vector<ResourceId> seed_res_;
   std::vector<ShardTask> tasks_;
   std::uint64_t solve_epoch_ = 0;
   std::uint32_t full_solve_streak_ = 0;
@@ -516,12 +554,15 @@ class FluidSimulator {
   std::vector<Timer> timer_batch_;
   std::vector<std::pair<FlowId, FlowCallback>> done_scratch_;
 
-  // Deferred solving.  batch_seed_ collects the seeds of every StartFlow
-  // and SetCapacity whose solve is deferred: inside an open batch, and
-  // while Step runs its callbacks (deferring_).
+  // Deferred solving.  The batch_* lists collect the seeds of every change
+  // whose solve is deferred (inside an open batch, and while Step runs its
+  // callbacks, deferring_): retired flows' paths in batch_seed_, SetCapacity
+  // targets in batch_capacity_, started flows' slots in batch_new_.
   bool in_batch_ = false;
   bool deferring_ = false;
   std::vector<ResourceId> batch_seed_;
+  std::vector<ResourceId> batch_capacity_;
+  std::vector<Slot> batch_new_;
 
   bool incremental_ = true;
   bool crosscheck_ = false;

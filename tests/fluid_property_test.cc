@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "sim/fluid.h"
 #include "sim/stream.h"
@@ -546,6 +547,142 @@ TEST_P(FluidPropertyTest, SmoothedUtilizationMatchesPerResourceFold) {
   CheckEwmaAgainstReference(GetParam(), /*incremental=*/false);
 }
 
+// One side of a bridged lockstep: 4 servers x 4 cores whose DRAM (30 GB/s)
+// is the bottleneck of the 12 GB/s cores, under closed-loop churn.  About
+// 5 % of flows cross to another server's DRAM through both link ports, so
+// every server's flows share one connected component while the cores and
+// ports mostly run below capacity.  Each completion starts the next flow of
+// a seeded plan, so both sides issue the same flows while they agree.
+constexpr int kBridgedServers = 4;
+constexpr int kBridgedCores = 4;
+
+struct BridgedChurn {
+  FluidSimulator sim;
+  std::vector<ResourceId> cores;  // server-major
+  std::vector<ResourceId> dram;
+  std::vector<ResourceId> port;
+  std::vector<ResourceId> all;
+  Rng rng;
+  int issued = 0;
+  int total;
+
+  BridgedChurn(std::uint64_t seed, bool incremental, int concurrency,
+               int total_flows)
+      : rng(seed), total(total_flows) {
+    sim.set_incremental(incremental);
+    sim.set_solver_crosscheck(incremental);
+    for (int s = 0; s < kBridgedServers; ++s) {
+      const std::string name = "s" + std::to_string(s);
+      for (int c = 0; c < kBridgedCores; ++c) {
+        cores.push_back(
+            sim.AddResource(name + ".core" + std::to_string(c), GBps(12)));
+      }
+      dram.push_back(sim.AddResource(name + ".dram", GBps(30)));
+      port.push_back(sim.AddResource(name + ".port", GBps(34.5)));
+    }
+    all.insert(all.end(), cores.begin(), cores.end());
+    all.insert(all.end(), dram.begin(), dram.end());
+    all.insert(all.end(), port.begin(), port.end());
+    sim.BeginBatch();
+    for (int i = 0; i < concurrency; ++i) Launch();
+    sim.EndBatch();
+  }
+
+  void Launch() {
+    ++issued;
+    const auto s = static_cast<int>(rng.NextBounded(kBridgedServers));
+    const auto c = static_cast<int>(rng.NextBounded(kBridgedCores));
+    const ResourceId core = cores[s * kBridgedCores + c];
+    const double bytes = static_cast<double>(rng.NextInRange(1, 100)) * 1e5;
+    std::vector<ResourceId> path = {core, dram[s]};
+    if (rng.NextBernoulli(0.05)) {
+      const auto d = (s + 1 + static_cast<int>(rng.NextBounded(
+                                  kBridgedServers - 1))) %
+                     kBridgedServers;
+      path = {core, port[s], port[d], dram[d]};
+    }
+    sim.StartFlow(bytes, path, [this](FlowId, SimTime) {
+      if (issued < total) Launch();
+    });
+  }
+};
+
+// Steps both sides in lockstep to the end, calling `between(step)` after
+// each Step, and checks every completion time and byte counter bit for bit.
+void RunBridgedLockstep(BridgedChurn& inc, BridgedChurn& full,
+                        const std::function<void(int)>& between) {
+  int steps = 0;
+  while (true) {
+    const bool inc_more = inc.sim.Step();
+    const bool full_more = full.sim.Step();
+    ASSERT_EQ(inc_more, full_more);
+    ASSERT_EQ(inc.sim.now(), full.sim.now());  // bit-exact, no tolerance
+    if (!inc_more) break;
+    between(++steps);
+  }
+  EXPECT_EQ(inc.issued, inc.total);
+  EXPECT_EQ(inc.sim.active_flow_count(), 0u);
+  for (std::size_t i = 0; i < inc.all.size(); ++i) {
+    EXPECT_EQ(inc.sim.BytesServed(inc.all[i]),
+              full.sim.BytesServed(full.all[i]))
+        << "resource " << inc.sim.ResourceName(inc.all[i]);
+  }
+}
+
+// P10 bridged churn == full solves, with the crosscheck on every solve.  The
+//     component spans the cluster, but an event re-rates only the flows it
+//     reaches through saturated resources, so the incremental side touches
+//     well under the active flows per solve (the full side touches all).
+TEST_P(FluidPropertyTest, BridgedDramBoundChurnMatchesFullRecompute) {
+  const std::uint64_t seed = GetParam() ^ 0xB41D6E;
+  BridgedChurn inc(seed, /*incremental=*/true, 300, 900);
+  BridgedChurn full(seed, /*incremental=*/false, 300, 900);
+  RunBridgedLockstep(inc, full, [](int) {});
+  const SolverStats& cut = inc.sim.solver_stats();
+  const SolverStats& all = full.sim.solver_stats();
+  ASSERT_EQ(cut.recompute_calls, all.recompute_calls);
+  // all.flows_touched sums the active flow count over the same solves.
+  EXPECT_LT(cut.flows_touched * 3, all.flows_touched * 2)
+      << cut.flows_touched << " vs " << all.flows_touched;
+  EXPECT_LT(cut.full_solves * 3, cut.recompute_calls);
+}
+
+// P11 SetCapacity targets are crossed whatever their load: mid-run, a
+//     saturated DRAM's capacity rises and an unsaturated core's drops below
+//     its load.  Judging the targets by their saturation instead leaves the
+//     core's flows at rates it can no longer carry.
+TEST_P(FluidPropertyTest, BridgedCapacityChangesMatchFullRecompute) {
+  const std::uint64_t seed = GetParam() ^ 0xCA9AC;
+  BridgedChurn inc(seed, /*incremental=*/true, 300, 900);
+  BridgedChurn full(seed, /*incremental=*/false, 300, 900);
+  int raised = 0;
+  int lowered = 0;
+  RunBridgedLockstep(inc, full, [&](int step) {
+    if (step % 97 != 0) return;
+    const int s = (step / 97) % kBridgedServers;
+    const ResourceId dram = inc.dram[s];
+    if (inc.sim.Utilization(dram) >= 1 - 1e-9) {
+      const double cap = inc.sim.capacity(dram) * 1.25;
+      ASSERT_TRUE(inc.sim.SetCapacity(dram, cap).ok());
+      ASSERT_TRUE(full.sim.SetCapacity(full.dram[s], cap).ok());
+      ++raised;
+    }
+    for (int c = 0; c < kBridgedCores; ++c) {
+      const int i = s * kBridgedCores + c;
+      const double util = inc.sim.Utilization(inc.cores[i]);
+      ASSERT_EQ(util, full.sim.Utilization(full.cores[i]));
+      if (util <= 0.2 || util >= 0.9) continue;
+      const double cap = inc.sim.capacity(inc.cores[i]) * util / 2;
+      ASSERT_TRUE(inc.sim.SetCapacity(inc.cores[i], cap).ok());
+      ASSERT_TRUE(full.sim.SetCapacity(full.cores[i], cap).ok());
+      ++lowered;
+      break;
+    }
+  });
+  EXPECT_GT(raised, 0) << "no saturated DRAM was raised";
+  EXPECT_GT(lowered, 0) << "no unsaturated core was lowered below its load";
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, FluidPropertyTest,
                          ::testing::Values(11, 22, 33, 44, 55, 66, 77, 88,
                                            99, 1010));
@@ -740,6 +877,50 @@ TEST(WeightedFairnessTest, SpanStreamCarriesWeight) {
   // 20 GB at 20 GB/s and 10 GB at 10 GB/s: both finish at t=1s.
   EXPECT_NEAR(heavy.end_time(), Seconds(1), 1e3);
   EXPECT_NEAR(light.end_time(), Seconds(1), 1e3);
+}
+
+// --- Cut walk --------------------------------------------------------------
+
+// Two cores feed one DRAM, which splits 10 GB/s between them; each core
+// (6 GB/s) runs at 5/6.  When the short flow retires, the walk crosses only
+// the saturated DRAM, so the long flow's core is a cut resource, and the
+// cut solve would give the long flow all 10 GB/s.  That pushes the cut core
+// past its capacity, so the task falls back to the whole component, where
+// the core is the bottleneck.  Both sides, and the crosscheck, agree bit
+// for bit.
+TEST(FluidCutTest, CutResourcePastTheSlackLimitFallsBackToComponentSolve) {
+  FluidSimulator inc;
+  inc.set_solver_crosscheck(true);
+  FluidSimulator full;
+  full.set_incremental(false);
+  std::vector<FlowId> long_flow;
+  for (FluidSimulator* sim : {&inc, &full}) {
+    const ResourceId core_a = sim->AddResource("core_a", GBps(6));
+    const ResourceId core_b = sim->AddResource("core_b", GBps(6));
+    const ResourceId dram = sim->AddResource("dram", GBps(10));
+    long_flow.push_back(sim->StartFlow(1e9, {core_a, dram}));
+    sim->StartFlow(1e6, {core_b, dram});
+    EXPECT_EQ(sim->Utilization(dram), 1.0);
+    EXPECT_LT(sim->Utilization(core_a), 1.0);
+  }
+  EXPECT_EQ(inc.solver_stats().cut_fallbacks, 0u);
+
+  ASSERT_TRUE(inc.Step());  // the short flow retires
+  ASSERT_TRUE(full.Step());
+  EXPECT_EQ(inc.now(), full.now());
+  EXPECT_EQ(inc.solver_stats().cut_fallbacks, 1u);
+  EXPECT_EQ(inc.FlowRate(long_flow[0]), GBps(6));
+  EXPECT_EQ(inc.FlowRate(long_flow[0]), full.FlowRate(long_flow[1]));
+
+  inc.Run();
+  full.Run();
+  EXPECT_EQ(inc.now(), full.now());
+  for (ResourceId r = 0; r < 3; ++r) {
+    EXPECT_EQ(inc.BytesServed(r), full.BytesServed(r));
+  }
+  MetricsRegistry registry;
+  inc.ExportSolverMetrics(registry);
+  EXPECT_EQ(registry.Counter("fluid.solver.cut_fallbacks"), 1u);
 }
 
 }  // namespace
