@@ -21,6 +21,84 @@ constexpr SimTime kTimeEpsilon = 1e-9;
 
 constexpr ResourceId kNoResource = std::numeric_limits<ResourceId>::max();
 constexpr std::size_t kNoTask = std::numeric_limits<std::size_t>::max();
+constexpr SimTime kNever = std::numeric_limits<SimTime>::infinity();
+
+// Indexed binary min-heap: `before(a, b)` orders the entries and
+// `place(e, i)` records that entry e now sits at index i, so an entry can
+// be re-keyed or erased where it stands.
+template <typename T, typename Before, typename Place>
+void SiftUp(std::vector<T>& heap, std::size_t i, Before before, Place place) {
+  const T e = heap[i];
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!before(e, heap[parent])) break;
+    heap[i] = heap[parent];
+    place(heap[i], i);
+    i = parent;
+  }
+  heap[i] = e;
+  place(e, i);
+}
+
+template <typename T, typename Before, typename Place>
+void SiftDown(std::vector<T>& heap, std::size_t i, Before before,
+              Place place) {
+  const T e = heap[i];
+  const std::size_t n = heap.size();
+  while (true) {
+    std::size_t child = 2 * i + 1;
+    if (child >= n) break;
+    if (child + 1 < n && before(heap[child + 1], heap[child])) ++child;
+    if (!before(heap[child], e)) break;
+    heap[i] = heap[child];
+    place(heap[i], i);
+    i = child;
+  }
+  heap[i] = e;
+  place(e, i);
+}
+
+// Restores the heap after heap[i]'s key changed either way.
+template <typename T, typename Before, typename Place>
+void Resift(std::vector<T>& heap, std::size_t i, Before before, Place place) {
+  if (i > 0 && before(heap[i], heap[(i - 1) / 2])) {
+    SiftUp(heap, i, before, place);
+  } else {
+    SiftDown(heap, i, before, place);
+  }
+}
+
+template <typename T, typename Before, typename Place>
+void HeapErase(std::vector<T>& heap, std::size_t i, Before before,
+               Place place) {
+  heap[i] = heap.back();
+  heap.pop_back();
+  if (i < heap.size()) Resift(heap, i, before, place);
+}
+
+// Walks a heap of `size` entries from the root, descending below entry i
+// only when `visit(i)` returns true.  When keys grow down the heap and
+// `visit` fails for every entry keyed past some bound, the walk reads the
+// entries within the bound and their children only.  `stack` is scratch.
+template <typename Visit>
+void WalkHeap(std::size_t size, std::vector<std::uint32_t>& stack,
+              Visit visit) {
+  stack.clear();
+  if (size > 0) stack.push_back(0);
+  while (!stack.empty()) {
+    const std::uint32_t i = stack.back();
+    stack.pop_back();
+    if (!visit(i)) continue;
+    for (std::uint32_t c = 2 * i + 1; c <= 2 * i + 2; ++c) {
+      if (c < size) stack.push_back(c);
+    }
+  }
+}
+
+// Orders a group's member heap.
+constexpr auto kEarlierFinish = [](const auto& a, const auto& b) {
+  return a.v_finish < b.v_finish;
+};
 
 }  // namespace
 
@@ -30,7 +108,8 @@ FluidSimulator::~FluidSimulator() = default;
 ResourceId FluidSimulator::AddResource(std::string name,
                                        BytesPerSec capacity) {
   LMP_CHECK(capacity > 0) << "resource " << name << " needs capacity > 0";
-  resources_.push_back(Resource{std::move(name), capacity, 0, 0, 0});
+  resources_.push_back(Resource{std::move(name), capacity});
+  groups_.emplace_back();
   flows_at_.emplace_back();
   fill_.headroom.push_back(0);
   fill_.unfrozen.push_back(0);
@@ -89,7 +168,7 @@ void FluidSimulator::FoldUtilization(SimTime dt) {
 void FluidSimulator::SetResourceShard(ResourceId id, ShardId shard) {
   LMP_CHECK(id < resources_.size()) << "no such resource";
   LMP_CHECK(shard != kNoShard) << "reserved shard id";
-  LMP_CHECK(order_.empty()) << "assign shards before starting flows";
+  LMP_CHECK(active_flows_ == 0) << "assign shards before starting flows";
   resource_shard_[id] = shard;
   if (shard >= shard_cross_flows_.size()) {
     shard_cross_flows_.resize(shard + 1, 0);
@@ -114,12 +193,17 @@ FlowRecord* FluidSimulator::FindRecord(FlowId id) {
   return const_cast<FlowRecord*>(std::as_const(*this).FindRecord(id));
 }
 
-const FlowRecord* FluidSimulator::FindRecord(FlowId id) const {
+const FluidSimulator::RecordEntry* FluidSimulator::FindEntry(FlowId id) const {
   if (id < records_base_ || id - records_base_ >= records_.size()) {
     return nullptr;
   }
   const RecordEntry& e = records_[id - records_base_];
-  return e.live ? &e.rec : nullptr;
+  return e.live ? &e : nullptr;
+}
+
+const FlowRecord* FluidSimulator::FindRecord(FlowId id) const {
+  const RecordEntry* e = FindEntry(id);
+  return e != nullptr ? &e->rec : nullptr;
 }
 
 void FluidSimulator::DropRecord(FlowId id) {
@@ -197,12 +281,12 @@ FlowId FluidSimulator::StartFlow(double bytes,
   }
   Flow& flow = flows_[slot];
   flow.id = id;
-  flow.remaining = bytes;
   flow.path.assign(path.begin(), path.end());  // reuses the slot's buffer
   flow.rate = 0;
   flow.weight = weight;
   flow.on_done = std::move(on_done);
-  order_.push_back(slot);  // ids ascend, so order_ stays sorted
+  records_.back().slot = slot;
+  ++active_flows_;
   IndexFlow(slot);
   batch_new_.push_back(slot);
   if (!deferring_) SolvePending();
@@ -362,8 +446,9 @@ void FluidSimulator::ProgressiveFill(ShardTask& task,
   // join the heap and are never a bottleneck.  This is the single weighted
   // max-min core:
   // the incremental solver, the full solver, every shard task, and the
-  // CheckAgainstFullSolve oracle all run it.  Rates land in Work::rate;
-  // no flow is written.
+  // CheckAgainstFullSolve oracle all run it.  Rates land in Work::rate, the
+  // resource that froze each flow in Work::bottleneck and every bottleneck
+  // that froze a flow, with its share, in task.picks; no flow is written.
   //
   // Bit-exactness rests on order.  Each resource's unfrozen weight is summed
   // over its index entries, which are in flow-id order; a bottleneck's
@@ -390,6 +475,7 @@ void FluidSimulator::ProgressiveFill(ShardTask& task,
   // smallest share, then lowest id.
   auto& heap = task.heap;
   heap.clear();
+  task.picks.clear();
   for (ResourceId r : task.comp_res) {
     double weight = 0;
     for (const FlowEntry& e : flows_at_[r]) weight += flows[e.slot].weight;
@@ -415,29 +501,23 @@ void FluidSimulator::ProgressiveFill(ShardTask& task,
         break;
       }
     }
-    if (best_res == kNoResource ||
-        best_share == std::numeric_limits<double>::infinity()) {
-      // Some flows traverse no constrained resource (cannot happen: flows
-      // with empty paths complete instantly), but guard anyway by giving
-      // them effectively unbounded rate.
-      for (std::size_t i = 0; i < work_count; ++i) {
-        if (!work[i].frozen) {
-          work[i].rate = std::numeric_limits<double>::max();
-          work[i].frozen = true;
-        }
-      }
-      break;
-    }
+    // Every work flow crosses a comp_res resource carrying its weight, and
+    // capacities and weights are finite and positive, so a finite
+    // bottleneck always remains while a flow is unfrozen.
+    LMP_CHECK(best_res != kNoResource &&
+              best_share != std::numeric_limits<double>::infinity())
+        << "unfrozen flows cross no finite bottleneck";
 
     // Freeze every unfrozen flow crossing the bottleneck at the fair share.
     // A flow listed twice (a repeated path hop) freezes at its first entry.
+    const std::size_t frozen_before = frozen_count;
     for (const FlowEntry& e : flows_at_[best_res]) {
       Work& w = work[work_idx[e.slot]];
-      if (w.frozen) continue;
+      if (w.bottleneck != kNoGroup) continue;  // already frozen
       const Flow& f = flows[e.slot];
       const double rate = best_share * f.weight;
       w.rate = rate;
-      w.frozen = true;
+      w.bottleneck = best_res;
       ++frozen_count;
       for (ResourceId r : f.path) {
         unfrozen[r] -= f.weight;
@@ -447,6 +527,9 @@ void FluidSimulator::ProgressiveFill(ShardTask& task,
           task.touched.push_back(r);
         }
       }
+    }
+    if (frozen_count > frozen_before) {
+      task.picks.emplace_back(best_res, best_share);
     }
     // Every flow crossing the bottleneck is frozen now.  With fractional
     // weights the subtractions can leave a positive residue (0.4 - 0.1 -
@@ -482,21 +565,24 @@ void FluidSimulator::ApplyRates(const ShardTask& task) {
 void FluidSimulator::RecomputeAll() {
   ++stats_.recompute_calls;
   ++stats_.full_solves;
-  stats_.flows_touched += order_.size();
+  stats_.flows_touched += active_flows_;
   if (tasks_.empty()) tasks_.emplace_back();
   ShardTask& task = tasks_[0];  // scratch reuse; full solves never overlap
+  // Resources no flow crosses join as cut: the fill skips them, and
+  // ApplyRates sums their (empty) index to zero.
   task.comp_res.clear();
   task.cut.clear();
   for (ResourceId r = 0; r < resources_.size(); ++r) {
-    resources_[r].rate_sum = 0;
-    if (!flows_at_[r].empty()) task.comp_res.push_back(r);
+    (flows_at_[r].empty() ? task.cut : task.comp_res).push_back(r);
   }
-  if (order_.empty()) return;
-
   task.work.clear();
-  for (Slot slot : order_) task.work.push_back(Work{slot});
+  for (Slot slot = 0; slot < flows_.size(); ++slot) {
+    if (flows_[slot].id != kInvalidFlow) task.work.push_back(Work{slot});
+  }
   ProgressiveFill(task, fill_);
   ApplyRates(task);
+  UpdateGroups(task);
+  for (ResourceId r : task.rekeyed) RequeueGroup(r);
 }
 
 void FluidSimulator::SolveSeeded() {
@@ -603,15 +689,17 @@ void FluidSimulator::SolveSeededImpl() {
     for (std::size_t i = 0; i < num_tasks; ++i) SolveTask(tasks_[i]);
   }
 
-  // Deterministic merge: aggregate stats in task order (task order is a
-  // pure function of the seeds and the shard map, never of the schedule).
+  // Deterministic merge: aggregate stats and re-queue the tasks' groups in
+  // task order (task order is a pure function of the seeds and the shard
+  // map, never of the schedule).
   std::size_t touched = 0;
   for (std::size_t i = 0; i < num_tasks; ++i) {
     touched += tasks_[i].work.size();
     if (tasks_[i].fell_back) ++stats_.cut_fallbacks;
+    for (ResourceId r : tasks_[i].rekeyed) RequeueGroup(r);
   }
   stats_.flows_touched += touched;
-  if (touched == order_.size()) {
+  if (touched == active_flows_) {
     ++stats_.full_solves;
     // The full-solve cooldown exists to skip walk overhead when the graph
     // keeps collapsing into one whole-cluster component.  A *partitioned*
@@ -631,7 +719,10 @@ void FluidSimulator::SolveSeededImpl() {
     full_solve_streak_ = 0;
   }
 
-  if (crosscheck_) CheckAgainstFullSolve();
+  if (crosscheck_) {
+    CheckAgainstFullSolve();
+    CheckGroups();
+  }
 }
 
 void FluidSimulator::WalkComponent(ShardTask& task, std::uint64_t epoch,
@@ -685,14 +776,14 @@ void FluidSimulator::SolveTask(ShardTask& task) {
   WalkComponent(task, solve_epoch_ - 1, /*cut=*/true);
   ProgressiveFill(task, fill_);
   ApplyRates(task);
-  if (std::none_of(task.cut.begin(), task.cut.end(),
-                   [this](ResourceId r) { return Saturated(r); })) {
-    return;
+  if (std::any_of(task.cut.begin(), task.cut.end(),
+                  [this](ResourceId r) { return Saturated(r); })) {
+    task.fell_back = true;
+    WalkComponent(task, solve_epoch_, /*cut=*/false);
+    ProgressiveFill(task, fill_);
+    ApplyRates(task);
   }
-  task.fell_back = true;
-  WalkComponent(task, solve_epoch_, /*cut=*/false);
-  ProgressiveFill(task, fill_);
-  ApplyRates(task);
+  UpdateGroups(task);
 }
 
 void FluidSimulator::CheckAgainstFullSolve() const {
@@ -702,7 +793,9 @@ void FluidSimulator::CheckAgainstFullSolve() const {
   // the parity being checked is component decomposition, not arithmetic.
   // Debug/test-only: allocates.
   ShardTask task;
-  for (Slot slot : order_) task.work.push_back(Work{slot});
+  for (Slot slot = 0; slot < flows_.size(); ++slot) {
+    if (flows_[slot].id != kInvalidFlow) task.work.push_back(Work{slot});
+  }
   task.comp_res.resize(resources_.size());
   std::iota(task.comp_res.begin(), task.comp_res.end(), 0);
   FillState fill;
@@ -718,32 +811,167 @@ void FluidSimulator::CheckAgainstFullSolve() const {
         << "incremental solver diverged from full solve: rate "
         << flows_[w.slot].rate << " vs reference " << w.rate;
   }
-  std::vector<double> rate_sum(resources_.size(), 0);
-  for (const Work& w : task.work) {
-    for (ResourceId r : flows_[w.slot].path) rate_sum[r] += w.rate;
-  }
+  // Each reference sum adds its resource's flows in id order (the index's
+  // order), as a pass over the flows in id order would.
   for (std::size_t r = 0; r < resources_.size(); ++r) {
-    LMP_CHECK(rate_sum[r] == resources_[r].rate_sum)
+    double rate_sum = 0;
+    for (const FlowEntry& e : flows_at_[r]) {
+      rate_sum += task.work[fill.work_idx[e.slot]].rate;
+    }
+    LMP_CHECK(rate_sum == resources_[r].rate_sum)
         << "incremental solver diverged on rate_sum of resource " << r << ": "
-        << resources_[r].rate_sum << " vs reference " << rate_sum[r];
+        << resources_[r].rate_sum << " vs reference " << rate_sum;
+  }
+}
+
+void FluidSimulator::CheckGroups() const {
+  // Every active flow sits in the group of its bottleneck at the group's
+  // share, bit for bit, and every heap is ordered and indexed right.
+  std::size_t members = 0;
+  for (ResourceId r = 0; r < groups_.size(); ++r) {
+    if (groups_[r] == nullptr) continue;
+    const Group& g = *groups_[r];
+    members += g.members.size();
+    for (std::size_t i = 0; i < g.members.size(); ++i) {
+      const Flow& f = flows_[g.members[i].slot];
+      LMP_CHECK(f.id != kInvalidFlow && f.group == r && f.member_pos == i)
+          << "group " << r << " holds a stray member";
+      LMP_CHECK(g.min_weight <= f.weight)
+          << "group " << r << " understates its least weight";
+      LMP_CHECK(f.rate == g.share * f.weight)
+          << "flow " << f.id << " rate " << f.rate << " is not its group's "
+          << "share " << g.share << " x weight " << f.weight;
+      LMP_CHECK(i == 0 ||
+                g.members[(i - 1) / 2].v_finish <= g.members[i].v_finish)
+          << "group " << r << " member heap out of order";
+    }
+    const bool queued = g.heap_pos != kNotQueued;
+    LMP_CHECK(queued != g.members.empty() &&
+              (!queued || (group_heap_[g.heap_pos].group == r &&
+                           group_heap_[g.heap_pos].due == g.due)))
+        << "group " << r << " is queued wrong";
+  }
+  LMP_CHECK(members == active_flows_ && group_heap_.size() <= groups_.size())
+      << members << " group members for " << active_flows_ << " active flows";
+}
+
+void FluidSimulator::SettleServed(ResourceId r) {
+  Resource& res = resources_[r];
+  if (res.rate_sum == res.served_rate) return;
+  res.bytes_served += res.served_rate * ((now_ - res.served_at) / kNsPerSec);
+  res.served_at = now_;
+  res.served_rate = res.rate_sum;
+}
+
+double FluidSimulator::VirtualTime(const Group& g) const {
+  return g.v0 + g.share * ((now_ - g.t0) / kNsPerSec);
+}
+
+SimTime FluidSimulator::FinishTime(const Group& g, double v) const {
+  return g.share > 0 ? g.t0 + (v - g.v0) / g.share * kNsPerSec : kNever;
+}
+
+void FluidSimulator::PushMember(Group& g, Member m) {
+  g.min_weight = std::min(g.min_weight, flows_[m.slot].weight);
+  g.members.push_back(m);
+  SiftUp(g.members, g.members.size() - 1, kEarlierFinish, MemberPlacer());
+}
+
+void FluidSimulator::EraseMember(Group& g, std::uint32_t pos) {
+  HeapErase(g.members, pos, kEarlierFinish, MemberPlacer());
+  if (g.members.empty()) g.min_weight = std::numeric_limits<double>::infinity();
+}
+
+void FluidSimulator::RekeyGroup(Group& g) {
+  if (g.members.empty()) {
+    g.finish = g.due = kNever;
+    return;
+  }
+  const double v = g.members.front().v_finish;
+  g.finish = FinishTime(g, v);
+  g.due = FinishTime(g, v - kByteEpsilon / g.min_weight);
+}
+
+void FluidSimulator::UpdateGroups(ShardTask& task) {
+  // Byte counters accrue at the rate sum that ran until now.
+  for (ResourceId r : task.comp_res) SettleServed(r);
+  for (ResourceId r : task.cut) SettleServed(r);
+
+  // fill_.touched is all zero after a fill; it marks task.rekeyed here.
+  std::uint8_t* const marked = fill_.touched.data();
+  task.rekeyed.clear();
+  const auto mark = [&](ResourceId r) {
+    if (marked[r] == 0) {
+      marked[r] = 1;
+      task.rekeyed.push_back(r);
+    }
+  };
+  // Each bottleneck takes the share the fill froze its flows at.  A group
+  // re-anchors its clock at now_ only when the share changes, which leaves
+  // its reading at now_ as it was, or when it holds no flow, restarting
+  // from zero; so a solve that leaves a share bit-equal leaves every
+  // member's finish time exactly as it was.  A resource gets its group the
+  // first time it is a bottleneck.
+  for (const auto& [r, share] : task.picks) {
+    if (groups_[r] == nullptr) groups_[r] = std::make_unique<Group>();
+    Group& g = *groups_[r];
+    if (!g.members.empty() && share == g.share) continue;
+    g.v0 = g.members.empty() ? 0 : VirtualTime(g);
+    g.t0 = now_;
+    g.share = share;
+    mark(r);
+  }
+  // A flow whose bottleneck changed moves to its new group with the bytes
+  // its old group's clock leaves it (a flow not yet rated, its size).
+  for (const Work& w : task.work) {
+    Flow& f = flows_[w.slot];
+    if (f.group == w.bottleneck) continue;
+    double remaining = 0;
+    if (f.group == kNoGroup) {
+      remaining = FindEntry(f.id)->rec.bytes;
+    } else {
+      Group& old = *groups_[f.group];
+      remaining =
+          (old.members[f.member_pos].v_finish - VirtualTime(old)) * f.weight;
+      EraseMember(old, f.member_pos);
+      mark(f.group);
+    }
+    f.group = w.bottleneck;
+    Group& g = *groups_[f.group];
+    PushMember(g, Member{VirtualTime(g) + remaining / f.weight, w.slot});
+    mark(f.group);
+  }
+  for (ResourceId r : task.rekeyed) {
+    marked[r] = 0;
+    RekeyGroup(*groups_[r]);
+  }
+}
+
+void FluidSimulator::RequeueGroup(ResourceId r) {
+  const auto before = [](const QueuedGroup& a, const QueuedGroup& b) {
+    return a.due < b.due || (a.due == b.due && a.group < b.group);
+  };
+  const auto place = [this](const QueuedGroup& q, std::size_t i) {
+    groups_[q.group]->heap_pos = static_cast<std::uint32_t>(i);
+  };
+  Group& g = *groups_[r];
+  if (g.heap_pos == kNotQueued) {
+    if (g.members.empty()) return;
+    group_heap_.push_back(QueuedGroup{g.due, r});
+    SiftUp(group_heap_, group_heap_.size() - 1, before, place);
+  } else if (g.members.empty()) {
+    const std::uint32_t pos = g.heap_pos;
+    g.heap_pos = kNotQueued;
+    HeapErase(group_heap_, pos, before, place);
+  } else {
+    group_heap_[g.heap_pos].due = g.due;
+    Resift(group_heap_, g.heap_pos, before, place);
   }
 }
 
 void FluidSimulator::AdvanceTo(SimTime t) {
   assert(t + kTimeEpsilon >= now_);
-  const SimTime dt = std::max<SimTime>(0, t - now_);
-  if (dt > 0) {
-    const double secs = dt / kNsPerSec;
-    for (Slot slot : order_) {
-      Flow& f = flows_[slot];
-      // Clamp to the flow's remaining bytes: crediting rate * dt past the
-      // point a flow runs out over-counts bytes_served (historical bug).
-      const double moved = std::min(f.rate * secs, f.remaining);
-      f.remaining -= moved;
-      for (ResourceId r : f.path) resources_[r].bytes_served += moved;
-    }
-    FoldUtilization(dt);
-  }
+  if (t > now_) FoldUtilization(t - now_);
   now_ = t;
 }
 
@@ -751,27 +979,11 @@ bool FluidSimulator::Step() {
   LMP_CHECK(!in_batch_) << "Step inside an open flow batch";
   // A Step entered from a callback first settles what the callback left.
   SolvePending();
-  // Shortest remaining duration among active flows.  Each flow's duration
-  // is computed once, here; the tie test in CompleteAt reads the same
-  // value back.  Working in durations (not absolute times) and
-  // force-completing the event-defining flows guarantees progress even when
-  // now_ is large enough that absolute-time rounding would otherwise strand
-  // sub-epsilon residues (a Zeno deadlock).
-  durations_.resize(order_.size());
-  SimTime min_dt = std::numeric_limits<SimTime>::infinity();
-  for (std::size_t i = 0; i < order_.size(); ++i) {
-    const Flow& f = flows_[order_[i]];
-    durations_[i] = f.rate > 0 ? f.remaining / f.rate * kNsPerSec
-                               : std::numeric_limits<SimTime>::infinity();
-    min_dt = std::min(min_dt, durations_[i]);
-  }
-  const SimTime completion =
-      std::isfinite(min_dt) ? now_ + min_dt
-                            : std::numeric_limits<SimTime>::infinity();
+  // The next completion is the earliest group finish, never before now_ (a
+  // finish read off a clock can round a hair below it).
+  const SimTime completion = std::max(NextFinish(), now_);
   PopStaleTimers();
-  const SimTime timer = timers_.empty()
-                            ? std::numeric_limits<SimTime>::infinity()
-                            : timers_.front().when;
+  const SimTime timer = timers_.empty() ? kNever : timers_.front().when;
   if (!std::isfinite(completion) && !std::isfinite(timer)) return false;
 
   if (timer <= completion) {
@@ -810,62 +1022,98 @@ bool FluidSimulator::Step() {
     timer_batch_ = std::move(batch);
     return true;
   }
-  CompleteAt(completion, min_dt);
+  CompleteAt(completion);
   return true;
 }
 
-void FluidSimulator::CompleteAt(SimTime t, SimTime min_dt) {
-  // One pass over the active flows, in id order: advance each to t, mark
-  // the flows this event completes, retire the finished ones and compact
-  // order_ over the survivors.  The event-defining flows are those whose
-  // duration is (within a relative tolerance) the minimum; advancing clamps
-  // what it credits to each flow's remaining bytes, and whatever residue
-  // the clamp leaves on those flows (the definer can round either way) is
-  // settled after the pass, so per-resource BytesServed totals are exact
-  // per flow rather than off by up to the Zeno tolerance.
-  assert(t + kTimeEpsilon >= now_);
-  const SimTime dt = std::max<SimTime>(0, t - now_);
-  const double secs = dt / kNsPerSec;
-  const SimTime dt_tolerance = min_dt * 1e-9 + kTimeEpsilon;
-  const SimTime tie_limit = min_dt + dt_tolerance;
-  if (dt > 0) FoldUtilization(dt);
+SimTime FluidSimulator::NextFinish() {
+  // A group finishes no earlier than it is due, and keys only grow down the
+  // heap, so only entries due before the best finish found so far can hold
+  // an earlier one: the walk visits the few groups due first.
+  SimTime best = kNever;
+  WalkHeap(group_heap_.size(), heap_walk_, [&](std::uint32_t i) {
+    if (group_heap_[i].due >= best) return false;
+    best = std::min(best, groups_[group_heap_[i].group]->finish);
+    return true;
+  });
+  return best;
+}
+
+void FluidSimulator::CompleteAt(SimTime t) {
+  // The event retires every flow whose finish lies within the tie window of
+  // min_dt, the time to the earliest finish, and every flow it leaves
+  // within kByteEpsilon bytes of done.  Working in durations and
+  // force-completing the event-defining flows (the window always holds
+  // them) guarantees progress even when now_ is large enough that
+  // absolute-time rounding would otherwise strand sub-epsilon residues (a
+  // Zeno deadlock).  Each such flow sits in a group due by the window's
+  // edge; the walks below visit only those groups, and in each only the
+  // members that may qualify (both tests are monotone in v_finish).
+  assert(t >= now_);
+  const SimTime min_dt = t - now_;
+  const SimTime tie_limit = min_dt + (min_dt * 1e-9 + kTimeEpsilon);
+  due_groups_.clear();
+  WalkHeap(group_heap_.size(), heap_walk_, [&](std::uint32_t i) {
+    if (group_heap_[i].due - now_ > tie_limit) return false;
+    due_groups_.push_back(group_heap_[i].group);
+    return true;
+  });
+  retiring_.clear();
+  for (const ResourceId r : due_groups_) {
+    Group& g = *groups_[r];
+    // The clock's reading at t: what it leaves each member to go.
+    const double v_at_t = g.v0 + g.share * ((t - g.t0) / kNsPerSec);
+    const double v_slack = kByteEpsilon / g.min_weight;
+    const std::size_t first = retiring_.size();
+    WalkHeap(g.members.size(), heap_walk_, [&](std::uint32_t i) {
+      const Member& m = g.members[i];
+      const bool tied = FinishTime(g, m.v_finish) - now_ <= tie_limit;
+      if (!tied && m.v_finish - v_at_t > v_slack) return false;
+      const Flow& f = flows_[m.slot];
+      const double residue = (m.v_finish - v_at_t) * f.weight;
+      if (tied || residue <= kByteEpsilon) {
+        retiring_.push_back(Retired{f.id, m.slot, residue});
+      }
+      return true;
+    });
+    if (retiring_.size() == first) continue;
+    if (retiring_.size() - first == g.members.size()) {
+      g.members.clear();
+      g.min_weight = std::numeric_limits<double>::infinity();
+    } else {
+      for (std::size_t k = first; k < retiring_.size(); ++k) {
+        EraseMember(g, flows_[retiring_[k].slot].member_pos);
+      }
+    }
+    RekeyGroup(g);
+    RequeueGroup(r);
+  }
+  if (min_dt > 0) FoldUtilization(min_dt);
   now_ = t;
 
+  // Retire in id order, crediting each flow's residue to its hops: the
+  // byte counters accrued the flow's rate up to t, so the residue (what
+  // the tie window or kByteEpsilon let it leave undone, about nothing for
+  // the event-defining flow) makes the flow's total on every hop its size.
+  const auto by_id = [](const Retired& a, const Retired& b) {
+    return a.id < b.id;
+  };
+  if (!std::is_sorted(retiring_.begin(), retiring_.end(), by_id)) {
+    std::sort(retiring_.begin(), retiring_.end(), by_id);
+  }
   auto done = std::move(done_scratch_);
   done.clear();
-  tied_scratch_.clear();
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < order_.size(); ++i) {
-    const Slot slot = order_[i];
-    Flow& f = flows_[slot];
-    if (dt > 0) {
-      const double moved = std::min(f.rate * secs, f.remaining);
-      f.remaining -= moved;
-      for (ResourceId r : f.path) resources_[r].bytes_served += moved;
-    }
-    const bool is_tied = durations_[i] <= tie_limit;
-    if (!is_tied && f.remaining > kByteEpsilon &&
-        !(f.rate > 0 && f.remaining / f.rate * kNsPerSec < kTimeEpsilon)) {
-      order_[kept++] = slot;
-      continue;
-    }
-    if (is_tied) tied_scratch_.push_back(slot);
-    FinishRecord(f.id);
-    done.emplace_back(f.id, std::move(f.on_done));
+  for (const Retired& d : retiring_) {
+    Flow& f = flows_[d.slot];
+    for (ResourceId r : f.path) resources_[r].bytes_served += d.residue;
+    FinishRecord(d.id);
+    done.emplace_back(d.id, std::move(f.on_done));
     batch_seed_.insert(batch_seed_.end(), f.path.begin(), f.path.end());
     UnindexFlow(f.id, f.path);
-    free_slots_.push_back(slot);  // reused only by a later StartFlow
-  }
-  order_.resize(kept);
-  // Tied residues settle after every flow advanced, in id order, so each
-  // resource's bytes_served sees the same sequence of additions as a
-  // separate advance pass followed by a settle pass.
-  for (Slot slot : tied_scratch_) {
-    Flow& f = flows_[slot];
-    if (f.remaining > 0) {
-      for (ResourceId r : f.path) resources_[r].bytes_served += f.remaining;
-      f.remaining = 0;
-    }
+    f.id = kInvalidFlow;
+    f.group = kNoGroup;
+    free_slots_.push_back(d.slot);  // reused only by a later StartFlow
+    --active_flows_;
   }
 
   // Callbacks may start new flows; those and the retired flows' components
@@ -916,15 +1164,14 @@ Status FluidSimulator::ReleaseRecord(FlowId id) {
 
 double FluidSimulator::FlowRate(FlowId id) {
   SolvePending();
-  const auto it = std::lower_bound(
-      order_.begin(), order_.end(), id,
-      [this](Slot slot, FlowId v) { return flows_[slot].id < v; });
-  return it != order_.end() && flows_[*it].id == id ? flows_[*it].rate : 0.0;
+  const RecordEntry* e = FindEntry(id);
+  return e != nullptr && !e->rec.done ? flows_[e->slot].rate : 0.0;
 }
 
 double FluidSimulator::BytesServed(ResourceId id) const {
   assert(id < resources_.size());
-  return resources_[id].bytes_served;
+  const Resource& r = resources_[id];
+  return r.bytes_served + r.served_rate * ((now_ - r.served_at) / kNsPerSec);
 }
 
 double FluidSimulator::FairShare(const std::vector<ResourceId>& path) const {

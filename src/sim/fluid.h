@@ -36,18 +36,43 @@
 // it touches.
 //
 // Storage: active flows live in a slot table (a vector plus a free list);
-// the per-resource index holds slot numbers, and order_ lists the live slots
-// in ascending flow id.  Every pass over active flows walks order_, so the
-// floating-point sums that make results bit-exact always see flows in id
-// order.
+// the per-resource index holds slot numbers in ascending flow id, so the
+// floating-point sums that make rates bit-exact (unfrozen weight, rate_sum)
+// always see flows in id order.  Only the full solve and the crosscheck
+// walk the active flows, as live slots in any order (the fill needs no
+// sorted work list); FlowRate finds a flow's slot through its record.
+//
+// Lazy progress: every flow the fill freezes at resource r runs at
+// share_r x weight, so the flows whose bottleneck is r form a *group* that
+// shares one virtual clock, V_r(t) = V_r(t0) + share_r * (t - t0) (bytes per
+// unit weight).  A flow joins its group keyed by v_finish = V_r(join) +
+// remaining / weight and completes when V_r reaches it; one indexed heap
+// over the groups, keyed by when each group's first member can be due,
+// names the next completion.  A solve re-anchors only the groups whose
+// share it changed and moves only the flows whose bottleneck changed (the
+// fill reports both), so an event costs the groups it re-rates, never a
+// pass over every flow.
+// A group whose share a solve leaves bit-equal keeps its anchor, and a
+// resource's BytesServed integrates its rate_sum, settled only when a solve
+// changes that sum, so incremental and full solves give the same bits.
+// Each completing flow credits its hops the residue its clock leaves (what
+// the completion rules below let a flow leave undone, about nothing for
+// the event-defining flow), so every flow's bytes reach each hop's counter
+// in full.
 //
 // One solve per event: Step runs its timer and completion callbacks with
 // solving deferred, collects what they start or rescale, and re-solves once
 // after them.  Since a component solve depends only on the final set of
 // flows and capacities, this is bit-exact with solving after every call.
-// Rates settle when read: FlowRate, Utilization and SmoothedUtilization
-// first solve anything pending, so a callback that reads them sees what an
-// immediate solve would give.
+// A completion event retires every flow whose finish lies within
+// min_dt * 1e-9 + kTimeEpsilon of the earliest one's (min_dt being the time
+// to that earliest finish), the event-defining flows always among them, so
+// each completion event retires at least one flow however large now() is;
+// it also retires every flow it leaves within kByteEpsilon bytes of done.
+// Completion callbacks run in ascending flow id.  Rates settle when read:
+// FlowRate, Utilization and SmoothedUtilization first solve anything
+// pending, so a callback that reads them sees what an immediate solve would
+// give.
 //
 // Timer events are cheap: timers are a heap of (when, seq, slot) entries
 // over a slab of callbacks, and the utilization EWMA that latency models
@@ -62,10 +87,11 @@
 // extend past it, so an event that touches many closed shards (a completion
 // sweep over a whole cluster, a batched wave of arrivals) partitions into
 // independent per-shard solves that run concurrently on a fixed-size worker
-// pool (set_threads).  Every task writes only its own shard's flows and
-// resources and performs the same arithmetic in the same order no matter
-// which thread runs it, so results — rates, byte counters, traces, metrics
-// — are byte-identical for any thread count, including 1.  Unsharded
+// pool (set_threads).  Every task writes only its own shard's flows,
+// resources and groups and performs the same arithmetic in the same order
+// no matter which thread runs it (the shared group heap is updated after
+// the merge, task by task), so results — rates, byte counters, traces,
+// metrics — are byte-identical for any thread count, including 1.  Unsharded
 // resources and open shards fall back to a single sequential "spill" task,
 // preserving the pre-shard behaviour bit-exactly.
 //
@@ -261,7 +287,7 @@ class FluidSimulator {
 
   // Introspection -----------------------------------------------------------
 
-  std::size_t active_flow_count() const { return order_.size(); }
+  std::size_t active_flow_count() const { return active_flows_; }
   const FlowRecord* record(FlowId id) const;
   // Current allocated rate, 0 if inactive.  Settles pending rates first.
   double FlowRate(FlowId id);
@@ -335,7 +361,12 @@ class FluidSimulator {
     std::string name;
     BytesPerSec capacity = 0;
     double rate_sum = 0;       // sum of currently allocated flow rates
+    // Bytes served up to served_at, accruing at served_rate since then.  A
+    // solve settles the counter only when it changes rate_sum (served_rate
+    // is the sum that ran); BytesServed adds the accrued part on read.
     double bytes_served = 0;
+    double served_rate = 0;
+    SimTime served_at = 0;
     // EWMA of rate_sum / capacity with time constant kUtilTau.  Invariant:
     // every resource's EWMA is folded up to now_.  Only the time sweeps
     // (AdvanceTo, CompleteAt) move now_, and they fold every resource
@@ -345,14 +376,53 @@ class FluidSimulator {
     double smoothed_util = 0;
   };
 
+  // No group: a flow not yet rated, or a free slot.
+  static constexpr ResourceId kNoGroup = std::numeric_limits<ResourceId>::max();
+  static constexpr std::uint32_t kNotQueued =
+      std::numeric_limits<std::uint32_t>::max();
+
   struct Flow {
-    FlowId id = kInvalidFlow;
-    double remaining = 0;
-    std::vector<ResourceId> path;
+    FlowId id = kInvalidFlow;  // kInvalidFlow marks a free slot
     double rate = 0;
     double weight = 1.0;
-    FlowCallback on_done;
     std::uint64_t visit_epoch = 0;  // component-BFS visited stamp
+    // The group of the resource that froze the flow (see the header
+    // comment) and the flow's index in that group's member heap.
+    ResourceId group = kNoGroup;
+    std::uint32_t member_pos = 0;
+    std::vector<ResourceId> path;
+    FlowCallback on_done;
+  };
+
+  // A group's member: a flow and the virtual time it completes at.
+  struct Member {
+    double v_finish;
+    Slot slot;
+  };
+
+  // The flows frozen at one resource, all running at share x weight.  Their
+  // virtual clock reads V(t) = v0 + share * (t - t0) / kNsPerSec, in bytes
+  // per unit weight, and a member completes when V reaches its v_finish.
+  // `members` is a min-heap on v_finish.  `finish` is the time its first
+  // member completes.  `due` is the earliest time any member can come
+  // within kByteEpsilon bytes of done (judged by min_weight, a lower bound
+  // on the members' weights), when a completion event may retire it; it is
+  // the group's key in group_heap_ (at heap_pos), and never after finish.
+  struct Group {
+    double share = 0;
+    SimTime t0 = 0;
+    double v0 = 0;
+    SimTime finish = std::numeric_limits<SimTime>::infinity();
+    SimTime due = std::numeric_limits<SimTime>::infinity();
+    double min_weight = std::numeric_limits<double>::infinity();
+    std::uint32_t heap_pos = kNotQueued;
+    std::vector<Member> members;
+  };
+
+  // group_heap_ entry: a non-empty group and its due time.
+  struct QueuedGroup {
+    SimTime due;
+    ResourceId group;
   };
 
   // Per-resource index entry: flows are stored in ascending-id order (ids
@@ -364,8 +434,10 @@ class FluidSimulator {
 
   struct Work {
     Slot slot;
-    double rate = 0;  // rate assigned by ProgressiveFill
-    bool frozen = false;
+    // The resource that froze the flow (kNoGroup while unfrozen) and the
+    // rate it froze at.
+    ResourceId bottleneck = kNoGroup;
+    double rate = 0;
   };
 
   // One solver task: the seeds routed to it, plus the component(s) it grew
@@ -388,6 +460,11 @@ class FluidSimulator {
     // and the resources one fill round changed.
     std::vector<std::pair<double, ResourceId>> heap;
     std::vector<ResourceId> touched;
+    // Every bottleneck the fill froze flows at, with its share.
+    std::vector<std::pair<ResourceId, double>> picks;
+    // The groups whose due time changed: UpdateGroups finds them, and
+    // they are re-queued (RequeueGroup) after the merge.
+    std::vector<ResourceId> rekeyed;
   };
 
   // Fill state shared by the tasks of one solve.  Tasks touch disjoint
@@ -459,15 +536,44 @@ class FluidSimulator {
   void ApplyRates(const ShardTask& task);
   void CheckAgainstFullSolve() const;
 
+  // Lazy progress (see the header comment).  UpdateGroups runs at the end
+  // of every solve task and touches only the task's own resources and
+  // flows: it settles the byte counters whose rate sum moved, applies the
+  // fill's shares, moves the flows whose bottleneck changed and re-keys the
+  // groups that changed; those are re-queued in group_heap_ task by task
+  // after the merge.  CheckGroups is the crosscheck's audit of the group
+  // state.
+  void UpdateGroups(ShardTask& task);
+  // Sets g's finish and due times from its first member.
+  void RekeyGroup(Group& g);
+  // Moves group r to its current due time in group_heap_, or out if empty.
+  void RequeueGroup(ResourceId r);
+  // The earliest finish over every group.
+  SimTime NextFinish();
+  void CheckGroups() const;
+  void SettleServed(ResourceId r);
+  // The group's virtual clock at now_, and the time it reads `v`.
+  double VirtualTime(const Group& g) const;
+  SimTime FinishTime(const Group& g, double v) const;
+  void PushMember(Group& g, Member m);
+  void EraseMember(Group& g, std::uint32_t pos);
+  // Keeps Flow::member_pos in step with the member heap.
+  auto MemberPlacer() {
+    return [this](const Member& m, std::size_t i) {
+      flows_[m.slot].member_pos = static_cast<std::uint32_t>(i);
+    };
+  }
+
   void IndexFlow(Slot slot);
   void UnindexFlow(FlowId id, const std::vector<ResourceId>& path);
   // Maintains shard_cross_flows_ when a flow is indexed (+1) / removed (-1).
   void UpdateShardCrossings(const std::vector<ResourceId>& path, int delta);
 
   void AdvanceTo(SimTime t);
-  // Step's completion event: advances to `t`, retires every flow the event
-  // finishes and runs their callbacks.
-  void CompleteAt(SimTime t, SimTime min_dt);
+  // Step's completion event at `t`, the earliest group finish: advances to
+  // `t`, retires every flow the completion rules finish and runs their
+  // callbacks.
+  void CompleteAt(SimTime t);
   // The time sweep's EWMA fold: advances every resource's smoothed_util by
   // dt > 0 at its current utilization.  AdvanceTo and CompleteAt call it
   // before now_ moves.
@@ -476,6 +582,8 @@ class FluidSimulator {
   // The record table.  FindRecord returns null for a retired (or never
   // issued) id; DropRecord retires a record if it is still held and trims
   // retired records off the table's front.
+  struct RecordEntry;
+  const RecordEntry* FindEntry(FlowId id) const;
   FlowRecord* FindRecord(FlowId id);
   const FlowRecord* FindRecord(FlowId id) const;
   void DropRecord(FlowId id);
@@ -491,12 +599,18 @@ class FluidSimulator {
   void PurgeStaleTimers();
 
   std::vector<Resource> resources_;
-  // Active flows: a slot table with a free list, plus order_, the live
-  // slots in ascending id.  Every pass over active flows walks order_, so
-  // the bit-exact sums see flows in id order.
+  // By ResourceId; null until the resource is first a bottleneck.
+  std::vector<std::unique_ptr<Group>> groups_;
+  // Every non-empty group, as a min-heap on (due, group).
+  std::vector<QueuedGroup> group_heap_;
+  // Scratch for walks over group_heap_ and member heaps (entries to visit),
+  // and the groups a completion event may retire flows from.
+  std::vector<std::uint32_t> heap_walk_;
+  std::vector<ResourceId> due_groups_;
+  // Active flows: a slot table with a free list.
   std::vector<Flow> flows_;
   std::vector<Slot> free_slots_;
-  std::vector<Slot> order_;
+  std::size_t active_flows_ = 0;
   // Flow records by id: records_[id - records_base_] holds flow `id`.  Ids
   // issue monotonically, so StartFlow appends; a retired record stays as a
   // dead entry until every older one is retired too, then leaves from the
@@ -505,9 +619,11 @@ class FluidSimulator {
   // still held, not by the records held: one long-lived record (an active
   // flow, or a kKeepAll record never released) pins a dead entry for every
   // flow started after it.  Entries never move, so record pointers stay
-  // valid until the record is retired.
+  // valid until the record is retired.  An active flow's entry names its
+  // slot.
   struct RecordEntry {
     FlowRecord rec;
+    Slot slot = 0;
     bool live = true;
   };
   std::deque<RecordEntry> records_;
@@ -549,8 +665,14 @@ class FluidSimulator {
   // Event-loop scratch, reused across Steps to amortize heap churn at high
   // flow counts.  timer_batch_ and done_scratch_ live across callbacks, so
   // they are moved out/in (a re-entrant Step degrades gracefully).
-  std::vector<SimTime> durations_;  // by position in order_
-  std::vector<Slot> tied_scratch_;
+  // A completion's retiring flow and the bytes its clock leaves it to
+  // credit (see the header comment).
+  struct Retired {
+    FlowId id;
+    Slot slot;
+    double residue;
+  };
+  std::vector<Retired> retiring_;
   std::vector<Timer> timer_batch_;
   std::vector<std::pair<FlowId, FlowCallback>> done_scratch_;
 

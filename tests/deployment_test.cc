@@ -316,8 +316,8 @@ TEST(VectorSumGoldenTest, LogicalSecondRunOnSameDeployment) {
   LogicalDeployment logical(LinkProfile::Link0());
   RunGolden(logical, GoldenParams(GiB(64)));
   ExpectGolden(RunGolden(logical, GoldenParams(GiB(96))),
-               Golden{0x1.90b21644bd37ap+32, 0x1.6ffffffe34p+5,
-                      0x1.6ffffffe33fffp+5, 0x1.6ffffffe34001p+5, 0, 0});
+               Golden{0x1.90b21644bd378p+32, 0x1.6ffffffe34002p+5,
+                      0x1.6ffffffe34001p+5, 0x1.6ffffffe34004p+5, 0, 0});
 }
 
 TEST(VectorSumGoldenTest, DistributedSum) {
@@ -345,8 +345,8 @@ TEST(VectorSumGoldenTest, PhysicalNoCache) {
 TEST(VectorSumGoldenTest, PhysicalPinnedCache) {
   PhysicalDeployment pinned(LinkProfile::Link1(), true);
   ExpectGolden(RunGolden(pinned, GoldenParams(GiB(24))),
-               Golden{0x1.5555555779e79p+31, 0x1.affffffd49b6fp+4,
-                      0x1.4ffffffe5c001p+4, 0x1.f7fffffc4fp+4,
+               Golden{0x1.5555555779e7ap+31, 0x1.affffffd49b6ep+4,
+                      0x1.4ffffffe5cp+4, 0x1.f7fffffc4effdp+4,
                       0x1.5555555555555p-2, 0});
 }
 
@@ -387,8 +387,8 @@ TEST(VectorSumGoldenTest, CrashWithReplication) {
       .RestoreLinkAt(Microseconds(120), 0);
   auto r = logical.RunWorkload(spec);
   ASSERT_TRUE(r.ok()) << r.status();
-  ExpectGolden(r->vector, Golden{0x1.b1ea5cc0ed73p+17, 0x1.2e116b62b285p+5,
-                              0x1.7087aa7519b1fp+4, 0x1.b3f2bb313b57ep+5, 0,
+  ExpectGolden(r->vector, Golden{0x1.b1ea5cc0ed72fp+17, 0x1.2e116b62b2851p+5,
+                              0x1.7087aa7519b1fp+4, 0x1.b3f2bb313b584p+5, 0,
                               0});
   EXPECT_EQ(r->reps_unavailable, 0);
   EXPECT_EQ(r->reps_degraded, 1);
@@ -400,7 +400,7 @@ TEST(VectorSumGoldenTest, CrashWithReplication) {
   EXPECT_EQ(r->chaos.bytes_rereplicated, MiB(1));
   EXPECT_EQ(r->chaos.max_time_to_redundancy, 0x1.7343b8a49873fp+17);
   EXPECT_EQ(r->chaos.total_unavailability, 0);
-  EXPECT_EQ(r->chaos.degraded_bytes_served, 0x1.cf41bfffffffep+20);
+  EXPECT_EQ(r->chaos.degraded_bytes_served, 0x1.cf41cp+20);
 }
 
 // --- Parameter validation ----------------------------------------------------

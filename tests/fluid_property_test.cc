@@ -15,12 +15,14 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/metrics.h"
 #include "common/rng.h"
+#include "common/status.h"
 #include "sim/fluid.h"
 #include "sim/stream.h"
 
@@ -681,6 +683,363 @@ TEST_P(FluidPropertyTest, BridgedCapacityChangesMatchFullRecompute) {
   });
   EXPECT_GT(raised, 0) << "no saturated DRAM was raised";
   EXPECT_GT(lowered, 0) << "no unsaturated core was lowered below its load";
+}
+
+// Test-only copy of the eager event loop the simulator ran before lazy
+// progress: every Step computes every active flow's duration, a timer event
+// advances every flow, and a completion advances every flow, retires the
+// tied ones (crediting their residues) and those left within kByteEpsilon
+// bytes of done, and runs their callbacks in id order.  Rates come from
+// ReferenceRates, which P8 holds bit-exact with the kernel.  It solves
+// whenever rates are read after a change; since a solve depends only on
+// the final flows and capacities, that equals solving once per event, and
+// batches need no work.  The API mirrors the FluidSimulator calls the
+// churn makes.
+class EagerReference {
+ public:
+  ResourceId AddResource(const std::string&, double capacity) {
+    capacity_.push_back(capacity);
+    bytes_served_.push_back(0);
+    return static_cast<ResourceId>(capacity_.size() - 1);
+  }
+  Status SetCapacity(ResourceId r, double capacity) {
+    capacity_[r] = capacity;
+    dirty_ = true;
+    return Status::Ok();
+  }
+  void BeginBatch() {}
+  void EndBatch() {}
+  FlowId StartFlow(double bytes, const std::vector<ResourceId>& path,
+                   FluidSimulator::FlowCallback on_done, double weight) {
+    const FlowId id = next_id_++;
+    flows_[id] = Active{bytes, 0, weight, path, std::move(on_done)};
+    dirty_ = true;
+    return id;
+  }
+  TimerHandle ScheduleAt(SimTime when,
+                         FluidSimulator::TimerCallback cb) {
+    const std::uint64_t seq = next_seq_++;
+    const SimTime at = std::max(when, now_);
+    timers_[{at, seq}] = std::move(cb);
+    timer_when_[seq] = at;
+    return TimerHandle{0, seq};
+  }
+  void CancelTimer(TimerHandle handle) {
+    const auto it = timer_when_.find(handle.seq);
+    if (it == timer_when_.end()) return;
+    timers_.erase({it->second, handle.seq});
+    timer_when_.erase(it);
+  }
+  SimTime now() const { return now_; }
+  double BytesServed(ResourceId r) const { return bytes_served_[r]; }
+  double FlowRate(FlowId id) {
+    Solve();
+    const auto it = flows_.find(id);
+    return it == flows_.end() ? 0.0 : it->second.rate;
+  }
+
+  bool Step() {
+    Solve();
+    std::vector<SimTime> durations;
+    SimTime min_dt = std::numeric_limits<SimTime>::infinity();
+    for (const auto& [id, f] : flows_) {
+      durations.push_back(f.rate > 0
+                              ? f.remaining / f.rate * kNsPerSec
+                              : std::numeric_limits<SimTime>::infinity());
+      min_dt = std::min(min_dt, durations.back());
+    }
+    const SimTime completion = std::isfinite(min_dt)
+                                   ? now_ + min_dt
+                                   : std::numeric_limits<SimTime>::infinity();
+    const SimTime timer = timers_.empty()
+                              ? std::numeric_limits<SimTime>::infinity()
+                              : timers_.begin()->first.first;
+    if (!std::isfinite(completion) && !std::isfinite(timer)) return false;
+    if (timer <= completion) {
+      Advance(timer - now_);
+      now_ = timer;
+      std::vector<std::uint64_t> batch;
+      for (const auto& [key, cb] : timers_) {
+        if (key.first != timer) break;
+        batch.push_back(key.second);
+      }
+      for (std::uint64_t seq : batch) {
+        const auto it = timers_.find({timer, seq});
+        if (it == timers_.end()) continue;  // cancelled by an earlier one
+        FluidSimulator::TimerCallback cb = std::move(it->second);
+        timers_.erase(it);
+        timer_when_.erase(seq);
+        cb(now_);
+      }
+      return true;
+    }
+    CompleteAt(completion, min_dt, durations);
+    return true;
+  }
+
+ private:
+  struct Active {
+    double remaining;
+    double rate;
+    double weight;
+    std::vector<ResourceId> path;
+    FluidSimulator::FlowCallback on_done;
+  };
+
+  void Solve() {
+    if (!dirty_) return;
+    dirty_ = false;
+    std::vector<RefFlow> specs;
+    for (const auto& [id, f] : flows_) {
+      specs.push_back(RefFlow{f.path, f.weight});
+    }
+    const std::vector<double> rates = ReferenceRates(capacity_, specs);
+    std::size_t i = 0;
+    for (auto& [id, f] : flows_) f.rate = rates[i++];
+  }
+
+  void Advance(SimTime dt) {
+    if (dt <= 0) return;
+    const double secs = dt / kNsPerSec;
+    for (auto& [id, f] : flows_) {
+      const double moved = std::min(f.rate * secs, f.remaining);
+      f.remaining -= moved;
+      for (ResourceId r : f.path) bytes_served_[r] += moved;
+    }
+  }
+
+  void CompleteAt(SimTime t, SimTime min_dt,
+                  const std::vector<SimTime>& durations) {
+    const SimTime dt = std::max<SimTime>(0, t - now_);
+    const double secs = dt / kNsPerSec;
+    const SimTime tie_limit = min_dt + (min_dt * 1e-9 + kTimeEpsilon);
+    now_ = t;
+    std::vector<FlowId> done;
+    std::vector<FlowId> tied;
+    std::size_t i = 0;
+    for (auto& [id, f] : flows_) {
+      if (dt > 0) {
+        const double moved = std::min(f.rate * secs, f.remaining);
+        f.remaining -= moved;
+        for (ResourceId r : f.path) bytes_served_[r] += moved;
+      }
+      const bool is_tied = durations[i++] <= tie_limit;
+      if (!is_tied && f.remaining > kByteEpsilon &&
+          !(f.rate > 0 && f.remaining / f.rate * kNsPerSec < kTimeEpsilon)) {
+        continue;
+      }
+      if (is_tied) tied.push_back(id);
+      done.push_back(id);
+    }
+    for (FlowId id : tied) {
+      Active& f = flows_[id];
+      if (f.remaining > 0) {
+        for (ResourceId r : f.path) bytes_served_[r] += f.remaining;
+        f.remaining = 0;
+      }
+    }
+    std::vector<std::pair<FlowId, FluidSimulator::FlowCallback>> callbacks;
+    for (FlowId id : done) {
+      callbacks.emplace_back(id, std::move(flows_[id].on_done));
+      flows_.erase(id);
+    }
+    dirty_ = true;
+    for (auto& [id, cb] : callbacks) {
+      if (cb) cb(id, now_);
+    }
+  }
+
+  static constexpr double kByteEpsilon = 1e-6;
+  static constexpr SimTime kTimeEpsilon = 1e-9;
+  std::vector<double> capacity_;
+  std::vector<double> bytes_served_;
+  std::map<FlowId, Active> flows_;  // id order, as the eager loop walked
+  std::map<std::pair<SimTime, std::uint64_t>, FluidSimulator::TimerCallback>
+      timers_;
+  std::map<std::uint64_t, SimTime> timer_when_;
+  FlowId next_id_ = 1;
+  std::uint64_t next_seq_ = 0;
+  SimTime now_ = 0;
+  bool dirty_ = false;
+};
+
+// One side of the lazy-vs-eager lockstep: the bridged cluster of P10 (DRAM
+// the bottleneck, about 5 % of flows crossing to another server's DRAM
+// through both ports) under closed-loop churn with fractional weights, plus
+// timers that start batched waves of equal flows (tied shares and tied
+// completions), rescale a DRAM or a core, or cancel a pending timer.  Each
+// side draws from its own copy of one seeded Rng, so both issue the same
+// flows while they agree.
+template <typename Sim>
+struct LazyChurn {
+  Sim sim;
+  std::vector<ResourceId> cores;  // server-major
+  std::vector<ResourceId> dram;
+  std::vector<ResourceId> port;
+  std::vector<ResourceId> all;
+  Rng rng;
+  int issued = 0;
+  int total;
+  std::map<FlowId, SimTime> ends;
+  std::vector<FlowId> active;  // started, not yet complete, in id order
+  std::vector<TimerHandle> pending;
+
+  LazyChurn(std::uint64_t seed, int concurrency, int total_flows)
+      : rng(seed), total(total_flows) {
+    for (int s = 0; s < kBridgedServers; ++s) {
+      for (int c = 0; c < kBridgedCores; ++c) {
+        cores.push_back(sim.AddResource("core", GBps(12)));
+      }
+      dram.push_back(sim.AddResource("dram", GBps(30)));
+      port.push_back(sim.AddResource("port", GBps(34.5)));
+    }
+    all.insert(all.end(), cores.begin(), cores.end());
+    all.insert(all.end(), dram.begin(), dram.end());
+    all.insert(all.end(), port.begin(), port.end());
+    sim.BeginBatch();
+    for (int i = 0; i < concurrency; ++i) Launch();
+    sim.EndBatch();
+    for (int i = 0; i < 40; ++i) {
+      const SimTime at =
+          Microseconds(static_cast<double>(rng.NextInRange(0, 400)));
+      pending.push_back(sim.ScheduleAt(at, [this](SimTime) { Act(); }));
+    }
+  }
+
+  std::vector<ResourceId> RandomPath(int s, int c) {
+    const ResourceId core = cores[s * kBridgedCores + c];
+    if (!rng.NextBernoulli(0.05)) return {core, dram[s]};
+    const auto d = (s + 1 + static_cast<int>(rng.NextBounded(
+                                kBridgedServers - 1))) %
+                   kBridgedServers;
+    return {core, port[s], port[d], dram[d]};
+  }
+
+  void Start(double bytes, const std::vector<ResourceId>& path,
+             double weight, bool chained) {
+    const FlowId id = sim.StartFlow(
+        bytes, path,
+        [this, chained](FlowId done, SimTime t) {
+          ends[done] = t;
+          active.erase(std::find(active.begin(), active.end(), done));
+          if (chained && issued < total) Launch();
+        },
+        weight);
+    active.push_back(id);
+  }
+
+  void Launch() {
+    static constexpr double kWeights[] = {1, 1, 2, 0.5, 0.1, 0.3, 0.7, 1.5};
+    ++issued;
+    const auto s = static_cast<int>(rng.NextBounded(kBridgedServers));
+    const auto c = static_cast<int>(rng.NextBounded(kBridgedCores));
+    const double bytes = static_cast<double>(rng.NextInRange(1, 100)) * 1e5;
+    Start(bytes, RandomPath(s, c), kWeights[rng.NextBounded(8)],
+          /*chained=*/true);
+  }
+
+  void Act() {
+    switch (rng.NextBounded(4)) {
+      case 0: {  // a batched wave of equal flows on one server and a twin
+        const auto s = static_cast<int>(rng.NextBounded(kBridgedServers));
+        const double bytes = static_cast<double>(rng.NextInRange(1, 20)) * 1e5;
+        const int n = static_cast<int>(rng.NextInRange(2, 6));
+        sim.BeginBatch();
+        for (int i = 0; i < n; ++i) {
+          // Alternate flows are a hair longer: inside the tie window, so
+          // they complete with the others and credit a residue.
+          const double size = bytes + (i % 2) * 1e-7;
+          const int c = i % kBridgedCores;
+          Start(size, {cores[s * kBridgedCores + c], dram[s]}, 1,
+                /*chained=*/false);
+          const int twin = (s + 2) % kBridgedServers;
+          Start(size, {cores[twin * kBridgedCores + c], dram[twin]}, 1,
+                /*chained=*/false);
+        }
+        sim.EndBatch();
+        break;
+      }
+      case 1: {  // rescale a DRAM
+        const ResourceId r = dram[rng.NextBounded(kBridgedServers)];
+        const double gbps = static_cast<double>(rng.NextInRange(20, 40));
+        ASSERT_TRUE(sim.SetCapacity(r, GBps(gbps)).ok());
+        break;
+      }
+      case 2: {  // rescale a core, often below its load
+        const ResourceId r = cores[rng.NextBounded(cores.size())];
+        const double gbps = static_cast<double>(rng.NextInRange(2, 12));
+        ASSERT_TRUE(sim.SetCapacity(r, GBps(gbps)).ok());
+        break;
+      }
+      default:  // cancel a pending timer (a no-op once it has fired)
+        sim.CancelTimer(pending[rng.NextBounded(pending.size())]);
+        break;
+    }
+  }
+};
+
+bool NearlyEqual(double a, double b, double abs) {
+  return std::fabs(a - b) <= 1e-9 * std::max(std::fabs(a), std::fabs(b)) + abs;
+}
+
+// P12 lazy == eager: the per-group virtual clocks complete the same flows
+//     in the same events as the eager loop, at times within 1e-9 relative
+//     plus kTimeEpsilon, with every rate bit-exact and every byte counter
+//     within 1e-9 relative.  The simulator runs with the crosscheck, which
+//     also holds every active flow's rate to its group's share x weight.
+TEST_P(FluidPropertyTest, LazyProgressMatchesEagerReference) {
+  const std::uint64_t seed = GetParam() ^ 0x1A2E;
+  LazyChurn<FluidSimulator> lazy(seed, 60, 400);
+  lazy.sim.set_solver_crosscheck(true);
+  LazyChurn<EagerReference> eager(seed, 60, 400);
+  int steps = 0;
+  int tied_steps = 0;  // completion events that retired several flows
+  const auto run_lockstep = [&] {
+    while (true) {
+      const std::size_t done_before = lazy.ends.size();
+      const bool lazy_more = lazy.sim.Step();
+      const bool eager_more = eager.sim.Step();
+      ASSERT_EQ(lazy_more, eager_more) << "step " << steps;
+      if (lazy.ends.size() > done_before + 1) ++tied_steps;
+      ASSERT_TRUE(NearlyEqual(lazy.sim.now(), eager.sim.now(), 1e-9))
+          << "step " << steps << ": " << lazy.sim.now() << " vs "
+          << eager.sim.now();
+      ASSERT_EQ(lazy.active, eager.active) << "step " << steps;
+      if (!lazy_more) break;
+      ++steps;
+      for (FlowId id : lazy.active) {
+        ASSERT_EQ(lazy.sim.FlowRate(id), eager.sim.FlowRate(id))
+            << "flow " << id << " after step " << steps;
+      }
+      for (std::size_t i = 0; i < lazy.all.size(); ++i) {
+        const double a = lazy.sim.BytesServed(lazy.all[i]);
+        const double b = eager.sim.BytesServed(eager.all[i]);
+        ASSERT_TRUE(NearlyEqual(a, b, 0))
+            << "resource " << i << " after step " << steps << ": " << a
+            << " vs " << b;
+      }
+    }
+  };
+  run_lockstep();
+  EXPECT_EQ(lazy.issued, lazy.total);
+  EXPECT_GT(tied_steps, 0) << "no event retired tied flows; untested";
+  // A quiet tail: long flows on one DRAM, a fraction of a byte apart, so
+  // the tie window (not the kByteEpsilon rule) is what retires them in one
+  // event.
+  const int tied_before = tied_steps;
+  for (int i = 0; i < 4; ++i) {
+    const double bytes = 1e9 + 0.3 * i;
+    lazy.Start(bytes, {lazy.cores[i], lazy.dram[0]}, 1, /*chained=*/false);
+    eager.Start(bytes, {eager.cores[i], eager.dram[0]}, 1, /*chained=*/false);
+  }
+  run_lockstep();
+  EXPECT_EQ(tied_steps, tied_before + 1) << "the tail split";
+  ASSERT_EQ(lazy.ends.size(), eager.ends.size());
+  for (const auto& [id, end] : lazy.ends) {
+    ASSERT_EQ(eager.ends.count(id), 1u) << "flow " << id;
+    EXPECT_TRUE(NearlyEqual(end, eager.ends.at(id), 1e-9))
+        << "flow " << id << ": " << end << " vs " << eager.ends.at(id);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FluidPropertyTest,

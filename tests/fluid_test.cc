@@ -734,35 +734,29 @@ TEST(FluidGoldenTest, ClosedLoopBridgedChurn) {
   g.sim.Run();
   ASSERT_EQ(g.ids.size(), specs.size());
   EXPECT_EQ(g.Ends(),
-            "0x1.0f4471c71c71cp+19 0x1.1cd4aaaaaaaabp+21 "
-            "0x1.4585555555556p+17 0x1.e848p+19 0x1.56799c71c71c7p+21 "
-            "0x1.087c555555555p+20 0x1.3b592aaaaaaabp+21 "
-            "0x1.53158e38e38e3p+20 0x1.e848p+20 0x1.19709c71c71c7p+21 "
-            "0x1.4585555555555p+18 0x1.4585555555555p+19 "
-            "0x1.3fd5abc2bc2bcp+21 0x1.dab7c71c71c72p+20 "
-            "0x1.cd278e38e38e4p+20 0x1.6e36p+19 0x1.312dp+20 "
-            "0x1.96e6aaaaaaaaap+20 0x1.d3efaaaaaaaaap+21 "
-            "0x1.6409d55555555p+21 0x1.087c555555555p+21 "
-            "0x1.a85d65acc059ap+22 0x1.1f60523f43b08p+23 "
-            "0x1.52a8de87e0078p+22 0x1.6e36p+21 0x1.4fb17ffffffffp+21 "
-            "0x1.452607824998fp+22 0x1.5c8dc3ce73e95p+23 "
-            "0x1.15338aaaaaaadp+22 0x1.2e552b36b36b3p+22 "
-            "0x1.de1bd55555553p+21 0x1.de1bd55555553p+21 "
-            "0x1.34054ad99eca9p+23 0x1.4b7ee86377682p+23 0x1.312dp+22 "
-            "0x1.95a125555554fp+22 0x1.4fb18p+22 0x1.298be00000002p+22 "
-            "0x1.a628eaaaaaaa9p+22 0x1.6b5e2b36b36b3p+22 "
-            "0x1.4585555555555p+22 0x1.5627b07cb32a6p+22 "
-            "0x1.a112d55555555p+22 0x1.0b81102e5ffd4p+23 "
-            "0x1.5e94722cf443ap+22 0x1.6e35fffffffffp+23 "
-            "0x1.7d18f22cf443ap+22 0x1.cc01c08c08c08p+22");
+            "0x1.0f4471c71c71cp+19 0x1.1cd4aaaaaaaabp+21 0x1.4585555555555p+17 "
+            "0x1.e848p+19 0x1.56799c71c71c8p+21 0x1.087c555555555p+20 "
+            "0x1.3b592aaaaaaabp+21 0x1.53158e38e38e4p+20 0x1.e848p+20 "
+            "0x1.19709c71c71c8p+21 0x1.4585555555555p+18 0x1.4585555555555p+19 "
+            "0x1.3fd5abc2bc2bfp+21 0x1.dab7c71c71c72p+20 0x1.cd278e38e38e3p+20 "
+            "0x1.6e36p+19 0x1.312dp+20 0x1.96e6aaaaaaaaap+20 "
+            "0x1.d3efaaaaaaaabp+21 0x1.6409d55555555p+21 0x1.087c555555555p+21 "
+            "0x1.a85d65acc059ep+22 0x1.1f60523f43b09p+23 0x1.52a8de87e007ap+22 "
+            "0x1.6e36p+21 0x1.4fb18p+21 0x1.4526078249992p+22 "
+            "0x1.5c8dc3ce73e96p+23 0x1.15338aaaaaaacp+22 0x1.2e552b36b36b4p+22 "
+            "0x1.de1bd55555554p+21 0x1.de1bd55555554p+21 0x1.34054ad99eca9p+23 "
+            "0x1.4b7ee86377682p+23 0x1.312dp+22 0x1.95a1255555552p+22 "
+            "0x1.4fb18p+22 0x1.298be00000001p+22 0x1.a628eaaaaaaaap+22 "
+            "0x1.6b5e2b36b36b4p+22 0x1.4585555555555p+22 0x1.5627b07cb32aap+22 "
+            "0x1.a112d55555555p+22 0x1.0b81102e5ffd4p+23 0x1.5e94722cf443dp+22 "
+            "0x1.6e36p+23 0x1.7d18f22cf443dp+22 0x1.cc01c08c08c09p+22");
   EXPECT_EQ(g.Bytes(),
-            "0x1.4fb1800000001p+24 0x1.ff2b5ffffffffp+25 "
-            "0x1.6e35fffffffffp+25 0x1.4fb1800000002p+25 "
-            "0x1.be51cffffffffp+26 0x1.4fb1800000001p+24 0x1.e848p+23 "
-            "0x1.e848p+24 0x1.6694ep+25 0x1.af0f9p+26 0x1.8cba8p+23 "
-            "0x1.c9c37ffffffffp+25 0x1.e848p+24 0x1.6e36000000001p+24 "
-            "0x1.34fd900000002p+26 0x1.12a88p+27 0x1.c2225fffffffep+25 "
-            "0x1.6e36p+22 0x1.d1649fffffffep+25 0x1.908b100000004p+27");
+            "0x1.4fb18p+24 0x1.ff2b6p+25 0x1.6e36p+25 0x1.4fb1800000001p+25 "
+            "0x1.be51d00000002p+26 0x1.4fb18p+24 0x1.e848p+23 0x1.e848p+24 "
+            "0x1.6694e00000001p+25 0x1.af0f8ffffffffp+26 0x1.8cba8p+23 "
+            "0x1.c9c38p+25 0x1.e848p+24 0x1.6e36p+24 0x1.34fd8ffffffffp+26 "
+            "0x1.12a88p+27 0x1.c2226p+25 0x1.6e36p+22 0x1.d164a00000002p+25 "
+            "0x1.908b1p+27");
   EXPECT_EQ(Hex(g.util),
             "0x1.28cc51867a1dfp-2 0x1.fab2da5b49e1ep-3 0x1.fffa0ca192a6ep-1 "
             "0x1.28cfc498fb85ap-2 0x1.fab8bdf3c175dp-3 0x1.ffffffee4b79bp-1 "
@@ -809,22 +803,17 @@ TEST(FluidGoldenTest, TimerBurstsOfStartsAndCapacityChanges) {
   g.sim.Run();
   ASSERT_EQ(g.ids.size(), 24u);
   EXPECT_EQ(g.Ends(),
-            "0x1.a195d4924924ap+21 0x1.b58p+17 0x1.0f4c11dec0d4cp+21 "
-            "0x1.ad5488ef606a6p+21 0x1.b74d1e94de576p+19 "
-            "0x1.53c751745d175p+20 0x1.0beee8ba2e8bap+18 "
-            "0x1.4dc1a6c9b26cbp+20 0x1.052396c0d4c77p+22 "
-            "0x1.23dfc21834217p+20 0x1.dcc82928f7badp+19 "
-            "0x1.e2c31b3884fcbp+21 0x1.041c322e8ba2ep+22 "
-            "0x1.ee0ff6a63bd82p+21 0x1.c54a76a63bd81p+21 "
-            "0x1.179d8ba2e8ba2p+20 0x1.179d8ba2e8ba2p+20 "
-            "0x1.4e6ed98ef606ap+21 0x1.05ebec77b0353p+22 "
-            "0x1.0a76492492492p+21 0x1.da5510386b32p+19 "
-            "0x1.b5d3555555556p+19 0x1.6b126db6db6dbp+20 "
-            "0x1.3c91aaaaaaaabp+20");
+            "0x1.a195d49249249p+21 0x1.b58p+17 0x1.0f4c11dec0d4dp+21 "
+            "0x1.ad5488ef606a6p+21 0x1.b74d1e94de576p+19 0x1.53c751745d175p+20 "
+            "0x1.0beee8ba2e8bap+18 0x1.4dc1a6c9b26cap+20 0x1.052396c0d4c77p+22 "
+            "0x1.23dfc21834218p+20 0x1.dcc82928f7badp+19 0x1.e2c31b3884fcap+21 "
+            "0x1.041c322e8ba2ep+22 0x1.ee0ff6a63bd81p+21 0x1.c54a76a63bd81p+21 "
+            "0x1.179d8ba2e8ba3p+20 0x1.179d8ba2e8ba3p+20 0x1.4e6ed98ef606ap+21 "
+            "0x1.05ebec77b0353p+22 0x1.0a76492492492p+21 0x1.da5510386b32p+19 "
+            "0x1.b5d3555555556p+19 0x1.6b126db6db6dbp+20 0x1.3c91aaaaaaaabp+20");
   EXPECT_EQ(g.Bytes(),
-            "0x1.0736cfffffffbp+26 0x1.5752a00000004p+25 "
-            "0x1.7d78400000004p+25 0x1.d905c00000003p+24 "
-            "0x1.ff2b600000004p+25");
+            "0x1.0736dp+26 0x1.5752ap+25 0x1.7d784p+25 0x1.d905bfffffffep+24 "
+            "0x1.ff2b5ffffffffp+25");
   EXPECT_EQ(Hex(g.util),
             "0x1.ce16fff014f95p-1 0x1.a15f18b7d0e12p-2 0x1.fd91c6eab85a9p-1 "
             "0x1.cc419ae4857b2p-2 0x1.fffe75296e3f4p-1 0x1.ce72384674181p-2 "
