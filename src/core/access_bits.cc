@@ -1,5 +1,7 @@
 #include "core/access_bits.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace lmp::core {
@@ -34,6 +36,33 @@ std::vector<AccessBitSampler::ScanEntry> AccessBitSampler::ScanAndClear() {
       last_scan_[key] = touched;
     }
   }
+
+  // One pass over the interval in last_scan_'s own order: per segment the
+  // totals and the strict-> winner come out as a walk over last_scan_
+  // filtered to that segment would find them.
+  dominant_.clear();
+  for (std::vector<Touched>& list : by_server_) list.clear();
+  std::unordered_map<SegmentId, double> totals;
+  for (const auto& [key, touched] : last_scan_) {
+    const double bytes =
+        static_cast<double>(touched) * static_cast<double>(page_size_);
+    double& total = totals[key.segment];
+    Dominant& dom = dominant_[key.segment];
+    total += bytes;
+    if (bytes > dom.bytes) {
+      dom.bytes = bytes;
+      dom.server = key.server;
+    }
+    if (key.server >= by_server_.size()) {
+      by_server_.resize(key.server + std::size_t{1});
+    }
+    by_server_[key.server].push_back(Touched{key.segment, &dom});
+  }
+  for (auto& [seg, dom] : dominant_) dom.share = dom.bytes / totals[seg];
+  for (std::vector<Touched>& list : by_server_) {
+    std::sort(list.begin(), list.end(),
+              [](const Touched& a, const Touched& b) { return a.seg < b.seg; });
+  }
   ++scans_;
   return entries;
 }
@@ -46,23 +75,16 @@ double AccessBitSampler::EstimatedBytes(SegmentId seg,
 }
 
 bool AccessBitSampler::DominantAccessor(SegmentId seg, Dominant* out) const {
-  double total = 0, best = 0;
-  cluster::ServerId best_server = 0;
-  for (const auto& [key, touched] : last_scan_) {
-    if (key.segment != seg) continue;
-    const double bytes =
-        static_cast<double>(touched) * static_cast<double>(page_size_);
-    total += bytes;
-    if (bytes > best) {
-      best = bytes;
-      best_server = key.server;
-    }
-  }
-  if (total <= 0) return false;
-  out->server = best_server;
-  out->share = best / total;
-  out->bytes = best;
+  auto it = dominant_.find(seg);
+  if (it == dominant_.end()) return false;
+  *out = it->second;
   return true;
+}
+
+const std::vector<AccessBitSampler::Touched>& AccessBitSampler::SegmentsOf(
+    cluster::ServerId server) const {
+  static const std::vector<Touched> kNone;
+  return server < by_server_.size() ? by_server_[server] : kNone;
 }
 
 }  // namespace lmp::core

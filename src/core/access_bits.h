@@ -8,6 +8,9 @@
 // often or how much.  AccessBitSampler implements the scan-and-clear
 // protocol and produces per-segment hotness estimates; the migration
 // ablation can compare policies fed by exact counters vs sampled bits.
+// Each scan also derives, in one pass, every touched segment's dominant
+// accessor and per server the segments it touched (SegmentsOf), so a
+// scoped demand estimator walks only its own servers' lists.
 #pragma once
 
 #include <cstdint>
@@ -45,12 +48,22 @@ class AccessBitSampler {
   double EstimatedBytes(SegmentId seg, cluster::ServerId server) const;
 
   // The server with the most touched pages on `seg` in the last interval.
+  // A tie goes to the server met first in the scan's own order.
   struct Dominant {
     cluster::ServerId server = 0;
     double share = 0;
     double bytes = 0;
   };
   bool DominantAccessor(SegmentId seg, Dominant* out) const;
+
+  // The segments `server` touched in the last completed interval,
+  // ascending by id, each with its dominant accessor — the access-bits
+  // twin of AccessTracker::SegmentsOf.  Rebuilt by every ScanAndClear.
+  struct Touched {
+    SegmentId seg = kInvalidSegment;
+    const Dominant* dom = nullptr;
+  };
+  const std::vector<Touched>& SegmentsOf(cluster::ServerId server) const;
 
   Bytes page_size() const { return page_size_; }
   std::uint64_t scans() const { return scans_; }
@@ -74,6 +87,10 @@ class AccessBitSampler {
   std::unordered_map<Key, std::vector<bool>, KeyHash> bits_;
   // Last completed interval: per (seg, server), touched page count.
   std::unordered_map<Key, std::uint64_t, KeyHash> last_scan_;
+  // Derived from last_scan_ by ScanAndClear: each touched segment's
+  // dominant accessor, and per server the segments it touched.
+  std::unordered_map<SegmentId, Dominant> dominant_;
+  std::vector<std::vector<Touched>> by_server_;
 };
 
 }  // namespace lmp::core

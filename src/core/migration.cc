@@ -12,49 +12,46 @@ MigrationEngine::MigrationEngine(PoolManager* manager, MigrationConfig config)
   LMP_CHECK(manager != nullptr);
 }
 
-StatusOr<MigrationRoundStats> MigrationEngine::RunOnce(
-    SimTime now, std::vector<MigrationRecord>* records) {
-  MigrationRoundStats stats;
-
-  struct Candidate {
-    SegmentId seg;
-    cluster::ServerId dst;
-    double score;  // projected traffic converted to local, net of copy cost
-  };
+std::vector<MigrationEngine::Candidate> MigrationEngine::Candidates(
+    SimTime now) const {
   std::vector<Candidate> candidates;
-
   const bool scoped = config_.scope_limit > config_.scope_first;
   const AccessTracker& tracker = manager_->access_tracker();
-  manager_->segment_map().ForEach([&](const SegmentInfo& info) {
-    if (info.state != SegmentState::kActive) return;
-    AccessTracker::DominantAccessor dom;
-    if (!tracker.Dominant(info.id, now, &dom)) return;
-    if (dom.share < config_.dominance_threshold) return;
-    // Already local to the dominant accessor?
-    if (!info.home.is_pool() && info.home.server == dom.server) return;
-    if (scoped) {
-      if (dom.server < config_.scope_first ||
-          dom.server >= config_.scope_limit) {
-        return;
+  const SegmentMap& segments = manager_->segment_map();
+  const cluster::ServerId first = scoped ? config_.scope_first : 0;
+  const cluster::ServerId limit =
+      scoped ? config_.scope_limit : tracker.indexed_servers();
+  for (cluster::ServerId s = first; s < limit; ++s) {
+    for (const AccessTracker::Tracked& t : tracker.SegmentsOf(s)) {
+      // Each segment is scored once, under its dominant accessor.
+      AccessTracker::DominantAccessor dom;
+      if (!tracker.Dominant(*t.row, now, &dom) || dom.server != s) continue;
+      if (dom.share < config_.dominance_threshold) continue;
+      const SegmentInfo* info = segments.Find(t.seg);
+      if (info == nullptr || info->state != SegmentState::kActive) continue;
+      // Already local to the dominant accessor?
+      if (!info->home.is_pool() && info->home.server == s) continue;
+      if (scoped && (info->home.is_pool() || info->home.server < first ||
+                     info->home.server >= limit)) {
+        continue;  // homed off-rack: a pull grant's job, not this round's
       }
-      if (info.home.is_pool() || info.home.server < config_.scope_first ||
-          info.home.server >= config_.scope_limit) {
-        return;  // homed off-rack: a pull grant's job, not this round's
-      }
+      const double copy_cost = static_cast<double>(info->size);
+      if (dom.bytes < config_.benefit_factor * copy_cost) continue;
+      candidates.push_back(Candidate{t.seg, s, dom.bytes - copy_cost});
     }
-    const double copy_cost = static_cast<double>(info.size);
-    if (dom.bytes < config_.benefit_factor * copy_cost) return;
-    candidates.push_back(Candidate{info.id, dom.server,
-                                   dom.bytes - copy_cost});
-  });
-
-  stats.candidates = static_cast<int>(candidates.size());
-  // Candidates were collected in SegmentMap hash order; the id tie-break
-  // makes equal scores migrate in the same order on every build.
+  }
   std::sort(candidates.begin(), candidates.end(),
             [](const Candidate& a, const Candidate& b) {
               return a.score != b.score ? a.score > b.score : a.seg < b.seg;
             });
+  return candidates;
+}
+
+StatusOr<MigrationRoundStats> MigrationEngine::RunOnce(
+    SimTime now, std::vector<MigrationRecord>* records) {
+  MigrationRoundStats stats;
+  const std::vector<Candidate> candidates = Candidates(now);
+  stats.candidates = static_cast<int>(candidates.size());
 
   for (const Candidate& c : candidates) {
     if (stats.migrated >= config_.max_migrations_per_round) break;

@@ -53,6 +53,17 @@ class MigrationEngine {
   StatusOr<MigrationRoundStats> RunOnce(
       SimTime now, std::vector<MigrationRecord>* records = nullptr);
 
+  // The segments a round at `now` would try to move, best first (highest
+  // score, then lowest segment id).  Read from the access tracker's
+  // per-server index: only the scope's servers (every indexed server when
+  // unscoped) are visited, each segment under its dominant accessor.
+  struct Candidate {
+    SegmentId seg = kInvalidSegment;
+    cluster::ServerId dst = 0;
+    double score = 0;  // projected traffic converted to local, net of copy
+  };
+  std::vector<Candidate> Candidates(SimTime now) const;
+
   const MigrationConfig& config() const { return config_; }
 
  private:

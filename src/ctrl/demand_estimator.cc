@@ -45,20 +45,37 @@ void DemandEstimator::ClearLeaseDemands() {
   for (PerServer& s : servers_) s.lease_demand = 0;
 }
 
-bool DemandEstimator::Attribute(const core::SegmentInfo& info, SimTime now,
-                                cluster::ServerId* who, double* heat) const {
+template <typename Fn>
+void DemandEstimator::ForEachAttributed(SimTime now, Fn&& fn) const {
+  // Every attributed segment sits in its dominant accessor's index list,
+  // so keeping a listed segment only under its dominant server visits
+  // each one once: by ascending server, then ascending segment id.
+  if (uses_access_bits()) {
+    for (cluster::ServerId s = scope_first_; s < scope_limit_; ++s) {
+      for (const auto& t : sampler_->SegmentsOf(s)) {
+        if (t.dom->server == s) fn(t.seg, s, t.dom->bytes);
+      }
+    }
+    return;
+  }
+  const core::AccessTracker& tracker = manager_->access_tracker();
+  for (cluster::ServerId s = scope_first_; s < scope_limit_; ++s) {
+    for (const core::AccessTracker::Tracked& t : tracker.SegmentsOf(s)) {
+      core::AccessTracker::DominantAccessor dom;
+      if (tracker.Dominant(*t.row, now, &dom) && dom.server == s) {
+        fn(t.seg, s, dom.bytes);
+      }
+    }
+  }
+}
+
+bool DemandEstimator::HasTraffic(core::SegmentId seg, SimTime now) const {
   if (uses_access_bits()) {
     core::AccessBitSampler::Dominant dom;
-    if (!sampler_->DominantAccessor(info.id, &dom)) return false;
-    *who = dom.server;
-    *heat = dom.bytes;
-    return true;
+    return sampler_->DominantAccessor(seg, &dom);
   }
   core::AccessTracker::DominantAccessor dom;
-  if (!manager_->access_tracker().Dominant(info.id, now, &dom)) return false;
-  *who = dom.server;
-  *heat = dom.bytes;
-  return true;
+  return manager_->access_tracker().Dominant(seg, now, &dom);
 }
 
 std::vector<core::ServerDemand> DemandEstimator::Estimate(SimTime now) {
@@ -67,21 +84,31 @@ std::vector<core::ServerDemand> DemandEstimator::Estimate(SimTime now) {
   // has touched it — an untouched allocation is still demand from whoever
   // it was placed near.  A segment another scope's server dominates is
   // skipped outright: its rack's estimator claims it, and a home-side
-  // fallback here would double-count it cluster-wide.
+  // fallback here would double-count it cluster-wide.  Sizes are whole
+  // bytes, so the sums do not depend on visiting order.
   std::vector<double> raw(servers_.size(), 0.0);
-  manager_->segment_map().ForEach([&](const core::SegmentInfo& info) {
-    if (info.state == core::SegmentState::kLost) return;
-    cluster::ServerId who = 0;
-    double heat = 0;
-    if (Attribute(info, now, &who, &heat)) {
-      if (InScope(who) && who < raw.size()) {
-        raw[who] += static_cast<double>(info.size);
-      }
-    } else if (!info.home.is_pool() && InScope(info.home.server) &&
-               info.home.server < raw.size()) {
-      raw[info.home.server] += static_cast<double>(info.size);
-    }
+  const core::SegmentMap& segments = manager_->segment_map();
+  ForEachAttributed(now, [&](core::SegmentId seg, cluster::ServerId who,
+                             double) {
+    const core::SegmentInfo* info = segments.Find(seg);
+    if (info == nullptr || info->state == core::SegmentState::kLost) return;
+    raw[who] += static_cast<double>(info->size);
   });
+  // Home fallback: every live segment homed on a server is bound in that
+  // server's frame map, so the scope's own maps hold every candidate.
+  for (cluster::ServerId s = scope_first_; s < scope_limit_; ++s) {
+    const core::Location here = core::Location::OnServer(s);
+    const core::LocalFrameMap* frames = manager_->FindLocalMap(here);
+    if (frames == nullptr) continue;
+    frames->ForEach([&](core::SegmentId seg, const auto&) {
+      const core::SegmentInfo* info = segments.Find(seg);
+      if (info == nullptr || info->home != here ||
+          info->state == core::SegmentState::kLost || HasTraffic(seg, now)) {
+        return;
+      }
+      raw[s] += static_cast<double>(info->size);
+    });
+  }
 
   std::vector<core::ServerDemand> demands;
   demands.reserve(scope_limit_ - scope_first_);
@@ -114,50 +141,56 @@ std::vector<core::ServerDemand> DemandEstimator::Estimate(SimTime now) {
 }
 
 double DemandEstimator::ObservedLocalFraction(SimTime now) const {
-  const core::AccessTracker& tracker = manager_->access_tracker();
   double local = 0, total = 0;
-  // Only servers with a counter are visited: a scoped server that never
-  // touched the segment would add exactly +0.0, so skipping it leaves both
-  // sums bit-identical to a walk over the whole scope.
-  manager_->segment_map().ForEach([&](const core::SegmentInfo& info) {
-    if (info.state == core::SegmentState::kLost) return;
-    tracker.ForEachAccessor(
-        info.id, now, [&](cluster::ServerId s, double bytes) {
-          if (!InScope(s)) return;
-          total += bytes;
-          if (!info.home.is_pool() && info.home.server == s) local += bytes;
-        });
-  });
+  for (cluster::ServerId s = scope_first_; s < scope_limit_; ++s) {
+    AddLocalTraffic(now, s, &local, &total);
+  }
   return total == 0 ? 1.0 : local / total;
 }
 
 double DemandEstimator::ObservedLocalFraction(
     SimTime now, cluster::ServerId server) const {
-  const core::AccessTracker& tracker = manager_->access_tracker();
   double local = 0, total = 0;
-  manager_->segment_map().ForEach([&](const core::SegmentInfo& info) {
-    if (info.state == core::SegmentState::kLost) return;
-    const double bytes = tracker.AccessedBytes(info.id, server, now);
-    total += bytes;
-    if (!info.home.is_pool() && info.home.server == server) local += bytes;
-  });
+  AddLocalTraffic(now, server, &local, &total);
   return total == 0 ? 1.0 : local / total;
+}
+
+void DemandEstimator::AddLocalTraffic(SimTime now, cluster::ServerId server,
+                                      double* local, double* total) const {
+  // Only segments `server` holds a counter on: any other would add
+  // exactly +0.0 to both sums.
+  const core::AccessTracker& tracker = manager_->access_tracker();
+  const core::SegmentMap& segments = manager_->segment_map();
+  for (const core::AccessTracker::Tracked& t : tracker.SegmentsOf(server)) {
+    const core::SegmentInfo* info = segments.Find(t.seg);
+    if (info == nullptr || info->state == core::SegmentState::kLost) continue;
+    const double bytes = tracker.AccessedBytes(*t.row, server, now);
+    *total += bytes;
+    if (!info->home.is_pool() && info->home.server == server) {
+      *local += bytes;
+    }
+  }
+}
+
+template <typename Fn>
+void DemandEstimator::ForEachPullCandidate(SimTime now, Fn&& fn) const {
+  const core::SegmentMap& segments = manager_->segment_map();
+  ForEachAttributed(now, [&](core::SegmentId seg, cluster::ServerId who,
+                             double heat) {
+    const core::SegmentInfo* info = segments.Find(seg);
+    if (info == nullptr || info->state != core::SegmentState::kActive) return;
+    // Homed on a server outside the scope; pool-homed segments are the
+    // flat drain path's business, not a cross-rack pull's.
+    if (info->home.is_pool() || InScope(info->home.server)) return;
+    fn(PullCandidate{seg, who, info->size, heat});
+  });
 }
 
 std::vector<DemandEstimator::PullCandidate> DemandEstimator::PullCandidates(
     SimTime now) const {
   std::vector<PullCandidate> out;
-  manager_->segment_map().ForEach([&](const core::SegmentInfo& info) {
-    if (info.state != core::SegmentState::kActive) return;
-    // Homed on a server outside the scope; pool-homed segments are the
-    // flat drain path's business, not a cross-rack pull's.
-    if (info.home.is_pool() || InScope(info.home.server)) return;
-    cluster::ServerId who = 0;
-    double heat = 0;
-    if (!Attribute(info, now, &who, &heat)) return;
-    if (!InScope(who)) return;
-    out.push_back(PullCandidate{info.id, who, info.size, heat});
-  });
+  ForEachPullCandidate(now,
+                       [&](const PullCandidate& c) { out.push_back(c); });
   std::sort(out.begin(), out.end(),
             [](const PullCandidate& a, const PullCandidate& b) {
               if (a.heat != b.heat) return a.heat > b.heat;
@@ -168,7 +201,7 @@ std::vector<DemandEstimator::PullCandidate> DemandEstimator::PullCandidates(
 
 Bytes DemandEstimator::RemoteHotBytes(SimTime now) const {
   Bytes sum = 0;
-  for (const PullCandidate& c : PullCandidates(now)) sum += c.size;
+  ForEachPullCandidate(now, [&](const PullCandidate& c) { sum += c.size; });
   return sum;
 }
 

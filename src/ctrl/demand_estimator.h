@@ -25,6 +25,14 @@
 // a segment another rack's server dominates is that rack's demand, not
 // ours, even when it is homed here.
 //
+// Cost: every walk starts from the scope's own servers.  The attributed
+// segments come from the source's per-server index (AccessTracker or
+// AccessBitSampler SegmentsOf), each kept only under its dominant
+// accessor; the home fallback walks the scoped servers' frame maps.  An
+// epoch therefore costs what the scope touched or homes, not the size of
+// the cluster.  Local fractions sum by ascending server, then ascending
+// segment id.
+//
 // Raw attributions are EWMA-smoothed in simulated time so one bursty epoch
 // cannot whipsaw the solver: smoothed += (1 - exp(-dt/tau)) * (raw -
 // smoothed).  The controller's hysteresis handles the residual jitter.
@@ -143,10 +151,21 @@ class DemandEstimator {
   };
 
   PerServer& state(cluster::ServerId server);
-  // Attributes one segment to a server via the configured source; false
-  // when nobody has touched it in the observation window.
-  bool Attribute(const core::SegmentInfo& info, SimTime now,
-                 cluster::ServerId* who, double* heat) const;
+  // Calls fn(seg, who, heat) for every segment whose dominant accessor in
+  // the configured source is a scoped server, by ascending `who`, then
+  // ascending segment id.  Segments the map no longer holds are included;
+  // callers look each one up.
+  template <typename Fn>
+  void ForEachAttributed(SimTime now, Fn&& fn) const;
+  // True when the configured source saw traffic on `seg`.
+  bool HasTraffic(core::SegmentId seg, SimTime now) const;
+  // Adds `server`'s decayed traffic on live segments to *total, and the
+  // part that hit segments homed on `server` to *local, by ascending
+  // segment id.
+  void AddLocalTraffic(SimTime now, cluster::ServerId server, double* local,
+                       double* total) const;
+  template <typename Fn>
+  void ForEachPullCandidate(SimTime now, Fn&& fn) const;
 
   core::PoolManager* manager_;
   EstimatorConfig config_;

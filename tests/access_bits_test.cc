@@ -1,6 +1,11 @@
 // Tests for the access-bit sampler (§5) and its fidelity vs exact counters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
+#include "common/rng.h"
 #include "core/access_bits.h"
 #include "core/hotness.h"
 
@@ -101,6 +106,58 @@ TEST(AccessBitsTest, UnderestimatesIntensity) {
   // only 1 touched page vs 16 and flip to server 1.
   EXPECT_EQ(exact_dom.server, 0u);
   EXPECT_EQ(bits_dom.server, 1u);
+}
+
+// The per-server lists and per-segment dominants ScanAndClear derives in
+// one pass agree with the scan entries it returns: every (segment, server)
+// entry is listed under its server, lists are sorted by segment, and each
+// segment's dominant holds the most touched pages (its share over the
+// exact page total).
+TEST(AccessBitsTest, SegmentsOfAndDominantMatchScanEntries) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    AccessBitSampler sampler(KiB(4));
+    for (int round = 0; round < 5; ++round) {
+      for (int i = 0; i < 200; ++i) {
+        const SegmentId seg = rng.NextBounded(30);
+        const auto server = static_cast<cluster::ServerId>(rng.NextBounded(6));
+        sampler.OnAccess(seg, server, KiB(4) * rng.NextBounded(8),
+                         1 + rng.NextBounded(KiB(16)));
+      }
+      const auto entries = sampler.ScanAndClear();
+      std::map<cluster::ServerId, std::vector<SegmentId>> by_server;
+      std::map<SegmentId, std::vector<double>> pages;
+      for (const auto& e : entries) {
+        by_server[e.server].push_back(e.segment);
+        pages[e.segment].push_back(static_cast<double>(e.touched_pages));
+      }
+      for (cluster::ServerId s = 0; s < 8; ++s) {
+        std::vector<SegmentId> want = by_server[s];
+        std::sort(want.begin(), want.end());
+        std::vector<SegmentId> got;
+        for (const AccessBitSampler::Touched& t : sampler.SegmentsOf(s)) {
+          got.push_back(t.seg);
+          AccessBitSampler::Dominant dom;
+          ASSERT_TRUE(sampler.DominantAccessor(t.seg, &dom));
+          EXPECT_EQ(t.dom->server, dom.server);
+          EXPECT_EQ(t.dom->bytes, dom.bytes);
+        }
+        EXPECT_EQ(got, want) << "seed " << seed << " server " << s;
+      }
+      for (const auto& [seg, counts] : pages) {
+        AccessBitSampler::Dominant dom;
+        ASSERT_TRUE(sampler.DominantAccessor(seg, &dom));
+        double total = 0;
+        for (double c : counts) total += c;
+        const double best = *std::max_element(counts.begin(), counts.end());
+        EXPECT_EQ(dom.bytes, best * KiB(4));
+        EXPECT_EQ(dom.share, best / total);
+        EXPECT_EQ(sampler.EstimatedBytes(seg, dom.server), dom.bytes);
+      }
+      AccessBitSampler::Dominant none;
+      EXPECT_FALSE(sampler.DominantAccessor(1000, &none));
+    }
+  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Tests for AccessTracker: decay semantics, dominance, and forgetting;
-// the sorted-row layout against a nested-map reference; and the demand
-// estimator's accessor-only scope walk against a walk over every scoped
-// server.
+// the per-server index; the sorted-row layout and the index against a
+// nested-map reference; and the demand estimator's indexed scope walk
+// against a walk over every scoped server in the documented order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -97,6 +97,91 @@ TEST(AccessTrackerTest, DominantTieGoesToLowestServer) {
   EXPECT_EQ(dom.bytes, 300);
 }
 
+std::vector<SegmentId> IndexedSegments(const AccessTracker& tracker,
+                                       cluster::ServerId server) {
+  std::vector<SegmentId> out;
+  for (const AccessTracker::Tracked& t : tracker.SegmentsOf(server)) {
+    out.push_back(t.seg);
+  }
+  return out;
+}
+
+TEST(AccessTrackerIndexTest, ListsSegmentsPerServerSortedById) {
+  AccessTracker tracker;
+  tracker.RecordAccess(9, 1, 100, 0);
+  tracker.RecordAccess(3, 1, 100, 0);
+  tracker.RecordAccess(5, 2, 100, 0);
+  tracker.RecordAccess(3, 2, 100, 0);
+  tracker.RecordAccess(3, 1, 50, 0);  // an existing counter: no new entry
+  tracker.RecordAccess(7, 1, 0, 0);   // a zero-byte access still counts
+  EXPECT_EQ(IndexedSegments(tracker, 1), (std::vector<SegmentId>{3, 7, 9}));
+  EXPECT_EQ(IndexedSegments(tracker, 2), (std::vector<SegmentId>{3, 5}));
+  EXPECT_TRUE(tracker.SegmentsOf(0).empty());
+  EXPECT_EQ(tracker.indexed_servers(), 3u);
+  // Each entry's row is the segment's own.
+  for (const AccessTracker::Tracked& t : tracker.SegmentsOf(1)) {
+    EXPECT_EQ(tracker.AccessedBytes(*t.row, 1, 0),
+              tracker.AccessedBytes(t.seg, 1, 0));
+  }
+}
+
+TEST(AccessTrackerIndexTest, UnknownServerHasEmptyList) {
+  AccessTracker tracker;
+  EXPECT_TRUE(tracker.SegmentsOf(0).empty());
+  EXPECT_TRUE(tracker.SegmentsOf(1u << 20).empty());
+  tracker.RecordAccess(1, 2, 100, 0);
+  EXPECT_TRUE(tracker.SegmentsOf(3).empty());
+  EXPECT_TRUE(tracker.SegmentsOf(1u << 20).empty());
+}
+
+TEST(AccessTrackerIndexTest, ForgetDropsSegmentFromEveryAccessorsList) {
+  AccessTracker tracker;
+  for (cluster::ServerId s : {0u, 2u, 4u}) {
+    tracker.RecordAccess(1, s, 100, 0);
+    tracker.RecordAccess(2, s, 100, 0);
+  }
+  tracker.Forget(1);
+  for (cluster::ServerId s : {0u, 2u, 4u}) {
+    EXPECT_EQ(IndexedSegments(tracker, s), (std::vector<SegmentId>{2}));
+  }
+  tracker.Forget(42);  // untracked: no change
+  EXPECT_EQ(IndexedSegments(tracker, 2), (std::vector<SegmentId>{2}));
+  // A forgotten segment re-enters the index on its next access.
+  tracker.RecordAccess(1, 2, 100, 0);
+  EXPECT_EQ(IndexedSegments(tracker, 2), (std::vector<SegmentId>{1, 2}));
+  EXPECT_EQ(IndexedSegments(tracker, 0), (std::vector<SegmentId>{2}));
+}
+
+TEST(AccessTrackerIndexTest, ClearEmptiesEveryList) {
+  AccessTracker tracker;
+  tracker.RecordAccess(1, 0, 100, 0);
+  tracker.RecordAccess(2, 3, 100, 0);
+  tracker.Clear();
+  for (cluster::ServerId s = 0; s < 4; ++s) {
+    EXPECT_TRUE(tracker.SegmentsOf(s).empty());
+  }
+  tracker.RecordAccess(2, 3, 100, 0);
+  EXPECT_EQ(IndexedSegments(tracker, 3), (std::vector<SegmentId>{2}));
+}
+
+TEST(AccessTrackerTest, DominantFollowsChangesAtOneInstant) {
+  // Repeated reads at one `now` may be served from the row's last answer;
+  // an access or a half-life change at that same instant must show.
+  AccessTracker tracker(Milliseconds(10));
+  tracker.RecordAccess(1, 0, 1000, 0);
+  tracker.RecordAccess(1, 1, 900, Milliseconds(10));
+  AccessTracker::DominantAccessor dom;
+  ASSERT_TRUE(tracker.Dominant(1, Milliseconds(10), &dom));
+  EXPECT_EQ(dom.server, 1u);  // 1000 halved to 500 < 900
+  tracker.set_half_life(Milliseconds(1000));
+  ASSERT_TRUE(tracker.Dominant(1, Milliseconds(10), &dom));
+  EXPECT_EQ(dom.server, 0u);  // barely decayed now
+  tracker.RecordAccess(1, 1, 500, Milliseconds(10));
+  ASSERT_TRUE(tracker.Dominant(1, Milliseconds(10), &dom));
+  EXPECT_EQ(dom.server, 1u);
+  EXPECT_EQ(dom.bytes, 1400);
+}
+
 // A nested ordered map with the tracker's documented semantics: per-counter
 // decay with the same expression, sums in ascending server order, lowest
 // server on a Dominant tie.
@@ -146,6 +231,14 @@ class ReferenceTracker {
   void Forget(SegmentId seg) { table_.erase(seg); }
   void Clear() { table_.clear(); }
   std::size_t tracked_segments() const { return table_.size(); }
+  // The segments `server` holds a counter on, ascending.
+  std::vector<SegmentId> SegmentsOf(cluster::ServerId server) const {
+    std::vector<SegmentId> out;
+    for (const auto& [seg, row] : table_) {
+      if (row.contains(server)) out.push_back(seg);
+    }
+    return out;
+  }
 
  private:
   struct Counter {
@@ -214,6 +307,16 @@ TEST(AccessTrackerTest, MatchesNestedMapReferenceBitForBit) {
           EXPECT_EQ(got.bytes, want.bytes);
         }
       }
+      // The index lists what the reference holds, and its rows read the
+      // same counters.
+      for (cluster::ServerId s = 0; s < kServers; ++s) {
+        ASSERT_EQ(IndexedSegments(tracker, s), ref.SegmentsOf(s))
+            << "seed " << seed << " step " << step << " server " << s;
+        for (const AccessTracker::Tracked& t : tracker.SegmentsOf(s)) {
+          ASSERT_EQ(tracker.AccessedBytes(*t.row, s, now),
+                    ref.AccessedBytes(t.seg, s, now));
+        }
+      }
     }
     // A final sweep over every segment, not just the last one touched.
     for (SegmentId seg = 0; seg < kSegments; ++seg) {
@@ -228,10 +331,37 @@ TEST(AccessTrackerTest, MatchesNestedMapReferenceBitForBit) {
   }
 }
 
-// ObservedLocalFraction as a walk over every scoped server, probing each
-// with AccessedBytes: the accessor-only walk must match it bit for bit.
+// ObservedLocalFraction as a walk over every scoped server in the
+// documented order (ascending server, then ascending segment id), probing
+// each live segment with AccessedBytes: the indexed walk must match it bit
+// for bit, since a segment the server never touched adds exactly +0.0.
 double ScopeWalkLocalFraction(PoolManager& manager,
                               const ctrl::DemandEstimator& est, SimTime now) {
+  const AccessTracker& tracker = manager.access_tracker();
+  std::vector<const SegmentInfo*> live;
+  manager.segment_map().ForEach([&](const SegmentInfo& info) {
+    if (info.state != SegmentState::kLost) live.push_back(&info);
+  });
+  std::sort(live.begin(), live.end(),
+            [](const SegmentInfo* a, const SegmentInfo* b) {
+              return a->id < b->id;
+            });
+  double local = 0, total = 0;
+  for (cluster::ServerId s = est.scope_first(); s < est.scope_limit(); ++s) {
+    for (const SegmentInfo* info : live) {
+      const double bytes = tracker.AccessedBytes(info->id, s, now);
+      total += bytes;
+      if (!info->home.is_pool() && info->home.server == s) local += bytes;
+    }
+  }
+  return total == 0 ? 1.0 : local / total;
+}
+
+// The order before the index: segments in SegmentMap hash order, each
+// segment's scoped servers ascending.  Only the rounding may differ.
+double SegmentMapOrderLocalFraction(PoolManager& manager,
+                                    const ctrl::DemandEstimator& est,
+                                    SimTime now) {
   const AccessTracker& tracker = manager.access_tracker();
   double local = 0, total = 0;
   manager.segment_map().ForEach([&](const SegmentInfo& info) {
@@ -287,10 +417,13 @@ TEST(DemandEstimatorTest, ObservedLocalFractionMatchesScopeWalk) {
                       .ok());
     }
     for (const ctrl::DemandEstimator* est : {&whole, &rack}) {
-      EXPECT_EQ(est->ObservedLocalFraction(now),
-                ScopeWalkLocalFraction(manager, *est, now))
+      const double got = est->ObservedLocalFraction(now);
+      EXPECT_EQ(got, ScopeWalkLocalFraction(manager, *est, now))
           << "round " << round << " scope [" << est->scope_first() << ", "
           << est->scope_limit() << ")";
+      const double old = SegmentMapOrderLocalFraction(manager, *est, now);
+      EXPECT_LE(std::abs(got - old), 1e-12 * std::abs(old))
+          << "round " << round;
     }
   }
   // The rack scope sees a different fraction than the whole cluster.

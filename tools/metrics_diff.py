@@ -1,17 +1,26 @@
 #!/usr/bin/env python3
 """Compare two metrics JSON sidecars (--metrics-out= dumps).
 
-Counters must match exactly; gauges, histogram means, and histogram
-percentiles compare within a relative epsilon (default 0, i.e. exact —
-the deterministic export should be byte-identical, so any epsilon is an
-explicit concession).  Histogram bucket arrays and counts compare
-exactly.  Also works on --series-out= and --slo-out= sidecars via
---mode=exact, which just canonicalises and compares the whole document.
+Three modes:
+
+  --mode=metrics (default) understands the counters/gauges/histograms
+    schema.  Counters must match exactly; gauges, histogram means, and
+    histogram percentiles compare within a relative epsilon (default 0,
+    i.e. exact — the deterministic export should be byte-identical, so
+    any epsilon is an explicit concession).  Histogram bucket arrays and
+    counts compare exactly.  A document with none of the three keys is a
+    usage error (exit 2): it is not a metrics dump, and comparing it here
+    would compare nothing.
+  --mode=json compares any two documents (series, SLO, trace sidecars)
+    path by path: object keys, array lengths, strings, booleans, nulls
+    and integers exactly, floats within --epsilon relative.
+  --mode=exact canonicalises and compares the whole document.
 
 Exit status: 0 when the files agree, 1 on any difference, 2 on usage or
 I/O errors.  Differences are listed one per line as
 
-    <kind> <name>: <a-value> != <b-value>
+    <kind> <name>: <a-value> != <b-value>      (metrics)
+    <path>: <a-value> != <b-value>             (json, e.g. $.series[3].v)
 
 so a CI canary can surface the first regression directly.
 """
@@ -80,6 +89,42 @@ def diff_metrics(a, b, eps):
     return out
 
 
+METRICS_KEYS = ("counters", "gauges", "histograms")
+
+
+def diff_json(a, b, eps, path, out):
+    """Appends one line per differing leaf, key set or array length."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(set(a) | set(b)):
+            sub = f"{path}.{key}"
+            if key not in a:
+                out.append(f"{sub}: only in B (= {json.dumps(b[key])})")
+            elif key not in b:
+                out.append(f"{sub}: only in A (= {json.dumps(a[key])})")
+            else:
+                diff_json(a[key], b[key], eps, sub, out)
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            out.append(f"{path}: length {len(a)} != {len(b)}")
+            return
+        for i, (va, vb) in enumerate(zip(a, b)):
+            diff_json(va, vb, eps, f"{path}[{i}]", out)
+    elif (isinstance(a, float) or isinstance(b, float)) and \
+            is_number(a) and is_number(b):
+        # A float on either side: the writer printed a real number, which
+        # may round to an integer on one side only.
+        if not close(float(a), float(b), eps):
+            out.append(f"{path}: {a!r} != {b!r}")
+    elif type(a) is not type(b) or a != b:
+        # Strings, integers, booleans and nulls compare exactly (and a
+        # bool never equals the integer 1 here).
+        out.append(f"{path}: {json.dumps(a)} != {json.dumps(b)}")
+
+
+def is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def main():
     parser = argparse.ArgumentParser(
         description="Diff two metrics/series/slo JSON sidecars.")
@@ -90,9 +135,11 @@ def main():
         help="relative tolerance for gauges and histogram stats "
              "(default 0 = exact)")
     parser.add_argument(
-        "--mode", choices=("metrics", "exact"), default="metrics",
+        "--mode", choices=("metrics", "json", "exact"), default="metrics",
         help="'metrics' understands the counters/gauges/histograms "
-             "schema; 'exact' compares any JSON document canonically")
+             "schema; 'json' compares any two documents path by path "
+             "(floats within --epsilon); 'exact' compares any JSON "
+             "document canonically")
     args = parser.parse_args()
 
     a, b = load(args.a), load(args.b)
@@ -102,7 +149,17 @@ def main():
         print(f"documents differ: {args.a} vs {args.b}")
         return 1
 
-    diffs = diff_metrics(a, b, args.epsilon)
+    if args.mode == "json":
+        diffs = []
+        diff_json(a, b, args.epsilon, "$", diffs)
+    else:
+        if not any(isinstance(doc, dict) and key in doc
+                   for doc in (a, b) for key in METRICS_KEYS):
+            print(f"metrics_diff: neither {args.a} nor {args.b} has "
+                  f"{'/'.join(METRICS_KEYS)}; not a metrics dump "
+                  "(use --mode=json)", file=sys.stderr)
+            return 2
+        diffs = diff_metrics(a, b, args.epsilon)
     for line in diffs:
         print(line)
     if diffs:

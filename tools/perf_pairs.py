@@ -11,7 +11,10 @@ timed_s, as run.py computes it) it prints each side's median and
 quartiles, the new/old ratio of the medians, whether the medians differ
 by more than the old side's interquartile range, how many pairs the new
 binary won, and whether the new median is worse than the old one by more
-than the metric's bound.  It also checks that every run of both binaries
+than the metric's bound.  For host times and rates it also prints each
+side's fastest repetition (least time, highest rate) and their ratio:
+perfbench/run.py reports and gates that statistic, which moves far less
+with the shared host's load than the median does.  It also checks that every run of both binaries
 printed the same model.digest, i.e. that the two builds simulate the same
 thing.
 
@@ -32,7 +35,8 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 sys.dont_write_bytecode = True  # leave perfbench/ as checked out
-from run import WORKLOADS, default_threads, rep_correct, run_rep  # noqa: E402
+from run import (WORKLOADS, default_threads, fastest, rep_correct,  # noqa: E402
+                 run_rep)
 
 
 def metric_value(rec, name):
@@ -91,6 +95,11 @@ def main():
                   wins, args.pairs,
                   "WORSE beyond" if worse > spec["bound"] else "within",
                   spec["bound"]))
+        if spec["unit"] in ("s", "1/s"):
+            ofast = fastest(old, lambda v: v, higher_better)
+            nfast = fastest(new, lambda v: v, higher_better)
+            print("  %-12s fastest old %.6g, new %.6g; new/old %.3fx" % (
+                "", ofast, nfast, nfast / ofast))
 
     digests = sorted({r["digest"] for side in runs.values() for r in side})
     all_ok = all(rep_correct(r) for side in runs.values() for r in side)
