@@ -4,9 +4,10 @@
 // with a next-fit scan; at 1.5M frames (96 GiB of 64 KiB frames) and high
 // occupancy each allocation walks thousands of bits, and the sizing
 // controller's HighestAllocatedEnd / AllocatedFramesFrom queries walk the
-// whole bitmap.  This bench keeps a faithful replica of that bitmap
-// allocator as the baseline and races it against the run-indexed
-// FrameAllocator's default (next-fit) policy on the same op sequence.
+// whole bitmap.  This bench races that bitmap allocator (the reference
+// model alloc_property_test checks against, tests/support) against the
+// run-indexed FrameAllocator's default (next-fit) policy on the same op
+// sequence.
 //
 // Three fragmentation levels: the heap is filled to ~99.5% with random
 // objects, then 10% / 50% / 90% of them are freed and re-allocated at new
@@ -43,99 +44,25 @@
 #include "common/table.h"
 #include "common/units.h"
 #include "mem/frame_allocator.h"
+#include "support/reference_bitmap.h"
 
 namespace {
 
 using namespace lmp;
 
 // ---------------------------------------------------------------------------
-// Baseline: the seed bitmap allocator, replicated verbatim (next-fit scan
-// with a wrapping hint, per-frame Free, O(n) sizing queries).
-
-class BitmapAllocator {
- public:
-  explicit BitmapAllocator(std::uint64_t num_frames)
-      : bitmap_(num_frames, false), free_frames_(num_frames) {}
-
-  std::optional<std::vector<mem::FrameRun>> Allocate(std::uint64_t frames) {
-    if (frames == 0) return std::vector<mem::FrameRun>{};
-    if (frames > free_frames_) return std::nullopt;
-    std::vector<mem::FrameRun> runs;
-    std::uint64_t remaining = frames;
-    const std::uint64_t n = bitmap_.size();
-    std::uint64_t scanned = 0;
-    mem::FrameNumber pos = hint_;
-    while (remaining > 0 && scanned < n) {
-      if (!bitmap_[pos]) {
-        if (!runs.empty() && runs.back().end() == pos) {
-          ++runs.back().count;
-        } else {
-          runs.push_back(mem::FrameRun{pos, 1});
-        }
-        bitmap_[pos] = true;
-        --free_frames_;
-        --remaining;
-      }
-      pos = (pos + 1) % n;
-      ++scanned;
-    }
-    LMP_CHECK(remaining == 0) << "free count disagreed with bitmap";
-    hint_ = pos;
-    return runs;
-  }
-
-  void Free(const std::vector<mem::FrameRun>& runs) {
-    for (const mem::FrameRun& r : runs) {
-      for (mem::FrameNumber f = r.first; f < r.end(); ++f) {
-        LMP_CHECK(bitmap_[f]) << "double free of frame " << f;
-        bitmap_[f] = false;
-        ++free_frames_;
-      }
-    }
-  }
-
-  std::uint64_t free_frames() const { return free_frames_; }
-
-  std::uint64_t FreeRunCount() const {
-    std::uint64_t runs = 0;
-    bool in_run = false;
-    for (std::size_t f = 0; f < bitmap_.size(); ++f) {
-      if (!bitmap_[f] && !in_run) ++runs;
-      in_run = !bitmap_[f];
-    }
-    return runs;
-  }
-
-  mem::FrameNumber HighestAllocatedEnd() const {
-    for (mem::FrameNumber f = bitmap_.size(); f > 0; --f) {
-      if (bitmap_[f - 1]) return f;
-    }
-    return 0;
-  }
-
-  std::uint64_t AllocatedFramesFrom(mem::FrameNumber from) const {
-    std::uint64_t count = 0;
-    for (mem::FrameNumber f = from; f < bitmap_.size(); ++f) {
-      if (bitmap_[f]) ++count;
-    }
-    return count;
-  }
-
- private:
-  std::vector<bool> bitmap_;
-  std::uint64_t free_frames_;
-  mem::FrameNumber hint_ = 0;
-};
-
-// ---------------------------------------------------------------------------
 // Adapters so one driver runs both implementations.
 
+// Baseline: the seed bitmap allocator (next-fit scan with a wrapping hint,
+// per-frame Free, O(n) sizing queries), shared with alloc_property_test.
 struct BitmapSide {
   explicit BitmapSide(std::uint64_t frames) : alloc(frames) {}
   std::optional<std::vector<mem::FrameRun>> TryAlloc(std::uint64_t frames) {
-    return alloc.Allocate(frames);
+    return alloc.NextFit(frames);
   }
-  void Free(const std::vector<mem::FrameRun>& runs) { alloc.Free(runs); }
+  void Free(const std::vector<mem::FrameRun>& runs) {
+    LMP_CHECK(alloc.Free(runs)) << "double free";
+  }
   std::uint64_t free_frames() const { return alloc.free_frames(); }
   std::uint64_t FreeRunCount() const { return alloc.FreeRunCount(); }
   mem::FrameNumber HighestAllocatedEnd() const {
@@ -144,7 +71,7 @@ struct BitmapSide {
   std::uint64_t AllocatedFramesFrom(mem::FrameNumber f) const {
     return alloc.AllocatedFramesFrom(f);
   }
-  BitmapAllocator alloc;
+  mem::ReferenceBitmap alloc;
 };
 
 struct RunIndexSide {

@@ -1,14 +1,14 @@
-// Rack-scale extension: a logical pool spanning two racks over a PBR
-// fabric (§2.2's Global FAM / Port Based Routing).  Compares pulling a
-// working set from same-rack peers vs cross-rack peers at two trunk
-// provisioning levels — the locality hierarchy an at-scale LMP would have
-// to manage (and one more reason placement/migration matter).
+// Rack-scale extension: a logical pool spanning two racks joined by the
+// topology's spine (§2.2's Global FAM / Port Based Routing scales FAMs to
+// a rack; a spine switch joins racks).  Compares pulling a working set
+// from same-rack peers vs cross-rack peers at two rack-uplink provisioning
+// levels — the locality hierarchy an at-scale LMP would have to manage
+// (and one more reason placement/migration matter).
 #include <cstdio>
 
 #include "common/table.h"
-#include "common/logging.h"
 #include "common/trace.h"
-#include "fabric/pbr_switch.h"
+#include "fabric/topology.h"
 #include "sim/stream.h"
 
 #include "args.h"
@@ -18,8 +18,10 @@ namespace {
 
 using namespace lmp;
 
-double PullBandwidth(int servers_per_rack, BytesPerSec trunk,
-                     bool cross_rack,
+constexpr int kServersPerRack = 8;
+constexpr int kPullers = 4;
+
+double PullBandwidth(BytesPerSec trunk, bool cross_rack,
                      trace::TraceCollector* trace = nullptr) {
   sim::FluidSimulator sim;
   if (trace != nullptr) {
@@ -28,18 +30,19 @@ double PullBandwidth(int servers_per_rack, BytesPerSec trunk,
     trace->set_clock([&sim] { return sim.now(); });
     sim.set_trace(trace);
   }
-  auto topo = fabric::MakeDualRack(&sim, servers_per_rack, GBps(34.5),
-                                   trunk);
-  // Every rack-0 server pulls 8 GB from a distinct peer.
+  auto topo = fabric::Topology::MakeLogical(&sim, 2 * kServersPerRack,
+                                            fabric::LinkProfile::Link0());
+  topo.AssignRackShards(kServersPerRack);
+  topo.ProvisionSpine(trunk);
+  // Rack-0 servers 0-3 each pull 8 GB from a distinct peer: rack 0's
+  // servers 4-7, or rack 1's servers 0-3.  A server's port carries both
+  // directions, so pullers and sources stay disjoint.
   std::vector<std::unique_ptr<sim::SpanStream>> streams;
-  for (int s = 0; s < servers_per_rack; ++s) {
-    const fabric::NodeId src =
-        cross_rack ? topo.rack1[s]
-                   : topo.rack0[(s + 1) % servers_per_rack];
-    auto route = topo.fabric->Route(src, topo.rack0[s]);
-    LMP_CHECK(route.ok());
+  for (int s = 0; s < kPullers; ++s) {
+    const int src = cross_rack ? kServersPerRack + s : kPullers + s;
     streams.push_back(std::make_unique<sim::SpanStream>(
-        &sim, std::vector<sim::Span>{sim::Span{8e9, *route}}));
+        &sim, std::vector<sim::Span>{
+                  sim::Span{8e9, topo.DmaRemotePath(s, src)}}));
   }
   return sim::RunStreams(&sim, std::move(streams)).gbps;
 }
@@ -54,12 +57,12 @@ int main(int argc, char** argv) {
   for (const double trunk_gbps : {34.5, 138.0}) {
     table.AddRow({"same-rack peers", TablePrinter::Num(trunk_gbps) + " GB/s",
                   TablePrinter::Num(
-                      PullBandwidth(4, GBps(trunk_gbps), false,
+                      PullBandwidth(GBps(trunk_gbps), false,
                                     sidecar.collector()))});
     table.AddRow({"cross-rack peers",
                   TablePrinter::Num(trunk_gbps) + " GB/s",
                   TablePrinter::Num(
-                      PullBandwidth(4, GBps(trunk_gbps), true,
+                      PullBandwidth(GBps(trunk_gbps), true,
                                     sidecar.collector()))});
   }
   table.Print();

@@ -1,13 +1,15 @@
 // Snoop-filter occupancy ablation (§3.2): why the coherent region must be
-// SMALL.  Four hosts cycle a shared working set through CXL hardware
-// coherence; once the set outgrows the inclusive snoop filter, every new
-// line evicts a tracked one and back-invalidates its holders — coherence
-// traffic explodes.  "Limiting the amount of coherent memory lessens the
-// likelihood of filling CXL's Inclusive Snoop Filter."
+// SMALL.  Four hosts cycle a shared working set through a coherence
+// directory bounded like CXL's inclusive snoop filter; once the set
+// outgrows the bound, every new line evicts a tracked one and
+// back-invalidates its holders — coherence traffic explodes.  "Limiting
+// the amount of coherent memory lessens the likelihood of filling CXL's
+// Inclusive Snoop Filter."
 #include <cstdio>
 
+#include "common/logging.h"
 #include "common/table.h"
-#include "fabric/cxl.h"
+#include "core/coherence.h"
 
 #include "args.h"
 #include "trace_sidecar.h"
@@ -16,6 +18,7 @@ int main(int argc, char** argv) {
   lmp::bench::TraceSidecar sidecar(lmp::bench::Args::Parse(argc, argv));
   using namespace lmp;
   constexpr std::uint64_t kFilterLines = 32 * 1024;  // 2 MiB of 64B lines
+  constexpr Bytes kLine = 64;
   constexpr int kHosts = 4;
   constexpr int kRounds = 4;
 
@@ -23,32 +26,36 @@ int main(int argc, char** argv) {
       "== Inclusive snoop filter: working-set sweep (filter tracks %llu "
       "lines = %llu MiB) ==\n",
       static_cast<unsigned long long>(kFilterLines),
-      static_cast<unsigned long long>(kFilterLines * 64 / kMiB));
+      static_cast<unsigned long long>(kFilterLines * kLine / kMiB));
   TablePrinter table({"Coherent working set", "Filter occupancy",
                       "Back-invalidations", "BI per access"});
 
   for (const double ratio : {0.25, 0.5, 0.9, 1.1, 2.0, 4.0}) {
     const auto lines =
         static_cast<std::uint64_t>(ratio * kFilterLines);
-    fabric::SnoopFilter filter(kFilterLines);
+    core::CoherenceDirectory filter(lines * kLine, kLine, kHosts,
+                                    {.max_tracked_blocks = kFilterLines});
     std::uint64_t accesses = 0;
     for (int round = 0; round < kRounds; ++round) {
       for (std::uint64_t line = 0; line < lines; ++line) {
-        (void)filter.OnRead(static_cast<int>(line % kHosts), line);
+        LMP_CHECK_OK(filter
+                         .AcquireShared(static_cast<int>(line % kHosts),
+                                        line * kLine, kLine)
+                         .status());
         ++accesses;
       }
     }
+    const std::uint64_t back_invals = filter.stats().back_invalidations;
     table.AddRow(
-        {TablePrinter::Num(static_cast<double>(lines) * 64 / kMiB, 1) +
+        {TablePrinter::Num(static_cast<double>(lines) * kLine / kMiB, 1) +
              " MiB (" + TablePrinter::Num(ratio, 2) + "x filter)",
-         TablePrinter::Num(100.0 * filter.tracked_lines() / kFilterLines,
+         TablePrinter::Num(100.0 * filter.TrackedBlocks() / kFilterLines,
                            0) +
              "%",
-         std::to_string(filter.total_back_invalidations()),
-         TablePrinter::Num(
-             static_cast<double>(filter.total_back_invalidations()) /
-                 static_cast<double>(accesses),
-             3)});
+         std::to_string(back_invals),
+         TablePrinter::Num(static_cast<double>(back_invals) /
+                               static_cast<double>(accesses),
+                           3)});
   }
   table.Print();
   std::printf(

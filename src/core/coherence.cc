@@ -1,5 +1,6 @@
 #include "core/coherence.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/logging.h"
@@ -7,14 +8,55 @@
 namespace lmp::core {
 
 CoherenceDirectory::CoherenceDirectory(Bytes region_size, Bytes granularity,
-                                       int num_hosts)
+                                       int num_hosts,
+                                       DirectoryOptions options)
     : region_size_(region_size),
       granularity_(granularity),
-      num_hosts_(num_hosts) {
+      num_hosts_(num_hosts),
+      max_tracked_(options.max_tracked_blocks) {
   LMP_CHECK(granularity > 0 && region_size % granularity == 0)
       << "granularity must divide region size";
   LMP_CHECK(num_hosts > 0 && num_hosts <= 64);
   blocks_.resize(region_size / granularity);
+  if (max_tracked_ != 0) {
+    const std::uint64_t sentinel = blocks_.size();
+    lru_.resize(sentinel + 1);
+    lru_[sentinel] = LruLink{sentinel, sentinel};
+  }
+}
+
+void CoherenceDirectory::Unlink(std::uint64_t b) {
+  lru_[lru_[b].prev].next = lru_[b].next;
+  lru_[lru_[b].next].prev = lru_[b].prev;
+}
+
+int CoherenceDirectory::Touch(std::uint64_t b) {
+  const std::uint64_t sentinel = blocks_.size();
+  int messages = 0;
+  if (blocks_[b].state != BlockState::kInvalid) {
+    Unlink(b);
+  } else if (tracked_ < max_tracked_) {
+    ++tracked_;
+  } else {
+    // Full: evict the least recent block (never `b`, which is untracked).
+    const std::uint64_t victim = lru_[sentinel].next;
+    Block& evicted = blocks_[victim];
+    if (evicted.state == BlockState::kModified) {
+      ++stats_.back_invalidations;
+      ++stats_.downgrade_msgs;  // writeback
+      messages = 2;
+    } else {
+      messages = std::popcount(evicted.sharers);
+      stats_.back_invalidations += messages;
+    }
+    evicted = Block{};
+    Unlink(victim);
+  }
+  const std::uint64_t last = lru_[sentinel].prev;
+  lru_[b] = LruLink{last, sentinel};
+  lru_[last].next = b;
+  lru_[sentinel].prev = b;
+  return messages;
 }
 
 Status CoherenceDirectory::CheckRange(int host, Bytes offset,
@@ -38,6 +80,7 @@ StatusOr<int> CoherenceDirectory::AcquireShared(int host, Bytes offset,
   const Bytes first = offset / granularity_;
   const Bytes last = (offset + len - 1) / granularity_;
   for (Bytes b = first; b <= last; ++b) {
+    if (max_tracked_ != 0) messages += Touch(b);
     Block& blk = blocks_[b];
     switch (blk.state) {
       case BlockState::kModified:
@@ -82,6 +125,7 @@ StatusOr<int> CoherenceDirectory::AcquireExclusive(int host, Bytes offset,
   const Bytes first = offset / granularity_;
   const Bytes last = (offset + len - 1) / granularity_;
   for (Bytes b = first; b <= last; ++b) {
+    if (max_tracked_ != 0) messages += Touch(b);
     Block& blk = blocks_[b];
     switch (blk.state) {
       case BlockState::kModified:
@@ -127,15 +171,21 @@ StatusOr<int> CoherenceDirectory::AcquireExclusive(int host, Bytes offset,
 
 void CoherenceDirectory::ReleaseHost(int host) {
   const std::uint64_t mask = 1ull << host;
-  for (Block& blk : blocks_) {
+  for (std::uint64_t b = 0; b < blocks_.size(); ++b) {
+    Block& blk = blocks_[b];
     if (blk.state == BlockState::kModified && blk.owner == host) {
       ++stats_.downgrade_msgs;  // writeback
-      blk.state = BlockState::kInvalid;
-      blk.owner = -1;
-      blk.sharers = 0;
+      blk = Block{};
     } else if (blk.state == BlockState::kShared && (blk.sharers & mask)) {
       blk.sharers &= ~mask;
-      if (blk.sharers == 0) blk.state = BlockState::kInvalid;
+      if (blk.sharers != 0) continue;
+      blk.state = BlockState::kInvalid;
+    } else {
+      continue;
+    }
+    if (max_tracked_ != 0) {  // the block just became untracked
+      Unlink(b);
+      --tracked_;
     }
   }
 }
@@ -155,6 +205,13 @@ int CoherenceDirectory::SharerCount(Bytes offset) const {
   const Block& blk = blocks_[offset / granularity_];
   if (blk.state == BlockState::kModified) return 1;
   return std::popcount(blk.sharers);
+}
+
+std::uint64_t CoherenceDirectory::TrackedBlocks() const {
+  return static_cast<std::uint64_t>(
+      std::count_if(blocks_.begin(), blocks_.end(), [](const Block& blk) {
+        return blk.state != BlockState::kInvalid;
+      }));
 }
 
 }  // namespace lmp::core

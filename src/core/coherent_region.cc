@@ -4,9 +4,10 @@
 
 namespace lmp::core {
 
-CoherentRegion::CoherentRegion(Bytes size, Bytes granularity, int num_hosts)
+CoherentRegion::CoherentRegion(Bytes size, Bytes granularity, int num_hosts,
+                               DirectoryOptions options)
     : num_hosts_(num_hosts),
-      directory_(size, granularity, num_hosts),
+      directory_(size, granularity, num_hosts, options),
       data_(size / sizeof(std::uint64_t), 0) {
   LMP_CHECK(size % sizeof(std::uint64_t) == 0);
 }

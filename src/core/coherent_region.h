@@ -22,7 +22,8 @@ namespace lmp::core {
 
 class CoherentRegion {
  public:
-  CoherentRegion(Bytes size, Bytes granularity, int num_hosts);
+  CoherentRegion(Bytes size, Bytes granularity, int num_hosts,
+                 DirectoryOptions options = {});
 
   CoherenceDirectory& directory() { return directory_; }
   const CoherenceDirectory& directory() const { return directory_; }

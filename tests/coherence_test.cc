@@ -1,6 +1,9 @@
-// Tests for the coherence directory (MSI, message counting, granularity)
-// and the coherent-region primitives (lock, barrier, fetch-add).
+// Tests for the coherence directory (MSI, message counting, granularity,
+// the tracked-block bound that makes it an inclusive snoop filter) and the
+// coherent-region primitives (lock, barrier, fetch-add).
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "core/coherence.h"
 #include "core/coherent_region.h"
@@ -136,6 +139,133 @@ TEST(CoherenceTest, RangeValidation) {
   EXPECT_FALSE(dir.AcquireShared(0, 0, 0).ok());      // empty
 }
 
+// --- Bounded directory: CXL's inclusive snoop filter (§3.2) -----------------
+
+// One 64 B line per block, four hosts; line `l` sits at offset l * 64.
+constexpr Bytes kLine = 64;
+
+CoherenceDirectory SnoopFilter(std::uint64_t tracked_lines,
+                               std::uint64_t lines = 1024) {
+  return CoherenceDirectory(lines * kLine, kLine, 4,
+                            {.max_tracked_blocks = tracked_lines});
+}
+
+int Read(CoherenceDirectory& dir, int host, std::uint64_t line) {
+  return *dir.AcquireShared(host, line * kLine, kLine);
+}
+
+int Write(CoherenceDirectory& dir, int host, std::uint64_t line) {
+  return *dir.AcquireExclusive(host, line * kLine, kLine);
+}
+
+bool IsTracked(const CoherenceDirectory& dir, std::uint64_t line) {
+  return dir.SharerCount(line * kLine) > 0;
+}
+
+TEST(SnoopFilterTest, TracksReadersAndWriters) {
+  CoherenceDirectory filter = SnoopFilter(16);
+  EXPECT_EQ(Read(filter, 0, 1), 1);  // a fill, no back-invalidation
+  EXPECT_EQ(Read(filter, 1, 1), 1);
+  EXPECT_TRUE(IsTracked(filter, 1));
+  EXPECT_EQ(filter.SharerCount(1 * kLine), 2);
+  // A write invalidates both other sharers and fills the writer.
+  EXPECT_EQ(Write(filter, 2, 1), 3);
+  EXPECT_EQ(filter.stats().invalidation_msgs, 2u);
+  EXPECT_EQ(filter.stats().back_invalidations, 0u);
+}
+
+TEST(SnoopFilterTest, WriterRewriteIsQuiet) {
+  CoherenceDirectory filter = SnoopFilter(16);
+  Write(filter, 0, 5);
+  EXPECT_EQ(Write(filter, 0, 5), 0);
+}
+
+TEST(SnoopFilterTest, CapacityEvictionBackInvalidates) {
+  CoherenceDirectory filter = SnoopFilter(2);
+  Read(filter, 0, 1);
+  Read(filter, 0, 2);
+  EXPECT_EQ(Read(filter, 0, 3), 2);  // fill + back-invalidate line 1 (LRU)
+  EXPECT_EQ(filter.stats().back_invalidations, 1u);
+  EXPECT_FALSE(IsTracked(filter, 1));
+  EXPECT_TRUE(IsTracked(filter, 3));
+  EXPECT_EQ(filter.TrackedBlocks(), 2u);
+}
+
+TEST(SnoopFilterTest, EvictionInvalidatesEverySharer) {
+  CoherenceDirectory filter = SnoopFilter(1);
+  Read(filter, 0, 7);
+  Read(filter, 1, 7);
+  Read(filter, 2, 7);
+  EXPECT_EQ(Read(filter, 0, 8), 4);  // fill + three back-invalidations
+  EXPECT_EQ(filter.stats().back_invalidations, 3u);
+  EXPECT_EQ(filter.StateOf(1, 7 * kLine), BlockState::kInvalid);
+}
+
+TEST(SnoopFilterTest, ModifiedVictimIsBackInvalidatedAndWrittenBack) {
+  CoherenceDirectory filter = SnoopFilter(1);
+  Write(filter, 0, 7);
+  EXPECT_EQ(Read(filter, 1, 8), 3);  // fill + back-invalidation + writeback
+  EXPECT_EQ(filter.stats().back_invalidations, 1u);
+  EXPECT_EQ(filter.stats().downgrade_msgs, 1u);
+  EXPECT_EQ(filter.StateOf(0, 7 * kLine), BlockState::kInvalid);
+}
+
+TEST(SnoopFilterTest, RecencyProtectsHotLines) {
+  CoherenceDirectory filter = SnoopFilter(2);
+  Read(filter, 0, 1);
+  Read(filter, 0, 2);
+  Read(filter, 0, 1);  // 1 is now the most recent
+  Read(filter, 0, 3);  // must evict 2, not 1
+  EXPECT_TRUE(IsTracked(filter, 1));
+  EXPECT_FALSE(IsTracked(filter, 2));
+}
+
+TEST(SnoopFilterTest, ReleasedBlocksFreeTheirEntries) {
+  CoherenceDirectory filter = SnoopFilter(2);
+  Read(filter, 0, 1);
+  Write(filter, 1, 2);
+  filter.ReleaseHost(0);
+  filter.ReleaseHost(1);
+  EXPECT_EQ(filter.TrackedBlocks(), 0u);
+  Read(filter, 2, 3);
+  Read(filter, 2, 4);
+  EXPECT_EQ(filter.stats().back_invalidations, 0u);
+}
+
+// The §3.2 design point: a working set within the filter capacity causes
+// ZERO back-invalidations; exceed it and every new line thrashes.
+TEST(SnoopFilterTest, SmallCoherentRegionAvoidsThrash) {
+  CoherenceDirectory filter = SnoopFilter(1024, 512);
+  // Working set of 512 lines, cycled 10x: fits.
+  for (int round = 0; round < 10; ++round) {
+    for (std::uint64_t line = 0; line < 512; ++line) {
+      Read(filter, static_cast<int>(line % 4), line);
+    }
+  }
+  EXPECT_EQ(filter.stats().back_invalidations, 0u);
+
+  CoherenceDirectory small = SnoopFilter(256, 512);
+  for (int round = 0; round < 10; ++round) {
+    for (std::uint64_t line = 0; line < 512; ++line) {
+      Read(small, static_cast<int>(line % 4), line);
+    }
+  }
+  EXPECT_GT(small.stats().back_invalidations, 4000u);  // thrashing
+  EXPECT_EQ(small.TrackedBlocks(), 256u);
+}
+
+TEST(SnoopFilterTest, UnboundedDirectoryNeverBackInvalidates) {
+  CoherenceDirectory dir(512 * kLine, kLine, 4);
+  for (int round = 0; round < 4; ++round) {
+    for (std::uint64_t line = 0; line < 512; ++line) {
+      Write(dir, static_cast<int>((line + round) % 4), line);
+      Read(dir, static_cast<int>((line + round + 1) % 4), line);
+    }
+  }
+  EXPECT_EQ(dir.stats().back_invalidations, 0u);
+  EXPECT_EQ(dir.TrackedBlocks(), 512u);
+}
+
 // --- CoherentRegion --------------------------------------------------------------
 
 TEST(CoherentRegionTest, LoadStoreRoundTrip) {
@@ -179,6 +309,31 @@ TEST(CoherentRegionTest, AccessesDriveCoherenceTraffic) {
   ASSERT_TRUE(region.Store(0, 0, 1).ok());
   ASSERT_TRUE(region.Load(1, 0).ok());  // downgrade + fill
   EXPECT_GT(region.directory().stats().TotalMessages(), 1u);
+}
+
+// Cycles `locks` lock cells, each in its own 16 B block, through every
+// host in turn; returns the directory's back-invalidations.
+std::uint64_t LockBackInvalidations(int locks, DirectoryOptions options) {
+  CoherentRegion region(1024, 16, 4, options);
+  std::vector<DistributedLock> cells;
+  cells.reserve(locks);
+  for (int i = 0; i < locks; ++i) cells.emplace_back(&region, 16 * i);
+  for (int round = 0; round < 8; ++round) {
+    for (int i = 0; i < locks; ++i) {
+      const int host = (round + i) % 4;
+      EXPECT_TRUE(*cells[i].TryLock(host));
+      EXPECT_TRUE(cells[i].Unlock(host).ok());
+    }
+  }
+  return region.directory().stats().back_invalidations;
+}
+
+// Lock traffic feels the snoop-filter bound only once its working set of
+// lock cells outgrows it; an unbounded directory never back-invalidates.
+TEST(CoherentRegionTest, LockTrafficBackInvalidatesPastTheBound) {
+  EXPECT_EQ(LockBackInvalidations(4, {.max_tracked_blocks = 8}), 0u);
+  EXPECT_GT(LockBackInvalidations(16, {.max_tracked_blocks = 8}), 0u);
+  EXPECT_EQ(LockBackInvalidations(16, {}), 0u);
 }
 
 // --- DistributedLock ------------------------------------------------------------

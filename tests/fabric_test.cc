@@ -2,9 +2,14 @@
 // load-latency curve, and topology resource paths.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "fabric/link.h"
 #include "fabric/topology.h"
 #include "sim/fluid.h"
+#include "sim/stream.h"
 
 namespace lmp::fabric {
 namespace {
@@ -77,6 +82,27 @@ TEST(LinkProfileTest, LoadedLatencyRatiosMatchSection43) {
 
 class TopologyTest : public ::testing::Test {
  protected:
+  // Two racks of two Link0 servers joined by `uplink`-wide rack uplinks.
+  Topology MakeDualRack(BytesPerSec uplink) {
+    Topology t = Topology::MakeLogical(&sim_, 4, LinkProfile::Link0());
+    t.AssignRackShards(2);
+    t.ProvisionSpine(uplink);
+    return t;
+  }
+
+  // Runs one 10 GB DMA pull per (puller, source) pair at once; returns
+  // the aggregate GB/s.
+  double Pull(const Topology& t,
+              const std::vector<std::pair<ServerIndex, ServerIndex>>& pulls) {
+    std::vector<std::unique_ptr<sim::SpanStream>> streams;
+    for (const auto& [puller, source] : pulls) {
+      streams.push_back(std::make_unique<sim::SpanStream>(
+          &sim_, std::vector<sim::Span>{
+                     sim::Span{10e9, t.DmaRemotePath(puller, source)}}));
+    }
+    return sim::RunStreams(&sim_, std::move(streams)).gbps;
+  }
+
   sim::FluidSimulator sim_;
 };
 
@@ -139,6 +165,28 @@ TEST_F(TopologyTest, DmaPathsHaveNoCore) {
   const auto path = t.DmaRemotePath(0, 1);
   ASSERT_EQ(path.size(), 3u);
   EXPECT_EQ(path[0], t.port(0));
+}
+
+TEST_F(TopologyTest, CrossRackPathsTakeBothUplinks) {
+  Topology t = MakeDualRack(GBps(34.5));
+  EXPECT_EQ(t.DmaRemotePath(0, 1).size(), 3u);  // same rack: no uplink
+  const auto path = t.DmaRemotePath(0, 2);
+  ASSERT_EQ(path.size(), 5u);
+  EXPECT_EQ(path[1], t.rack_uplink(0));
+  EXPECT_EQ(path[2], t.rack_uplink(1));
+}
+
+// Both rack-0 servers pull from rack 1 at once: the two flows share the
+// 21 GB/s uplinks.
+TEST_F(TopologyTest, TrunkBottleneckUnderCrossRackLoad) {
+  Topology t = MakeDualRack(GBps(21.0));
+  EXPECT_NEAR(Pull(t, {{0, 2}, {1, 3}}), 21.0, 0.1);
+}
+
+TEST_F(TopologyTest, SameRackTrafficAvoidsTrunk) {
+  Topology t = MakeDualRack(GBps(1.0));  // tiny uplinks
+  EXPECT_NEAR(Pull(t, {{0, 1}}), 34.5, 0.1);  // full port speed
+  EXPECT_DOUBLE_EQ(t.SpineBytesServed(), 0.0);
 }
 
 TEST_F(TopologyTest, UnloadedLatencyIsMinimum) {
