@@ -89,7 +89,6 @@ struct Outcome {
   double spine_total = 0;      // uplink bytes served (tenant + control)
   int convergence_epochs = -1;  // ticks from kShift to within 2% of final
   std::uint64_t pulls = 0, pushes = 0, oob = 0;
-  std::uint64_t p99_breaches = 0;
 };
 
 // One tick of tenant traffic from `accessor`: touch every buffer (feeding
@@ -320,7 +319,6 @@ Outcome Run(const Scenario& scenario, int threads,
   } else if (flat != nullptr) {
     out.ctrl_spine_bytes = flat->stats().spine_bytes;
     out.oob = flat->stats().oob_resolves;
-    out.p99_breaches = flat->stats().p99_breaches;
   }
   return out;
 }

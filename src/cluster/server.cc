@@ -53,30 +53,11 @@ Status Server::Recover() {
 }
 
 PoolDevice::PoolDevice(Bytes capacity, Bytes frame_size, bool with_backing)
-    : frame_size_(frame_size),
-      alloc_(mem::FramesForBytes(capacity, frame_size), frame_size) {
+    : alloc_(mem::FramesForBytes(capacity, frame_size), frame_size) {
   if (with_backing) {
     backing_ =
         std::make_unique<mem::BackingStore>(alloc_.num_frames(), frame_size);
   }
-}
-
-Status PoolDevice::Crash() {
-  if (crashed_) return FailedPreconditionError("pool device already crashed");
-  crashed_ = true;
-  return Status::Ok();
-}
-
-Status PoolDevice::Recover() {
-  if (!crashed_) return FailedPreconditionError("pool device is not crashed");
-  // Like Server::Recover, the device rejoins empty.
-  crashed_ = false;
-  const std::uint64_t frames = alloc_.num_frames();
-  alloc_ = mem::FrameAllocator(frames, frame_size_);
-  if (backing_ != nullptr) {
-    backing_ = std::make_unique<mem::BackingStore>(frames, frame_size_);
-  }
-  return Status::Ok();
 }
 
 }  // namespace lmp::cluster

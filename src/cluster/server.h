@@ -83,15 +83,9 @@ class PoolDevice {
     return *backing_;
   }
 
-  bool crashed() const { return crashed_; }
-  Status Crash();
-  Status Recover();
-
  private:
-  Bytes frame_size_;
   mem::FrameAllocator alloc_;
   std::unique_ptr<mem::BackingStore> backing_;
-  bool crashed_ = false;
 };
 
 }  // namespace lmp::cluster

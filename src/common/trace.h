@@ -44,7 +44,7 @@ enum class Category : std::uint8_t {
   kLink,         // link/DRAM utilization counter samples
   kHarness,      // bench-harness markers (per-deployment runs)
   kChaos,        // injected faults and chaos-driven recovery transfers
-  kCtrl,         // control-plane epochs, resizes, drains, admission
+  kCtrl,         // control-plane epochs, resizes, drains
 };
 
 std::string_view CategoryName(Category cat);

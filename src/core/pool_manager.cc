@@ -46,38 +46,21 @@ mem::BackingStore* PoolManager::BackingAt(const Location& loc) {
   return srv.has_backing() ? &srv.backing() : nullptr;
 }
 
-namespace {
-
-// The frame-level request for an AllocOptions cohort: a named cohort
-// places by its mobility, an empty one keeps next-fit.
-mem::AllocRequest FrameRequestFor(std::uint64_t frames,
-                                  const AllocOptions& options) {
-  mem::AllocRequest request;
-  request.frames = frames;
-  if (!options.locus.empty()) request.cohort = options.mobility;
-  return request;
-}
-
-}  // namespace
-
 StatusOr<std::vector<mem::FrameRun>> PoolManager::AllocateFramesAt(
-    const Location& loc, Bytes bytes, const AllocOptions& options) {
+    const Location& loc, Bytes bytes) {
   const Bytes frame_size = cluster_->config().frame_size;
-  const std::uint64_t frames = mem::FramesForBytes(bytes, frame_size);
-  if (loc.is_pool()) {
-    return cluster_->pool().allocator().Allocate(
-        FrameRequestFor(frames, options));
-  }
+  const mem::AllocRequest request =
+      mem::AllocRequest::Of(mem::FramesForBytes(bytes, frame_size));
+  if (loc.is_pool()) return cluster_->pool().allocator().Allocate(request);
   auto& srv = cluster_->server(loc.server);
   if (srv.crashed()) return UnavailableError("server crashed");
-  return srv.shared_allocator().Allocate(FrameRequestFor(frames, options));
+  return srv.shared_allocator().Allocate(request);
 }
 
 Status PoolManager::FreeFramesAt(const Location& loc,
                                  const std::vector<mem::FrameRun>& runs) {
   if (loc.is_pool()) {
     LMP_RETURN_IF_ERROR(cluster_->pool().allocator().Free(runs));
-    if (cluster_->pool().crashed()) return Status::Ok();
   } else {
     auto& srv = cluster_->server(loc.server);
     if (srv.crashed()) return Status::Ok();  // frames die with the host
@@ -116,7 +99,7 @@ StatusOr<BufferId> PoolManager::Allocate(Bytes bytes,
 
   for (const PlacementChunk& chunk : chunks) {
     const Location loc = Location::OnServer(chunk.server);
-    auto frames_or = AllocateFramesAt(loc, chunk.bytes, options);
+    auto frames_or = AllocateFramesAt(loc, chunk.bytes);
     if (!frames_or.ok()) {
       rollback();
       return frames_or.status();
@@ -127,9 +110,6 @@ StatusOr<BufferId> PoolManager::Allocate(Bytes bytes,
     seg.id = next_segment_++;
     seg.size = chunk.bytes;
     seg.home = loc;
-    seg.locus = options.locus;
-    seg.mobility = options.mobility;
-    seg.priority = options.priority;
     Status st = segments_.Insert(seg);
     if (st.ok()) {
       st = local_map(loc).Bind(seg.id, chunk.bytes,
@@ -204,9 +184,6 @@ Status PoolManager::SplitSegmentAt(BufferId buffer, Bytes offset) {
       tail_seg.id = next_segment_++;
       tail_seg.size = seg->size - within;
       tail_seg.home = seg->home;
-      tail_seg.locus = seg->locus;
-      tail_seg.mobility = seg->mobility;
-      tail_seg.priority = seg->priority;
       LMP_RETURN_IF_ERROR(segments_.Insert(tail_seg));
       const Location home = seg->home;
       LMP_CHECK_OK(local_map(home).Unbind(seg->id));
@@ -566,10 +543,7 @@ StatusOr<MigrationRecord> PoolManager::MigrateSegment(SegmentId seg,
   }
 
   LMP_ASSIGN_OR_RETURN(auto src_runs, local_map(from).RunsOf(seg));
-  // Stay in the segment's cohort on the destination allocator so pinned
-  // tenants pack high there too.
-  LMP_ASSIGN_OR_RETURN(auto dst_runs,
-                       AllocateFramesAt(to, info->size, CohortOf(*info)));
+  LMP_ASSIGN_OR_RETURN(auto dst_runs, AllocateFramesAt(to, info->size));
 
   info->state = SegmentState::kMigrating;
   Status st = CopySegmentData(from, src_runs, to, dst_runs, info->size);
@@ -611,12 +585,6 @@ StatusOr<MigrationRecord> PoolManager::CompactSegment(SegmentId seg,
   }
   if (info->home.is_pool()) {
     return FailedPreconditionError("pool-homed segments have no shrink cut");
-  }
-  if (info->mobility == mem::Mobility::kPinned) {
-    // Pinned cohorts opted out of being moved; their frames already pack
-    // high, away from the shrink cut, so compacting them would fight the
-    // allocator's own placement.
-    return FailedPreconditionError("segment cohort is pinned");
   }
   auto& srv = cluster_->server(info->home.server);
   if (srv.crashed()) return UnavailableError("home crashed");
@@ -689,10 +657,7 @@ StatusOr<std::vector<SegmentId>> PoolManager::OnServerCrash(
     // Fail over to the first live replica, if any.
     bool recovered = false;
     for (const Location& rep : info->replicas) {
-      const bool live =
-          rep.is_pool() ? !cluster_->pool().crashed()
-                        : !cluster_->server(rep.server).crashed();
-      if (!live) continue;
+      if (!rep.is_pool() && cluster_->server(rep.server).crashed()) continue;
       // Promote the replica to primary.
       info->home = rep;
       ++info->generation;

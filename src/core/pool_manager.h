@@ -63,18 +63,11 @@ struct MigrationRecord {
 
 // Options for PoolManager::Allocate/Grow — a request struct instead of a
 // growing positional-parameter tail (see DESIGN.md, "request structs").
-// The implicit ServerId constructors keep the historical call shape
-// `Allocate(bytes, server)` working while letting tenant-aware callers
-// (ctrl::AdmissionController) attach cohort identity.
+// The implicit ServerId constructors keep the call shape
+// `Allocate(bytes, server)` working.
 struct AllocOptions {
   // Server whose shared region placement should prefer.
   std::optional<cluster::ServerId> preferred;
-  // Allocation cohort name; a non-empty one places frames by `mobility`
-  // (mem::AllocRequest::cohort), empty uses legacy next-fit placement.
-  std::string locus;
-  mem::Mobility mobility = mem::Mobility::kMobile;
-  // Tenant priority recorded on the segments; drains evict low first.
-  double priority = 1.0;
 
   AllocOptions() = default;
   AllocOptions(cluster::ServerId preferred_server)  // NOLINT(runtime/explicit)
@@ -100,8 +93,7 @@ class PoolManager {
   // Allocation --------------------------------------------------------------
 
   // Allocates `bytes` from the pool, preferring `options.preferred`'s
-  // shared region; cohort fields steer frame placement inside each chosen
-  // allocator.  Fails with kOutOfMemory when the pool cannot hold it
+  // shared region.  Fails with kOutOfMemory when the pool cannot hold it
   // (Figure 5).
   StatusOr<BufferId> Allocate(Bytes bytes, const AllocOptions& options = {});
 
@@ -222,18 +214,8 @@ class PoolManager {
 
   // Internals used by the replication/erasure layer ---------------------------
 
-  StatusOr<std::vector<mem::FrameRun>> AllocateFramesAt(
-      const Location& loc, Bytes bytes, const AllocOptions& options = {});
-
-  // The cohort a segment was allocated under, for re-homing paths that
-  // must keep it in the same cohort at the destination.
-  static AllocOptions CohortOf(const SegmentInfo& info) {
-    AllocOptions options;
-    options.locus = info.locus;
-    options.mobility = info.mobility;
-    options.priority = info.priority;
-    return options;
-  }
+  StatusOr<std::vector<mem::FrameRun>> AllocateFramesAt(const Location& loc,
+                                                        Bytes bytes);
   Status FreeFramesAt(const Location& loc,
                       const std::vector<mem::FrameRun>& runs);
   LocalFrameMap& local_map(const Location& loc);

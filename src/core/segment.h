@@ -8,7 +8,6 @@
 #include "cluster/server.h"
 #include "common/units.h"
 #include "core/logical_address.h"
-#include "mem/frame_allocator.h"
 
 namespace lmp::core {
 
@@ -48,15 +47,6 @@ struct SegmentInfo {
   std::uint64_t generation = 0;
   // Replica homes (excluding the primary).  Maintained by ReplicationManager.
   std::vector<Location> replicas;
-  // Allocation cohort name (empty = none, next-fit placement).  Carried so
-  // re-homing places the segment by the same cohort on the destination
-  // allocator.
-  std::string locus;
-  // Pinned segments pack high in their home allocator and are never chosen
-  // as drain/compaction victims.
-  mem::Mobility mobility = mem::Mobility::kMobile;
-  // Tenant priority from admission; drains prefer low-priority victims.
-  double priority = 1.0;
 };
 
 }  // namespace lmp::core

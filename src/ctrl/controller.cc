@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "common/trace.h"
-#include "ctrl/slo_ledger.h"
 
 namespace lmp::ctrl {
 
@@ -51,8 +50,7 @@ std::vector<DrainVictim> BlockedResidents(core::PoolManager& manager,
     for (const mem::FrameRun& run : runs) {
       if (run.end() > target_frames) {
         residents.push_back(DrainVictim{
-            id, info->size, manager.access_tracker().TotalBytes(id, now),
-            info->mobility == mem::Mobility::kPinned, info->priority});
+            id, info->size, manager.access_tracker().TotalBytes(id, now)});
         return;
       }
     }
@@ -61,8 +59,7 @@ std::vector<DrainVictim> BlockedResidents(core::PoolManager& manager,
   // drain sequence feeds deterministic traces.
   std::sort(residents.begin(), residents.end(),
             [](const DrainVictim& a, const DrainVictim& b) {
-              return std::tie(a.pinned, a.priority, a.heat, a.seg) <
-                     std::tie(b.pinned, b.priority, b.heat, b.seg);
+              return std::tie(a.heat, a.seg) < std::tie(b.heat, b.seg);
             });
   return residents;
 }
@@ -91,7 +88,6 @@ SizingController::SizingController(Bindings bindings, ControllerConfig config)
       injector_(bindings.injector),
       config_(config),
       estimator_(bindings.manager, config.estimator),
-      admission_(0),
       migrator_(bindings.manager, ScopedMigration(config)) {
   LMP_CHECK(sim_ != nullptr);
   LMP_CHECK(manager_ != nullptr);
@@ -101,30 +97,6 @@ SizingController::SizingController(Bindings bindings, ControllerConfig config)
     estimator_.RestrictTo(config_.scope_first, config_.scope_limit);
   }
   cooldown_until_.assign(manager_->cluster().num_servers(), -1.0);
-  admission_.UpdateHeadroom(LeaseCapacity(), 0);
-  admission_.set_placement_hint([this](const TenantSpec& spec) {
-    const cluster::Cluster& cluster = manager_->cluster();
-    if (spec.preferred.has_value() && spec.preferred >= scope_first() &&
-        *spec.preferred < scope_limit() &&
-        !cluster.server(*spec.preferred).crashed()) {
-      return *spec.preferred;
-    }
-    // Live in-scope server with the most free shared bytes, lowest id on
-    // ties.
-    cluster::ServerId best = scope_first();
-    Bytes best_free = 0;
-    bool found = false;
-    for (cluster::ServerId id = scope_first(); id < scope_limit(); ++id) {
-      if (cluster.server(id).crashed()) continue;
-      const Bytes free = cluster.server(id).shared_allocator().free_bytes();
-      if (!found || free > best_free) {
-        best = id;
-        best_free = free;
-        found = true;
-      }
-    }
-    return best;
-  });
   if (injector_ != nullptr) {
     injector_->set_event_listener([this](const chaos::FaultEvent& event) {
       if (!running_) return;
@@ -152,27 +124,6 @@ SizingController::SizingController(Bindings bindings, ControllerConfig config)
 void SizingController::set_metrics(MetricsRegistry* registry) {
   LMP_CHECK(registry != nullptr);
   metrics_ = registry;
-  admission_.set_metrics(registry);
-}
-
-Bytes SizingController::LeaseCapacity() const {
-  // Best-case bytes the pool could dedicate to leases: live in-scope
-  // servers' DRAM minus their private floors.  Organic demand is
-  // subtracted dynamically via UpdateHeadroom.
-  const cluster::Cluster& cluster = manager_->cluster();
-  Bytes capacity = 0;
-  for (cluster::ServerId s = scope_first(); s < scope_limit(); ++s) {
-    const auto& srv = cluster.server(s);
-    if (srv.crashed()) continue;
-    capacity += srv.total_memory();
-  }
-  return capacity;
-}
-
-void SizingController::AddOpSloProbe(OpSloProbe probe) {
-  LMP_CHECK(!probe.histogram.empty());
-  LMP_CHECK(probe.p99_ceiling > 0);
-  probes_.push_back(ProbeState{std::move(probe), /*breached=*/false});
 }
 
 void SizingController::set_access_bits(core::AccessBitSampler* sampler,
@@ -220,30 +171,17 @@ void SizingController::RunEpoch(SimTime now, bool out_of_band) {
   // the shared sampler and scans it once for all racks).
   if (sampler_ != nullptr && scan_access_bits_) (void)sampler_->ScanAndClear();
 
-  // (1) Admission refresh: recompute lease capacity (crashes shrink it),
-  // preempt/promote, then feed the active leases to the estimator.
-  admission_.UpdateHeadroom(LeaseCapacity(),
-                            estimator_.SmoothedOrganicDemand());
-  estimator_.ClearLeaseDemands();
-  for (const auto& [server, bytes] : admission_.DemandByServer()) {
-    estimator_.SetLeaseDemand(server, bytes);
-  }
-
-  // (2) Tail-latency probes react before the estimate so a breached
-  // tenant's server solves at boosted priority this epoch, not next.
-  SampleOpSlos(now);
-
-  // (3) Estimate + solve.
+  // (1) Estimate + solve.
   std::vector<core::ServerDemand> demands = estimator_.Estimate(now);
   const core::SizingPlan plan =
       core::SizingOptimizer::Solve(manager_->cluster(), std::move(demands));
   ++stats_.resolves;
   metrics_->Increment("ctrl.resolves");
 
-  // (4) Actuate with damping, turning blocked shrinks into drains.
+  // (2) Actuate with damping, turning blocked shrinks into drains.
   Actuate(plan, now);
 
-  // (5) Locality balancing rides the same epoch.
+  // (3) Locality balancing rides the same epoch.
   if (config_.run_migration) RunMigrationRound(now);
 
   ExportEpochTelemetry(plan, now);
@@ -388,7 +326,6 @@ void SizingController::BeginDrain(cluster::ServerId server,
   std::vector<core::MigrationRecord> records;
   bool failed = false;
   for (const DrainVictim& v : victims) {
-    if (v.pinned) continue;  // pinned cohorts are never drain victims
     // Placement, best first:
     //  1. The victim's dominant accessor, when it is a live peer with room
     //     — the drain then doubles as a locality migration.
@@ -560,34 +497,6 @@ void SizingController::RunMigrationRound(SimTime now) {
   }
 }
 
-void SizingController::SampleOpSlos(SimTime now) {
-  for (ProbeState& st : probes_) {
-    const OpSloProbe& p = st.probe;
-    const MetricsRegistry* reg =
-        p.registry != nullptr ? p.registry : metrics_;
-    const Histogram* hist = reg->FindHistogram(p.histogram);
-    if (hist == nullptr || hist->count() == 0) continue;  // no ops yet
-    const auto p99 = static_cast<SimTime>(hist->Percentile(99));
-    if (slo_ledger_ != nullptr) slo_ledger_->RecordOpP99(p.tenant, p99);
-    const bool breached = p99 > p.p99_ceiling;
-    if (breached == st.breached) continue;
-    st.breached = breached;
-    estimator_.SetPriority(p.server,
-                           breached ? p.boost_priority : p.base_priority);
-    if (breached) {
-      ++stats_.p99_breaches;
-      metrics_->Increment("ctrl.p99_breaches");
-    }
-    if (trace_ != nullptr) {
-      trace_->Instant(trace::Category::kCtrl,
-                      breached ? "p99_breach" : "p99_recover", now,
-                      {trace::Arg("tenant", p.tenant),
-                       trace::Arg("p99_ns", p99),
-                       trace::Arg("server", p.server)});
-    }
-  }
-}
-
 void SizingController::ExportEpochTelemetry(const core::SizingPlan& plan,
                                             SimTime now) {
   stats_.last_unmet_demand = plan.unmet_demand;
@@ -598,16 +507,6 @@ void SizingController::ExportEpochTelemetry(const core::SizingPlan& plan,
   metrics_->SetGauge("ctrl.planned_local_fraction", plan.LocalFraction());
   metrics_->SetGauge("ctrl.pending_drains",
                      static_cast<double>(drains_.size()));
-  if (slo_ledger_ != nullptr) {
-    // A lease's locality experience is its host server's, not the
-    // cluster-wide average ExportEpochTelemetry just published.
-    for (const auto& [id, lease] : admission_.leases()) {
-      if (lease.state != LeaseState::kActive) continue;
-      slo_ledger_->RecordLocalFraction(
-          lease.spec.name,
-          estimator_.ObservedLocalFraction(now, lease.server));
-    }
-  }
 }
 
 }  // namespace lmp::ctrl

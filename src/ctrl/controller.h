@@ -8,9 +8,8 @@
 //        ^                                                        │
 //        └── drains (MigrationEngine moves, priced as DMA flows) <┘
 //
-// Every `period` it (1) refreshes admission headroom and folds active
-// leases into demand, (2) estimates per-server demand from hotness and
-// allocation watermarks, (3) re-solves, and (4) actuates with damping:
+// Every `period` it (1) estimates per-server demand from hotness and
+// allocation watermarks, (2) re-solves, and (3) actuates with damping:
 // deltas under `min_step` are ignored (hysteresis) and a server that just
 // resized rests for `cooldown`, so steady demand converges to a fixed
 // point instead of oscillating.  A shrink blocked by live frames becomes a
@@ -31,8 +30,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "chaos/fault_injector.h"
@@ -42,7 +39,6 @@
 #include "core/migration.h"
 #include "core/pool_manager.h"
 #include "core/sizing.h"
-#include "ctrl/admission.h"
 #include "ctrl/demand_estimator.h"
 #include "fabric/topology.h"
 #include "sim/fluid.h"
@@ -53,24 +49,18 @@ class TraceCollector;
 
 namespace lmp::ctrl {
 
-class SloLedger;
-
 // A segment whose frames block a shared-region shrink (it holds at least
 // one frame in the tail the resize would remove).
 struct DrainVictim {
   core::SegmentId seg = core::kInvalidSegment;
   Bytes size = 0;
   double heat = 0;  // decayed traffic at selection time
-  // From the segment's allocation cohort: pinned victims sort last and
-  // drain schedulers skip them (their cohort opted out of being moved).
-  bool pinned = false;
-  double priority = 1.0;  // tenant priority; low drains first
 };
 
 // The active segments blocking a shrink of `server` to `target_bytes`:
-// mobile before pinned, then lowest tenant priority, then coldest (they
-// are the cheapest to lose locality on), then segment id.  Empty when the
-// shrink is already possible; target 0 returns every active resident.
+// coldest first (they are the cheapest to lose locality on), then by
+// segment id.  Empty when the shrink is already possible; target 0
+// returns every active resident.
 std::vector<DrainVictim> BlockedResidents(core::PoolManager& manager,
                                           cluster::ServerId server,
                                           Bytes target_bytes, SimTime now);
@@ -99,11 +89,11 @@ struct ControllerConfig {
   core::MigrationConfig migration;
   EstimatorConfig estimator;
   // Rack scope: when scope_limit > scope_first the controller manages only
-  // servers [scope_first, scope_limit) — its estimator, solver, admission
-  // placement, drains, and migration all stay inside the range, so a
-  // hierarchical deployment can run one scoped controller per rack without
-  // them fighting over segments.  Default (0, 0) manages the whole
-  // cluster.  The migration scope is propagated automatically when unset.
+  // servers [scope_first, scope_limit) — its estimator, solver, drains,
+  // and migration all stay inside the range, so a hierarchical deployment
+  // can run one scoped controller per rack without them fighting over
+  // segments.  Default (0, 0) manages the whole cluster.  The migration
+  // scope is propagated automatically when unset.
   cluster::ServerId scope_first = 0;
   cluster::ServerId scope_limit = 0;
 };
@@ -125,27 +115,8 @@ struct ControllerStats {
   Bytes drain_bytes = 0;            // bytes moved by drain migrations
   Bytes resize_bytes = 0;           // |delta| summed over landed resizes
   Bytes spine_bytes = 0;  // control-plane bytes priced across racks
-  std::uint64_t p99_breaches = 0;  // op-SLO probe ceiling crossings
   Bytes last_unmet_demand = 0;
   double last_local_fraction = 1.0;  // observed, traffic-weighted
-};
-
-// Per-op tail-latency SLO probe.  Each epoch the controller samples the
-// p99 of `histogram` (an op-engine latency distribution, nanoseconds) and
-// scores it against the bound ledger's max_op_p99 target for `tenant`.
-// While the sampled p99 exceeds `p99_ceiling` the probe's server estimates
-// demand at `boost_priority` instead of `base_priority`, so the next solve
-// leans capacity toward the tenant whose tail is hurting; recovery
-// restores the base.  Probes react in registration order — deterministic.
-struct OpSloProbe {
-  std::string tenant;
-  // Registry holding the histogram; null means the controller's own.
-  const MetricsRegistry* registry = nullptr;
-  std::string histogram;    // e.g. "tenantA.get"
-  SimTime p99_ceiling = 0;  // breach when sampled p99 exceeds this (ns)
-  cluster::ServerId server = 0;  // whose priority reacts
-  double base_priority = 1.0;
-  double boost_priority = 2.0;
 };
 
 class SizingController {
@@ -161,7 +132,6 @@ class SizingController {
 
   DemandEstimator& estimator() { return estimator_; }
   const DemandEstimator& estimator() const { return estimator_; }
-  AdmissionController& admission() { return admission_; }
   core::MigrationEngine& migration_engine() { return migrator_; }
 
   // Starts the periodic loop: first epoch at now + period.
@@ -198,9 +168,6 @@ class SizingController {
                      manager_->cluster().num_servers());
   }
 
-  // Registers a tail-latency probe; sampled every epoch from then on.
-  void AddOpSloProbe(OpSloProbe probe);
-
   // Binds the shared access-bit sampler.  When `scan_each_epoch` is true
   // the controller scan-and-clears it at the top of every epoch; a
   // hierarchical parent that shares one sampler across several scoped
@@ -210,10 +177,6 @@ class SizingController {
 
   void set_metrics(MetricsRegistry* registry);
   void set_trace(trace::TraceCollector* collector) { trace_ = collector; }
-  // With a ledger bound, every epoch scores each ACTIVE lease's observed
-  // local fraction (at the lease's host server) against the tenant's
-  // registered targets.  The ledger must outlive the controller.
-  void set_slo_ledger(SloLedger* ledger) { slo_ledger_ = ledger; }
 
  private:
   struct PendingDrain {
@@ -233,8 +196,6 @@ class SizingController {
   void RunMigrationRound(SimTime now);
   void PriceTransfer(const core::Location& from, const core::Location& to,
                      Bytes bytes, cluster::ServerId drain_server);
-  Bytes LeaseCapacity() const;
-  void SampleOpSlos(SimTime now);
   void ExportEpochTelemetry(const core::SizingPlan& plan, SimTime now);
 
   sim::FluidSimulator* sim_;
@@ -244,26 +205,18 @@ class SizingController {
   ControllerConfig config_;
 
   DemandEstimator estimator_;
-  AdmissionController admission_;
   core::MigrationEngine migrator_;
 
   bool running_ = false;
   bool epoch_scheduled_ = false;
   std::vector<SimTime> cooldown_until_;           // per server
   std::map<cluster::ServerId, PendingDrain> drains_;  // in flight
-
-  struct ProbeState {
-    OpSloProbe probe;
-    bool breached = false;
-  };
-  std::vector<ProbeState> probes_;
   core::AccessBitSampler* sampler_ = nullptr;
   bool scan_access_bits_ = false;
 
   ControllerStats stats_;
   MetricsRegistry* metrics_ = &MetricsRegistry::Global();
   trace::TraceCollector* trace_ = nullptr;
-  SloLedger* slo_ledger_ = nullptr;
 };
 
 }  // namespace lmp::ctrl

@@ -33,18 +33,6 @@ void DemandEstimator::SetPrivateFloor(cluster::ServerId server, Bytes bytes) {
   state(server).private_floor = bytes;
 }
 
-void DemandEstimator::SetPriority(cluster::ServerId server, double priority) {
-  state(server).priority = priority;
-}
-
-void DemandEstimator::SetLeaseDemand(cluster::ServerId server, Bytes bytes) {
-  state(server).lease_demand = bytes;
-}
-
-void DemandEstimator::ClearLeaseDemands() {
-  for (PerServer& s : servers_) s.lease_demand = 0;
-}
-
 template <typename Fn>
 void DemandEstimator::ForEachAttributed(SimTime now, Fn&& fn) const {
   // Every attributed segment sits in its dominant accessor's index list,
@@ -128,14 +116,12 @@ std::vector<core::ServerDemand> DemandEstimator::Estimate(SimTime now) {
     // Round the smoothed estimate up to whole frames: sub-frame dither
     // would otherwise produce endless ±1-byte resize requests.
     const Bytes frame = manager_->cluster().server(s).frame_size();
-    const Bytes organic =
+    const Bytes pool =
         mem::FramesForBytes(
             static_cast<Bytes>(st.smoothed * config_.headroom_factor),
             frame) *
         frame;
-    demands.push_back(core::ServerDemand{s, st.private_floor,
-                                         organic + st.lease_demand,
-                                         st.priority});
+    demands.push_back(core::ServerDemand{s, st.private_floor, pool});
   }
   return demands;
 }
@@ -203,14 +189,6 @@ Bytes DemandEstimator::RemoteHotBytes(SimTime now) const {
   Bytes sum = 0;
   ForEachPullCandidate(now, [&](const PullCandidate& c) { sum += c.size; });
   return sum;
-}
-
-Bytes DemandEstimator::SmoothedOrganicDemand() const {
-  double sum = 0;
-  for (cluster::ServerId s = scope_first_; s < scope_limit_; ++s) {
-    sum += servers_[s].smoothed;
-  }
-  return static_cast<Bytes>(sum);
 }
 
 }  // namespace lmp::ctrl

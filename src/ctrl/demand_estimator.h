@@ -91,16 +91,9 @@ class DemandEstimator {
     return config_.source == DemandSource::kAccessBits && sampler_ != nullptr;
   }
 
-  // Static per-server inputs the telemetry cannot observe: the private
-  // floor (the server's own non-pool working set) and its priority under
-  // pressure.  Defaults: floor 0, priority 1.
+  // The static per-server input the telemetry cannot observe: the private
+  // floor (the server's own non-pool working set).  Default 0.
   void SetPrivateFloor(cluster::ServerId server, Bytes bytes);
-  void SetPriority(cluster::ServerId server, double priority);
-
-  // Demand injected by admission-controlled leases, replaced wholesale
-  // each epoch (the admission controller owns lease lifecycle).
-  void SetLeaseDemand(cluster::ServerId server, Bytes bytes);
-  void ClearLeaseDemands();
 
   // One demand entry per scoped server (id order), EWMA-smoothed as of
   // `now`.  Calling twice at the same `now` is idempotent (dt = 0 folds
@@ -115,9 +108,7 @@ class DemandEstimator {
 
   // Same fraction restricted to one server's own accesses: how much of
   // `server`'s recent traffic hit segments homed on `server`.  1.0 when
-  // the server has no recorded traffic.  Feeds per-lease SLO accounting
-  // (a lease's locality experience is its host server's, not the
-  // cluster-wide average).
+  // the server has no recorded traffic.
   double ObservedLocalFraction(SimTime now, cluster::ServerId server) const;
 
   // Cross-rack pull candidates: active segments homed OUTSIDE the scope
@@ -135,17 +126,11 @@ class DemandEstimator {
   // remote-hot-bytes input to the global coordinator.
   Bytes RemoteHotBytes(SimTime now) const;
 
-  // Last smoothed organic (non-lease) demand, summed over scoped servers;
-  // the admission controller subtracts this from capacity to get headroom.
-  Bytes SmoothedOrganicDemand() const;
-
   const EstimatorConfig& config() const { return config_; }
 
  private:
   struct PerServer {
     Bytes private_floor = 0;
-    double priority = 1.0;
-    Bytes lease_demand = 0;
     double smoothed = 0;   // EWMA of raw attributed bytes
     SimTime updated = -1;  // < 0: no observation yet
   };

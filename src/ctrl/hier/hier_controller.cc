@@ -76,10 +76,6 @@ RackController& HierController::rack_of(cluster::ServerId server) {
   return *racks_.front();  // unreachable
 }
 
-void HierController::AddOpSloProbe(OpSloProbe probe) {
-  rack_of(probe.server).sizing().AddOpSloProbe(std::move(probe));
-}
-
 void HierController::set_access_bits(core::AccessBitSampler* sampler) {
   sampler_ = sampler;
   for (auto& r : racks_) {
@@ -96,10 +92,6 @@ void HierController::set_metrics(MetricsRegistry* registry) {
 void HierController::set_trace(trace::TraceCollector* collector) {
   trace_ = collector;
   for (auto& r : racks_) r->sizing().set_trace(collector);
-}
-
-void HierController::set_slo_ledger(SloLedger* ledger) {
-  for (auto& r : racks_) r->sizing().set_slo_ledger(ledger);
 }
 
 void HierController::Start() {

@@ -102,16 +102,12 @@ class HierController {
   // (zero by construction while every rack has in-rack room).
   Bytes SpineBytesMoved() const;
 
-  // Routes a tail-latency probe to the rack owning `probe.server`.
-  void AddOpSloProbe(OpSloProbe probe);
-
   // Shares one access-bit sampler across all rack estimators; the
   // controller scans it exactly once per epoch.
   void set_access_bits(core::AccessBitSampler* sampler);
 
   void set_metrics(MetricsRegistry* registry);
   void set_trace(trace::TraceCollector* collector);
-  void set_slo_ledger(SloLedger* ledger);
 
  private:
   void ScheduleNext();

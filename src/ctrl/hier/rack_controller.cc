@@ -106,10 +106,9 @@ Bytes RackController::ExecutePushes(SimTime now, Bytes budget,
   for (cluster::ServerId src = first_; src < limit_; ++src) {
     if (moved >= budget) break;
     if (cluster.server(src).crashed()) continue;
-    // All mobile residents of `src`, coldest first — the cheapest
-    // segments to exile across the spine.
+    // All residents of `src`, coldest first — the cheapest segments to
+    // exile across the spine.
     for (const DrainVictim& v : BlockedResidents(*manager_, src, 0, now)) {
-      if (v.pinned) continue;
       if (moved + v.size > budget) continue;
       const cluster::ServerId dest =
           MostFreePeer(cluster, dst_first, dst_limit, src, v.size);

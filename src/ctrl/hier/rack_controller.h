@@ -4,9 +4,9 @@
 // the spine: oversubscribed inter-rack links make "memory anywhere" cost
 // what the paper's Table 1 charges for RDMA.  The hierarchical design
 // keeps the paper's closed sizing loop (§5) *per rack* — each rack runs a
-// scoped SizingController whose estimator, solver, admission placement,
-// drains, and migration never leave the rack — and reserves cross-rack
-// moves for explicit spine grants issued by the GlobalCoordinator.
+// scoped SizingController whose estimator, solver, drains, and migration
+// never leave the rack — and reserves cross-rack moves for explicit spine
+// grants issued by the GlobalCoordinator.
 //
 // A RackController therefore does three things:
 //   * RunEpoch    — one scoped sizing epoch (delegates to the embedded

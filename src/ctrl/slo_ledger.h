@@ -4,9 +4,8 @@
 // within locality and availability bounds (§5); this ledger measures
 // whether a run actually delivered.  Each tenant registers targets —
 // a local-fraction floor, a bandwidth floor, an unavailability budget —
-// and the control plane / chaos harness feed observations as they
-// happen: the SizingController records each active lease's observed
-// local fraction every epoch, benches record achieved bandwidth per
+// and the benches and chaos harness feed observations: benches record
+// each scenario's observed local fraction and achieved bandwidth per
 // workload cell, and the FaultInjector's unavailability windows are
 // charged to the tenants whose buffers they hit.  The report is
 // per-tenant attainment (samples met / samples taken) plus min/mean,
@@ -83,8 +82,8 @@ class SloLedger {
 
   void RecordLocalFraction(std::string_view tenant, double fraction);
   void RecordBandwidth(std::string_view tenant, double gbps);
-  // One epoch's observed op-latency p99 (ns); the controller samples it
-  // from the tenant's op-engine histogram each epoch.
+  // One observed op-latency p99 sample (ns), e.g. from the tenant's
+  // op-engine histogram.
   void RecordOpP99(std::string_view tenant, SimTime p99);
   // One closed unavailability window of `duration` ns.
   void AddUnavailability(std::string_view tenant, SimTime duration);

@@ -610,16 +610,6 @@ void FluidSimulator::SolveSeededImpl() {
     RecomputeAll();
     return;
   }
-  // Adaptive fallback: when the connected component keeps spanning every
-  // active flow (heavily bridged topologies — incast, all-remote), the
-  // component BFS is pure overhead on top of an unavoidable full solve.
-  // After a streak of whole-graph components, solve fully for a cooldown
-  // window, then probe incrementally again in case locality returned.
-  if (full_solve_cooldown_ > 0) {
-    --full_solve_cooldown_;
-    RecomputeAll();
-    return;
-  }
   ++stats_.recompute_calls;
   // Two fresh stamps per solve: one for the cut walk, one for a fallback.
   solve_epoch_ += 2;
@@ -699,25 +689,7 @@ void FluidSimulator::SolveSeededImpl() {
     for (ResourceId r : tasks_[i].rekeyed) RequeueGroup(r);
   }
   stats_.flows_touched += touched;
-  if (touched == active_flows_) {
-    ++stats_.full_solves;
-    // The full-solve cooldown exists to skip walk overhead when the graph
-    // keeps collapsing into one whole-cluster component.  A *partitioned*
-    // whole-graph solve is the opposite case: the walk is what split it into
-    // small per-shard tasks, and falling back to RecomputeAll would replace
-    // them with one sequential cluster-wide fill.  Only single-task streaks
-    // arm the cooldown.
-    if (num_tasks > 1) {
-      full_solve_streak_ = 0;
-    } else {
-      if (full_solve_streak_ < kFullStreakThreshold) ++full_solve_streak_;
-      if (full_solve_streak_ >= kFullStreakThreshold) {
-        full_solve_cooldown_ = kFullSolveCooldown;
-      }
-    }
-  } else {
-    full_solve_streak_ = 0;
-  }
+  if (touched == active_flows_) ++stats_.full_solves;
 
   if (crosscheck_) {
     CheckAgainstFullSolve();

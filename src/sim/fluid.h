@@ -504,11 +504,6 @@ class FluidSimulator {
   // ~1e-13 relative, far inside the slack.
   static constexpr double kSaturationSlack = 1e-9;
 
-  // After this many consecutive whole-graph components, skip the component
-  // BFS and solve fully for kFullSolveCooldown events before re-probing.
-  static constexpr std::uint32_t kFullStreakThreshold = 4;
-  static constexpr std::uint32_t kFullSolveCooldown = 32;
-
   // Rate solver.  SolvePending() hands the seeds collected in the batch_*
   // lists to SolveSeeded(), which re-rates what they can move (or
   // everything when incremental mode is off): SolveSeededImpl() partitions
@@ -647,8 +642,6 @@ class FluidSimulator {
   std::vector<std::uint64_t> res_epoch_;
   std::vector<ShardTask> tasks_;
   std::uint64_t solve_epoch_ = 0;
-  std::uint32_t full_solve_streak_ = 0;
-  std::uint32_t full_solve_cooldown_ = 0;
 
   // Shard hints and bookkeeping.  shard_cross_flows_[s] counts active flows
   // that touch shard s and at least one resource outside it; zero means the

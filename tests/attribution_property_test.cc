@@ -89,8 +89,7 @@ struct Coverage {
   int recovered = 0;  // segments erasure rebuilt
 };
 
-// A fresh estimator's Estimate: smoothed = raw, headroom 1, no floors,
-// leases or priorities.
+// A fresh estimator's Estimate: smoothed = raw, headroom 1, no floors.
 std::vector<core::ServerDemand> RefDemands(PoolManager& manager,
                                            const core::AccessBitSampler* bits,
                                            ServerId first, ServerId limit,

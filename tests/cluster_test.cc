@@ -63,12 +63,8 @@ TEST(ServerTest, BackingOnlyWhenRequested) {
 TEST(PoolDeviceTest, CapacityAndCrash) {
   PoolDevice pool(GiB(64), mem::kDefaultFrameSize, false);
   EXPECT_EQ(pool.capacity(), GiB(64));
-  EXPECT_FALSE(pool.crashed());
-  ASSERT_TRUE(pool.Crash().ok());
-  EXPECT_TRUE(pool.crashed());
-  EXPECT_EQ(pool.Crash().code(), StatusCode::kFailedPrecondition);
-  ASSERT_TRUE(pool.Recover().ok());
-  EXPECT_FALSE(pool.crashed());
+  EXPECT_EQ(pool.allocator().capacity_bytes(), GiB(64));
+  EXPECT_FALSE(pool.has_backing());
 }
 
 // --- Paper configurations (§4.1) ---------------------------------------------

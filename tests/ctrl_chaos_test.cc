@@ -14,9 +14,7 @@
 #include "chaos/fault_plan.h"
 #include "common/trace.h"
 #include "core/pool_manager.h"
-#include "ctrl/admission.h"
 #include "ctrl/controller.h"
-#include "ctrl/slo_ledger.h"
 #include "fabric/topology.h"
 #include "sim/fluid.h"
 
@@ -42,11 +40,9 @@ cluster::ClusterConfig Config() {
 struct RunResult {
   std::string trace_json;
   std::string metrics_json;
-  std::string slo_json;
   double local_fraction = 0;
   double fresh_optimum = 0;
   ControllerStats stats;
-  SloAttainment lease_slo;  // "tenant-a" as recorded by the controller
 };
 
 // The bench_ctrl crash scenario in miniature: tenant traffic shifts from
@@ -98,17 +94,6 @@ RunResult RunCrashScenario() {
       config);
   controller->set_metrics(&metrics);
   controller->set_trace(&collector);
-  // SLO accounting: the controller records each active lease's observed
-  // local fraction every epoch.  Server 1 is where the traffic shifts to,
-  // so "tenant-a"'s attainment climbs as migration catches up.
-  SloLedger ledger;
-  SloTargets targets;
-  targets.local_fraction_floor = 0.5;
-  ledger.Register("tenant-a", targets);
-  controller->set_slo_ledger(&ledger);
-  auto lease = controller->admission().RequestAdmission(
-      {"tenant-a", MiB(2), 1.0, cluster::ServerId{1}});
-  EXPECT_TRUE(lease.ok());
   controller->Start();
 
   for (SimTime t = 0; t < kEnd; t += Milliseconds(1)) {
@@ -134,10 +119,6 @@ RunResult RunCrashScenario() {
   run.stats = controller->stats();
   run.trace_json = collector.ToChromeJson();
   run.metrics_json = trace::MetricsJson(metrics);
-  run.slo_json = ledger.Json();
-  if (const SloAttainment* a = ledger.Find("tenant-a"); a != nullptr) {
-    run.lease_slo = *a;
-  }
   return run;
 }
 
@@ -157,30 +138,12 @@ TEST(CtrlChaosTest, CrashTriggersOutOfBandResolveAndPoolRecovers) {
   EXPECT_GE(run.local_fraction, run.fresh_optimum - 0.15);
 }
 
-TEST(CtrlChaosTest, SloLedgerTracksLeaseAttainmentThroughCrash) {
-  const RunResult run = RunCrashScenario();
-  // The controller sampled the lease every epoch (including through the
-  // crash window) — the epoch count bounds the sample count because
-  // out-of-band re-solves also export telemetry.
-  EXPECT_GT(run.lease_slo.local_samples, 0u);
-  EXPECT_GE(run.stats.epochs + run.stats.oob_resolves,
-            run.lease_slo.local_samples);
-  // Before the shift server 1 originates no traffic (vacuously local);
-  // after it, migration pulls the hot set next to it — most epoch samples
-  // clear the 0.5 floor, and the attainment math stays within [0, 1].
-  EXPECT_GE(run.lease_slo.LocalAttainment(), 0.5);
-  EXPECT_LE(run.lease_slo.LocalAttainment(), 1.0);
-  EXPECT_NE(run.slo_json.find("tenant-a"), std::string::npos);
-  EXPECT_NE(run.slo_json.find("\"local\""), std::string::npos);
-}
-
 TEST(CtrlChaosTest, ReplayIsByteIdentical) {
   const RunResult a = RunCrashScenario();
   const RunResult b = RunCrashScenario();
   EXPECT_FALSE(a.trace_json.empty());
   EXPECT_EQ(a.trace_json, b.trace_json);
   EXPECT_EQ(a.metrics_json, b.metrics_json);
-  EXPECT_EQ(a.slo_json, b.slo_json);
   EXPECT_DOUBLE_EQ(a.local_fraction, b.local_fraction);
   EXPECT_EQ(a.stats.resize_bytes, b.stats.resize_bytes);
   EXPECT_EQ(a.stats.drain_bytes, b.stats.drain_bytes);

@@ -1,8 +1,7 @@
 // Tests for the lmp::ctrl control plane: demand estimation (attribution +
 // EWMA smoothing), closed-loop sizing convergence to a fixed point,
 // drain-backed shrinks that land after their priced flows retire (from an
-// epoch or a maintenance Drain), drain victim selection, and the admission
-// controller's admit/queue/reject/preempt/promote lifecycle.
+// epoch or a maintenance Drain), and drain victim selection.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +12,6 @@
 #include "core/pool_manager.h"
 #include "core/replication.h"
 #include "core/sizing.h"
-#include "ctrl/admission.h"
 #include "ctrl/controller.h"
 #include "ctrl/demand_estimator.h"
 #include "fabric/topology.h"
@@ -90,14 +88,6 @@ TEST_F(EstimatorTest, HeadroomFactorOverprovisions) {
   config.headroom_factor = 1.5;
   DemandEstimator est(&manager_, config);
   EXPECT_EQ(est.Estimate(0)[0].pool_demand, MiB(3));
-}
-
-TEST_F(EstimatorTest, LeaseDemandRidesOnTopAndClears) {
-  DemandEstimator est(&manager_);
-  est.SetLeaseDemand(2, MiB(1));
-  EXPECT_EQ(est.Estimate(0)[2].pool_demand, MiB(1));
-  est.ClearLeaseDemands();
-  EXPECT_EQ(est.Estimate(Milliseconds(1000))[2].pool_demand, 0u);
 }
 
 TEST_F(EstimatorTest, ObservedLocalFractionWeighsTraffic) {
@@ -353,20 +343,6 @@ TEST_F(DrainTest, ColdSegmentsLeaveBeforeHotOnes) {
   EXPECT_TRUE(ReadsBack(hot, MiB(1), std::byte{0x02}));
 }
 
-TEST_F(DrainTest, PinnedResidentsBlockTheDrain) {
-  core::AllocOptions pinned;
-  pinned.preferred = cluster::ServerId{0};
-  pinned.locus = "tenant/latency";
-  pinned.mobility = mem::Mobility::kPinned;
-  ASSERT_TRUE(manager_.Allocate(MiB(2), pinned).ok());
-  // The pinned resident is never a drain victim, so with nothing else to
-  // move the retried shrink cannot land.
-  ASSERT_TRUE(DrainAndRun(0, MiB(1)).ok());
-  EXPECT_EQ(controller_.stats().drains_failed, 1u);
-  EXPECT_EQ(controller_.stats().drain_bytes, 0u);
-  EXPECT_EQ(cluster_.server(0).shared_bytes(), MiB(4));
-}
-
 TEST_F(DrainTest, FailsWhenPeersFull) {
   for (cluster::ServerId s = 1; s < 4; ++s) {
     ASSERT_TRUE(manager_.Allocate(MiB(4), s).ok());
@@ -443,8 +419,8 @@ class BlockedResidentsTest : public ::testing::Test {
  protected:
   BlockedResidentsTest() : cluster_(Config(MiB(4))), manager_(&cluster_) {}
 
-  core::SegmentId AllocateOne(Bytes bytes, core::AllocOptions options) {
-    auto buf = manager_.Allocate(bytes, options);
+  core::SegmentId AllocateOne(Bytes bytes, cluster::ServerId server) {
+    auto buf = manager_.Allocate(bytes, server);
     EXPECT_TRUE(buf.ok()) << buf.status();
     const std::vector<core::SegmentId> segments =
         manager_.Describe(*buf)->segments;
@@ -481,36 +457,23 @@ TEST_F(BlockedResidentsTest, TargetZeroReturnsEveryActiveResident) {
       BlockedResidents(manager_, 0, 0, 0);
   EXPECT_EQ(Ids(victims), (std::vector<core::SegmentId>{a, b}));
   EXPECT_EQ(victims[0].size, MiB(1));
-  EXPECT_FALSE(victims[0].pinned);
 }
 
-TEST_F(BlockedResidentsTest, MobileThenLowPriorityThenColdThenId) {
-  core::AllocOptions pinned;
-  pinned.preferred = cluster::ServerId{0};
-  pinned.locus = "tenant/latency";
-  pinned.mobility = mem::Mobility::kPinned;
-  pinned.priority = 0.25;  // cheapest tenant, but pinned sorts last
-  core::AllocOptions cheap;
-  cheap.preferred = cluster::ServerId{0};
-  cheap.priority = 0.5;
-
-  const core::SegmentId pin = AllocateOne(KiB(256), pinned);
-  const core::SegmentId hot = AllocateOne(KiB(256), 0);
+TEST_F(BlockedResidentsTest, ColdestFirstThenLowestId) {
+  const core::SegmentId hotter = AllocateOne(KiB(256), 0);
   const core::SegmentId cold1 = AllocateOne(KiB(256), 0);
-  const core::SegmentId cheap_hot = AllocateOne(KiB(256), cheap);
+  const core::SegmentId hot = AllocateOne(KiB(256), 0);
   const core::SegmentId cold2 = AllocateOne(KiB(256), 0);
+  manager_.access_tracker().RecordAccess(hotter, 0, double(MiB(16)), 0);
   manager_.access_tracker().RecordAccess(hot, 0, double(MiB(8)), 0);
-  manager_.access_tracker().RecordAccess(cheap_hot, 0, double(MiB(16)), 0);
 
   const std::vector<DrainVictim> victims =
       BlockedResidents(manager_, 0, 0, 0);
-  // Equal priority and heat: the lower segment id leaves first.
+  // Equal heat: the lower segment id leaves first.
   EXPECT_EQ(Ids(victims),
-            (std::vector<core::SegmentId>{cheap_hot, cold1, cold2, hot,
-                                          pin}));
-  EXPECT_TRUE(victims.back().pinned);
-  EXPECT_DOUBLE_EQ(victims.front().priority, 0.5);
-  EXPECT_GT(victims.front().heat, victims[3].heat);
+            (std::vector<core::SegmentId>{cold1, cold2, hot, hotter}));
+  EXPECT_DOUBLE_EQ(victims.front().heat, 0.0);
+  EXPECT_LT(victims[2].heat, victims[3].heat);
 }
 
 // The victim list as a walk over the whole segment map: every active
@@ -534,27 +497,23 @@ std::vector<DrainVictim> SegmentMapWalk(core::PoolManager& manager,
       if (run.end() > target_frames) {
         out.push_back(DrainVictim{
             info.id, info.size,
-            manager.access_tracker().TotalBytes(info.id, now),
-            info.mobility == mem::Mobility::kPinned, info.priority});
+            manager.access_tracker().TotalBytes(info.id, now)});
         break;
       }
     }
   });
   std::sort(out.begin(), out.end(),
             [](const DrainVictim& a, const DrainVictim& b) {
-              return std::tie(a.pinned, a.priority, a.heat, a.seg) <
-                     std::tie(b.pinned, b.priority, b.heat, b.seg);
+              return std::tie(a.heat, a.seg) < std::tie(b.heat, b.seg);
             });
   return out;
 }
 
-using VictimKey = std::tuple<core::SegmentId, Bytes, double, bool, double>;
+using VictimKey = std::tuple<core::SegmentId, Bytes, double>;
 
 std::vector<VictimKey> Keys(const std::vector<DrainVictim>& victims) {
   std::vector<VictimKey> keys;
-  for (const DrainVictim& v : victims) {
-    keys.emplace_back(v.seg, v.size, v.heat, v.pinned, v.priority);
-  }
+  for (const DrainVictim& v : victims) keys.emplace_back(v.seg, v.size, v.heat);
   return keys;
 }
 
@@ -567,10 +526,6 @@ TEST_F(BlockedResidentsTest, MatchesSegmentMapWalk) {
   ASSERT_EQ(manager_.segment_map().Find(replicated)->replicas,
             std::vector<core::Location>{core::Location::OnServer(0)});
 
-  core::AllocOptions pinned;
-  pinned.preferred = cluster::ServerId{0};
-  pinned.mobility = mem::Mobility::kPinned;
-  const core::SegmentId pin = AllocateOne(KiB(256), pinned);
   std::vector<core::SegmentId> residents;
   for (int i = 0; i < 6; ++i) residents.push_back(AllocateOne(KiB(256), 0));
   // Bound on server 0 but lost: not a resident either.
@@ -584,7 +539,6 @@ TEST_F(BlockedResidentsTest, MatchesSegmentMapWalk) {
       tracker.RecordAccess(residents[i], s, double((i % 3) * 1000 + s), 0);
     }
   }
-  tracker.RecordAccess(pin, 2, 5000, 0);
   tracker.RecordAccess(replicated, 0, 9000, 0);
   // Server 3 crashes with a segment homed there: that segment is lost and
   // server 3 keeps no frame map at all.
@@ -602,176 +556,16 @@ TEST_F(BlockedResidentsTest, MatchesSegmentMapWalk) {
           << "server " << server << " target " << target;
     }
   }
-  // The setup exercises what it claims: server 0 has six residents (one
-  // lost, one pinned) and the replica bound there.
+  // The setup exercises what it claims: server 0 has five active residents
+  // (a sixth is lost) and the replica bound there.
   const std::vector<DrainVictim> zero = BlockedResidents(manager_, 0, 0, now);
-  EXPECT_EQ(zero.size(), 6u);
-  EXPECT_TRUE(zero.back().pinned);
+  EXPECT_EQ(zero.size(), 5u);
   ASSERT_NE(manager_.FindLocalMap(core::Location::OnServer(0)), nullptr);
   EXPECT_TRUE(
       manager_.FindLocalMap(core::Location::OnServer(0))->Contains(replicated));
   // Asking about a server with no frame map does not create one.
   EXPECT_TRUE(BlockedResidents(manager_, 3, 0, now).empty());
   EXPECT_EQ(manager_.FindLocalMap(core::Location::OnServer(3)), nullptr);
-}
-
-// ------------------------------------------------------ AdmissionController
-
-TEST(AdmissionTest, AdmitQueueRejectLifecycle) {
-  MetricsRegistry metrics;
-  AdmissionController adm(MiB(10));
-  adm.set_metrics(&metrics);
-
-  EXPECT_FALSE(adm.RequestAdmission({"zero", 0, 1.0, {}}).ok());
-  // Larger than the deployment can ever serve: rejected outright.
-  EXPECT_TRUE(IsOutOfMemory(
-      adm.RequestAdmission({"whale", MiB(11), 1.0, {}}).status()));
-  EXPECT_EQ(adm.stats().rejected, 1u);
-
-  auto a = adm.RequestAdmission({"a", MiB(4), 1.0, 0});
-  auto b = adm.RequestAdmission({"b", MiB(5), 1.0, 1});
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(a->state, LeaseState::kActive);
-  EXPECT_EQ(b->state, LeaseState::kActive);
-  EXPECT_EQ(adm.active_bytes(), MiB(9));
-  EXPECT_EQ(adm.headroom(), MiB(1));
-
-  // Fits the deployment but not the current headroom: parked.
-  auto c = adm.RequestAdmission({"c", MiB(2), 1.0, 2});
-  ASSERT_TRUE(c.ok());
-  EXPECT_EQ(c->state, LeaseState::kQueued);
-  EXPECT_EQ(adm.queued_bytes(), MiB(2));
-
-  // Demand is attributed to each lease's preferred server.
-  const auto by_server = adm.DemandByServer();
-  ASSERT_EQ(by_server.size(), 2u);
-  EXPECT_EQ(by_server[0], (std::pair<cluster::ServerId, Bytes>{0, MiB(4)}));
-  EXPECT_EQ(by_server[1], (std::pair<cluster::ServerId, Bytes>{1, MiB(5)}));
-
-  EXPECT_TRUE(IsNotFound(adm.Release(999)));
-  ASSERT_TRUE(adm.Release(a->id).ok());
-  // The freed 4 MiB promotes the queued lease.
-  EXPECT_EQ(adm.Get(c->id)->state, LeaseState::kActive);
-  EXPECT_EQ(adm.stats().promoted, 1u);
-  EXPECT_TRUE(IsFailedPrecondition(adm.Release(a->id)));  // double release
-}
-
-TEST(AdmissionTest, AllocOptionsCarryTenantIdentity) {
-  MetricsRegistry metrics;
-  AdmissionController adm(MiB(10));
-  adm.set_metrics(&metrics);
-
-  TenantSpec spec;
-  spec.name = "latency";
-  spec.bytes = MiB(6);
-  spec.priority = 2.0;
-  spec.preferred = cluster::ServerId{3};
-  spec.mobility = mem::Mobility::kPinned;
-  auto lease = adm.RequestAdmission(spec);
-  ASSERT_TRUE(lease.ok());
-  ASSERT_EQ(lease->state, LeaseState::kActive);
-
-  // Active lease: the attribution server, the per-tenant cohort, and the
-  // spec's mobility/priority flow into frame placement.
-  const core::AllocOptions options = adm.AllocOptionsFor(*lease);
-  EXPECT_EQ(options.preferred, std::optional<cluster::ServerId>(3));
-  EXPECT_EQ(options.locus, "tenant/latency");
-  EXPECT_EQ(options.mobility, mem::Mobility::kPinned);
-  EXPECT_EQ(options.priority, 2.0);
-
-  // Queued lease: no attribution point yet, the spec's preference stands.
-  auto parked = adm.RequestAdmission({"batch", MiB(8), 1.0, {}});
-  ASSERT_TRUE(parked.ok());
-  ASSERT_EQ(parked->state, LeaseState::kQueued);
-  const core::AllocOptions queued = adm.AllocOptionsFor(*parked);
-  EXPECT_EQ(queued.preferred, std::nullopt);
-  EXPECT_EQ(queued.locus, "tenant/batch");
-  EXPECT_EQ(queued.mobility, mem::Mobility::kMobile);
-}
-
-TEST(AdmissionTest, HigherPriorityPreemptsCheapestActive) {
-  MetricsRegistry metrics;
-  AdmissionController adm(MiB(10));
-  adm.set_metrics(&metrics);
-  auto low_old = adm.RequestAdmission({"low-old", MiB(4), 1.0, {}});
-  auto low_new = adm.RequestAdmission({"low-new", MiB(5), 1.0, {}});
-  ASSERT_TRUE(low_old.ok() && low_new.ok());
-
-  // 4 MiB at priority 5 needs 3 MiB beyond headroom; the most recently
-  // admitted low-priority lease is the cheapest victim.
-  auto high = adm.RequestAdmission({"high", MiB(4), 5.0, {}});
-  ASSERT_TRUE(high.ok());
-  EXPECT_EQ(high->state, LeaseState::kActive);
-  EXPECT_EQ(adm.Get(low_new->id)->state, LeaseState::kQueued);
-  EXPECT_EQ(adm.Get(low_old->id)->state, LeaseState::kActive);
-  EXPECT_EQ(adm.stats().preempted, 1u);
-
-  // Another priority-5 request may evict the remaining priority-1 lease
-  // (still strictly lower) but never its priority-5 peer.
-  auto peer = adm.RequestAdmission({"peer", MiB(4), 5.0, {}});
-  ASSERT_TRUE(peer.ok());
-  EXPECT_EQ(peer->state, LeaseState::kActive);
-  EXPECT_EQ(adm.Get(low_old->id)->state, LeaseState::kQueued);
-  EXPECT_EQ(adm.Get(high->id)->state, LeaseState::kActive);
-  EXPECT_EQ(adm.stats().preempted, 2u);
-
-  // With only priority-5 leases left active, an equal-priority request has
-  // nothing to preempt: it queues.
-  auto third = adm.RequestAdmission({"third", MiB(4), 5.0, {}});
-  ASSERT_TRUE(third.ok());
-  EXPECT_EQ(third->state, LeaseState::kQueued);
-  EXPECT_EQ(adm.stats().preempted, 2u);
-}
-
-TEST(AdmissionTest, CapacityShrinkShedsThenRegrowthPromotes) {
-  MetricsRegistry metrics;
-  AdmissionController adm(MiB(10));
-  adm.set_metrics(&metrics);
-  auto a = adm.RequestAdmission({"a", MiB(4), 2.0, {}});
-  auto b = adm.RequestAdmission({"b", MiB(5), 1.0, {}});
-  ASSERT_TRUE(a.ok() && b.ok());
-
-  // A crash (or organic growth) shrinks lease capacity under the active
-  // set: the lowest-priority lease is shed.
-  adm.UpdateHeadroom(MiB(6), 0);
-  EXPECT_EQ(adm.Get(a->id)->state, LeaseState::kActive);
-  EXPECT_EQ(adm.Get(b->id)->state, LeaseState::kQueued);
-
-  // Organic demand eats into headroom the same way.
-  adm.UpdateHeadroom(MiB(10), MiB(7));
-  EXPECT_EQ(adm.Get(a->id)->state, LeaseState::kQueued);
-
-  // Capacity returns: both come back, highest priority first.
-  adm.UpdateHeadroom(MiB(10), 0);
-  EXPECT_EQ(adm.Get(a->id)->state, LeaseState::kActive);
-  EXPECT_EQ(adm.Get(b->id)->state, LeaseState::kActive);
-  EXPECT_GE(adm.stats().promoted, 2u);
-}
-
-TEST_F(ControllerTest, AdmissionLeasesFeedTheSizingLoop) {
-  // A lease admitted through the controller's admission front door becomes
-  // demand the next epoch actuates: the lease's server grows a region.
-  ControllerConfig config;
-  config.min_step = KiB(64);
-  config.cooldown = 0;  // every epoch in this test runs at t=0
-  auto controller = MakeController(config);
-  // Fresh cluster: every region starts at 8 MiB, first epoch shrinks the
-  // idle ones to zero.
-  controller->RunEpochNow();
-  EXPECT_EQ(cluster_.server(2).shared_bytes(), 0u);
-
-  auto lease = controller->admission().RequestAdmission(
-      {"tenant", MiB(3), 1.0, cluster::ServerId{2}});
-  ASSERT_TRUE(lease.ok());
-  EXPECT_EQ(lease->state, LeaseState::kActive);
-  EXPECT_EQ(lease->server, 2u);
-  controller->RunEpochNow();
-  EXPECT_EQ(cluster_.server(2).shared_bytes(), MiB(3));
-
-  // Release: the demand evaporates and the region is reclaimed.
-  ASSERT_TRUE(controller->admission().Release(lease->id).ok());
-  controller->RunEpochNow();
-  EXPECT_EQ(cluster_.server(2).shared_bytes(), 0u);
 }
 
 }  // namespace

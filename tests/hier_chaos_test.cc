@@ -125,7 +125,6 @@ RunResult RunRackFailScenario(int threads) {
   SloTargets targets;
   targets.local_fraction_floor = 0.6;
   ledger.Register("tenant-a", targets);
-  hier->set_slo_ledger(&ledger);
   hier->Start();
 
   // The tenant's locality experience is its consumer's: score server 4's

@@ -2,8 +2,7 @@
 // estimation (rack attribution, pull candidates, access-bit sourcing),
 // the GlobalCoordinator's pure rack-level solve, RackController grant
 // execution, the assembled HierController's cross-rack locality repair,
-// lockstep determinism across simulator thread counts, and the op-p99
-// SLO probes that feed tail latency back into sizing priority.
+// and lockstep determinism across simulator thread counts.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -18,7 +17,6 @@
 #include "ctrl/demand_estimator.h"
 #include "ctrl/hier/global_coordinator.h"
 #include "ctrl/hier/hier_controller.h"
-#include "ctrl/slo_ledger.h"
 #include "fabric/topology.h"
 #include "sim/fluid.h"
 
@@ -598,129 +596,6 @@ TEST(HierControllerTest, RackTierHandlesRackLocalHotspotWithoutTheSpine) {
 
 TEST(HierControllerTest, FlatControllerCrossesTheSpineOnTheSameHotspot) {
   EXPECT_GT(RunHotspot(/*hierarchical=*/false), 0u);
-}
-
-// ------------------------------------------------------------ op-SLO probes
-
-class OpSloProbeTest : public ::testing::Test {
- protected:
-  OpSloProbeTest() : cluster_(Config()), manager_(&cluster_) {
-    manager_.access_tracker().set_half_life(Milliseconds(50));
-    manager_.set_metrics(&metrics_);
-  }
-
-  std::unique_ptr<SizingController> MakeController() {
-    ControllerConfig config;
-    config.period = Milliseconds(5);
-    auto controller = std::make_unique<SizingController>(
-        SizingController::Bindings{.sim = &sim_, .manager = &manager_},
-        config);
-    controller->set_metrics(&metrics_);
-    return controller;
-  }
-
-  sim::FluidSimulator sim_;
-  cluster::Cluster cluster_;
-  core::PoolManager manager_;
-  MetricsRegistry metrics_;
-};
-
-TEST_F(OpSloProbeTest, BreachBoostsPriorityAndRecoveryRestoresIt) {
-  SloLedger ledger;
-  SloTargets targets;
-  targets.max_op_p99 = Milliseconds(1);
-  ledger.Register("tenant-a", targets);
-
-  auto controller = MakeController();
-  controller->set_slo_ledger(&ledger);
-  OpSloProbe probe;
-  probe.tenant = "tenant-a";
-  probe.registry = &metrics_;
-  probe.histogram = "tenant-a.get";
-  probe.p99_ceiling = Milliseconds(1);
-  probe.server = 1;
-  probe.base_priority = 1.0;
-  probe.boost_priority = 4.0;
-  controller->AddOpSloProbe(probe);
-
-  // Ten slow ops: the sampled p99 (~2ms) breaches the 1ms ceiling, the
-  // probe boosts server 1's sizing priority, and the ledger records a
-  // missed sample.
-  metrics_.GetHistogram("tenant-a.get").RecordMany(Milliseconds(2), 10);
-  controller->RunEpochNow();
-  EXPECT_EQ(controller->stats().p99_breaches, 1u);
-  EXPECT_DOUBLE_EQ(controller->estimator().Estimate(0)[1].priority, 4.0);
-  const SloAttainment* a = ledger.Find("tenant-a");
-  ASSERT_NE(a, nullptr);
-  EXPECT_EQ(a->op_p99_samples, 1u);
-  EXPECT_EQ(a->op_p99_met, 0u);
-  EXPECT_GE(a->op_p99_worst, Milliseconds(2) * 9 / 10);
-  EXPECT_FALSE(a->Met());
-
-  // The tail recovers (the slow ops drown in fast ones): the next epoch's
-  // sample meets the target, the boost is withdrawn, and the breach count
-  // does not grow.
-  metrics_.GetHistogram("tenant-a.get").RecordMany(Microseconds(100), 5000);
-  controller->RunEpochNow();
-  EXPECT_EQ(controller->stats().p99_breaches, 1u);
-  EXPECT_DOUBLE_EQ(controller->estimator().Estimate(0)[1].priority, 1.0);
-  EXPECT_EQ(a->op_p99_samples, 2u);
-  EXPECT_EQ(a->op_p99_met, 1u);
-  EXPECT_DOUBLE_EQ(a->OpP99Attainment(), 0.5);
-}
-
-TEST_F(OpSloProbeTest, ProbeWithoutTrafficTakesNoSamples) {
-  SloLedger ledger;
-  auto controller = MakeController();
-  controller->set_slo_ledger(&ledger);
-  OpSloProbe probe;
-  probe.tenant = "tenant-idle";
-  probe.registry = &metrics_;
-  probe.histogram = "tenant-idle.get";  // never recorded
-  probe.p99_ceiling = Milliseconds(1);
-  controller->AddOpSloProbe(probe);
-  controller->RunEpochNow();
-  EXPECT_EQ(controller->stats().p99_breaches, 0u);
-  const SloAttainment* a = ledger.Find("tenant-idle");
-  EXPECT_TRUE(a == nullptr || a->op_p99_samples == 0u);
-}
-
-TEST_F(OpSloProbeTest, HierRoutesProbeToTheOwningRack) {
-  auto topo = fabric::Topology::MakeLogical(&sim_, kServers,
-                                            fabric::LinkProfile::Link1());
-  topo.AssignRackShards(kPerRack);
-  SloLedger ledger;
-  SloTargets targets;
-  targets.max_op_p99 = Milliseconds(1);
-  ledger.Register("tenant-b", targets);
-  HierConfig hc;
-  hc.period = Milliseconds(5);
-  auto hier = std::make_unique<HierController>(
-      HierController::Bindings{.sim = &sim_, .manager = &manager_,
-                               .topology = &topo},
-      hc);
-  hier->set_metrics(&metrics_);
-  hier->set_slo_ledger(&ledger);
-  OpSloProbe probe;
-  probe.tenant = "tenant-b";
-  probe.registry = &metrics_;
-  probe.histogram = "tenant-b.get";
-  probe.p99_ceiling = Milliseconds(1);
-  probe.server = 4;  // rack 1
-  probe.boost_priority = 3.0;
-  hier->AddOpSloProbe(probe);
-
-  metrics_.GetHistogram("tenant-b.get").RecordMany(Milliseconds(2), 10);
-  hier->RunEpochNow();
-  // The breach registered on rack 1's scoped controller (and only there),
-  // boosting server 4's priority in its rack-local demand vector.
-  EXPECT_EQ(hier->rack(1).sizing().stats().p99_breaches, 1u);
-  EXPECT_EQ(hier->rack(0).sizing().stats().p99_breaches, 0u);
-  const auto demands = hier->rack(1).sizing().estimator().Estimate(0);
-  EXPECT_DOUBLE_EQ(demands[4 - kPerRack].priority, 3.0);
-  const SloAttainment* a = ledger.Find("tenant-b");
-  ASSERT_NE(a, nullptr);
-  EXPECT_EQ(a->op_p99_samples, 1u);
 }
 
 }  // namespace

@@ -343,79 +343,6 @@ TEST_F(PoolManagerTest, CompactSegmentRehomesBelowTheCut) {
   EXPECT_EQ(out, data);
 }
 
-TEST_F(PoolManagerTest, AllocOptionsPlaceTenantCohorts) {
-  AllocOptions mobile_opts;
-  mobile_opts.preferred = cluster::ServerId{1};
-  mobile_opts.locus = "tenant/a";
-  AllocOptions pinned_opts;
-  pinned_opts.preferred = cluster::ServerId{1};
-  pinned_opts.locus = "tenant/b";
-  pinned_opts.mobility = mem::Mobility::kPinned;
-  pinned_opts.priority = 2.0;
-
-  auto a = manager_.Allocate(MiB(1), mobile_opts);
-  auto b = manager_.Allocate(MiB(1), pinned_opts);
-  ASSERT_TRUE(a.ok() && b.ok());
-  const SegmentInfo* sa =
-      manager_.segment_map().Find(manager_.Describe(*a)->segments[0]);
-  const SegmentInfo* sb =
-      manager_.segment_map().Find(manager_.Describe(*b)->segments[0]);
-  ASSERT_TRUE(sa != nullptr && sb != nullptr);
-  EXPECT_EQ(sa->locus, "tenant/a");
-  EXPECT_EQ(sa->mobility, mem::Mobility::kMobile);
-  EXPECT_EQ(sb->locus, "tenant/b");
-  EXPECT_EQ(sb->mobility, mem::Mobility::kPinned);
-  EXPECT_EQ(sb->priority, 2.0);
-  EXPECT_EQ(sa->home.server, 1u);
-  EXPECT_EQ(sb->home.server, 1u);
-
-  // The cohorts pack outward on the home allocator: 4 MiB shared at 4 KiB
-  // frames = 1024 frames; the mobile MiB sits at the bottom, the pinned
-  // MiB at the top, nothing in the middle.
-  const auto& alloc = cluster_.server(1).shared_allocator();
-  EXPECT_TRUE(alloc.IsAllocated(0));
-  EXPECT_TRUE(alloc.IsAllocated(255));
-  EXPECT_FALSE(alloc.IsAllocated(512));
-  EXPECT_TRUE(alloc.IsAllocated(768));
-  EXPECT_TRUE(alloc.IsAllocated(1023));
-
-  // Compaction is for mobile data; a pinned cohort refuses to move.
-  auto rec = manager_.CompactSegment(sb->id, MiB(4));
-  EXPECT_TRUE(IsFailedPrecondition(rec.status()));
-}
-
-// Regression: a cohort name that comes back with the other mobility must
-// be placed by the mobility it asks for now.  A per-allocator registry
-// keyed by name used to keep the first mobility it saw, so a "pinned"
-// segment landed at the low, compactable end of the region.
-TEST_F(PoolManagerTest, CohortMobilityDecidesFrameDirectionPerRequest) {
-  AllocOptions mobile_opts;
-  mobile_opts.preferred = cluster::ServerId{1};
-  mobile_opts.locus = "tenant/x";
-  AllocOptions pinned_opts = mobile_opts;
-  pinned_opts.mobility = mem::Mobility::kPinned;
-
-  auto a = manager_.Allocate(MiB(1), mobile_opts);
-  auto b = manager_.Allocate(MiB(1), pinned_opts);
-  ASSERT_TRUE(a.ok() && b.ok());
-  const SegmentInfo* sb =
-      manager_.segment_map().Find(manager_.Describe(*b)->segments[0]);
-  ASSERT_TRUE(sb != nullptr);
-  ASSERT_EQ(sb->home.server, 1u);
-  EXPECT_EQ(sb->mobility, mem::Mobility::kPinned);
-
-  // 4 MiB shared at 4 KiB frames = 1024 frames: the pinned MiB is the top
-  // 256 frames, and the mobile MiB keeps the bottom 256.
-  const auto runs = manager_.local_map(sb->home).RunsOf(sb->id);
-  ASSERT_TRUE(runs.ok());
-  ASSERT_EQ(runs->size(), 1u);
-  EXPECT_EQ((*runs)[0], (mem::FrameRun{768, 256}));
-  const auto& alloc = cluster_.server(1).shared_allocator();
-  EXPECT_TRUE(alloc.IsAllocated(255));
-  EXPECT_FALSE(alloc.IsAllocated(256));
-  EXPECT_FALSE(alloc.IsAllocated(767));
-}
-
 TEST_F(PoolManagerTest, CompactSegmentIsNoOpWhenAlreadyBelow) {
   auto buf = manager_.Allocate(KiB(16), 0);
   ASSERT_TRUE(buf.ok());
