@@ -1,7 +1,5 @@
 #include "core/local_map.h"
 
-#include <algorithm>
-
 namespace lmp::core {
 
 Status LocalFrameMap::Bind(SegmentId id, Bytes size,
@@ -21,45 +19,6 @@ Status LocalFrameMap::Bind(SegmentId id, Bytes size,
 Status LocalFrameMap::Unbind(SegmentId id) {
   if (map_.erase(id) == 0) return NotFoundError("segment not bound");
   return Status::Ok();
-}
-
-StatusOr<std::vector<PhysicalExtent>> LocalFrameMap::Resolve(
-    SegmentId id, Bytes offset, Bytes len) const {
-  auto it = map_.find(id);
-  if (it == map_.end()) return NotFoundError("segment not bound here");
-  const Binding& b = it->second;
-  if (offset + len > b.size) {
-    return InvalidArgumentError("range exceeds segment size");
-  }
-
-  std::vector<PhysicalExtent> extents;
-  Bytes remaining = len;
-  Bytes pos = offset;  // byte position within the segment
-  // Walk the runs to find the one containing `pos`, then emit extents.
-  Bytes run_start = 0;  // segment-relative start of the current run
-  for (const auto& run : b.runs) {
-    const Bytes run_bytes = run.count * frame_size_;
-    if (remaining == 0) break;
-    if (pos >= run_start + run_bytes) {
-      run_start += run_bytes;
-      continue;
-    }
-    const Bytes within = pos - run_start;
-    const Bytes avail = run_bytes - within;
-    const Bytes take = std::min(remaining, avail);
-    extents.push_back(PhysicalExtent{
-        run.first + within / frame_size_,
-        within % frame_size_,
-        take,
-    });
-    pos += take;
-    remaining -= take;
-    run_start += run_bytes;
-  }
-  if (remaining != 0) {
-    return InternalError("frame runs shorter than bound size");
-  }
-  return extents;
 }
 
 StatusOr<std::vector<mem::FrameRun>> LocalFrameMap::RunsOf(

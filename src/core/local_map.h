@@ -6,6 +6,7 @@
 // the paper's two-step translation argument.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -34,10 +35,11 @@ class LocalFrameMap {
 
   bool Contains(SegmentId id) const { return map_.contains(id); }
 
-  // Step-2 resolution: the physical extents covering [offset, offset+len).
-  // Extents never span frame-run boundaries.
-  StatusOr<std::vector<PhysicalExtent>> Resolve(SegmentId id, Bytes offset,
-                                                Bytes len) const;
+  // Step-2 resolution: calls fn(const PhysicalExtent&) for each physical
+  // extent covering [offset, offset+len) of a bound segment, in order.
+  // Extents never span frame-run boundaries.  Allocates nothing.
+  template <typename Fn>
+  Status ForEachExtent(SegmentId id, Bytes offset, Bytes len, Fn&& fn) const;
 
   // Frame runs backing a segment (migration source / free on unbind).
   StatusOr<std::vector<mem::FrameRun>> RunsOf(SegmentId id) const;
@@ -59,5 +61,33 @@ class LocalFrameMap {
   Bytes frame_size_;
   std::unordered_map<SegmentId, Binding> map_;
 };
+
+template <typename Fn>
+Status LocalFrameMap::ForEachExtent(SegmentId id, Bytes offset, Bytes len,
+                                    Fn&& fn) const {
+  auto it = map_.find(id);
+  if (it == map_.end()) return NotFoundError("segment not bound here");
+  const Binding& b = it->second;
+  if (offset + len > b.size) {
+    return InvalidArgumentError("range exceeds segment size");
+  }
+  Bytes pos = offset;  // byte position within the segment
+  const Bytes end = offset + len;
+  Bytes run_start = 0;  // segment-relative start of the current run
+  for (const mem::FrameRun& run : b.runs) {
+    if (pos == end) break;
+    const Bytes run_end = run_start + run.count * frame_size_;
+    if (pos < run_end) {
+      const Bytes within = pos - run_start;
+      const Bytes take = std::min(end, run_end) - pos;
+      fn(PhysicalExtent{run.first + within / frame_size_,
+                        within % frame_size_, take});
+      pos += take;
+    }
+    run_start = run_end;
+  }
+  if (pos != end) return InternalError("frame runs shorter than bound size");
+  return Status::Ok();
+}
 
 }  // namespace lmp::core

@@ -123,6 +123,7 @@ StatusOr<BufferId> PoolManager::Allocate(Bytes bytes,
     info.segments.push_back(seg.id);
   }
 
+  RebuildEnds(info);
   buffers_[info.id] = std::move(info);
   metrics_->Increment("lmp.alloc.buffers");
   metrics_->Increment("lmp.alloc.bytes", bytes);
@@ -142,63 +143,58 @@ Status PoolManager::SplitSegmentAt(BufferId buffer, Bytes offset) {
   }
 
   // Locate the owning segment and the split point within it.
-  Bytes seg_start = 0;
-  for (std::size_t idx = 0; idx < info.segments.size(); ++idx) {
-    SegmentInfo* seg = segments_.FindMutable(info.segments[idx]);
-    LMP_CHECK(seg != nullptr);
-    const Bytes seg_end = seg_start + seg->size;
-    if (offset == seg_start || offset == seg_end) {
-      return Status::Ok();  // already a segment boundary: nothing to do
-    }
-    if (offset < seg_end) {
-      if (seg->state != SegmentState::kActive) {
-        return FailedPreconditionError("segment not active");
-      }
-      if (!seg->replicas.empty()) {
-        return FailedPreconditionError(
-            "cannot split a replicated segment");
-      }
-      const Bytes within = offset - seg_start;
-      // Partition the frame runs at `within`.
-      LMP_ASSIGN_OR_RETURN(auto runs, local_map(seg->home).RunsOf(seg->id));
-      std::vector<mem::FrameRun> head, tail;
-      Bytes covered = 0;
-      for (const mem::FrameRun& run : runs) {
-        const Bytes run_bytes = run.count * frame_size;
-        if (covered + run_bytes <= within) {
-          head.push_back(run);
-        } else if (covered >= within) {
-          tail.push_back(run);
-        } else {
-          const std::uint64_t head_frames =
-              (within - covered) / frame_size;
-          head.push_back(mem::FrameRun{run.first, head_frames});
-          tail.push_back(mem::FrameRun{run.first + head_frames,
-                                       run.count - head_frames});
-        }
-        covered += run_bytes;
-      }
-
-      // New segment for the tail; shrink the head in place.
-      SegmentInfo tail_seg;
-      tail_seg.id = next_segment_++;
-      tail_seg.size = seg->size - within;
-      tail_seg.home = seg->home;
-      LMP_RETURN_IF_ERROR(segments_.Insert(tail_seg));
-      const Location home = seg->home;
-      LMP_CHECK_OK(local_map(home).Unbind(seg->id));
-      seg->size = within;
-      ++seg->generation;  // cached translations must re-resolve
-      LMP_CHECK_OK(local_map(home).Bind(seg->id, within, std::move(head)));
-      LMP_CHECK_OK(local_map(home).Bind(tail_seg.id, tail_seg.size,
-                                        std::move(tail)));
-      info.segments.insert(info.segments.begin() + idx + 1, tail_seg.id);
-      metrics_->Increment("lmp.segment.splits");
-      return Status::Ok();
-    }
-    seg_start = seg_end;
+  const std::size_t idx = SegmentIndexAt(info, offset);
+  const Bytes seg_start = idx == 0 ? 0 : info.ends[idx - 1];
+  if (offset == seg_start) {
+    return Status::Ok();  // already a segment boundary: nothing to do
   }
-  return InternalError("split offset not covered by segments");
+  SegmentInfo* seg = segments_.FindMutable(info.segments[idx]);
+  LMP_CHECK(seg != nullptr);
+  if (seg->state != SegmentState::kActive) {
+    return FailedPreconditionError("segment not active");
+  }
+  if (!seg->replicas.empty()) {
+    return FailedPreconditionError("cannot split a replicated segment");
+  }
+  const Bytes within = offset - seg_start;
+  // Partition the frame runs at `within`.
+  LMP_ASSIGN_OR_RETURN(auto runs, local_map(seg->home).RunsOf(seg->id));
+  std::vector<mem::FrameRun> head, tail;
+  Bytes covered = 0;
+  for (const mem::FrameRun& run : runs) {
+    const Bytes run_bytes = run.count * frame_size;
+    if (covered + run_bytes <= within) {
+      head.push_back(run);
+    } else if (covered >= within) {
+      tail.push_back(run);
+    } else {
+      const std::uint64_t head_frames = (within - covered) / frame_size;
+      head.push_back(mem::FrameRun{run.first, head_frames});
+      tail.push_back(
+          mem::FrameRun{run.first + head_frames, run.count - head_frames});
+    }
+    covered += run_bytes;
+  }
+
+  // New segment for the tail; shrink the head in place.
+  SegmentInfo tail_seg;
+  tail_seg.id = next_segment_++;
+  tail_seg.size = seg->size - within;
+  tail_seg.home = seg->home;
+  LMP_RETURN_IF_ERROR(segments_.Insert(tail_seg));
+  const Location home = seg->home;
+  LMP_CHECK_OK(local_map(home).Unbind(seg->id));
+  seg->size = within;
+  ++seg->generation;  // cached translations must re-resolve
+  LMP_CHECK_OK(local_map(home).Bind(seg->id, within, std::move(head)));
+  LMP_CHECK_OK(
+      local_map(home).Bind(tail_seg.id, tail_seg.size, std::move(tail)));
+  info.segments.insert(
+      info.segments.begin() + static_cast<std::ptrdiff_t>(idx) + 1,
+      tail_seg.id);
+  RebuildEnds(info);
+  metrics_->Increment("lmp.segment.splits");
+  return Status::Ok();
 }
 
 Status PoolManager::Grow(BufferId buffer, Bytes delta,
@@ -214,6 +210,7 @@ Status PoolManager::Grow(BufferId buffer, Bytes delta,
   info.segments.insert(info.segments.end(), ext_info.segments.begin(),
                        ext_info.segments.end());
   info.size += delta;
+  RebuildEnds(info);
   buffers_.erase(extension);
   metrics_->Increment("lmp.grow.bytes", delta);
   return Status::Ok();
@@ -228,13 +225,9 @@ Status PoolManager::Shrink(BufferId buffer, Bytes new_size) {
   }
   if (new_size == info.size) return Status::Ok();
 
-  // Find the segment boundary at `new_size`.
-  Bytes covered = 0;
-  std::size_t keep = 0;
-  for (; keep < info.segments.size() && covered < new_size; ++keep) {
-    covered += segments_.Find(info.segments[keep])->size;
-  }
-  if (covered != new_size) {
+  // Keep the segments below `new_size`; it must be a segment boundary.
+  const std::size_t keep = SegmentIndexAt(info, new_size);
+  if (keep == 0 || info.ends[keep - 1] != new_size) {
     return FailedPreconditionError(
         "shrink point inside a segment; SplitSegmentAt first");
   }
@@ -264,6 +257,7 @@ Status PoolManager::Shrink(BufferId buffer, Bytes new_size) {
   metrics_->Increment("lmp.shrink.bytes", info.size - new_size);
   info.segments.resize(keep);
   info.size = new_size;
+  RebuildEnds(info);
   return Status::Ok();
 }
 
@@ -329,55 +323,25 @@ StatusOr<BufferInfo> PoolManager::Describe(BufferId buffer) const {
   return it->second;
 }
 
-StatusOr<std::vector<PoolManager::ResolvedPiece>> PoolManager::ResolveRange(
-    BufferId buffer, Bytes offset, Bytes len) const {
-  auto it = buffers_.find(buffer);
-  if (it == buffers_.end()) return NotFoundError("unknown buffer");
-  const BufferInfo& info = it->second;
-  if (offset + len > info.size) {
-    return InvalidArgumentError("range exceeds buffer size");
+void PoolManager::RebuildEnds(BufferInfo& info) const {
+  info.ends.resize(info.segments.size());
+  Bytes end = 0;
+  for (std::size_t i = 0; i < info.segments.size(); ++i) {
+    const SegmentInfo* si = segments_.Find(info.segments[i]);
+    LMP_CHECK(si != nullptr && si->size > 0);
+    end += si->size;
+    info.ends[i] = end;
   }
-
-  std::vector<ResolvedPiece> pieces;
-  Bytes seg_start = 0;
-  Bytes remaining = len;
-  Bytes pos = offset;
-  for (SegmentId seg : info.segments) {
-    if (remaining == 0) break;
-    const SegmentInfo* si = segments_.Find(seg);
-    LMP_CHECK(si != nullptr);
-    const Bytes seg_end = seg_start + si->size;
-    if (pos < seg_end) {
-      const Bytes within = pos - seg_start;
-      const Bytes take = std::min(remaining, si->size - within);
-      pieces.push_back(ResolvedPiece{seg, within, take});
-      pos += take;
-      remaining -= take;
-    }
-    seg_start = seg_end;
-  }
-  if (remaining != 0) return InternalError("segments shorter than buffer");
-  return pieces;
+  LMP_CHECK(end == info.size) << "segments do not cover the buffer";
 }
 
 StatusOr<std::vector<LocatedSpan>> PoolManager::Spans(BufferId buffer,
                                                       Bytes offset,
                                                       Bytes len) const {
-  LMP_ASSIGN_OR_RETURN(auto pieces, ResolveRange(buffer, offset, len));
   std::vector<LocatedSpan> spans;
-  for (const ResolvedPiece& p : pieces) {
-    const SegmentInfo* si = segments_.Find(p.segment);
-    LMP_CHECK(si != nullptr);
-    if (si->state == SegmentState::kLost) {
-      return DataLossError("segment " + std::to_string(p.segment) +
-                           " lost to a crash");
-    }
-    if (!spans.empty() && spans.back().location == si->home) {
-      spans.back().bytes += p.len;
-    } else {
-      spans.push_back(LocatedSpan{si->home, p.len, p.segment});
-    }
-  }
+  LMP_RETURN_IF_ERROR(ForEachSpan(
+      buffer, offset, len,
+      [&spans](const LocatedSpan& span) { spans.push_back(span); }));
   return spans;
 }
 
@@ -400,62 +364,57 @@ Status PoolManager::AccessImpl(cluster::ServerId from, BufferId buffer,
                                std::span<std::byte> read_out,
                                std::span<const std::byte> write_in,
                                SimTime now) {
-  LMP_ASSIGN_OR_RETURN(auto pieces, ResolveRange(buffer, offset, len));
   const Bytes frame_size = cluster_->config().frame_size;
-
   Bytes cursor = 0;  // position within read_out / write_in
-  for (const ResolvedPiece& p : pieces) {
-    const SegmentInfo* si = segments_.Find(p.segment);
-    LMP_CHECK(si != nullptr);
-    if (si->state == SegmentState::kLost) {
-      return DataLossError("segment lost");
-    }
-    tracker_.RecordAccess(p.segment, from, static_cast<double>(p.len), now);
-
-    if (read_out.empty() && write_in.empty()) {
-      cursor += p.len;
-      continue;  // Touch(): accounting only
-    }
-
-    mem::BackingStore* store = BackingAt(si->home);
-    if (store == nullptr) {
-      return FailedPreconditionError(
-          "cluster built without backing stores; use Touch()");
-    }
-    const Bytes piece_start = cursor;
-    LMP_ASSIGN_OR_RETURN(
-        auto extents,
-        local_maps_.at(si->home).Resolve(p.segment, p.seg_offset, p.len));
-    for (const PhysicalExtent& e : extents) {
-      const Bytes byte_off = e.frame * frame_size + e.offset_in_frame;
-      if (!read_out.empty()) {
-        store->Read(byte_off, read_out.subspan(cursor, e.length));
-      } else {
-        store->Write(byte_off, write_in.subspan(cursor, e.length));
-      }
-      cursor += e.length;
-    }
-    if (read_out.empty() && !si->replicas.empty()) {
-      // Write-through to every replica.  Failure masking (§5) and the
-      // zero-copy migration fast path both promote a replica wholesale, so
-      // the copies must track the primary byte-for-byte — a point-in-time
-      // copy silently reverts every write made since protection.
-      for (const Location& rep : si->replicas) {
-        mem::BackingStore* rstore = BackingAt(rep);
-        if (rstore == nullptr) continue;
-        LMP_ASSIGN_OR_RETURN(
-            auto rep_extents,
-            local_maps_.at(rep).Resolve(p.segment, p.seg_offset, p.len));
-        Bytes rep_cursor = piece_start;
-        for (const PhysicalExtent& e : rep_extents) {
-          rstore->Write(e.frame * frame_size + e.offset_in_frame,
-                        write_in.subspan(rep_cursor, e.length));
-          rep_cursor += e.length;
+  return ForEachPiece(
+      buffer, offset, len,
+      [&](const SegmentInfo& si, Bytes seg_offset, Bytes piece) -> Status {
+        if (si.state == SegmentState::kLost) {
+          return DataLossError("segment lost");
         }
-      }
-    }
-  }
-  return Status::Ok();
+        tracker_.RecordAccess(si.id, from, static_cast<double>(piece), now);
+
+        if (read_out.empty() && write_in.empty()) {
+          cursor += piece;
+          return Status::Ok();  // Touch(): accounting only
+        }
+
+        mem::BackingStore* store = BackingAt(si.home);
+        if (store == nullptr) {
+          return FailedPreconditionError(
+              "cluster built without backing stores; use Touch()");
+        }
+        const Bytes piece_start = cursor;
+        LMP_RETURN_IF_ERROR(local_maps_.at(si.home).ForEachExtent(
+            si.id, seg_offset, piece, [&](const PhysicalExtent& e) {
+              const Bytes byte_off = e.frame * frame_size + e.offset_in_frame;
+              if (!read_out.empty()) {
+                store->Read(byte_off, read_out.subspan(cursor, e.length));
+              } else {
+                store->Write(byte_off, write_in.subspan(cursor, e.length));
+              }
+              cursor += e.length;
+            }));
+        if (read_out.empty() && !si.replicas.empty()) {
+          // Write-through to every replica.  Failure masking (§5) and the
+          // zero-copy migration fast path both promote a replica
+          // wholesale, so the copies must track the primary byte-for-byte
+          // — a point-in-time copy silently reverts every write made since
+          // protection.
+          for (const Location& rep : si.replicas) {
+            mem::BackingStore* rstore = BackingAt(rep);
+            if (rstore == nullptr) continue;
+            Bytes rep_cursor = piece_start;
+            LMP_RETURN_IF_ERROR(local_maps_.at(rep).ForEachExtent(
+                si.id, seg_offset, piece, [&](const PhysicalExtent& e) {
+                  rstore->Write(e.frame * frame_size + e.offset_in_frame,
+                                write_in.subspan(rep_cursor, e.length));
+                  rep_cursor += e.length;
+                }));
+          }
+        }
+        return Status::Ok();
+      });
 }
 
 Status PoolManager::Read(cluster::ServerId from, BufferId buffer,

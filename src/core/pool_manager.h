@@ -9,17 +9,29 @@
 //
 // Buffers: an application allocation may span several segments (one per
 // placement chunk).  A Buffer is an ordered list of segments; buffer
-// offsets resolve to (segment, offset) pairs by prefix sums.
+// offsets resolve to (segment, offset) pairs by prefix sums: each buffer
+// keeps its segments' end offsets, so the first segment of a range is one
+// binary search away and each further segment piece costs one SegmentMap
+// lookup.
+//
+// The access path allocates nothing per call.  Read, Write and Touch visit
+// the range's segment pieces and, within each, the frame map's extents in
+// place (LocalFrameMap::ForEachExtent); ForEachSpan hands the merged
+// LocatedSpans to a visitor, which is what the op engine prices.  Spans
+// collects the same spans into a vector for callers that keep them.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "common/logging.h"
 #include "common/metrics.h"
 #include "common/status.h"
 #include "common/units.h"
@@ -44,6 +56,9 @@ struct BufferInfo {
   BufferId id = kInvalidBuffer;
   Bytes size = 0;
   std::vector<SegmentId> segments;  // in logical order
+  // ends[i]: the buffer offset one past segments[i] (prefix sums of the
+  // segment sizes, which are never 0; ends.back() == size).
+  std::vector<Bytes> ends;
 };
 
 // A contiguous piece of a buffer homed at one location; what the timing
@@ -128,9 +143,17 @@ class PoolManager {
   };
   PoolSnapshot Snapshot(SimTime now) const;
 
-  // The located spans covering [offset, offset+len) of a buffer, merged
-  // per contiguous location.  This is the locality picture Figures 2–5 are
-  // built from.
+  // Calls fn(const LocatedSpan&) for each located span covering
+  // [offset, offset+len) of a buffer, in buffer order, merged per
+  // contiguous location.  This is the locality picture Figures 2–5 are
+  // built from.  Allocates nothing.  Fails with kNotFound for an unknown
+  // buffer, kInvalidArgument for a range past its end and kDataLoss when a
+  // covering segment was lost to a crash; on kDataLoss fn may already have
+  // seen the spans before the lost one.
+  template <typename Fn>
+  Status ForEachSpan(BufferId buffer, Bytes offset, Bytes len, Fn&& fn) const;
+
+  // ForEachSpan's spans, collected.
   StatusOr<std::vector<LocatedSpan>> Spans(BufferId buffer, Bytes offset,
                                            Bytes len) const;
 
@@ -232,15 +255,24 @@ class PoolManager {
   SegmentMap& mutable_segment_map() { return segments_; }
 
  private:
-  struct ResolvedPiece {
-    SegmentId segment;
-    Bytes seg_offset;
-    Bytes len;
-  };
+  // Recomputes info.ends from the segment sizes; called wherever the
+  // segment list or a segment's size changes.
+  void RebuildEnds(BufferInfo& info) const;
 
-  StatusOr<std::vector<ResolvedPiece>> ResolveRange(BufferId buffer,
-                                                    Bytes offset,
-                                                    Bytes len) const;
+  // Index of the first segment that ends past `offset`: the one holding
+  // it when offset < info.size, else info.segments.size().
+  static std::size_t SegmentIndexAt(const BufferInfo& info, Bytes offset) {
+    return static_cast<std::size_t>(
+        std::upper_bound(info.ends.begin(), info.ends.end(), offset) -
+        info.ends.begin());
+  }
+
+  // Calls fn(const SegmentInfo&, seg_offset, len) for each segment piece
+  // of [offset, offset+len), in buffer order, and stops at the first
+  // non-OK status fn returns.
+  template <typename Fn>
+  Status ForEachPiece(BufferId buffer, Bytes offset, Bytes len,
+                      Fn&& fn) const;
 
   Status AccessImpl(cluster::ServerId from, BufferId buffer, Bytes offset,
                     Bytes len, std::span<std::byte> read_out,
@@ -259,5 +291,50 @@ class PoolManager {
   MetricsRegistry* metrics_ = &MetricsRegistry::Global();
   trace::TraceCollector* trace_ = nullptr;
 };
+
+template <typename Fn>
+Status PoolManager::ForEachPiece(BufferId buffer, Bytes offset, Bytes len,
+                                 Fn&& fn) const {
+  auto it = buffers_.find(buffer);
+  if (it == buffers_.end()) return NotFoundError("unknown buffer");
+  const BufferInfo& info = it->second;
+  if (offset + len > info.size) {
+    return InvalidArgumentError("range exceeds buffer size");
+  }
+  Bytes pos = offset;
+  const Bytes end = offset + len;
+  for (std::size_t idx = SegmentIndexAt(info, offset); pos < end; ++idx) {
+    const SegmentInfo* si = segments_.Find(info.segments[idx]);
+    LMP_CHECK(si != nullptr);
+    const Bytes seg_end = info.ends[idx];
+    const Bytes take = std::min(end, seg_end) - pos;
+    LMP_RETURN_IF_ERROR(fn(*si, pos - (seg_end - si->size), take));
+    pos += take;
+  }
+  return Status::Ok();
+}
+
+template <typename Fn>
+Status PoolManager::ForEachSpan(BufferId buffer, Bytes offset, Bytes len,
+                                Fn&& fn) const {
+  LocatedSpan span;  // the span being merged; bytes == 0 before the first
+  LMP_RETURN_IF_ERROR(ForEachPiece(
+      buffer, offset, len,
+      [&](const SegmentInfo& si, Bytes, Bytes piece) -> Status {
+        if (si.state == SegmentState::kLost) {
+          return DataLossError("segment " + std::to_string(si.id) +
+                               " lost to a crash");
+        }
+        if (span.bytes > 0 && span.location == si.home) {
+          span.bytes += piece;
+          return Status::Ok();
+        }
+        if (span.bytes > 0) fn(span);
+        span = LocatedSpan{si.home, piece, si.id};
+        return Status::Ok();
+      }));
+  if (span.bytes > 0) fn(span);
+  return Status::Ok();
+}
 
 }  // namespace lmp::core

@@ -120,40 +120,54 @@ sim::ResourceId Topology::pool_port(int i) const {
   return pool_port_[static_cast<std::size_t>(i) % pool_port_.size()];
 }
 
+Topology::Path Topology::Route(ServerIndex src, int core_idx,
+                               ServerIndex home) const {
+  Path path;
+  if (core_idx != kDmaEngine) path.push_back(core(src, core_idx));
+  if (home == src) {
+    path.push_back(dram(src));
+    return path;
+  }
+  path.push_back(port(src));
+  if (home == kPoolHome) {
+    path.push_back(pool_port(static_cast<int>(src)));
+    path.push_back(pool_dram());
+    return path;
+  }
+  if (has_spine() && CrossRack(src, home)) {
+    path.push_back(rack_uplink(rack_of(src)));
+    path.push_back(rack_uplink(rack_of(home)));
+  }
+  path.push_back(port(home));
+  path.push_back(dram(home));
+  return path;
+}
+
 std::vector<sim::ResourceId> Topology::LocalPath(ServerIndex s,
                                                  int core_idx) const {
-  return {core(s, core_idx), dram(s)};
+  return Route(s, core_idx, s).ToVector();
 }
 
 std::vector<sim::ResourceId> Topology::RemotePath(ServerIndex src,
                                                   int core_idx,
                                                   ServerIndex dst) const {
   LMP_CHECK(src != dst) << "remote path to self; use LocalPath";
-  if (has_spine() && CrossRack(src, dst)) {
-    return {core(src, core_idx), port(src),      rack_uplink(rack_of(src)),
-            rack_uplink(rack_of(dst)), port(dst), dram(dst)};
-  }
-  return {core(src, core_idx), port(src), port(dst), dram(dst)};
+  return Route(src, core_idx, dst).ToVector();
 }
 
 std::vector<sim::ResourceId> Topology::PoolPath(ServerIndex src,
                                                 int core_idx) const {
-  return {core(src, core_idx), port(src),
-          pool_port(static_cast<int>(src)), pool_dram()};
+  return Route(src, core_idx, kPoolHome).ToVector();
 }
 
 std::vector<sim::ResourceId> Topology::DmaRemotePath(ServerIndex src,
                                                      ServerIndex dst) const {
   LMP_CHECK(src != dst);
-  if (has_spine() && CrossRack(src, dst)) {
-    return {port(src), rack_uplink(rack_of(src)), rack_uplink(rack_of(dst)),
-            port(dst), dram(dst)};
-  }
-  return {port(src), port(dst), dram(dst)};
+  return Route(src, kDmaEngine, dst).ToVector();
 }
 
 std::vector<sim::ResourceId> Topology::DmaPoolPath(ServerIndex src) const {
-  return {port(src), pool_port(static_cast<int>(src)), pool_dram()};
+  return Route(src, kDmaEngine, kPoolHome).ToVector();
 }
 
 Status Topology::SetLinkHealth(ServerIndex s, double bandwidth_mult,

@@ -12,7 +12,11 @@
 // one fabric port.  The pool box adds pool DRAM plus its port(s).
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "common/logging.h"
@@ -60,6 +64,38 @@ class Topology {
   int pool_port_count() const { return static_cast<int>(pool_port_.size()); }
 
   // Access paths ------------------------------------------------------------
+  // A resource path held inline, so building one allocates nothing.  The
+  // longest route is a cross-rack remote access: core, port, both rack
+  // uplinks, port, DRAM.
+  class Path {
+   public:
+    static constexpr std::size_t kMaxHops = 6;
+    void push_back(sim::ResourceId r) {
+      LMP_CHECK(size_ < kMaxHops) << "path longer than " << kMaxHops;
+      hops_[size_++] = r;
+    }
+    std::span<const sim::ResourceId> hops() const {
+      return {hops_.data(), size_};
+    }
+    std::vector<sim::ResourceId> ToVector() const {
+      return {hops_.data(), hops_.data() + size_};
+    }
+
+   private:
+    std::array<sim::ResourceId, kMaxHops> hops_{};
+    std::size_t size_ = 0;
+  };
+  // `Route`'s target for the physical pool box, and its issuer for a DMA
+  // engine (no core on the path).
+  static constexpr ServerIndex kPoolHome =
+      std::numeric_limits<ServerIndex>::max();
+  static constexpr int kDmaEngine = -1;
+  // The one router: the path of an access by server `src` — from core
+  // `core_idx`, or from a DMA engine — to memory homed on server `home`
+  // (local when `home == src`) or on the pool box (`kPoolHome`).  Every
+  // *Path function below returns its hops.
+  Path Route(ServerIndex src, int core_idx, ServerIndex home) const;
+
   // Local DRAM read/write by a core.
   std::vector<sim::ResourceId> LocalPath(ServerIndex s, int core_idx) const;
   // Read from another server's shared region (logical pools only).

@@ -76,36 +76,38 @@ void OpEngine::IssueAccess(Op& op, core::BufferId buffer, Bytes offset,
                            Bytes len, Step next) {
   LMP_CHECK(!op.access_next_) << "one access at a time per op";
   const OpId id = op.id_;
-  auto spans_or = manager_->Spans(buffer, offset, len);
-  if (!spans_or.ok()) {
+  // Resolve every span before pricing any: a lost segment fails the op
+  // before a loaded-latency read settles a utilization average.
+  spans_.clear();
+  const Status resolved = manager_->ForEachSpan(
+      buffer, offset, len,
+      [this](const core::LocatedSpan& span) { spans_.push_back(span); });
+  if (!resolved.ok()) {
     // The access cannot be priced (segment lost in a crash, stale buffer).
     // Fail the op from the timer wheel so the calling step unwinds first.
-    sim_->ScheduleAt(sim_->now(),
-                     [this, id, status = spans_or.status()](SimTime) {
-                       auto it = pending_.find(id);
-                       if (it != pending_.end()) Finish(it->second, status);
-                     });
+    sim_->ScheduleAt(sim_->now(), [this, id, status = resolved](SimTime) {
+      auto it = pending_.find(id);
+      if (it != pending_.end()) Finish(it->second, status);
+    });
     return;
   }
 
   const auto src = static_cast<fabric::ServerIndex>(op.server_);
   SimTime propagation = 0;
   SimTime serialization = 0;
-  for (const core::LocatedSpan& ls : *spans_or) {
-    std::vector<sim::ResourceId> path;
+  for (const core::LocatedSpan& ls : spans_) {
+    fabric::ServerIndex home = fabric::Topology::kPoolHome;
     if (ls.location.is_pool()) {
-      path = topology_->PoolPath(src, op.core_);
       propagation += topology_->PoolLoadedLatency(src);
-    } else if (static_cast<fabric::ServerIndex>(ls.location.server) == src) {
-      path = topology_->LocalPath(src, op.core_);
-      propagation += topology_->LocalLoadedLatency(src);
     } else {
-      const auto dst = static_cast<fabric::ServerIndex>(ls.location.server);
-      path = topology_->RemotePath(src, op.core_, dst);
-      propagation += topology_->RemoteLoadedLatency(src, dst);
+      home = static_cast<fabric::ServerIndex>(ls.location.server);
+      propagation += home == src ? topology_->LocalLoadedLatency(src)
+                                 : topology_->RemoteLoadedLatency(src, home);
     }
-    serialization +=
-        static_cast<double>(ls.bytes) / sim_->FairShare(path) * kNsPerSec;
+    serialization += static_cast<double>(ls.bytes) /
+                     sim_->FairShare(
+                         topology_->Route(src, op.core_, home).hops()) *
+                     kNsPerSec;
   }
 
   ++op.hops_;

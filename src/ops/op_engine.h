@@ -58,8 +58,8 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -274,13 +274,16 @@ class OpEngine {
   MetricsRegistry* metrics_;
   // Node-based map: Op addresses stay stable while steps run.  Ops are
   // erased on Finish, so memory tracks in-flight — not total — requests.
-  std::map<OpId, Op> pending_;
+  // Never iterated, so its order cannot reach a simulated result.
+  std::unordered_map<OpId, Op> pending_;
   OpId next_id_ = 1;
   std::uint64_t completed_ = 0;
   std::uint64_t failed_ = 0;
   CompletionHook on_complete_;
   // By server * cores_per_server + core.
   std::vector<CoreSlots> slots_;
+  // IssueAccess's resolved spans; reused, so it keeps its capacity.
+  std::vector<core::LocatedSpan> spans_;
   // Cached distribution instruments (one lookup per kind, not per op).
   Histogram* latency_hist_[4] = {nullptr, nullptr, nullptr, nullptr};
   Histogram* lock_wait_hist_ = nullptr;

@@ -1146,7 +1146,8 @@ double FluidSimulator::BytesServed(ResourceId id) const {
   return r.bytes_served + r.served_rate * ((now_ - r.served_at) / kNsPerSec);
 }
 
-double FluidSimulator::FairShare(const std::vector<ResourceId>& path) const {
+double FluidSimulator::FairShare(
+    std::span<const ResourceId> path) const {
   LMP_CHECK(!path.empty()) << "fair share of an empty path";
   double share = std::numeric_limits<double>::infinity();
   for (ResourceId r : path) {

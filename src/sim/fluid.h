@@ -105,6 +105,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -301,7 +302,7 @@ class FluidSimulator {
   // It reads only capacities and the crossing index, both current at every
   // call, so unlike the rate readers it has nothing to settle.  The path
   // must be non-empty.
-  double FairShare(const std::vector<ResourceId>& path) const;
+  double FairShare(std::span<const ResourceId> path) const;
 
   // Records -----------------------------------------------------------------
 

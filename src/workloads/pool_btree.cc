@@ -30,18 +30,16 @@ StatusOr<PoolBtree> PoolBtree::Create(core::PoolManager* manager,
   return tree;
 }
 
-StatusOr<PoolBtree::NodeBlock> PoolBtree::ReadNode(cluster::ServerId from,
-                                                   std::uint32_t node,
-                                                   SimTime now) {
+Status PoolBtree::ReadNode(cluster::ServerId from, std::uint32_t node,
+                           SimTime now, NodeBlock* block) {
   LMP_CHECK(node < used_nodes_) << "read of unallocated btree node";
-  NodeBlock block;
   LMP_RETURN_IF_ERROR(manager_->Read(
       from, buffer_, NodeOffset(node),
-      std::span<std::byte>(reinterpret_cast<std::byte*>(&block),
-                           sizeof(block)),
+      std::span<std::byte>(reinterpret_cast<std::byte*>(block),
+                           sizeof(*block)),
       now));
   ++node_reads_;
-  return block;
+  return Status::Ok();
 }
 
 Status PoolBtree::WriteNode(cluster::ServerId from, std::uint32_t node,
@@ -67,7 +65,8 @@ StatusOr<std::uint32_t> PoolBtree::AllocNode() {
 StatusOr<PoolBtree::DescendResult> PoolBtree::DescendStep(
     cluster::ServerId from, std::uint32_t node, std::uint64_t key,
     SimTime now) {
-  LMP_ASSIGN_OR_RETURN(const NodeBlock block, ReadNode(from, node, now));
+  NodeBlock block;
+  LMP_RETURN_IF_ERROR(ReadNode(from, node, now, &block));
   DescendResult result;
   if (block.is_leaf == 0) {
     result.child = block.inner_child(block.ChildIndexFor(key));
@@ -87,7 +86,8 @@ StatusOr<PoolBtree::DescendResult> PoolBtree::DescendStep(
 StatusOr<PoolBtree::LeafView> PoolBtree::ReadLeafView(cluster::ServerId from,
                                                       std::uint32_t node,
                                                       SimTime now) {
-  LMP_ASSIGN_OR_RETURN(const NodeBlock block, ReadNode(from, node, now));
+  NodeBlock block;
+  LMP_RETURN_IF_ERROR(ReadNode(from, node, now, &block));
   if (block.is_leaf == 0) return InternalError("scan chain hit inner node");
   LeafView view;
   view.entries.reserve(block.count);
@@ -101,7 +101,8 @@ StatusOr<PoolBtree::LeafView> PoolBtree::ReadLeafView(cluster::ServerId from,
 StatusOr<PoolBtree::ScanStep> PoolBtree::ScanDescendStep(
     cluster::ServerId from, std::uint32_t node, std::uint64_t key,
     SimTime now) {
-  LMP_ASSIGN_OR_RETURN(const NodeBlock block, ReadNode(from, node, now));
+  NodeBlock block;
+  LMP_RETURN_IF_ERROR(ReadNode(from, node, now, &block));
   ScanStep step;
   if (block.is_leaf == 0) {
     step.child = block.inner_child(block.ChildIndexFor(key));
@@ -124,7 +125,8 @@ Status PoolBtree::DescendPath(cluster::ServerId from, std::uint64_t key,
   std::uint32_t node = root_;
   while (true) {
     path->push_back(node);
-    LMP_ASSIGN_OR_RETURN(const NodeBlock block, ReadNode(from, node, now));
+    NodeBlock block;
+    LMP_RETURN_IF_ERROR(ReadNode(from, node, now, &block));
     if (block.is_leaf != 0) return Status::Ok();
     node = block.inner_child(block.ChildIndexFor(key));
     LMP_CHECK(path->size() <= static_cast<std::size_t>(height_))
@@ -139,7 +141,8 @@ Status PoolBtree::InsertAtPath(cluster::ServerId from,
                                std::vector<std::uint32_t>* written) {
   if (path.empty()) return InvalidArgumentError("empty btree path");
   const std::uint32_t leaf_idx = path.back();
-  LMP_ASSIGN_OR_RETURN(NodeBlock leaf, ReadNode(from, leaf_idx, now));
+  NodeBlock leaf;
+  LMP_RETURN_IF_ERROR(ReadNode(from, leaf_idx, now, &leaf));
   if (leaf.is_leaf == 0) return InvalidArgumentError("path ends at inner node");
 
   // Overwrite in place — never splits, even when the leaf is full.
@@ -211,7 +214,8 @@ Status PoolBtree::InsertAtPath(cluster::ServerId from,
   std::uint32_t new_child = right_idx;
   for (int level = static_cast<int>(path.size()) - 2; level >= 0; --level) {
     const std::uint32_t inner_idx = path[level];
-    LMP_ASSIGN_OR_RETURN(NodeBlock inner, ReadNode(from, inner_idx, now));
+    NodeBlock inner;
+    LMP_RETURN_IF_ERROR(ReadNode(from, inner_idx, now, &inner));
     if (inner.is_leaf != 0) return InvalidArgumentError("leaf on inner path");
 
     std::uint32_t pos = 0;
@@ -313,7 +317,8 @@ Status PoolBtree::Erase(cluster::ServerId from, std::uint64_t key,
   std::vector<std::uint32_t> path;
   LMP_RETURN_IF_ERROR(DescendPath(from, key, now, &path));
   const std::uint32_t leaf_idx = path.back();
-  LMP_ASSIGN_OR_RETURN(NodeBlock leaf, ReadNode(from, leaf_idx, now));
+  NodeBlock leaf;
+  LMP_RETURN_IF_ERROR(ReadNode(from, leaf_idx, now, &leaf));
   for (std::uint32_t i = 0; i < leaf.count; ++i) {
     if (leaf.leaf_key(i) != key) continue;
     for (std::uint32_t j = i; j + 1 < leaf.count; ++j) {

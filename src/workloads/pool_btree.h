@@ -169,8 +169,9 @@ class PoolBtree {
             std::uint32_t max_nodes)
       : manager_(manager), buffer_(buffer), max_nodes_(max_nodes) {}
 
-  StatusOr<NodeBlock> ReadNode(cluster::ServerId from, std::uint32_t node,
-                               SimTime now);
+  // Reads `node` into *block (in place: a hop copies no node image).
+  Status ReadNode(cluster::ServerId from, std::uint32_t node, SimTime now,
+                  NodeBlock* block);
   Status WriteNode(cluster::ServerId from, std::uint32_t node,
                    const NodeBlock& block, SimTime now);
   StatusOr<std::uint32_t> AllocNode();

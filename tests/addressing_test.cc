@@ -2,6 +2,8 @@
 // LocalFrameMap (step 2), and AddressTranslator with its TLB-style cache.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/local_map.h"
 #include "core/logical_address.h"
 #include "core/segment_map.h"
@@ -124,10 +126,21 @@ TEST(SegmentMapTest, SetStateTransitions) {
 
 // --- LocalFrameMap ---------------------------------------------------------------
 
+// The extents ForEachExtent visits, collected in order.
+StatusOr<std::vector<PhysicalExtent>> Extents(const LocalFrameMap& map,
+                                              SegmentId id, Bytes offset,
+                                              Bytes len) {
+  std::vector<PhysicalExtent> extents;
+  LMP_RETURN_IF_ERROR(map.ForEachExtent(
+      id, offset, len,
+      [&extents](const PhysicalExtent& e) { extents.push_back(e); }));
+  return extents;
+}
+
 TEST(LocalFrameMapTest, BindAndResolveSingleRun) {
   LocalFrameMap map(KiB(4));
   ASSERT_TRUE(map.Bind(1, KiB(8), {mem::FrameRun{10, 2}}).ok());
-  auto extents = map.Resolve(1, 0, KiB(8));
+  auto extents = Extents(map, 1, 0, KiB(8));
   ASSERT_TRUE(extents.ok());
   ASSERT_EQ(extents->size(), 1u);
   EXPECT_EQ((*extents)[0].frame, 10u);
@@ -137,7 +150,7 @@ TEST(LocalFrameMapTest, BindAndResolveSingleRun) {
 TEST(LocalFrameMapTest, ResolveMidRange) {
   LocalFrameMap map(KiB(4));
   ASSERT_TRUE(map.Bind(1, KiB(16), {mem::FrameRun{0, 4}}).ok());
-  auto extents = map.Resolve(1, KiB(6), KiB(4));
+  auto extents = Extents(map, 1, KiB(6), KiB(4));
   ASSERT_TRUE(extents.ok());
   ASSERT_EQ(extents->size(), 1u);
   EXPECT_EQ((*extents)[0].frame, 1u);           // KiB(6) is in frame 1
@@ -149,7 +162,7 @@ TEST(LocalFrameMapTest, ResolveAcrossScatteredRuns) {
   LocalFrameMap map(KiB(4));
   ASSERT_TRUE(
       map.Bind(1, KiB(12), {mem::FrameRun{0, 1}, mem::FrameRun{8, 2}}).ok());
-  auto extents = map.Resolve(1, KiB(2), KiB(8));
+  auto extents = Extents(map, 1, KiB(2), KiB(8));
   ASSERT_TRUE(extents.ok());
   ASSERT_EQ(extents->size(), 2u);  // tail of run 0, head of run 1
   EXPECT_EQ((*extents)[0].frame, 0u);
@@ -172,8 +185,8 @@ TEST(LocalFrameMapTest, DuplicateBindRejected) {
 TEST(LocalFrameMapTest, ResolveOutOfRangeRejected) {
   LocalFrameMap map(KiB(4));
   ASSERT_TRUE(map.Bind(1, KiB(8), {mem::FrameRun{0, 2}}).ok());
-  EXPECT_FALSE(map.Resolve(1, KiB(4), KiB(8)).ok());
-  EXPECT_TRUE(IsNotFound(map.Resolve(2, 0, 1).status()));
+  EXPECT_FALSE(Extents(map, 1, KiB(4), KiB(8)).ok());
+  EXPECT_TRUE(IsNotFound(Extents(map, 2, 0, 1).status()));
 }
 
 TEST(LocalFrameMapTest, UnbindForgets) {

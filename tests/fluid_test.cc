@@ -311,16 +311,18 @@ TEST(FluidTest, FairShareIsTightestCapacityOverCrossingFlowsPlusOne) {
   FluidSimulator sim;
   const ResourceId wide = sim.AddResource("wide", GBps(10));
   const ResourceId narrow = sim.AddResource("narrow", GBps(4));
-  EXPECT_DOUBLE_EQ(sim.FairShare({wide}), GBps(10));
-  EXPECT_DOUBLE_EQ(sim.FairShare({wide, narrow}), GBps(4));
+  const std::vector<ResourceId> one{wide};
+  const std::vector<ResourceId> both{wide, narrow};
+  EXPECT_DOUBLE_EQ(sim.FairShare(one), GBps(10));
+  EXPECT_DOUBLE_EQ(sim.FairShare(both), GBps(4));
   sim.StartFlow(1e12, {wide});
-  EXPECT_DOUBLE_EQ(sim.FairShare({wide}), GBps(5));
-  EXPECT_DOUBLE_EQ(sim.FairShare({wide, narrow}), GBps(4));
+  EXPECT_DOUBLE_EQ(sim.FairShare(one), GBps(5));
+  EXPECT_DOUBLE_EQ(sim.FairShare(both), GBps(4));
   sim.StartFlow(1e12, {narrow});
   sim.StartFlow(1e12, {narrow, wide});
-  EXPECT_DOUBLE_EQ(sim.FairShare({wide, narrow}), GBps(4) / 3);
+  EXPECT_DOUBLE_EQ(sim.FairShare(both), GBps(4) / 3);
   const SolverStats before = sim.solver_stats();
-  (void)sim.FairShare({wide});
+  (void)sim.FairShare(one);
   EXPECT_EQ(sim.solver_stats().recompute_calls, before.recompute_calls);
 }
 

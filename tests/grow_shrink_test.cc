@@ -1,6 +1,10 @@
 // Tests for buffer Grow/Shrink and the pool snapshot.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/rng.h"
 #include "core/pool_manager.h"
 
 namespace lmp::core {
@@ -91,6 +95,116 @@ TEST_F(GrowShrinkTest, GrowShrinkRoundTripConservesCapacity) {
   ASSERT_TRUE(manager_.Shrink(*buf, KiB(16)).ok());
   ASSERT_TRUE(manager_.Free(*buf).ok());
   EXPECT_EQ(cluster_.PooledFreeBytes(), before);
+}
+
+// The located spans of [offset, offset+len), by a linear walk over the
+// buffer's segments in the segment map: the reference the prefix-sum
+// lookup must match.
+std::vector<LocatedSpan> LinearSpans(const PoolManager& manager,
+                                     const BufferInfo& info, Bytes offset,
+                                     Bytes len) {
+  std::vector<LocatedSpan> spans;
+  Bytes seg_start = 0;
+  for (const SegmentId seg : info.segments) {
+    const SegmentInfo* si = manager.segment_map().Find(seg);
+    const Bytes seg_end = seg_start + si->size;
+    const Bytes lo = std::max(offset, seg_start);
+    const Bytes hi = std::min(offset + len, seg_end);
+    if (lo < hi) {
+      if (!spans.empty() && spans.back().location == si->home) {
+        spans.back().bytes += hi - lo;
+      } else {
+        spans.push_back(LocatedSpan{si->home, hi - lo, seg});
+      }
+    }
+    seg_start = seg_end;
+  }
+  return spans;
+}
+
+TEST(GrowShrinkPropertyTest, EndsAndSpansMatchALinearWalkUnderChurn) {
+  const Bytes frame = KiB(4);
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    cluster::Cluster cluster(Config());
+    PoolManager manager(&cluster);
+    Rng rng(seed);
+    std::vector<BufferId> buffers;
+    auto server = [&] {
+      return static_cast<cluster::ServerId>(rng.NextBounded(4));
+    };
+    for (int step = 0; step < 400; ++step) {
+      const std::uint64_t action = buffers.empty() ? 0 : rng.NextBounded(6);
+      const BufferId buf =
+          buffers.empty() ? kInvalidBuffer
+                          : buffers[rng.NextBounded(buffers.size())];
+      const BufferInfo info =
+          buf == kInvalidBuffer ? BufferInfo{} : *manager.Describe(buf);
+      switch (action) {
+        case 0: {  // Allocate
+          auto b =
+              manager.Allocate((1 + rng.NextBounded(64)) * frame, server());
+          if (b.ok()) buffers.push_back(*b);
+          break;
+        }
+        case 1:  // Grow (may run out of memory)
+          (void)manager.Grow(buf, (1 + rng.NextBounded(32)) * frame, server());
+          break;
+        case 2: {  // SplitSegmentAt a frame boundary inside the buffer
+          const Bytes at = rng.NextBounded(info.size / frame) * frame;
+          if (at == 0) break;
+          const bool boundary =
+              std::find(info.ends.begin(), info.ends.end(), at) !=
+              info.ends.end();
+          ASSERT_TRUE(manager.SplitSegmentAt(buf, at).ok());
+          EXPECT_EQ(manager.Describe(buf)->segments.size(),
+                    info.segments.size() + (boundary ? 0 : 1));
+          break;
+        }
+        case 3: {  // Shrink: succeeds exactly at a segment boundary
+          const Bytes to = (1 + rng.NextBounded(info.size / frame)) * frame;
+          const bool boundary =
+              std::find(info.ends.begin(), info.ends.end(), to) !=
+              info.ends.end();
+          const Status st = manager.Shrink(buf, to);
+          EXPECT_EQ(st.code(), boundary ? StatusCode::kOk
+                                        : StatusCode::kFailedPrecondition);
+          break;
+        }
+        case 4:  // MigrateSegment (may be refused)
+          (void)manager.MigrateSegment(
+              info.segments[rng.NextBounded(info.segments.size())], server());
+          break;
+        default:  // Free, keeping the pool from filling up
+          ASSERT_TRUE(manager.Free(buf).ok());
+          std::erase(buffers, buf);
+          break;
+      }
+
+      for (const BufferId b : buffers) {
+        const auto now = manager.Describe(b);
+        ASSERT_TRUE(now.ok());
+        ASSERT_EQ(now->ends.size(), now->segments.size());
+        Bytes sum = 0;
+        for (std::size_t i = 0; i < now->segments.size(); ++i) {
+          sum += manager.segment_map().Find(now->segments[i])->size;
+          ASSERT_EQ(now->ends[i], sum) << "buffer " << b << " segment " << i;
+        }
+        ASSERT_EQ(sum, now->size);
+        const Bytes offset = rng.NextBounded(now->size + 1);
+        const Bytes len = rng.NextBounded(now->size - offset + 1);
+        const auto spans = manager.Spans(b, offset, len);
+        ASSERT_TRUE(spans.ok());
+        const auto want = LinearSpans(manager, *now, offset, len);
+        ASSERT_EQ(spans->size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ((*spans)[i].location, want[i].location);
+          EXPECT_EQ((*spans)[i].bytes, want[i].bytes);
+          EXPECT_EQ((*spans)[i].segment, want[i].segment);
+        }
+      }
+    }
+  }
 }
 
 TEST_F(GrowShrinkTest, SnapshotReportsCapacityAndBacklog) {

@@ -117,7 +117,9 @@ TEST_F(ScopedEstimatorTest, PullCandidatesAreRemoteHomedInRackDominated) {
   for (const auto& c : candidates) {
     EXPECT_EQ(c.dst, 1u);
     EXPECT_EQ(manager_.segment_map().Find(c.seg)->home.server, 4u);
-    if (prev_heat >= 0) EXPECT_LE(c.heat, prev_heat);  // hottest first
+    if (prev_heat >= 0) {
+      EXPECT_LE(c.heat, prev_heat);  // hottest first
+    }
     prev_heat = c.heat;
     total += c.size;
   }

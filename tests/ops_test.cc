@@ -514,6 +514,44 @@ TEST(OpEngineTest, AccessBeyondTheMissSlotsWaitsForTheFirstToComplete) {
   EXPECT_EQ(wait->max(), static_cast<std::uint64_t>(access));
 }
 
+// The engine prices each access on Topology::Route's path; across racks
+// that crosses both spine uplinks, as RemotePath does.  With the
+// uplinks the tightest resource, the hop's serialization is its bytes at
+// their share.
+TEST(OpEngineTest, CrossRackAccessIsPricedOnTheSpineUplinks) {
+  MetricsRegistry metrics;
+  cluster::Cluster cluster(SmallBackedConfig());
+  core::PoolManager manager(&cluster);
+  sim::FluidSimulator sim;
+  fabric::Topology topology = fabric::Topology::MakeLogical(
+      &sim, 4, fabric::LinkProfile::Link0(), fabric::MachineProfile{});
+  topology.AssignRackShards(2);
+  const BytesPerSec uplink = topology.link().bandwidth / 8;
+  topology.ProvisionSpine(uplink);
+  OpEngine engine(&sim, &topology, &manager,
+                  Harness::MakeOptions(&metrics));
+  auto buf = manager.Allocate(MiB(1), 3);
+  ASSERT_TRUE(buf.ok());
+  engine.Submit(OpKind::kGet, 0, 0, [&](OpEngine::Op& op) {
+    engine.Read(op, *buf, 0, KiB(4),
+                [&](OpEngine::Op& o) { engine.Finish(o); });
+  });
+  ASSERT_TRUE(engine.Drain().ok());
+
+  const double share = sim.FairShare(topology.RemotePath(0, 0, 3));
+  ASSERT_DOUBLE_EQ(share, uplink);
+  const Histogram* serialization =
+      metrics.FindHistogram("ops.get.serialization");
+  ASSERT_NE(serialization, nullptr);
+  EXPECT_EQ(serialization->min(),
+            static_cast<std::uint64_t>(static_cast<double>(KiB(4)) / share *
+                                       kNsPerSec));
+  const Histogram* propagation = metrics.FindHistogram("ops.get.propagation");
+  ASSERT_NE(propagation, nullptr);
+  EXPECT_EQ(propagation->min(),
+            static_cast<std::uint64_t>(topology.RemoteLoadedLatency(0, 3)));
+}
+
 // A get that takes no lock spends its whole latency in its accesses:
 // propagation + serialization + slot wait, summed over its hops, is the
 // recorded latency (each component is truncated to whole ns once).

@@ -3,13 +3,61 @@
 // integrity), and crash handling.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <numeric>
 
 #include "core/erasure.h"
 #include "core/hotness.h"
 #include "core/pool_manager.h"
 #include "core/replication.h"
+
+// Every global operator new in this binary is counted, so a test can assert
+// that a call allocates nothing.  All plain and nothrow forms are replaced
+// together, so a sanitizer runtime never frees what these allocated.
+namespace {
+std::atomic<std::uint64_t> g_new_calls{0};
+
+void* CountedAlloc(std::size_t size) noexcept {
+  g_new_calls.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (void* p = CountedAlloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) {
+  if (void* p = CountedAlloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedAlloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedAlloc(size);
+}
+// Out of line, so the compiler does not pair an inlined free() with an
+// operator new call site and warn about a mismatch.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p,
+                                         const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace lmp::core {
 namespace {
@@ -149,8 +197,141 @@ TEST_F(PoolManagerTest, SubRangeSpansRespectOffsets) {
 TEST_F(PoolManagerTest, SpansRangeValidation) {
   auto buf = manager_.Allocate(KiB(8), 0);
   ASSERT_TRUE(buf.ok());
-  EXPECT_FALSE(manager_.Spans(*buf, KiB(4), KiB(8)).ok());
-  EXPECT_FALSE(manager_.Spans(999, 0, 1).ok());
+  EXPECT_TRUE(IsInvalidArgument(manager_.Spans(*buf, KiB(4), KiB(8)).status()));
+  EXPECT_TRUE(IsNotFound(manager_.Spans(999, 0, 1).status()));
+  std::vector<std::byte> out(KiB(8));
+  EXPECT_TRUE(IsInvalidArgument(manager_.Read(0, *buf, 1, out)));
+  EXPECT_TRUE(IsInvalidArgument(manager_.Write(0, *buf, 1, out)));
+  // An empty range resolves to no spans, anywhere up to the end.
+  for (const Bytes offset : {Bytes{0}, KiB(4), KiB(8)}) {
+    auto spans = manager_.Spans(*buf, offset, 0);
+    ASSERT_TRUE(spans.ok());
+    EXPECT_TRUE(spans->empty());
+    EXPECT_TRUE(manager_.Read(0, *buf, offset, {}).ok());
+  }
+}
+
+TEST_F(PoolManagerTest, RangeStartingOnASegmentEndResolvesToTheNextSegment) {
+  auto buf = manager_.Allocate(KiB(16), 0);
+  ASSERT_TRUE(buf.ok());
+  ASSERT_TRUE(manager_.Grow(*buf, KiB(16), 1).ok());
+  const auto info = manager_.Describe(*buf);
+  ASSERT_TRUE(info.ok());
+  ASSERT_EQ(info->ends, (std::vector<Bytes>{KiB(16), KiB(32)}));
+  auto spans = manager_.Spans(*buf, KiB(16), KiB(4));
+  ASSERT_TRUE(spans.ok());
+  ASSERT_EQ(spans->size(), 1u);
+  EXPECT_EQ((*spans)[0].segment, info->segments[1]);
+  EXPECT_EQ((*spans)[0].location, Location::OnServer(1));
+  EXPECT_EQ((*spans)[0].bytes, KiB(4));
+}
+
+TEST_F(PoolManagerTest, RangeAcrossFrameRunAndSegmentBoundariesRoundTrips) {
+  // Fill server 0 with four 1 MiB buffers and free the second and fourth:
+  // a 1.5 MiB allocation there then takes two frame runs.
+  std::vector<BufferId> fill;
+  for (int i = 0; i < 4; ++i) {
+    auto b = manager_.Allocate(MiB(1), 0);
+    ASSERT_TRUE(b.ok());
+    fill.push_back(*b);
+  }
+  ASSERT_TRUE(manager_.Free(fill[1]).ok());
+  ASSERT_TRUE(manager_.Free(fill[3]).ok());
+  auto buf = manager_.Allocate(MiB(1) + KiB(512), 0);
+  ASSERT_TRUE(buf.ok());
+  ASSERT_TRUE(manager_.Grow(*buf, KiB(64), 1).ok());
+  const auto info = manager_.Describe(*buf);
+  ASSERT_TRUE(info.ok());
+  ASSERT_EQ(info->segments.size(), 2u);
+  const auto runs =
+      manager_.local_map(Location::OnServer(0)).RunsOf(info->segments[0]);
+  ASSERT_TRUE(runs.ok());
+  ASSERT_EQ(runs->size(), 2u);
+  const Bytes run_end = (*runs)[0].count * KiB(4);
+
+  // From just before the run boundary to past the segment boundary.
+  const Bytes offset = run_end - KiB(2);
+  const Bytes len = info->ends[0] - offset + KiB(6);
+  const auto in = Pattern(len, 5);
+  ASSERT_TRUE(manager_.Write(0, *buf, offset, in).ok());
+  std::vector<std::byte> out(len);
+  ASSERT_TRUE(manager_.Read(3, *buf, offset, out).ok());
+  EXPECT_EQ(in, out);
+  auto spans = manager_.Spans(*buf, offset, len);
+  ASSERT_TRUE(spans.ok());
+  ASSERT_EQ(spans->size(), 2u);
+  EXPECT_EQ((*spans)[0].bytes, info->ends[0] - offset);
+  EXPECT_EQ((*spans)[1].bytes, KiB(6));
+}
+
+TEST_F(PoolManagerTest, LostSecondSegmentIsDataLoss) {
+  auto buf = manager_.Allocate(KiB(16), 0);
+  ASSERT_TRUE(buf.ok());
+  ASSERT_TRUE(manager_.Grow(*buf, KiB(16), 2).ok());
+  ASSERT_TRUE(manager_.OnServerCrash(2).ok());
+  std::vector<std::byte> out(KiB(8));
+  EXPECT_TRUE(IsDataLoss(manager_.Read(0, *buf, KiB(12), out)));
+  EXPECT_TRUE(IsDataLoss(manager_.Spans(*buf, KiB(12), KiB(8)).status()));
+  EXPECT_TRUE(IsDataLoss(
+      manager_.ForEachSpan(*buf, 0, KiB(32), [](const LocatedSpan&) {})));
+  // The surviving first segment still resolves.
+  EXPECT_TRUE(manager_.Read(0, *buf, 0, out).ok());
+  EXPECT_TRUE(manager_.Spans(*buf, 0, KiB(16)).ok());
+}
+
+TEST_F(PoolManagerTest, ReplicatedWriteAcrossSegmentsReachesEveryReplica) {
+  ReplicationManager repl(&manager_, 1);
+  auto buf = manager_.Allocate(KiB(32), 0);
+  ASSERT_TRUE(buf.ok());
+  ASSERT_TRUE(manager_.Grow(*buf, KiB(32), 1).ok());
+  ASSERT_TRUE(repl.ProtectBuffer(*buf).ok());
+  const auto info = manager_.Describe(*buf);
+  ASSERT_TRUE(info.ok());
+  ASSERT_EQ(info->segments.size(), 2u);
+
+  // One write straddling the segment boundary, issued from a third server.
+  std::vector<std::byte> want(KiB(64));
+  const auto patch = Pattern(KiB(16), 13);
+  std::copy(patch.begin(), patch.end(), want.begin() + KiB(24));
+  ASSERT_TRUE(manager_.Write(2, *buf, KiB(24), patch).ok());
+  ExpectReplicasMatchPrimary(
+      info->segments[0],
+      std::vector<std::byte>(want.begin(), want.begin() + KiB(32)));
+  ExpectReplicasMatchPrimary(
+      info->segments[1],
+      std::vector<std::byte>(want.begin() + KiB(32), want.end()));
+}
+
+TEST_F(PoolManagerTest, AccessPathAllocatesNothing) {
+  auto buf = manager_.Allocate(MiB(8), 0);  // two segments, two servers
+  ASSERT_TRUE(buf.ok());
+  ASSERT_EQ(manager_.Describe(*buf)->segments.size(), 2u);
+  const Bytes offset = MiB(4) - 256;  // 512 B across the boundary
+  const auto in = Pattern(512, 3);
+  std::vector<std::byte> out(512);
+  // First touches create hotness counters and materialize frames.
+  ASSERT_TRUE(manager_.Write(1, *buf, offset, in).ok());
+  ASSERT_TRUE(manager_.Read(1, *buf, offset, out).ok());
+
+  const std::uint64_t before_access = g_new_calls.load();
+  const Status wrote = manager_.Write(1, *buf, offset, in, Seconds(1));
+  const Status read = manager_.Read(1, *buf, offset, out, Seconds(1));
+  EXPECT_EQ(g_new_calls.load() - before_access, 0u);
+  EXPECT_TRUE(wrote.ok() && read.ok());
+  EXPECT_EQ(in, out);
+
+  Bytes total = 0;
+  int spans = 0;
+  const std::uint64_t before_spans = g_new_calls.load();
+  const Status walked = manager_.ForEachSpan(
+      *buf, KiB(4), MiB(8) - KiB(8), [&](const LocatedSpan& span) {
+        total += span.bytes;
+        ++spans;
+      });
+  EXPECT_EQ(g_new_calls.load() - before_spans, 0u);
+  EXPECT_TRUE(walked.ok());
+  EXPECT_EQ(spans, 2);
+  EXPECT_EQ(total, MiB(8) - KiB(8));
 }
 
 TEST_F(PoolManagerTest, ReadWriteRoundTrip) {
