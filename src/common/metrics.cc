@@ -24,6 +24,12 @@ void MetricsRegistry::Increment(std::string_view name, std::uint64_t delta) {
   }
 }
 
+std::uint64_t& MetricsRegistry::GetCounter(std::string_view name) {
+  auto it = counters_.find(name);
+  if (it == counters_.end()) it = counters_.emplace(std::string(name), 0).first;
+  return it->second;
+}
+
 void MetricsRegistry::SetGauge(std::string_view name, double value) {
   auto it = gauges_.find(name);
   if (it == gauges_.end()) {

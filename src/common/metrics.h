@@ -39,6 +39,12 @@ class MetricsRegistry {
 
   // Monotonic counter; created on first use.
   void Increment(std::string_view name, std::uint64_t delta = 1);
+  // Named counter cell, created at 0 on first use.  The reference is a
+  // stable handle: the registry's map nodes never move, so later
+  // insertions leave it valid, and adding to it is what Increment does.
+  // Callers on hot paths cache it instead of looking the name up per
+  // event.
+  std::uint64_t& GetCounter(std::string_view name);
   // Point-in-time gauge; created on first use.
   void SetGauge(std::string_view name, double value);
   // Distribution sample; the histogram is created on first use with
@@ -47,7 +53,8 @@ class MetricsRegistry {
                    std::uint64_t max_value = 1ull << 40);
 
   // Named histogram instrument, created on first use.  Callers on hot
-  // paths cache the reference instead of looking it up per sample.
+  // paths cache the reference instead of looking it up per sample; like
+  // GetCounter's, it stays valid until Reset().
   Histogram& GetHistogram(std::string_view name,
                           std::uint64_t max_value = 1ull << 40);
   // Null when no such histogram exists.
@@ -58,6 +65,9 @@ class MetricsRegistry {
   bool Has(std::string_view name) const;
   std::size_t size() const { return counters_.size() + gauges_.size(); }
 
+  // Erases every instrument, so every cached GetHistogram reference and
+  // GetCounter handle dangles afterwards: only a registry whose users
+  // cache nothing (or are rebuilt) may be Reset.
   void Reset();
 
   // All metrics as an aligned table, sorted by name.

@@ -26,43 +26,68 @@ BtreeOpDriver::BtreeOpDriver(OpEngine* engine, PoolBtree* tree,
   }
 }
 
+void BtreeOpDriver::State::Release() {
+  on_value = nullptr;
+  on_rows = nullptr;
+  rows.clear();
+  path.clear();
+  written.clear();
+  next_write = 0;
+  driver->free_.push_back(this);
+}
+
+BtreeOpDriver::State* BtreeOpDriver::NewState() {
+  if (free_.empty()) {
+    states_.push_back(std::make_unique<State>());
+    states_.back()->driver = this;
+    return states_.back().get();
+  }
+  State* s = free_.back();
+  free_.pop_back();
+  return s;
+}
+
 OpId BtreeOpDriver::SubmitGet(
     cluster::ServerId server, int core, std::uint64_t key,
     std::function<void(StatusOr<std::uint64_t>)> on_value) {
+  State* s = NewState();
+  s->key = key;
+  s->on_value = std::move(on_value);
   return engine_->Submit(
       OpKind::kGet, server, core,
-      [this, key, cb = std::move(on_value)](OpEngine::Op& o) {
-        GetHop(o, tree_->root(), key, cb);
-      });
+      [this, s](OpEngine::Op& o) {
+        s->node = tree_->root();  // the root as the first hop finds it
+        GetHop(o, s);
+      },
+      s);
 }
 
-void BtreeOpDriver::GetHop(
-    OpEngine::Op& op, std::uint32_t node, std::uint64_t key,
-    const std::function<void(StatusOr<std::uint64_t>)>& cb) {
+void BtreeOpDriver::GetHop(OpEngine::Op& op, State* s) {
   engine_->Read(
-      op, tree_->buffer(), tree_->NodeOffset(node), PoolBtree::kNodeBytes,
-      [this, node, key, cb](OpEngine::Op& o) {
+      op, tree_->buffer(), tree_->NodeOffset(s->node), PoolBtree::kNodeBytes,
+      [this, s](OpEngine::Op& o) {
         // The transfer landed: take the functional step at this simulated
         // instant (the hotness profile sees the node access now), and
         // resolve the next hop against the segment map as it is NOW — a
         // migration during the transfer changes what the next hop costs.
-        auto step = tree_->DescendStep(o.server(), node, key,
+        auto step = tree_->DescendStep(o.server(), s->node, s->key,
                                        engine_->simulator()->now());
         if (!step.ok()) {
           engine_->Finish(o, step.status());
           return;
         }
         if (!step->leaf) {
-          GetHop(o, step->child, key, cb);
+          s->node = step->child;
+          GetHop(o, s);
           return;
         }
         if (step->found) {
-          if (cb) cb(step->value);
+          if (s->on_value) s->on_value(step->value);
           engine_->Finish(o);
           return;
         }
-        const Status miss = NotFoundError("key " + std::to_string(key));
-        if (cb) cb(miss);
+        const Status miss = NotFoundError("key " + std::to_string(s->key));
+        if (s->on_value) s->on_value(miss);
         engine_->Finish(o, miss);
       });
 }
@@ -73,99 +98,88 @@ OpId BtreeOpDriver::SubmitScan(
     std::function<
         void(const std::vector<std::pair<std::uint64_t, std::uint64_t>>&)>
         on_rows) {
+  State* s = NewState();
+  s->key = start;
+  s->limit = limit;
+  s->on_rows = std::move(on_rows);
   return engine_->Submit(
       OpKind::kScan, server, core,
-      [this, start, limit, cb = std::move(on_rows)](OpEngine::Op& o) {
-        auto rows = std::make_shared<
-            std::vector<std::pair<std::uint64_t, std::uint64_t>>>();
-        ScanHop(o, tree_->root(), start, limit, rows, cb);
-      });
+      [this, s](OpEngine::Op& o) {
+        s->node = tree_->root();  // the root as the first hop finds it
+        ScanHop(o, s);
+      },
+      s);
 }
 
-void BtreeOpDriver::ScanHop(
-    OpEngine::Op& op, std::uint32_t node, std::uint64_t start,
-    std::size_t limit, RowsPtr rows,
-    const std::function<void(
-        const std::vector<std::pair<std::uint64_t, std::uint64_t>>&)>& cb) {
+void BtreeOpDriver::ScanHop(OpEngine::Op& op, State* s) {
   engine_->Read(
-      op, tree_->buffer(), tree_->NodeOffset(node), PoolBtree::kNodeBytes,
-      [this, node, start, limit, rows, cb](OpEngine::Op& o) {
-        auto step = tree_->ScanDescendStep(o.server(), node, start,
+      op, tree_->buffer(), tree_->NodeOffset(s->node), PoolBtree::kNodeBytes,
+      [this, s](OpEngine::Op& o) {
+        auto step = tree_->ScanDescendStep(o.server(), s->node, s->key,
+                                           s->limit, &s->rows,
                                            engine_->simulator()->now());
         if (!step.ok()) {
           engine_->Finish(o, step.status());
           return;
         }
         if (!step->leaf) {
-          ScanHop(o, step->child, start, limit, rows, cb);
+          s->node = step->child;
+          ScanHop(o, s);
           return;
         }
-        for (const auto& [k, v] : step->view.entries) {
-          if (k < start) continue;
-          if (rows->size() == limit) break;
-          rows->emplace_back(k, v);
-        }
-        if (rows->size() < limit && step->view.next != PoolBtree::kNilNode) {
-          ConsumeLeaf(o, step->view.next, start, limit, rows, cb);
-          return;
-        }
-        if (cb) cb(*rows);
-        engine_->Finish(o);
+        ScanOn(o, s, step->next);
       });
 }
 
-void BtreeOpDriver::ConsumeLeaf(
-    OpEngine::Op& op, std::uint32_t node, std::uint64_t start,
-    std::size_t limit, RowsPtr rows,
-    const std::function<void(
-        const std::vector<std::pair<std::uint64_t, std::uint64_t>>&)>& cb) {
+void BtreeOpDriver::ConsumeLeaf(OpEngine::Op& op, State* s) {
   engine_->Read(
-      op, tree_->buffer(), tree_->NodeOffset(node), PoolBtree::kNodeBytes,
-      [this, node, start, limit, rows, cb](OpEngine::Op& o) {
-        auto view = tree_->ReadLeafView(o.server(), node,
-                                        engine_->simulator()->now());
-        if (!view.ok()) {
-          engine_->Finish(o, view.status());
+      op, tree_->buffer(), tree_->NodeOffset(s->node), PoolBtree::kNodeBytes,
+      [this, s](OpEngine::Op& o) {
+        auto next = tree_->ReadLeafRows(o.server(), s->node, s->key, s->limit,
+                                        &s->rows, engine_->simulator()->now());
+        if (!next.ok()) {
+          engine_->Finish(o, next.status());
           return;
         }
-        for (const auto& [k, v] : view->entries) {
-          if (k < start) continue;
-          if (rows->size() == limit) break;
-          rows->emplace_back(k, v);
-        }
-        if (rows->size() < limit && view->next != PoolBtree::kNilNode) {
-          ConsumeLeaf(o, view->next, start, limit, rows, cb);
-          return;
-        }
-        if (cb) cb(*rows);
-        engine_->Finish(o);
+        ScanOn(o, s, *next);
       });
+}
+
+void BtreeOpDriver::ScanOn(OpEngine::Op& op, State* s, std::uint32_t next) {
+  if (s->rows.size() < s->limit && next != PoolBtree::kNilNode) {
+    s->node = next;
+    ConsumeLeaf(op, s);
+    return;
+  }
+  if (s->on_rows) s->on_rows(s->rows);
+  engine_->Finish(op);
 }
 
 OpId BtreeOpDriver::SubmitPut(cluster::ServerId server, int core,
                               std::uint64_t key, std::uint64_t value) {
-  core::DistributedLock* lock = lock_for(key);
+  State* s = NewState();
+  s->key = key;
+  s->value = value;
+  s->lock = lock_for(key);
   return engine_->Submit(
-      OpKind::kPut, server, core, [this, key, value, lock](OpEngine::Op& o) {
-        engine_->Acquire(
-            o, lock, [this, key, value, lock](OpEngine::Op& locked) {
-              // Holding the stripe: re-descend from the root (the lock is
-              // what keeps the recorded path valid against concurrent
-              // writers).
-              auto path = std::make_shared<std::vector<std::uint32_t>>();
-              PutHop(locked, tree_->root(), key, value, lock, path);
-            });
-      });
+      OpKind::kPut, server, core,
+      [this, s](OpEngine::Op& o) {
+        engine_->Acquire(o, s->lock, [this, s](OpEngine::Op& locked) {
+          // Holding the stripe: re-descend from the root (the lock is what
+          // keeps the recorded path valid against concurrent writers).
+          s->node = tree_->root();
+          PutHop(locked, s);
+        });
+      },
+      s);
 }
 
-void BtreeOpDriver::PutHop(OpEngine::Op& op, std::uint32_t node,
-                           std::uint64_t key, std::uint64_t value,
-                           core::DistributedLock* lock, PathPtr path) {
+void BtreeOpDriver::PutHop(OpEngine::Op& op, State* s) {
   engine_->Read(
-      op, tree_->buffer(), tree_->NodeOffset(node), PoolBtree::kNodeBytes,
-      [this, node, key, value, lock, path](OpEngine::Op& o) {
-        path->push_back(node);
-        auto step = tree_->DescendStep(o.server(), node, key,
+      op, tree_->buffer(), tree_->NodeOffset(s->node), PoolBtree::kNodeBytes,
+      [this, s](OpEngine::Op& o) {
+        s->path.push_back(s->node);
+        auto step = tree_->DescendStep(o.server(), s->node, s->key,
                                        engine_->simulator()->now());
         if (!step.ok()) {
           // Finishing hands the stripe to the next queued writer.
@@ -173,35 +187,34 @@ void BtreeOpDriver::PutHop(OpEngine::Op& op, std::uint32_t node,
           return;
         }
         if (!step->leaf) {
-          PutHop(o, step->child, key, value, lock, path);
+          s->node = step->child;
+          PutHop(o, s);
           return;
         }
         // Apply the mutation, then price every node it wrote as dependent
         // transfers (the write-back is itself a chain of pool accesses).
-        auto written = std::make_shared<std::vector<std::uint32_t>>();
         const Status applied =
-            tree_->InsertAtPath(o.server(), *path, key, value,
-                                engine_->simulator()->now(), written.get());
+            tree_->InsertAtPath(o.server(), s->path, s->key, s->value,
+                                engine_->simulator()->now(), &s->written);
         if (!applied.ok()) {
           engine_->Finish(o, applied);
           return;
         }
-        PriceWrites(o, written, 0, lock);
+        PriceWrites(o, s);
       });
 }
 
-void BtreeOpDriver::PriceWrites(OpEngine::Op& op, WritesPtr written,
-                                std::size_t index,
-                                core::DistributedLock* lock) {
-  if (index >= written->size()) {
-    engine_->Release(op, lock,
+void BtreeOpDriver::PriceWrites(OpEngine::Op& op, State* s) {
+  if (s->next_write >= s->written.size()) {
+    engine_->Release(op, s->lock,
                      [this](OpEngine::Op& o) { engine_->Finish(o); });
     return;
   }
-  engine_->Write(op, tree_->buffer(), tree_->NodeOffset((*written)[index]),
-                 PoolBtree::kNodeBytes,
-                 [this, written, index, lock](OpEngine::Op& o) {
-                   PriceWrites(o, written, index + 1, lock);
+  engine_->Write(op, tree_->buffer(),
+                 tree_->NodeOffset(s->written[s->next_write]),
+                 PoolBtree::kNodeBytes, [this, s](OpEngine::Op& o) {
+                   ++s->next_write;
+                   PriceWrites(o, s);
                  });
 }
 

@@ -15,8 +15,17 @@
 // The functional tree operation happens at completion time (when the priced
 // transfer lands), so PoolManager's hotness profile sees each node access
 // at the simulated instant it occurs.
+//
+// Each in-flight op's state (node, key, value, lock, callbacks, and the
+// scan's rows, the put's path and written nodes) is one OpEngine::OpState
+// record, recycled through a driver-owned free list: its vectors keep
+// their capacity from op to op, and every step captures only the driver
+// and the record, so a hop allocates nothing once the lists are warm.  The
+// engine releases the record when the op ends, however it ends, before the
+// completion hook runs; no step touches its record after Finish.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -43,6 +52,9 @@ class BtreeOpDriver {
                 Options options);
   BtreeOpDriver(OpEngine* engine, workloads::PoolBtree* tree, int num_hosts)
       : BtreeOpDriver(engine, tree, num_hosts, Options()) {}
+  // Steps and op records hold the driver's address.
+  BtreeOpDriver(const BtreeOpDriver&) = delete;
+  BtreeOpDriver& operator=(const BtreeOpDriver&) = delete;
 
   // Submit one async op from (server, core).  Results arrive through the
   // engine's completion hook; get/scan deliver their payload to `on_value`
@@ -62,35 +74,54 @@ class BtreeOpDriver {
   core::DistributedLock* lock_for(std::uint64_t key) {
     return locks_[key % locks_.size()].get();
   }
+  // Op records held by submitted ops that have not finished yet.
+  std::size_t states_in_use() const { return states_.size() - free_.size(); }
 
  private:
-  using RowsPtr = std::shared_ptr<
-      std::vector<std::pair<std::uint64_t, std::uint64_t>>>;
-  using PathPtr = std::shared_ptr<std::vector<std::uint32_t>>;
-  using WritesPtr = std::shared_ptr<std::vector<std::uint32_t>>;
+  using Rows = workloads::PoolBtree::Rows;
+
+  // One op's state; see the header comment.
+  struct State final : OpEngine::OpState {
+    // Clears the record (its vectors keep their capacity), dropping the
+    // callbacks, and returns it to the driver's free list.
+    void Release() override;
+
+    BtreeOpDriver* driver = nullptr;
+    std::uint32_t node = 0;   // the node the next hop reads
+    std::uint64_t key = 0;    // get/put key, scan start
+    std::uint64_t value = 0;  // put value
+    std::size_t limit = 0;    // scan row limit
+    core::DistributedLock* lock = nullptr;  // put stripe
+    std::function<void(StatusOr<std::uint64_t>)> on_value;
+    std::function<void(const Rows&)> on_rows;
+    Rows rows;                          // scan
+    std::vector<std::uint32_t> path;     // put: root→leaf descent
+    std::vector<std::uint32_t> written;  // put: nodes the insert wrote
+    std::size_t next_write = 0;          // put: next `written` to price
+  };
+
+  // A cleared record: the free list's last, or a new one.
+  State* NewState();
 
   // Each helper prices one 512-byte node access and, at completion, takes
   // the functional step and issues the next hop (or finishes the op).
-  void GetHop(OpEngine::Op& op, std::uint32_t node, std::uint64_t key,
-              const std::function<void(StatusOr<std::uint64_t>)>& cb);
-  void ScanHop(OpEngine::Op& op, std::uint32_t node, std::uint64_t start,
-               std::size_t limit, RowsPtr rows,
-               const std::function<void(const std::vector<
-                   std::pair<std::uint64_t, std::uint64_t>>&)>& cb);
-  void ConsumeLeaf(OpEngine::Op& op, std::uint32_t node, std::uint64_t start,
-                   std::size_t limit, RowsPtr rows,
-                   const std::function<void(const std::vector<
-                       std::pair<std::uint64_t, std::uint64_t>>&)>& cb);
-  void PutHop(OpEngine::Op& op, std::uint32_t node, std::uint64_t key,
-              std::uint64_t value, core::DistributedLock* lock, PathPtr path);
-  void PriceWrites(OpEngine::Op& op, WritesPtr written, std::size_t index,
-                   core::DistributedLock* lock);
+  void GetHop(OpEngine::Op& op, State* s);
+  void ScanHop(OpEngine::Op& op, State* s);
+  void ConsumeLeaf(OpEngine::Op& op, State* s);
+  // Ends a scan after a leaf: follows the chain to `next` while rows are
+  // short, else delivers them and finishes.
+  void ScanOn(OpEngine::Op& op, State* s, std::uint32_t next);
+  void PutHop(OpEngine::Op& op, State* s);
+  void PriceWrites(OpEngine::Op& op, State* s);
 
   OpEngine* engine_;
   workloads::PoolBtree* tree_;
   Options options_;
   std::unique_ptr<core::CoherentRegion> lock_region_;
   std::vector<std::unique_ptr<core::DistributedLock>> locks_;
+  // Every record ever made, and the ones no op holds.
+  std::vector<std::unique_ptr<State>> states_;
+  std::vector<State*> free_;
 };
 
 }  // namespace lmp::ops

@@ -1,5 +1,6 @@
 #include "ops/op_engine.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -28,12 +29,7 @@ OpEngine::OpEngine(sim::FluidSimulator* sim, fabric::Topology* topology,
       manager_(manager),
       options_(std::move(options)),
       metrics_(options_.metrics != nullptr ? options_.metrics
-                                           : &MetricsRegistry::Global()),
-      hops_name_(options_.metrics_prefix + ".hops"),
-      lock_spins_name_(options_.metrics_prefix + ".lock_spins"),
-      completed_name_(options_.metrics_prefix + ".completed"),
-      errors_name_(options_.metrics_prefix + ".errors"),
-      lock_wait_name_(options_.metrics_prefix + ".lock_wait_ns") {
+                                           : &MetricsRegistry::Global()) {
   LMP_CHECK(sim_ != nullptr && topology_ != nullptr && manager_ != nullptr);
   // LinkProfile::min_latency_ns is the unloaded round-trip read latency —
   // exactly the cost of one coherent-region CAS round trip.
@@ -46,30 +42,85 @@ OpEngine::OpEngine(sim::FluidSimulator* sim, fabric::Topology* topology,
 }
 
 OpId OpEngine::Submit(OpKind kind, cluster::ServerId server, int core,
-                      Step first) {
+                      Step first, OpState* state) {
   LMP_CHECK(static_cast<int>(server) < topology_->num_servers() && core >= 0 &&
             core < topology_->machine().cores_per_server)
       << "op issued from an unknown (server, core)";
-  const OpId id = next_id_++;
-  Op& op = pending_[id];
+  const OpId id = next_id_;
+  if (id - oldest_ >= by_id_.size()) {
+    // The ring is full: double it, re-placing every id still covered.
+    std::vector<Op*> grown(std::max<std::size_t>(64, 2 * by_id_.size()));
+    for (OpId i = oldest_; i < id; ++i) {
+      grown[i & (grown.size() - 1)] = by_id_[i & (by_id_.size() - 1)];
+    }
+    by_id_ = std::move(grown);
+  }
+  ++next_id_;
+  if (free_ops_.empty()) {
+    ops_.push_back(std::make_unique<Op>());
+    free_ops_.push_back(ops_.back().get());
+  }
+  Op& op = *free_ops_.back();
+  free_ops_.pop_back();
+  by_id_[id & (by_id_.size() - 1)] = &op;
+  ++in_flight_;
   op.id_ = id;
   op.kind_ = kind;
   op.server_ = server;
   op.core_ = core;
   op.submit_time_ = sim_->now();
+  op.state_ = state;
+  op.timer_next_ = std::move(first);
   // The first step is deferred like every later one, so Submit may be
   // called from anywhere (harness code, completion hooks, other steps)
   // without re-entering the engine.
-  sim_->ScheduleAt(sim_->now(), [this, id, step = std::move(first)](SimTime) {
-    RunStep(id, step);
-  });
+  sim_->ScheduleAt(sim_->now(), [this, id](SimTime) { RunTimerStep(id); });
   return id;
 }
 
-void OpEngine::RunStep(OpId id, const Step& step) {
-  auto it = pending_.find(id);
-  if (it == pending_.end()) return;  // op finished out from under the timer
-  step(it->second);
+OpEngine::Op* OpEngine::Find(OpId id) {
+  if (id < oldest_ || id >= next_id_) return nullptr;
+  return by_id_[id & (by_id_.size() - 1)];
+}
+
+OpEngine::Op& OpEngine::Get(OpId id) {
+  Op* op = Find(id);
+  LMP_CHECK(op != nullptr) << "op " << id << " is not in flight";
+  return *op;
+}
+
+void OpEngine::Retire(Op& op) {
+  by_id_[op.id_ & (by_id_.size() - 1)] = nullptr;
+  while (oldest_ < next_id_ &&
+         by_id_[oldest_ & (by_id_.size() - 1)] == nullptr) {
+    ++oldest_;
+  }
+  --in_flight_;
+  // Cleared now, so the op's parked steps (and what they capture) die with
+  // it; held_ keeps its capacity for the next op.
+  std::vector<core::DistributedLock*> held = std::move(op.held_);
+  held.clear();
+  op = Op();
+  op.held_ = std::move(held);
+  free_ops_.push_back(&op);
+}
+
+void OpEngine::RunTimerStep(OpId id) {
+  Op* found = Find(id);
+  if (found == nullptr) return;  // op finished out from under the timer
+  Op& op = *found;
+  // Moved out first: the step may park another Delay on `op`.
+  Step next = std::move(op.timer_next_);
+  op.timer_next_ = nullptr;
+  next(op);
+}
+
+void OpEngine::Count(std::uint64_t*& counter, const char* suffix,
+                     std::uint64_t delta) {
+  if (counter == nullptr) {
+    counter = &metrics().GetCounter(options_.metrics_prefix + suffix);
+  }
+  *counter += delta;
 }
 
 void OpEngine::IssueAccess(Op& op, core::BufferId buffer, Bytes offset,
@@ -86,8 +137,7 @@ void OpEngine::IssueAccess(Op& op, core::BufferId buffer, Bytes offset,
     // The access cannot be priced (segment lost in a crash, stale buffer).
     // Fail the op from the timer wheel so the calling step unwinds first.
     sim_->ScheduleAt(sim_->now(), [this, id, status = resolved](SimTime) {
-      auto it = pending_.find(id);
-      if (it != pending_.end()) Finish(it->second, status);
+      if (Op* failing = Find(id)) Finish(*failing, status);
     });
     return;
   }
@@ -111,7 +161,7 @@ void OpEngine::IssueAccess(Op& op, core::BufferId buffer, Bytes offset,
   }
 
   ++op.hops_;
-  metrics().Increment(hops_name_);
+  Count(hops_counter_, ".hops");
   op.propagation_ += propagation;
   op.serialization_ += serialization;
   op.access_cost_ = propagation + serialization;
@@ -132,12 +182,12 @@ void OpEngine::StartAccess(Op& op, SimTime wait) {
 }
 
 void OpEngine::EndAccess(OpId id) {
-  Op& op = pending_.at(id);  // an op with an access in flight never finishes
+  Op& op = Get(id);  // an op with an access in flight never finishes
   CoreSlots& slots = SlotsOf(op);
   if (!slots.waiting.empty()) {
     const auto [waiter, since] = slots.waiting.front();
     slots.waiting.pop_front();
-    StartAccess(pending_.at(waiter), sim_->now() - since);
+    StartAccess(Get(waiter), sim_->now() - since);
   } else {
     ++slots.free;
   }
@@ -176,9 +226,9 @@ void OpEngine::Acquire(Op& op, core::DistributedLock* lock, Step next) {
 }
 
 void OpEngine::AttemptLock(OpId id) {
-  auto it = pending_.find(id);
-  if (it == pending_.end()) return;
-  Op& op = it->second;
+  Op* found = Find(id);
+  if (found == nullptr) return;
+  Op& op = *found;
   const int host = static_cast<int>(op.server_);
   auto held_or = op.lock_->TryLock(host);
   if (!held_or.ok()) {
@@ -199,18 +249,18 @@ void OpEngine::AttemptLock(OpId id) {
 }
 
 void OpEngine::OnLockGranted(OpId id) {
-  Op& op = pending_.at(id);  // Finish takes a queued op out of the queue
+  Op& op = Get(id);  // Finish takes a queued op out of the queue
   op.lock_ticket_ = 0;
   sim_->CancelTimer(op.lock_deadline_);
   // The hand-off reaches the waiter one round trip after the release.
   sim_->ScheduleAfter(lock_rtt_, [this, id](SimTime) {
-    Op& granted = pending_.at(id);  // nothing else drives a parked op
+    Op& granted = Get(id);  // nothing else drives a parked op
     EnterLock(granted, sim_->now() - granted.lock_wait_start_);
   });
 }
 
 void OpEngine::OnLockDeadline(OpId id) {
-  Op& op = pending_.at(id);  // granting or finishing cancels the deadline
+  Op& op = Get(id);  // granting or finishing cancels the deadline
   RecordLockWait(options_.max_lock_spins, sim_->now() - op.lock_wait_start_);
   op.lock_spins_ += options_.max_lock_spins;
   Finish(op, UnavailableError("lock held past max_lock_spins"));
@@ -230,10 +280,12 @@ void OpEngine::EnterLock(Op& op, SimTime wait) {
 
 void OpEngine::RecordLockWait(int spins, SimTime wait) {
   if (spins > 0) {
-    metrics().Increment(lock_spins_name_, static_cast<std::uint64_t>(spins));
+    Count(lock_spins_counter_, ".lock_spins",
+          static_cast<std::uint64_t>(spins));
   }
   if (lock_wait_hist_ == nullptr) {
-    lock_wait_hist_ = &metrics().GetHistogram(lock_wait_name_);
+    lock_wait_hist_ =
+        &metrics().GetHistogram(options_.metrics_prefix + ".lock_wait_ns");
   }
   lock_wait_hist_->Record(static_cast<std::uint64_t>(wait));
 }
@@ -250,10 +302,10 @@ void OpEngine::Release(Op& op, core::DistributedLock* lock, Step next) {
 }
 
 void OpEngine::Delay(Op& op, SimTime delay, Step next) {
-  const OpId id = op.id_;
-  sim_->ScheduleAfter(delay, [this, id, step = std::move(next)](SimTime) {
-    RunStep(id, step);
-  });
+  LMP_CHECK(!op.timer_next_) << "one Delay at a time per op";
+  op.timer_next_ = std::move(next);
+  sim_->ScheduleAfter(delay,
+                      [this, id = op.id_](SimTime) { RunTimerStep(id); });
 }
 
 void OpEngine::Finish(Op& op, Status status) {
@@ -277,13 +329,16 @@ void OpEngine::Finish(Op& op, Status status) {
   result.lock_spins = op.lock_spins_;
   const SimTime breakdown[3] = {op.propagation_, op.serialization_,
                                 op.slot_wait_};
-  pending_.erase(op.id_);  // `op` is dead past this line
+  OpState* state = op.state_;
+  Retire(op);  // `op` is dead past this line
+  // Before the hook: an op the hook submits may reuse the record.
+  if (state != nullptr) state->Release();
 
   ++completed_;
-  metrics().Increment(completed_name_);
+  Count(completed_counter_, ".completed");
   if (!status.ok()) {
     ++failed_;
-    metrics().Increment(errors_name_);
+    Count(errors_counter_, ".errors");
   } else {
     const auto kind_idx = static_cast<std::size_t>(result.kind);
     if (latency_hist_[kind_idx] == nullptr) {
@@ -309,10 +364,10 @@ void OpEngine::Finish(Op& op, Status status) {
 
 StatusOr<std::uint64_t> OpEngine::Drain() {
   std::uint64_t steps = 0;
-  while (!pending_.empty() && sim_->Step()) ++steps;
-  if (!pending_.empty()) {
+  while (in_flight_ > 0 && sim_->Step()) ++steps;
+  if (in_flight_ > 0) {
     return InternalError("op engine drained with " +
-                         std::to_string(pending_.size()) +
+                         std::to_string(in_flight_) +
                          " ops still in flight");
   }
   return steps;

@@ -26,13 +26,24 @@
 // "<prefix>.<kind>.propagation", ".serialization" and ".slot_wait"; for an
 // op that takes no lock they add up to its latency.
 //
-// Shape (after the sst-elements async B+tree): ops live in a pending map,
+// Shape (after the sst-elements async B+tree): ops live in a pending table,
 // each step issues one priced access and parks a continuation, and the
 // completion callback — always deferred through the simulator's timer
 // wheel — runs the continuation, which issues the next step or finishes
 // the op.  Finishing records the op's sim-time latency into the
 // MetricsRegistry distribution "<prefix>.get|put|scan|op", which is where
 // the percentile plumbing (bench sidecars, metrics JSON) picks it up.
+//
+// Per-op records: the engine stays workload-agnostic, so what an op is
+// doing (current node, key, collected rows) lives in an OpState record its
+// driver attaches at Submit, and each step captures only the driver and
+// that record — small enough that a Step never allocates.  Every parked
+// step (Submit's first, Delay's, an access's, a lock's) sits on the Op, so
+// timers carry only the engine and the op id.  The engine hands the record
+// back (OpState::Release) when it destroys the op, whatever ended it: the
+// driver's Finish, a segment lost at issue, a lock deadline.  It does so
+// before the completion hook runs, so a hook that resubmits can reuse the
+// record.  A step must not touch its record after calling Finish.
 //
 // Locks: Acquire() prices its TryLock as one coherent-region round trip of
 // simulated time.  An op that finds the lock held joins the lock's FIFO
@@ -58,8 +69,8 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -116,13 +127,24 @@ class OpEngine {
   class Op;
   // One state-machine step.  Steps run from simulator callbacks; they may
   // issue the op's next access, submit new ops, or finish the op.  After
-  // Finish() the Op reference is dead — return without touching it.
+  // Finish() the Op reference — and the op's OpState — is dead: return
+  // without touching either.
   using Step = std::function<void(Op&)>;
   using CompletionHook = std::function<void(const OpResult&)>;
 
+  // A driver's per-op record (see the header comment).  Release() runs
+  // once, as the engine destroys the op and before the completion hook.
+  class OpState {
+   public:
+    virtual void Release() = 0;
+
+   protected:
+    ~OpState() = default;
+  };
+
   // An in-flight operation: identity, issuing context, and accounting.
-  // Workload state (current node, collected rows) lives in the step
-  // closures, so the engine stays workload-agnostic.
+  // Workload state lives in the driver's OpState record, so the engine
+  // stays workload-agnostic.
   class Op {
    public:
     OpId id() const { return id_; }
@@ -142,6 +164,10 @@ class OpEngine {
     SimTime submit_time_ = 0;
     int hops_ = 0;
     int lock_spins_ = 0;
+    // The driver's record, released as the op is destroyed (may be null).
+    OpState* state_ = nullptr;
+    // Parked by Submit and Delay until their timer fires.
+    Step timer_next_;
     // The access in flight (access_next_ set until it completes) and its
     // closed-form cost.
     Step access_next_;
@@ -170,13 +196,19 @@ class OpEngine {
   OpEngine(sim::FluidSimulator* sim, fabric::Topology* topology,
            core::PoolManager* manager)
       : OpEngine(sim, topology, manager, Options()) {}
+  // Timers and lock grants hold the engine's address.
+  OpEngine(const OpEngine&) = delete;
+  OpEngine& operator=(const OpEngine&) = delete;
 
   // Submission ---------------------------------------------------------------
 
   // Creates an op owned by (server, core) and schedules `first` through a
   // zero-delay timer (submission itself is never reentrant).  The op id is
   // returned immediately; the step runs when the simulator reaches it.
-  OpId Submit(OpKind kind, cluster::ServerId server, int core, Step first);
+  // `state`, when given, is the driver's record for the op, released as
+  // the op is destroyed.
+  OpId Submit(OpKind kind, cluster::ServerId server, int core, Step first,
+              OpState* state = nullptr);
 
   // Steps (called from inside a Step) --------------------------------------
 
@@ -208,18 +240,20 @@ class OpEngine {
   // round trip later.
   void Release(Op& op, core::DistributedLock* lock, Step next);
 
-  // Pure sim-time delay (compute, client think time).
+  // Pure sim-time delay (compute, client think time).  An op has at most
+  // one Delay outstanding (checked; `next` may itself call Delay).
   void Delay(Op& op, SimTime delay, Step next);
 
   // Completes the op: leaves any lock queue, hands off locks it still holds
   // (no priced round trip), records its latency distribution, breakdown
-  // and counters, runs the completion hook, and destroys the Op.  An op
-  // with an access in flight cannot finish (checked).
+  // and counters, destroys the Op and releases its OpState, then runs the
+  // completion hook.  An op with an access in flight cannot finish
+  // (checked).
   void Finish(Op& op, Status status = Status::Ok());
 
   // Introspection ------------------------------------------------------------
 
-  std::size_t in_flight() const { return pending_.size(); }
+  std::size_t in_flight() const { return in_flight_; }
   std::uint64_t submitted() const { return next_id_ - 1; }
   std::uint64_t completed() const { return completed_; }
   std::uint64_t failed() const { return failed_; }
@@ -263,7 +297,18 @@ class OpEngine {
   // first attempt found it held (0 when it was free).
   void EnterLock(Op& op, SimTime wait);
   void RecordLockWait(int spins, SimTime wait);
-  void RunStep(OpId id, const Step& step);
+  // The in-flight op `id`, or null once it has finished.
+  Op* Find(OpId id);
+  // Op `id`, which must be in flight.
+  Op& Get(OpId id);
+  // Takes a finished op out of the table and clears it for reuse.
+  void Retire(Op& op);
+  // Runs the step Submit or Delay parked on op `id`.
+  void RunTimerStep(OpId id);
+  // Adds `delta` to the counter "<prefix><suffix>", caching its handle in
+  // `counter` on first use (so a counter appears only once it counts).
+  void Count(std::uint64_t*& counter, const char* suffix,
+             std::uint64_t delta = 1);
   MetricsRegistry& metrics() { return *metrics_; }
 
   sim::FluidSimulator* sim_;
@@ -272,10 +317,18 @@ class OpEngine {
   Options options_;
   SimTime lock_rtt_ = 0;
   MetricsRegistry* metrics_;
-  // Node-based map: Op addresses stay stable while steps run.  Ops are
-  // erased on Finish, so memory tracks in-flight — not total — requests.
-  // Never iterated, so its order cannot reach a simulated result.
-  std::unordered_map<OpId, Op> pending_;
+  // The pending table.  Op objects live in ops_ (so their addresses stay
+  // stable while steps run) and go back to free_ops_ when they finish, so
+  // a steady loop allocates none.  by_id_ is a ring indexed by id modulo
+  // its power-of-two size, covering the ids from oldest_ (no op below it is
+  // in flight) to next_id_; it doubles when that span fills it, so memory
+  // tracks the oldest in-flight op's age, not total requests.  Never
+  // iterated, so its order cannot reach a simulated result.
+  std::vector<std::unique_ptr<Op>> ops_;
+  std::vector<Op*> free_ops_;
+  std::vector<Op*> by_id_;
+  OpId oldest_ = 1;
+  std::size_t in_flight_ = 0;
   OpId next_id_ = 1;
   std::uint64_t completed_ = 0;
   std::uint64_t failed_ = 0;
@@ -289,12 +342,12 @@ class OpEngine {
   Histogram* lock_wait_hist_ = nullptr;
   // "<prefix>.<kind>.propagation|serialization|slot_wait", by kind.
   Histogram* breakdown_hist_[4][3] = {};
-  // Metric names, "<prefix>.hops" etc., built once.
-  std::string hops_name_;
-  std::string lock_spins_name_;
-  std::string completed_name_;
-  std::string errors_name_;
-  std::string lock_wait_name_;
+  // Cached counter handles: "<prefix>.hops", ".completed", ".errors",
+  // ".lock_spins".
+  std::uint64_t* hops_counter_ = nullptr;
+  std::uint64_t* completed_counter_ = nullptr;
+  std::uint64_t* errors_counter_ = nullptr;
+  std::uint64_t* lock_spins_counter_ = nullptr;
 };
 
 }  // namespace lmp::ops

@@ -13,6 +13,15 @@ std::uint32_t PoolBtree::NodeBlock::ChildIndexFor(std::uint64_t key) const {
   return i;
 }
 
+void PoolBtree::NodeBlock::AppendRows(std::uint64_t start, std::size_t limit,
+                                      Rows* rows) const {
+  for (std::uint32_t i = 0; i < count; ++i) {
+    if (leaf_key(i) < start) continue;
+    if (rows->size() == limit) break;
+    rows->emplace_back(leaf_key(i), leaf_value(i));
+  }
+}
+
 StatusOr<PoolBtree> PoolBtree::Create(core::PoolManager* manager,
                                       std::uint32_t max_nodes,
                                       cluster::ServerId home) {
@@ -65,7 +74,7 @@ StatusOr<std::uint32_t> PoolBtree::AllocNode() {
 StatusOr<PoolBtree::DescendResult> PoolBtree::DescendStep(
     cluster::ServerId from, std::uint32_t node, std::uint64_t key,
     SimTime now) {
-  NodeBlock block;
+  NodeBlock block(kUnzeroed);
   LMP_RETURN_IF_ERROR(ReadNode(from, node, now, &block));
   DescendResult result;
   if (block.is_leaf == 0) {
@@ -83,37 +92,31 @@ StatusOr<PoolBtree::DescendResult> PoolBtree::DescendStep(
   return result;
 }
 
-StatusOr<PoolBtree::LeafView> PoolBtree::ReadLeafView(cluster::ServerId from,
-                                                      std::uint32_t node,
-                                                      SimTime now) {
-  NodeBlock block;
+StatusOr<std::uint32_t> PoolBtree::ReadLeafRows(cluster::ServerId from,
+                                                std::uint32_t node,
+                                                std::uint64_t start,
+                                                std::size_t limit, Rows* rows,
+                                                SimTime now) {
+  NodeBlock block(kUnzeroed);
   LMP_RETURN_IF_ERROR(ReadNode(from, node, now, &block));
   if (block.is_leaf == 0) return InternalError("scan chain hit inner node");
-  LeafView view;
-  view.entries.reserve(block.count);
-  for (std::uint32_t i = 0; i < block.count; ++i) {
-    view.entries.emplace_back(block.leaf_key(i), block.leaf_value(i));
-  }
-  view.next = block.next;
-  return view;
+  block.AppendRows(start, limit, rows);
+  return block.next;
 }
 
 StatusOr<PoolBtree::ScanStep> PoolBtree::ScanDescendStep(
-    cluster::ServerId from, std::uint32_t node, std::uint64_t key,
-    SimTime now) {
-  NodeBlock block;
+    cluster::ServerId from, std::uint32_t node, std::uint64_t start,
+    std::size_t limit, Rows* rows, SimTime now) {
+  NodeBlock block(kUnzeroed);
   LMP_RETURN_IF_ERROR(ReadNode(from, node, now, &block));
   ScanStep step;
   if (block.is_leaf == 0) {
-    step.child = block.inner_child(block.ChildIndexFor(key));
+    step.child = block.inner_child(block.ChildIndexFor(start));
     return step;
   }
   step.leaf = true;
-  step.view.entries.reserve(block.count);
-  for (std::uint32_t i = 0; i < block.count; ++i) {
-    step.view.entries.emplace_back(block.leaf_key(i), block.leaf_value(i));
-  }
-  step.view.next = block.next;
+  block.AppendRows(start, limit, rows);
+  step.next = block.next;
   return step;
 }
 
@@ -125,7 +128,7 @@ Status PoolBtree::DescendPath(cluster::ServerId from, std::uint64_t key,
   std::uint32_t node = root_;
   while (true) {
     path->push_back(node);
-    NodeBlock block;
+    NodeBlock block(kUnzeroed);
     LMP_RETURN_IF_ERROR(ReadNode(from, node, now, &block));
     if (block.is_leaf != 0) return Status::Ok();
     node = block.inner_child(block.ChildIndexFor(key));
@@ -141,7 +144,7 @@ Status PoolBtree::InsertAtPath(cluster::ServerId from,
                                std::vector<std::uint32_t>* written) {
   if (path.empty()) return InvalidArgumentError("empty btree path");
   const std::uint32_t leaf_idx = path.back();
-  NodeBlock leaf;
+  NodeBlock leaf(kUnzeroed);
   LMP_RETURN_IF_ERROR(ReadNode(from, leaf_idx, now, &leaf));
   if (leaf.is_leaf == 0) return InvalidArgumentError("path ends at inner node");
 
@@ -214,7 +217,7 @@ Status PoolBtree::InsertAtPath(cluster::ServerId from,
   std::uint32_t new_child = right_idx;
   for (int level = static_cast<int>(path.size()) - 2; level >= 0; --level) {
     const std::uint32_t inner_idx = path[level];
-    NodeBlock inner;
+    NodeBlock inner(kUnzeroed);
     LMP_RETURN_IF_ERROR(ReadNode(from, inner_idx, now, &inner));
     if (inner.is_leaf != 0) return InvalidArgumentError("leaf on inner path");
 
@@ -292,9 +295,8 @@ Status PoolBtree::InsertAtPath(cluster::ServerId from,
 
 Status PoolBtree::Insert(cluster::ServerId from, std::uint64_t key,
                          std::uint64_t value, SimTime now) {
-  std::vector<std::uint32_t> path;
-  LMP_RETURN_IF_ERROR(DescendPath(from, key, now, &path));
-  return InsertAtPath(from, path, key, value, now, nullptr);
+  LMP_RETURN_IF_ERROR(DescendPath(from, key, now, &path_));
+  return InsertAtPath(from, path_, key, value, now, nullptr);
 }
 
 StatusOr<std::uint64_t> PoolBtree::Lookup(cluster::ServerId from,
@@ -314,10 +316,9 @@ StatusOr<std::uint64_t> PoolBtree::Lookup(cluster::ServerId from,
 
 Status PoolBtree::Erase(cluster::ServerId from, std::uint64_t key,
                         SimTime now) {
-  std::vector<std::uint32_t> path;
-  LMP_RETURN_IF_ERROR(DescendPath(from, key, now, &path));
-  const std::uint32_t leaf_idx = path.back();
-  NodeBlock leaf;
+  LMP_RETURN_IF_ERROR(DescendPath(from, key, now, &path_));
+  const std::uint32_t leaf_idx = path_.back();
+  NodeBlock leaf(kUnzeroed);
   LMP_RETURN_IF_ERROR(ReadNode(from, leaf_idx, now, &leaf));
   for (std::uint32_t i = 0; i < leaf.count; ++i) {
     if (leaf.leaf_key(i) != key) continue;
@@ -333,22 +334,16 @@ Status PoolBtree::Erase(cluster::ServerId from, std::uint64_t key,
   return NotFoundError("key " + std::to_string(key));
 }
 
-StatusOr<std::vector<std::pair<std::uint64_t, std::uint64_t>>> PoolBtree::Scan(
-    cluster::ServerId from, std::uint64_t start, std::size_t limit,
-    SimTime now) {
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
+StatusOr<PoolBtree::Rows> PoolBtree::Scan(cluster::ServerId from,
+                                          std::uint64_t start,
+                                          std::size_t limit, SimTime now) {
+  Rows out;
   if (limit == 0) return out;
-  std::vector<std::uint32_t> path;
-  LMP_RETURN_IF_ERROR(DescendPath(from, start, now, &path));
-  std::uint32_t node = path.back();
+  LMP_RETURN_IF_ERROR(DescendPath(from, start, now, &path_));
+  std::uint32_t node = path_.back();
   while (node != kNilNode && out.size() < limit) {
-    LMP_ASSIGN_OR_RETURN(const LeafView view, ReadLeafView(from, node, now));
-    for (const auto& [k, v] : view.entries) {
-      if (k < start) continue;
-      out.emplace_back(k, v);
-      if (out.size() == limit) break;
-    }
-    node = view.next;
+    LMP_ASSIGN_OR_RETURN(node, ReadLeafRows(from, node, start, limit, &out,
+                                            now));
   }
   return out;
 }

@@ -44,6 +44,9 @@ class PoolBtree {
   static constexpr std::uint32_t kLeafCap = 31;
   static constexpr std::uint32_t kInnerKeyCap = 30;
 
+  // Key/value pairs in key order (scan results).
+  using Rows = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+
   // Allocates an arena of `max_nodes` nodes from the pool, preferring
   // `home`, and writes an empty root leaf.  The manager must outlive the
   // tree.
@@ -65,9 +68,8 @@ class PoolBtree {
   Status Erase(cluster::ServerId from, std::uint64_t key, SimTime now = 0);
 
   // Up to `limit` key/value pairs with key >= start, in key order.
-  StatusOr<std::vector<std::pair<std::uint64_t, std::uint64_t>>> Scan(
-      cluster::ServerId from, std::uint64_t start, std::size_t limit,
-      SimTime now = 0);
+  StatusOr<Rows> Scan(cluster::ServerId from, std::uint64_t start,
+                      std::size_t limit, SimTime now = 0);
 
   // Step surface (request/op engine) ---------------------------------------
 
@@ -82,25 +84,27 @@ class PoolBtree {
                                       std::uint32_t node, std::uint64_t key,
                                       SimTime now = 0);
 
-  struct LeafView {
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> entries;
-    std::uint32_t next = kNilNode;  // following leaf in the chain
-  };
-  // Reads exactly one leaf node of the scan chain.
-  StatusOr<LeafView> ReadLeafView(cluster::ServerId from, std::uint32_t node,
-                                  SimTime now = 0);
-
   struct ScanStep {
     bool leaf = false;
     std::uint32_t child = kNilNode;  // next hop when !leaf
-    LeafView view;                   // when leaf: this node's contents
+    std::uint32_t next = kNilNode;   // when leaf: following leaf in the chain
   };
   // One-read descent step for scans: inner nodes name the child a range
-  // starting at `key` descends into; the leaf returns its entries, so scan
-  // drivers never pay for the same node twice.
+  // starting at `start` descends into; the leaf appends its entries to
+  // *rows (as ReadLeafRows does), so scan drivers never pay for the same
+  // node twice.
   StatusOr<ScanStep> ScanDescendStep(cluster::ServerId from,
-                                     std::uint32_t node, std::uint64_t key,
+                                     std::uint32_t node, std::uint64_t start,
+                                     std::size_t limit, Rows* rows,
                                      SimTime now = 0);
+
+  // Reads exactly one leaf node of the scan chain and appends its entries
+  // with key >= start to *rows, in key order, while *rows holds fewer than
+  // `limit`.  Returns the following leaf (kNilNode at the chain's end).
+  StatusOr<std::uint32_t> ReadLeafRows(cluster::ServerId from,
+                                       std::uint32_t node,
+                                       std::uint64_t start, std::size_t limit,
+                                       Rows* rows, SimTime now = 0);
 
   // The root→leaf node path a descent for `key` takes right now.
   Status DescendPath(cluster::ServerId from, std::uint64_t key, SimTime now,
@@ -137,12 +141,22 @@ class PoolBtree {
   //   slots:  62 u64 —
   //     leaf:  key(i) = slot[2i], value(i) = slot[2i+1]   (31 pairs)
   //     inner: key(i) = slot[i] (i < 30), child(i) = slot[30+i] (i < 31)
+  //
+  // A default NodeBlock is an empty inner node, zeroed, for blocks that are
+  // built and then written.  The read paths use NodeBlock(kUnzeroed):
+  // ReadNode overwrites all 512 bytes before any field is read, so zeroing
+  // them first would be wasted work.
+  struct Unzeroed {};
+  static constexpr Unzeroed kUnzeroed{};
   struct NodeBlock {
-    std::uint32_t is_leaf = 0;
-    std::uint32_t count = 0;
-    std::uint32_t next = kNilNode;
-    std::uint32_t pad = 0;
-    std::uint64_t slot[62] = {};
+    NodeBlock() : is_leaf(0), count(0), next(kNilNode), pad(0), slot{} {}
+    explicit NodeBlock(Unzeroed) {}
+
+    std::uint32_t is_leaf;
+    std::uint32_t count;
+    std::uint32_t next;
+    std::uint32_t pad;
+    std::uint64_t slot[62];
 
     std::uint64_t leaf_key(std::uint32_t i) const { return slot[2 * i]; }
     std::uint64_t leaf_value(std::uint32_t i) const { return slot[2 * i + 1]; }
@@ -162,6 +176,9 @@ class PoolBtree {
     // (split promotes the right sibling's smallest key, so equal keys go
     // right).
     std::uint32_t ChildIndexFor(std::uint64_t key) const;
+    // Appends this leaf's entries with key >= start to *rows while it
+    // holds fewer than `limit`.
+    void AppendRows(std::uint64_t start, std::size_t limit, Rows* rows) const;
   };
   static_assert(sizeof(NodeBlock) == kNodeBytes);
 
@@ -186,6 +203,9 @@ class PoolBtree {
   std::uint64_t node_reads_ = 0;
   std::uint64_t node_writes_ = 0;
   std::uint64_t splits_ = 0;
+  // The descent path Insert, Erase and Scan walk; reused, so it keeps its
+  // capacity.
+  std::vector<std::uint32_t> path_;
 };
 
 }  // namespace lmp::workloads

@@ -305,6 +305,55 @@ TEST(OpEngineTest, WedgedAcquireDestroysItsContinuation) {
   EXPECT_EQ(results[0].lock_spins, 4);
 }
 
+// The pending table grows past an op that stays parked while hundreds of
+// later ops come and go: the wedged acquire is still found at its deadline,
+// and every short op's result is its own.
+TEST(OpEngineTest, LongLivedOpSurvivesPendingTableGrowth) {
+  Harness h;
+  auto buf = h.deploy.manager().Allocate(MiB(1), 0);
+  ASSERT_TRUE(buf.ok());
+  core::CoherentRegion region(64, 8, 4);
+  core::DistributedLock lock(&region, 0);
+  ASSERT_TRUE(*lock.TryLock(3));  // wedged peer
+
+  constexpr int kShort = 500;
+  int submitted = 0;
+  std::map<OpId, OpResult> results;
+  auto submit_short = [&] {
+    ++submitted;
+    h.engine.Submit(OpKind::kGet, 0, 0, [&](OpEngine::Op& op) {
+      h.engine.Read(op, *buf, 0, 512,
+                    [&](OpEngine::Op& o) { h.engine.Finish(o); });
+    });
+  };
+  h.engine.set_on_complete([&](const OpResult& r) {
+    results[r.id] = r;
+    if (submitted < kShort) submit_short();
+  });
+  bool ran = false;
+  const OpId wedged =
+      h.engine.Submit(OpKind::kPut, 1, 0, [&](OpEngine::Op& op) {
+        h.engine.Acquire(op, &lock, [&](OpEngine::Op& o) {
+          ran = true;
+          h.engine.Finish(o);
+        });
+      });
+  for (int i = 0; i < 4; ++i) submit_short();
+  ASSERT_TRUE(h.engine.Drain().ok());
+
+  EXPECT_FALSE(ran);
+  ASSERT_EQ(results.size(), static_cast<std::size_t>(kShort) + 1);
+  EXPECT_TRUE(IsUnavailable(results[wedged].status));
+  for (const auto& [id, r] : results) {
+    if (id == wedged) continue;
+    EXPECT_TRUE(r.status.ok()) << "op " << id;
+    EXPECT_EQ(r.kind, OpKind::kGet) << "op " << id;
+    EXPECT_EQ(r.hops, 1) << "op " << id;
+    EXPECT_LT(r.finish_time, results[wedged].finish_time) << "op " << id;
+  }
+  EXPECT_EQ(h.engine.in_flight(), 0u);
+}
+
 // Ops that find a lock held queue in arrival order (not submission order),
 // and each is granted exactly one round trip after the previous release:
 // the hand-off, not a poll, wakes the next waiter.
@@ -838,6 +887,78 @@ TEST(BtreeOpsTest, FailedLockedPutHandsStripeToNextWriter) {
   EXPECT_EQ(*v, 9u);
   core::DistributedLock* stripe = driver.lock_for(safe_key);
   EXPECT_FALSE(stripe->IsHeld());
+  EXPECT_EQ(stripe->waiters(), 0u);
+}
+
+// Ops the engine ends on its own still give their driver record back: a
+// get whose leaf segment is lost in a crash while it reads the root fails
+// kDataLoss when it issues the leaf read, and a put whose stripe a peer
+// never releases fails kUnavailable at max_lock_spins.
+TEST(BtreeOpsTest, EngineEndedOpsReleaseTheirRecords) {
+  Harness h;
+  core::PoolManager& manager = h.deploy.manager();
+  auto tree_or = PoolBtree::Create(&manager, 512, 0);
+  ASSERT_TRUE(tree_or.ok());
+  PoolBtree& tree = *tree_or;
+  constexpr std::uint64_t kKeys = 4000;
+  for (std::uint64_t k = 0; k < kKeys; ++k) {
+    ASSERT_TRUE(tree.Insert(0, k, k).ok());
+  }
+  const std::uint64_t doomed_key = kKeys - 1;  // rightmost leaf, allocated last
+  std::vector<std::uint32_t> path;
+  ASSERT_TRUE(tree.DescendPath(0, doomed_key, 0, &path).ok());
+  ASSERT_GE(path.size(), 2u);
+
+  // Isolate the leaf's frame in its own segment, homed on server 2.
+  const Bytes frame = h.deploy.cluster().config().frame_size;
+  const Bytes leaf_frame = tree.NodeOffset(path.back()) / frame;
+  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+    ASSERT_NE(tree.NodeOffset(path[i]) / frame, leaf_frame);
+  }
+  ASSERT_TRUE(manager.SplitSegmentAt(tree.buffer(), leaf_frame * frame).ok());
+  if ((leaf_frame + 1) * frame < tree.max_nodes() * PoolBtree::kNodeBytes) {
+    ASSERT_TRUE(
+        manager.SplitSegmentAt(tree.buffer(), (leaf_frame + 1) * frame).ok());
+  }
+  auto spans = manager.Spans(tree.buffer(), leaf_frame * frame, frame);
+  ASSERT_TRUE(spans.ok());
+  ASSERT_EQ(spans->size(), 1u);
+  ASSERT_TRUE(manager.MigrateSegment((*spans)[0].segment, 2).ok());
+
+  OpEngine::Options opts;
+  opts.metrics = &h.metrics;
+  opts.max_lock_spins = 4;
+  OpEngine engine(&h.deploy.simulator(), &h.deploy.topology(), &manager,
+                  opts);
+  BtreeOpDriver driver(&engine, &tree, 4);
+  std::map<OpId, OpResult> results;
+  engine.set_on_complete([&](const OpResult& r) { results[r.id] = r; });
+
+  bool delivered = false;
+  const OpId get = driver.SubmitGet(
+      0, 0, doomed_key, [&](StatusOr<std::uint64_t>) { delivered = true; });
+  // 1 ns in, the root read is still in flight.
+  h.deploy.simulator().ScheduleAfter(1, [&](SimTime) {
+    auto lost = manager.OnServerCrash(2);
+    ASSERT_TRUE(lost.ok());
+    EXPECT_EQ(lost->size(), 1u);
+  });
+  const std::uint64_t put_key = 0;
+  core::DistributedLock* stripe = driver.lock_for(put_key);
+  ASSERT_NE(stripe, driver.lock_for(doomed_key));
+  ASSERT_TRUE(*stripe->TryLock(3));  // wedged peer
+  const OpId put = driver.SubmitPut(1, 0, put_key, 9);
+  EXPECT_EQ(driver.states_in_use(), 2u);
+  ASSERT_TRUE(engine.Drain().ok());
+
+  EXPECT_EQ(driver.states_in_use(), 0u);
+  ASSERT_TRUE(results.count(get) && results.count(put));
+  EXPECT_TRUE(IsDataLoss(results[get].status)) << results[get].status;
+  // Every hop above the leaf was priced; the leaf's failed at issue.
+  EXPECT_EQ(results[get].hops, static_cast<int>(path.size()) - 1);
+  EXPECT_FALSE(delivered);
+  EXPECT_TRUE(IsUnavailable(results[put].status)) << results[put].status;
+  EXPECT_EQ(results[put].lock_spins, 4);
   EXPECT_EQ(stripe->waiters(), 0u);
 }
 

@@ -3,61 +3,14 @@
 // integrity), and crash handling.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 #include <numeric>
 
 #include "core/erasure.h"
 #include "core/hotness.h"
 #include "core/pool_manager.h"
 #include "core/replication.h"
-
-// Every global operator new in this binary is counted, so a test can assert
-// that a call allocates nothing.  All plain and nothrow forms are replaced
-// together, so a sanitizer runtime never frees what these allocated.
-namespace {
-std::atomic<std::uint64_t> g_new_calls{0};
-
-void* CountedAlloc(std::size_t size) noexcept {
-  g_new_calls.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
-}
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (void* p = CountedAlloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  if (void* p = CountedAlloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  return CountedAlloc(size);
-}
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  return CountedAlloc(size);
-}
-// Out of line, so the compiler does not pair an inlined free() with an
-// operator new call site and warn about a mismatch.
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete(void* p,
-                                       const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete[](void* p,
-                                         const std::nothrow_t&) noexcept {
-  std::free(p);
-}
+#include "support/counting_new.h"
 
 namespace lmp::core {
 namespace {

@@ -468,6 +468,31 @@ TEST(TracingTest, MetricsJsonContainsEveryRegisteredMetric) {
   EXPECT_DOUBLE_EQ(gauges.at("lmp.big").number(), 1.5e300);
 }
 
+// A cached counter handle stays valid however many metrics are created
+// after it, and what is added through it is what Counter() and the
+// metrics export read.
+TEST(TracingTest, CounterHandleSurvivesLaterInsertions) {
+  MetricsRegistry registry;
+  std::uint64_t& hops = registry.GetCounter("ops.hops");
+  EXPECT_EQ(registry.Counter("ops.hops"), 0u);
+  hops += 2;
+  for (int i = 0; i < 2000; ++i) {
+    registry.Increment("filler." + std::to_string(i));
+    registry.GetHistogram("filler_hist." + std::to_string(i)).Record(1);
+  }
+  hops += 5;
+  registry.Increment("ops.hops", 3);
+  EXPECT_EQ(&registry.GetCounter("ops.hops"), &hops);
+  EXPECT_EQ(registry.Counter("ops.hops"), 10u);
+
+  bool ok = false;
+  JsonValue doc = JsonParser(MetricsJson(registry)).Parse(&ok);
+  ASSERT_TRUE(ok);
+  const JsonObject& counters = doc.object().at("counters").object();
+  EXPECT_EQ(counters.size(), 2001u);
+  EXPECT_EQ(counters.at("ops.hops").number(), 10);
+}
+
 TEST(TracingTest, MetricsJsonFromTracedRunCoversPoolCounters) {
   // End-to-end: a PoolManager run against a private registry exports every
   // counter it incremented.
