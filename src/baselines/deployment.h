@@ -41,10 +41,6 @@ struct VectorSumParams {
   // makes the logical pool's advantage grow as the link slows — the
   // slicing ablation explores the difference.
   bool balanced_slices = false;
-  // Treat accesses as stores: cached pages become dirty and their eviction
-  // charges a writeback transfer to the pool (physical LRU cache only).
-  // The paper's sum is read-only, so this defaults off.
-  bool write = false;
 };
 
 struct VectorSumResult {
@@ -55,27 +51,24 @@ struct VectorSumResult {
   double steady_rep_gbps = 0;       // last repetition
   double local_fraction = 0;        // fraction of vector local to runner
   double cache_hit_rate = 0;        // physical-cache only
-  Bytes writeback_bytes = 0;        // dirty-eviction traffic to the pool
   SimTime total_time_ns = 0;
 };
 
 // The unified workload description: the vector-sum microbenchmark plus an
 // optional fault schedule replayed (in sim time) while it runs.  This is
 // the one entry point benches use for both healthy and chaos runs, so the
-// logical/physical comparison is apples-to-apples.
+// logical/physical comparison is apples-to-apples.  After the last
+// repetition every deployment runs the simulator to idle, so in-flight
+// recovery transfers (and any plan events past the workload) complete:
+// time-to-redundancy needs the recovery tail, not just the workload
+// window.  total_time_ns still covers only the repetitions.
 struct WorkloadSpec {
   VectorSumParams vector{};
   // Failures injected while the workload runs (empty = healthy run).
   chaos::FaultPlan faults{};
-  chaos::InjectorOptions injector{};
   // > 0: protect the workload buffer with this many extra replicas before
   // faults fire.  Only the logical deployment has a replication layer.
   int replication_factor = 0;
-  // Run the simulator to idle after the last repetition so in-flight
-  // recovery transfers (and any plan events past the workload) complete —
-  // time-to-redundancy needs the recovery tail, not just the workload
-  // window.  total_time_ns still covers only the repetitions.
-  bool drain_recovery = true;
   // Optional chaos flight recorder bound to the injector for this run:
   // fault/recovery events land in its ring and each crash freezes a
   // postmortem.  Passed through the spec (rather than set on the injector
@@ -129,8 +122,8 @@ struct CoreSlice {
 };
 std::vector<CoreSlice> SliceForCores(Bytes total, int cores);
 
-// One repetition's work: a span list per stream (normally one per core,
-// in core order); empty lists are skipped.
+// One repetition's work: a span list per core, in core order; empty lists
+// are skipped.
 using RepSpans = std::vector<std::vector<sim::Span>>;
 using SpanBuilder = std::function<StatusOr<RepSpans>(int rep)>;
 

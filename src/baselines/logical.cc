@@ -41,15 +41,14 @@ Status LogicalDeployment::EnableReplication(int factor) {
   return Status::Ok();
 }
 
-chaos::FaultInjector& LogicalDeployment::injector(
-    const chaos::InjectorOptions& options) {
+chaos::FaultInjector& LogicalDeployment::injector() {
   if (injector_ == nullptr) {
     chaos::FaultInjector::Bindings b;
     b.sim = &sim_;
     b.topology = topology_.get();
     b.manager = manager_.get();
     b.replication = replication_.get();
-    injector_ = std::make_unique<chaos::FaultInjector>(b, options);
+    injector_ = std::make_unique<chaos::FaultInjector>(b);
   }
   return *injector_;
 }
@@ -83,7 +82,7 @@ StatusOr<WorkloadResult> LogicalDeployment::RunWorkload(
   if (replication_ != nullptr) {
     LMP_RETURN_IF_ERROR(replication_->ProtectBuffer(buffer));
   }
-  chaos::FaultInjector& inj = injector(spec.injector);
+  chaos::FaultInjector& inj = injector();
   if (spec.flight_recorder != nullptr) {
     inj.set_flight_recorder(spec.flight_recorder);
   }
@@ -151,7 +150,7 @@ StatusOr<WorkloadResult> LogicalDeployment::RunWorkload(
 
   // Let outstanding recovery transfers (and any plan tail) finish so
   // time-to-redundancy reflects actual completion, then snapshot SLOs.
-  if (spec.drain_recovery) sim_.Run();
+  sim_.Run();
   LMP_RETURN_IF_ERROR(inj.ApplyError());
   out.chaos = inj.report();
   LMP_RETURN_IF_ERROR(manager_->Free(buffer));

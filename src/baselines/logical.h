@@ -53,7 +53,7 @@ class LogicalDeployment : public MemoryDeployment {
   Status EnableReplication(int factor);
 
   // Lazily-created injector bound to this deployment's stack.
-  chaos::FaultInjector& injector(const chaos::InjectorOptions& options = {});
+  chaos::FaultInjector& injector();
 
   core::PoolManager& manager() { return *manager_; }
   cluster::Cluster& cluster() { return *cluster_; }

@@ -5,22 +5,14 @@
 #include "common/logging.h"
 
 namespace lmp::baselines {
-namespace {
 
-// Flow batching for the LRU variant: pages are classified individually but
-// adjacent same-class pages coalesce into one simulator span.
-constexpr Bytes kLruPage = KiB(64);
-
-}  // namespace
-
-chaos::FaultInjector& PhysicalDeployment::injector(
-    const chaos::InjectorOptions& options) {
+chaos::FaultInjector& PhysicalDeployment::injector() {
   if (injector_ == nullptr) {
     chaos::FaultInjector::Bindings b;
     b.sim = &sim_;
     b.topology = topology_.get();
     b.cluster = cluster_.get();
-    injector_ = std::make_unique<chaos::FaultInjector>(b, options);
+    injector_ = std::make_unique<chaos::FaultInjector>(b);
   }
   return *injector_;
 }
@@ -30,16 +22,14 @@ Status PhysicalDeployment::ApplyFault(const chaos::FaultEvent& event) {
 }
 
 PhysicalDeployment::PhysicalDeployment(const fabric::LinkProfile& link,
-                                       bool use_cache, CachePolicy policy,
-                                       const cluster::ClusterConfig& config,
-                                       int pool_ports)
-    : link_(link), use_cache_(use_cache), policy_(policy) {
-  LMP_CHECK(config.physical_pool) << "physical deployment needs a pool box";
+                                       bool use_cache)
+    : link_(link), use_cache_(use_cache) {
+  const cluster::ClusterConfig config =
+      cluster::ClusterConfig::PaperPhysical();
   fabric::MachineProfile machine;
   machine.cores_per_server = config.cores_per_server;
-  topology_ =
-      std::make_unique<fabric::Topology>(fabric::Topology::MakePhysical(
-          &sim_, config.num_servers, link, machine, pool_ports));
+  topology_ = std::make_unique<fabric::Topology>(
+      fabric::Topology::MakePhysical(&sim_, config.num_servers, link, machine));
   cluster_ = std::make_unique<cluster::Cluster>(config);
 }
 
@@ -52,7 +42,7 @@ StatusOr<WorkloadResult> PhysicalDeployment::RunWorkload(
         "physical pool has no replication layer to protect buffers with");
   }
   WorkloadResult out;
-  chaos::FaultInjector& inj = injector(spec.injector);
+  chaos::FaultInjector& inj = injector();
   if (spec.flight_recorder != nullptr) {
     inj.set_flight_recorder(spec.flight_recorder);
   }
@@ -125,72 +115,18 @@ StatusOr<WorkloadResult> PhysicalDeployment::RunWorkload(
       return per_core;
     };
 
-    mem::LruCache cache(std::max<std::uint64_t>(1, cache_capacity / kLruPage));
-    // Dirty evictions flush back to the pool box by DMA: local DRAM read,
-    // then the same fabric hops a fill takes, in reverse.  No core
-    // constraint — a writeback engine does the copy.
-    std::vector<sim::ResourceId> writeback_path =
-        topology_->DmaPoolPath(runner);
-    writeback_path.insert(writeback_path.begin(), topology_->dram(runner));
-    auto lru_cache = [&](int) -> StatusOr<RepSpans> {
-      // Classify pages core-by-core in an interleaved page order so the
-      // shared cache sees roughly concurrent streams, then coalesce runs of
-      // equal outcome into spans.
-      RepSpans spans(params.cores);
-      std::vector<Bytes> cursor(params.cores, 0);
-      Bytes rep_writeback = 0;
-      bool work_left = true;
-      while (work_left) {
-        work_left = false;
-        for (int c = 0; c < params.cores; ++c) {
-          const CoreSlice& slice = slices[c];
-          if (cursor[c] >= slice.length) continue;
-          work_left = true;
-          const Bytes off = slice.offset + cursor[c];
-          const Bytes take =
-              std::min<Bytes>(kLruPage, slice.length - cursor[c]);
-          const bool hit = cache.Access(off / kLruPage, params.write);
-          for (const auto& ev : cache.TakeEvicted()) {
-            if (ev.dirty) rep_writeback += kLruPage;
-          }
-          auto path = hit ? topology_->LocalPath(runner, c) : fill_path(c);
-          if (!spans[c].empty() && spans[c].back().path == path) {
-            spans[c].back().bytes += static_cast<double>(take);
-          } else {
-            spans[c].push_back(sim::Span{static_cast<double>(take), path});
-          }
-          cursor[c] += take;
-        }
-      }
-      if (rep_writeback > 0) {
-        // One coalesced writeback stream per repetition, after the cores',
-        // contending with the fills for the server port, pool port, and
-        // pool DRAM.
-        spans.push_back(
-            {sim::Span{static_cast<double>(rep_writeback), writeback_path}});
-        out.vector.writeback_bytes += rep_writeback;
-      }
-      return spans;
-    };
-
-    const bool pinned_policy = policy_ == CachePolicy::kPinned;
     const Status st = RunRepetitions(
         &sim_, params,
-        !use_cache_ ? SpanBuilder(no_cache)
-                    : (pinned_policy ? SpanBuilder(pinned_cache)
-                                     : SpanBuilder(lru_cache)),
-        &out);
+        use_cache_ ? SpanBuilder(pinned_cache) : SpanBuilder(no_cache), &out);
     LMP_CHECK_OK(alloc.Free(frames_or.value()));
     LMP_RETURN_IF_ERROR(st);
     if (use_cache_) {
-      out.vector.cache_hit_rate =
-          pinned_policy ? static_cast<double>(pinned) /
-                              static_cast<double>(params.vector_bytes)
-                        : cache.stats().HitRate();
+      out.vector.cache_hit_rate = static_cast<double>(pinned) /
+                                  static_cast<double>(params.vector_bytes);
     }
   }
 
-  if (spec.drain_recovery) sim_.Run();
+  sim_.Run();
   LMP_RETURN_IF_ERROR(inj.ApplyError());
   out.chaos = inj.report();
   return out;

@@ -4,14 +4,10 @@
 // Two variants, as in the paper:
 //  * PhysicalNoCache — every pool access crosses the fabric, every time.
 //  * PhysicalCache   — local DRAM caches pool data ("caching incurs an
-//    upfront memcpy() overhead but provides faster subsequent reads").
-//
-// The cache supports two policies:
-//  * kPinned (default, matches the paper's memcpy-a-prefix behaviour): the
-//    first min(cache, vector) bytes of the vector are copied local on first
-//    touch and hit thereafter.  Steady-state hit rate = cache/vector.
-//  * kLru: classic page-granularity LRU.  A sequential sweep larger than
-//    the cache degenerates to a 0% hit rate — the thrash ablation.
+//    upfront memcpy() overhead but provides faster subsequent reads"): the
+//    first min(cache, vector) bytes of the vector are copied local on the
+//    first repetition and hit thereafter.  Steady-state hit rate =
+//    cache/vector.
 //
 // Feasibility: the vector must fit the pool box's 64 GB.  A 96 GB vector
 // fails allocation — Figure 5's result — because no software knob can move
@@ -23,21 +19,15 @@
 #include "baselines/deployment.h"
 #include "cluster/cluster.h"
 #include "fabric/topology.h"
-#include "mem/lru_cache.h"
 #include "sim/fluid.h"
 
 namespace lmp::baselines {
 
-enum class CachePolicy { kPinned, kLru };
-
 class PhysicalDeployment : public MemoryDeployment {
  public:
-  // use_cache=false gives the "Physical no-cache" baseline.
-  PhysicalDeployment(const fabric::LinkProfile& link, bool use_cache,
-                     CachePolicy policy = CachePolicy::kPinned,
-                     const cluster::ClusterConfig& config =
-                         cluster::ClusterConfig::PaperPhysical(),
-                     int pool_ports = 1);
+  // The paper's physical cluster (ClusterConfig::PaperPhysical()) with one
+  // pool port.  use_cache=false gives the "Physical no-cache" baseline.
+  PhysicalDeployment(const fabric::LinkProfile& link, bool use_cache);
 
   std::string_view name() const override {
     return use_cache_ ? "Physical cache" : "Physical no-cache";
@@ -48,14 +38,14 @@ class PhysicalDeployment : public MemoryDeployment {
   // contrast: a server crash loses no pooled data (it lives on the pool
   // box), but every pool access rides the pool link, so degrading it
   // throttles the whole workload.  No replication layer exists here.
-  // An infeasible run still schedules its fault plan and, with
-  // drain_recovery, runs it out so `chaos` reports the faults.
+  // An infeasible run still schedules its fault plan and runs it out so
+  // `chaos` reports the faults.
   StatusOr<WorkloadResult> RunWorkload(const WorkloadSpec& spec) override;
   Status ApplyFault(const chaos::FaultEvent& event) override;
 
   // Lazily-created injector bound to sim/topology/cluster (no manager:
   // crashes only mark cluster state).
-  chaos::FaultInjector& injector(const chaos::InjectorOptions& options = {});
+  chaos::FaultInjector& injector();
 
   sim::FluidSimulator& simulator() { return sim_; }
   fabric::Topology& topology() { return *topology_; }
@@ -64,7 +54,6 @@ class PhysicalDeployment : public MemoryDeployment {
  private:
   fabric::LinkProfile link_;
   bool use_cache_;
-  CachePolicy policy_;
   sim::FluidSimulator sim_;
   std::unique_ptr<fabric::Topology> topology_;
   std::unique_ptr<cluster::Cluster> cluster_;

@@ -9,20 +9,17 @@
 
 namespace lmp::chaos {
 
-FaultInjector::FaultInjector(Bindings bindings, InjectorOptions options)
+FaultInjector::FaultInjector(Bindings bindings)
     : sim_(bindings.sim),
       topology_(bindings.topology),
       manager_(bindings.manager),
       cluster_(bindings.cluster),
       replication_(bindings.replication),
-      erasure_(bindings.erasure),
-      options_(options) {
+      erasure_(bindings.erasure) {
   LMP_CHECK(sim_ != nullptr);
   LMP_CHECK(topology_ != nullptr);
   LMP_CHECK(manager_ != nullptr || cluster_ != nullptr)
       << "need a PoolManager or a Cluster to crash servers";
-  LMP_CHECK(options_.max_transfer_retries >= 0);
-  LMP_CHECK(options_.retry_backoff > 0);
 }
 
 void FaultInjector::set_metrics(MetricsRegistry* registry) {
@@ -334,10 +331,10 @@ void FaultInjector::StartRecoveryTransfer(cluster::ServerId src,
   if (ServerCrashed(src)) src = PickLiveSource(dst);
   const bool endpoint_down = ServerCrashed(src) || ServerCrashed(dst);
   const bool link_down =
-      topology_->link_bandwidth_mult(src) <= options_.down_threshold ||
-      topology_->link_bandwidth_mult(dst) <= options_.down_threshold;
+      topology_->link_bandwidth_mult(src) <= kDownThreshold ||
+      topology_->link_bandwidth_mult(dst) <= kDownThreshold;
   if (endpoint_down || link_down) {
-    if (attempt >= options_.max_transfer_retries) {
+    if (attempt >= kMaxTransferRetries) {
       AbandonRecoveryTransfer(segment);
       --outstanding_;
       // No TTR is recorded for a window that ends in abandonment —
@@ -360,7 +357,7 @@ void FaultInjector::StartRecoveryTransfer(cluster::ServerId src,
                           std::to_string(attempt + 1));
     }
     const SimTime delay =
-        options_.retry_backoff * static_cast<double>(1u << attempt);
+        kRetryBackoff * static_cast<double>(1u << attempt);
     sim_->ScheduleAfter(delay,
                         [this, src, dst, bytes, segment, attempt](SimTime) {
                           StartRecoveryTransfer(src, dst, bytes, segment,

@@ -13,7 +13,7 @@
 //
 // Recovery transfers race the plan's link degradations: a transfer whose
 // endpoint is crashed or whose link bandwidth is at/below
-// `down_threshold` retries with bounded exponential backoff before being
+// `kDownThreshold` retries with bounded exponential backoff before being
 // abandoned.
 //
 // Everything is driven by sim time (timers + flow completions), so the
@@ -46,18 +46,6 @@ class FlightRecorder;
 
 namespace lmp::chaos {
 
-struct InjectorOptions {
-  // Retry-with-backoff bound for recovery transfers racing a degradation
-  // window: attempt, then retry after backoff, 2x backoff, 4x backoff, ...
-  // up to max_transfer_retries retries before the transfer is abandoned.
-  int max_transfer_retries = 4;
-  SimTime retry_backoff = Milliseconds(1);
-  // A link whose bandwidth multiplier is at/below this is treated as down
-  // for new recovery transfers (starting a flow through it would still
-  // "work" in the fluid model, just glacially).
-  double down_threshold = 0.05;
-};
-
 // Recovery SLOs and bookkeeping, also exported as chaos.* metrics.
 struct ChaosReport {
   int crashes = 0;
@@ -82,6 +70,16 @@ struct ChaosReport {
 
 class FaultInjector {
  public:
+  // Retry-with-backoff bound for recovery transfers racing a degradation
+  // window: attempt, then retry after backoff, 2x backoff, 4x backoff, ...
+  // up to kMaxTransferRetries retries before the transfer is abandoned.
+  static constexpr int kMaxTransferRetries = 4;
+  static constexpr SimTime kRetryBackoff = Milliseconds(1);
+  // A link whose bandwidth multiplier is at/below this is treated as down
+  // for new recovery transfers (starting a flow through it would still
+  // "work" in the fluid model, just glacially).
+  static constexpr double kDownThreshold = 0.05;
+
   // sim + topology are required; the rest are optional layers the injector
   // drives when present.  With no PoolManager (e.g. the physical baseline)
   // crashes only mark cluster state — pooled data on the pool box survives
@@ -95,7 +93,7 @@ class FaultInjector {
     core::XorErasureManager* erasure = nullptr;
   };
 
-  explicit FaultInjector(Bindings bindings, InjectorOptions options = {});
+  explicit FaultInjector(Bindings bindings);
 
   // Applies one event now (at sim->now(); the event's `at` is ignored).
   Status Apply(const FaultEvent& event);
@@ -128,7 +126,6 @@ class FaultInjector {
   void set_flight_recorder(obs::FlightRecorder* recorder) {
     flight_ = recorder;
   }
-  const InjectorOptions& options() const { return options_; }
 
   // Invoked after every successfully applied event (flaps notify once when
   // their degrade/restore pairs are scheduled).  The control plane
@@ -179,7 +176,6 @@ class FaultInjector {
   cluster::Cluster* cluster_;
   core::ReplicationManager* replication_;
   core::XorErasureManager* erasure_;
-  InjectorOptions options_;
 
   ChaosReport report_;
   Status apply_error_;

@@ -73,12 +73,4 @@ Bytes Cluster::PooledCapacityBytes() const {
   return total;
 }
 
-int Cluster::LiveServerCount() const {
-  int n = 0;
-  for (const auto& s : servers_) {
-    if (!s->crashed()) ++n;
-  }
-  return n;
-}
-
 }  // namespace lmp::cluster

@@ -58,7 +58,6 @@ class Cluster {
   // Aggregate free bytes across every live server's shared region.
   Bytes PooledFreeBytes() const;
   Bytes PooledCapacityBytes() const;
-  int LiveServerCount() const;
 
  private:
   ClusterConfig config_;

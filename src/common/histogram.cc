@@ -103,17 +103,6 @@ std::vector<Histogram::Bucket> Histogram::NonZeroBuckets() const {
   return out;
 }
 
-void Histogram::Merge(const Histogram& other) {
-  assert(buckets_.size() == other.buckets_.size());
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
-  }
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  sum_ += other.sum_;
-}
-
 void Histogram::Reset() {
   std::fill(buckets_.begin(), buckets_.end(), 0);
   count_ = 0;

@@ -33,7 +33,6 @@ class Histogram {
   std::uint64_t p99() const { return Percentile(99); }
   std::uint64_t p999() const { return Percentile(99.9); }
 
-  void Merge(const Histogram& other);
   void Reset();
 
   // "count=... mean=... p50=... p99=... max=..."

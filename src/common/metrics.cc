@@ -1,19 +1,8 @@
 #include "common/metrics.h"
 
-#include <chrono>
 #include <sstream>
 
 namespace lmp {
-namespace {
-
-std::uint64_t NowNs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
 
 void MetricsRegistry::Increment(std::string_view name, std::uint64_t delta) {
   auto it = counters_.find(name);
@@ -97,19 +86,6 @@ std::string MetricsRegistry::Report() const {
 MetricsRegistry& MetricsRegistry::Global() {
   static MetricsRegistry registry;
   return registry;
-}
-
-ScopedTimer::ScopedTimer(MetricsRegistry* registry, std::string name)
-    : registry_(registry),
-      name_(MetricsRegistry::IsWallMetric(name)
-                ? std::move(name)
-                : std::string(MetricsRegistry::kWallPrefix) + name),
-      start_ns_(NowNs()) {}
-
-ScopedTimer::~ScopedTimer() {
-  if (registry_ != nullptr) {
-    registry_->SetGauge(name_, static_cast<double>(NowNs() - start_ns_));
-  }
 }
 
 }  // namespace lmp

@@ -12,7 +12,7 @@
 // from simulated time and simulation state, because the registry feeds the
 // byte-deterministic metrics JSON (trace::MetricsJson).  The one sanctioned
 // escape hatch is the "wall." namespace: metrics named "wall.*" hold
-// wall-clock measurements (ScopedTimer, solver timing), show up in
+// wall-clock measurements (solver timing), show up in
 // Report() for operators, and are EXCLUDED from the deterministic export.
 #pragma once
 
@@ -91,25 +91,6 @@ class MetricsRegistry {
   std::map<std::string, std::uint64_t, std::less<>> counters_;
   std::map<std::string, double, std::less<>> gauges_;
   std::map<std::string, Histogram, std::less<>> histograms_;
-};
-
-// Scoped timer that records elapsed wall nanoseconds into a gauge on
-// destruction (for coarse operator-facing timings, not benchmarks).  The
-// gauge lands in the "wall." namespace — "elapsed" becomes "wall.elapsed"
-// unless the name is already prefixed — so wall time never leaks into the
-// deterministic metrics export.
-class ScopedTimer {
- public:
-  ScopedTimer(MetricsRegistry* registry, std::string name);
-  ~ScopedTimer();
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  MetricsRegistry* registry_;
-  std::string name_;
-  std::uint64_t start_ns_;
 };
 
 }  // namespace lmp

@@ -61,13 +61,6 @@ std::int64_t Rng::NextInRange(std::int64_t lo, std::int64_t hi) {
 
 bool Rng::NextBernoulli(double p) { return NextDouble() < p; }
 
-double Rng::NextExponential(double mean) {
-  double u = NextDouble();
-  // Avoid log(0).
-  if (u <= 0.0) u = 0x1.0p-53;
-  return -mean * std::log(u);
-}
-
 ZipfGenerator::ZipfGenerator(std::uint64_t n, double theta, std::uint64_t seed)
     : n_(n), theta_(theta), rng_(seed) {
   assert(n > 0);

@@ -29,9 +29,6 @@ class Rng {
   // True with probability p.
   bool NextBernoulli(double p);
 
-  // Exponentially distributed with the given mean.
-  double NextExponential(double mean);
-
   // Fisher–Yates shuffle.
   template <typename T>
   void Shuffle(std::vector<T>& v) {

@@ -150,8 +150,8 @@ class TraceCollector {
 //  "histograms":{name:{count,min,max,mean,p50,p99,p999,
 //                      buckets:[[low,high,count],...]},...}}
 // with keys in sorted (map) order.  Every registered metric appears EXCEPT
-// the "wall." namespace: those carry wall-clock readings (ScopedTimer,
-// solver timing) and would break the byte-determinism contract, so they
+// the "wall." namespace: those carry wall-clock readings (solver timing)
+// and would break the byte-determinism contract, so they
 // stay operator-only (MetricsRegistry::Report).
 std::string MetricsJson(const MetricsRegistry& registry);
 Status WriteMetricsJson(const MetricsRegistry& registry,

@@ -25,7 +25,7 @@ Pool::Pool(const PoolOptions& options) {
   manager_ = std::make_unique<core::PoolManager>(cluster_.get());
   migrator_ = std::make_unique<core::MigrationEngine>(manager_.get());
   coherent_ = std::make_unique<core::CoherentRegion>(
-      options.coherent_bytes, options.coherence_granularity,
+      options.coherent_bytes, kCoherenceGranularity,
       options.cluster.num_servers);
   shipper_ = std::make_unique<core::ComputeShipper>(manager_.get());
   replication_ = std::make_unique<core::ReplicationManager>(
@@ -40,8 +40,8 @@ StatusOr<std::unique_ptr<Pool>> Pool::Create(const PoolOptions& options) {
     return InvalidArgumentError(
         "coherence directory supports at most 64 hosts");
   }
-  if (options.coherent_bytes == 0 || options.coherence_granularity == 0 ||
-      options.coherent_bytes % options.coherence_granularity != 0) {
+  if (options.coherent_bytes == 0 ||
+      options.coherent_bytes % kCoherenceGranularity != 0) {
     return InvalidArgumentError(
         "coherent region must be a multiple of the tracking granularity");
   }

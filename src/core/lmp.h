@@ -35,10 +35,9 @@ namespace lmp {
 struct PoolOptions {
   cluster::ClusterConfig cluster;
   // Coherent region (§3.2): a few GBs in real deployments; default small so
-  // functional tests stay cheap.  Granularity is the coherence tracking
-  // unit (sub-line 16 B avoids false sharing).
+  // functional tests stay cheap.  A multiple of
+  // Pool::kCoherenceGranularity.
   Bytes coherent_bytes = MiB(1);
-  Bytes coherence_granularity = 16;
   int replication_factor = 1;
 
   // The paper's 4-server / 96 GB logical deployment, with real backing
@@ -51,6 +50,10 @@ struct PoolOptions {
 
 class Pool {
  public:
+  // The coherent region's tracking unit (sub-line 16 B avoids false
+  // sharing).
+  static constexpr Bytes kCoherenceGranularity = 16;
+
   static StatusOr<std::unique_ptr<Pool>> Create(const PoolOptions& options);
 
   // Allocation ----------------------------------------------------------------

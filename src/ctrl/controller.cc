@@ -126,13 +126,6 @@ void SizingController::set_metrics(MetricsRegistry* registry) {
   metrics_ = registry;
 }
 
-void SizingController::set_access_bits(core::AccessBitSampler* sampler,
-                                       bool scan_each_epoch) {
-  sampler_ = sampler;
-  scan_access_bits_ = scan_each_epoch;
-  estimator_.set_access_bits(sampler);
-}
-
 void SizingController::Start() {
   if (running_) return;
   running_ = true;
@@ -166,11 +159,6 @@ void SizingController::RunEpoch(SimTime now, bool out_of_band) {
   ++stats_.epochs;
   metrics_->Increment("ctrl.epochs");
 
-  // (0) Access-bit scan: close the sampling interval so this epoch's
-  // attribution sees fresh bits (skipped when a hierarchical parent owns
-  // the shared sampler and scans it once for all racks).
-  if (sampler_ != nullptr && scan_access_bits_) (void)sampler_->ScanAndClear();
-
   // (1) Estimate + solve.
   std::vector<core::ServerDemand> demands = estimator_.Estimate(now);
   const core::SizingPlan plan =
@@ -182,7 +170,7 @@ void SizingController::RunEpoch(SimTime now, bool out_of_band) {
   Actuate(plan, now);
 
   // (3) Locality balancing rides the same epoch.
-  if (config_.run_migration) RunMigrationRound(now);
+  RunMigrationRound(now);
 
   ExportEpochTelemetry(plan, now);
   if (trace_ != nullptr) {

@@ -35,7 +35,6 @@
 #include "chaos/fault_injector.h"
 #include "common/metrics.h"
 #include "common/units.h"
-#include "core/access_bits.h"
 #include "core/migration.h"
 #include "core/pool_manager.h"
 #include "core/sizing.h"
@@ -83,9 +82,8 @@ struct ControllerConfig {
   // Benches set it to the workload horizon so FluidSimulator::Run
   // terminates once the last flow drains.
   SimTime horizon = -1;
-  // Run a locality-balancing round each epoch (migrations are priced as
-  // DMA flows like drains).
-  bool run_migration = true;
+  // Each epoch ends with a locality-balancing round (migrations are priced
+  // as DMA flows like drains).
   core::MigrationConfig migration;
   EstimatorConfig estimator;
   // Rack scope: when scope_limit > scope_first the controller manages only
@@ -168,13 +166,6 @@ class SizingController {
                      manager_->cluster().num_servers());
   }
 
-  // Binds the shared access-bit sampler.  When `scan_each_epoch` is true
-  // the controller scan-and-clears it at the top of every epoch; a
-  // hierarchical parent that shares one sampler across several scoped
-  // controllers passes false and scans once itself.
-  void set_access_bits(core::AccessBitSampler* sampler,
-                       bool scan_each_epoch = true);
-
   void set_metrics(MetricsRegistry* registry);
   void set_trace(trace::TraceCollector* collector) { trace_ = collector; }
 
@@ -211,8 +202,6 @@ class SizingController {
   bool epoch_scheduled_ = false;
   std::vector<SimTime> cooldown_until_;           // per server
   std::map<cluster::ServerId, PendingDrain> drains_;  // in flight
-  core::AccessBitSampler* sampler_ = nullptr;
-  bool scan_access_bits_ = false;
 
   ControllerStats stats_;
   MetricsRegistry* metrics_ = &MetricsRegistry::Global();

@@ -2,20 +2,11 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
-
 namespace lmp::ctrl::hier {
 
-GlobalCoordinator::GlobalCoordinator(CoordinatorConfig config)
-    : config_(config) {
-  LMP_CHECK(config_.spine_budget > 0);
-  LMP_CHECK(config_.headroom_reserve >= 0 && config_.headroom_reserve < 1);
-}
-
-SpinePlan GlobalCoordinator::Solve(
-    const std::vector<RackSummary>& racks) const {
+SpinePlan GlobalCoordinator::Solve(const std::vector<RackSummary>& racks) {
   SpinePlan plan;
-  Bytes budget = config_.spine_budget;
+  Bytes budget = kSpineBudget;
 
   // Grantable headroom per rack: free bytes minus the reserve, debited as
   // grants land so pulls and pushes share one capacity view.
@@ -23,7 +14,7 @@ SpinePlan GlobalCoordinator::Solve(
   for (std::size_t i = 0; i < racks.size(); ++i) {
     if (!racks[i].alive) continue;
     avail[i] = static_cast<Bytes>(static_cast<double>(racks[i].headroom) *
-                                  (1.0 - config_.headroom_reserve));
+                                  (1.0 - kHeadroomReserve));
   }
 
   // Pull phase first: localizing hot bytes is the paper's objective, so
@@ -32,7 +23,7 @@ SpinePlan GlobalCoordinator::Solve(
     if (!racks[i].alive) continue;
     const Bytes want =
         std::min({racks[i].remote_hot_bytes, avail[i], budget});
-    if (want < config_.min_grant) continue;
+    if (want < kMinGrant) continue;
     plan.pulls.push_back(PullGrant{racks[i].rack, want});
     plan.granted += want;
     budget -= want;
@@ -46,9 +37,9 @@ SpinePlan GlobalCoordinator::Solve(
     Bytes need = racks[i].residual_demand;
     for (std::size_t j = 0; j < racks.size(); ++j) {
       if (j == i || !racks[j].alive) continue;
-      if (need < config_.min_grant || budget == 0) break;
+      if (need < kMinGrant || budget == 0) break;
       const Bytes grant = std::min({need, avail[j], budget});
-      if (grant < config_.min_grant) continue;
+      if (grant < kMinGrant) continue;
       plan.pushes.push_back(
           PushGrant{racks[i].rack, racks[j].rack, grant});
       plan.granted += grant;

@@ -26,16 +26,6 @@
 
 namespace lmp::ctrl::hier {
 
-struct CoordinatorConfig {
-  // Cap on cross-rack bytes granted per spine round.
-  Bytes spine_budget = MiB(64);
-  // Fraction of a rack's free bytes held back when granting into it, so a
-  // grant cannot fill a rack to the brim and trigger its own overflow.
-  double headroom_reserve = 0.25;
-  // Grants below this are noise — dropped (hysteresis for the spine).
-  Bytes min_grant = KiB(64);
-};
-
 struct PullGrant {
   int rack = 0;  // the rack allowed to pull hot remote bytes home
   Bytes budget = 0;
@@ -55,16 +45,17 @@ struct SpinePlan {
 
 class GlobalCoordinator {
  public:
-  explicit GlobalCoordinator(CoordinatorConfig config = {});
+  // Cap on cross-rack bytes granted per spine round.
+  static constexpr Bytes kSpineBudget = MiB(64);
+  // Fraction of a rack's free bytes held back when granting into it, so a
+  // grant cannot fill a rack to the brim and trigger its own overflow.
+  static constexpr double kHeadroomReserve = 0.25;
+  // Grants below this are noise — dropped (hysteresis for the spine).
+  static constexpr Bytes kMinGrant = KiB(64);
 
   // Solves one spine round.  `racks` must be in rack-id order; dead racks
   // (alive == false) neither give nor receive grants.
-  SpinePlan Solve(const std::vector<RackSummary>& racks) const;
-
-  const CoordinatorConfig& config() const { return config_; }
-
- private:
-  CoordinatorConfig config_;
+  static SpinePlan Solve(const std::vector<RackSummary>& racks);
 };
 
 }  // namespace lmp::ctrl::hier

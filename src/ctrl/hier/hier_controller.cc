@@ -13,7 +13,6 @@ HierController::HierController(Bindings bindings, HierConfig config)
       topology_(bindings.topology),
       injector_(bindings.injector),
       config_(config),
-      coordinator_(config.coordinator),
       probe_estimator_(bindings.manager) {
   LMP_CHECK(sim_ != nullptr);
   LMP_CHECK(manager_ != nullptr);
@@ -79,7 +78,7 @@ RackController& HierController::rack_of(cluster::ServerId server) {
 void HierController::set_access_bits(core::AccessBitSampler* sampler) {
   sampler_ = sampler;
   for (auto& r : racks_) {
-    r->sizing().set_access_bits(sampler, /*scan_each_epoch=*/false);
+    r->sizing().estimator().set_access_bits(sampler);
   }
 }
 
@@ -163,7 +162,7 @@ void HierController::RunGlobalRound(SimTime now, bool out_of_band) {
   std::vector<RackSummary> summaries;
   summaries.reserve(racks_.size());
   for (auto& r : racks_) summaries.push_back(r->Summary(now));
-  const SpinePlan plan = coordinator_.Solve(summaries);
+  const SpinePlan plan = GlobalCoordinator::Solve(summaries);
 
   stats_.pull_grants += plan.pulls.size();
   stats_.push_grants += plan.pushes.size();

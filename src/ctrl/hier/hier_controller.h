@@ -49,7 +49,6 @@ struct HierConfig {
   // Template for every rack's scoped SizingController (scope fields and
   // period/horizon are overwritten per rack).
   ControllerConfig rack;
-  CoordinatorConfig coordinator;
 };
 
 struct HierStats {
@@ -122,7 +121,6 @@ class HierController {
 
   // Stable addresses: rack controllers capture `this` in callbacks.
   std::vector<std::unique_ptr<RackController>> racks_;
-  GlobalCoordinator coordinator_;
   // Full-cluster estimator used only for ObservedLocalFraction telemetry
   // (never Estimate()d, so it carries no smoothing state).
   DemandEstimator probe_estimator_;

@@ -20,12 +20,6 @@ double SloAttainment::BandwidthAttainment() const {
          static_cast<double>(bandwidth_samples);
 }
 
-double SloAttainment::OpP99Attainment() const {
-  if (op_p99_samples == 0) return 1.0;
-  return static_cast<double>(op_p99_met) /
-         static_cast<double>(op_p99_samples);
-}
-
 bool SloAttainment::UnavailabilityMet() const {
   return targets.max_unavailability < 0 ||
          unavailability <= targets.max_unavailability;
@@ -33,7 +27,7 @@ bool SloAttainment::UnavailabilityMet() const {
 
 bool SloAttainment::Met() const {
   return local_met == local_samples && bandwidth_met == bandwidth_samples &&
-         op_p99_met == op_p99_samples && UnavailabilityMet();
+         UnavailabilityMet();
 }
 
 SloAttainment& SloLedger::entry(std::string_view tenant) {
@@ -71,16 +65,6 @@ void SloLedger::RecordBandwidth(std::string_view tenant, double gbps) {
   if (a.targets.min_bandwidth_gbps <= 0 ||
       gbps >= a.targets.min_bandwidth_gbps) {
     ++a.bandwidth_met;
-  }
-}
-
-void SloLedger::RecordOpP99(std::string_view tenant, SimTime p99) {
-  SloAttainment& a = entry(tenant);
-  if (p99 > a.op_p99_worst) a.op_p99_worst = p99;
-  ++a.op_p99_samples;
-  a.op_p99_sum += static_cast<double>(p99);
-  if (a.targets.max_op_p99 < 0 || p99 <= a.targets.max_op_p99) {
-    ++a.op_p99_met;
   }
 }
 
@@ -122,8 +106,6 @@ std::string SloLedger::Json() const {
     out += trace::JsonNumber(a.targets.min_bandwidth_gbps);
     out += ",\"max_unavailability_ns\":";
     out += trace::JsonNumber(a.targets.max_unavailability);
-    out += ",\"max_op_p99_ns\":";
-    out += trace::JsonNumber(a.targets.max_op_p99);
     out += "},\"local\":{\"samples\":";
     out += u64(a.local_samples);
     out += ",\"met\":";
@@ -150,19 +132,6 @@ std::string SloLedger::Json() const {
         a.bandwidth_samples == 0
             ? 0.0
             : a.bandwidth_sum / static_cast<double>(a.bandwidth_samples));
-    out += "},\"op_p99\":{\"samples\":";
-    out += u64(a.op_p99_samples);
-    out += ",\"met\":";
-    out += u64(a.op_p99_met);
-    out += ",\"attainment\":";
-    out += trace::JsonNumber(a.OpP99Attainment());
-    out += ",\"worst_ns\":";
-    out += trace::JsonNumber(a.op_p99_worst);
-    out += ",\"mean_ns\":";
-    out += trace::JsonNumber(
-        a.op_p99_samples == 0
-            ? 0.0
-            : a.op_p99_sum / static_cast<double>(a.op_p99_samples));
     out += "},\"unavailability\":{\"windows\":";
     out += u64(a.unavailability_windows);
     out += ",\"total_ns\":";
@@ -183,15 +152,12 @@ Status SloLedger::WriteJson(const std::string& path) const {
 
 std::string SloLedger::ReportTable() const {
   TablePrinter table({"Tenant", "Local att.", "Local min", "BW att.",
-                      "BW min GB/s", "p99 att.", "p99 worst us",
-                      "Unavail ms", "Met"});
+                      "BW min GB/s", "Unavail ms", "Met"});
   for (const auto& [name, a] : tenants_) {
     table.AddRow({name, TablePrinter::Num(a.LocalAttainment(), 3),
                   TablePrinter::Num(a.local_min, 3),
                   TablePrinter::Num(a.BandwidthAttainment(), 3),
                   TablePrinter::Num(a.bandwidth_min, 2),
-                  TablePrinter::Num(a.OpP99Attainment(), 3),
-                  TablePrinter::Num(a.op_p99_worst / kNsPerUs, 2),
                   TablePrinter::Num(a.unavailability / kNsPerMs, 3),
                   a.Met() ? "yes" : "NO"});
   }

@@ -35,9 +35,6 @@ struct SloTargets {
   double min_bandwidth_gbps = 0.0;
   // Total unavailability budget over the run.  < 0: no target.
   SimTime max_unavailability = -1;
-  // Op-latency tail ceiling: p99 samples (ns, from the op engine's
-  // per-kind histograms) at or under this count as met.  < 0: no target.
-  SimTime max_op_p99 = -1;
 };
 
 struct SloAttainment {
@@ -57,19 +54,13 @@ struct SloAttainment {
   std::uint64_t unavailability_windows = 0;
   SimTime unavailability = 0;
 
-  std::uint64_t op_p99_samples = 0;
-  std::uint64_t op_p99_met = 0;
-  SimTime op_p99_worst = 0;
-  double op_p99_sum = 0;
-
   // Fraction of samples that met the floor; 1.0 with no samples (an SLO
   // nobody observed is vacuously attained, mirroring
   // DemandEstimator::ObservedLocalFraction's no-traffic convention).
   double LocalAttainment() const;
   double BandwidthAttainment() const;
-  double OpP99Attainment() const;
   bool UnavailabilityMet() const;
-  // All four dimensions within target.
+  // All three dimensions within target.
   bool Met() const;
 };
 
@@ -82,9 +73,6 @@ class SloLedger {
 
   void RecordLocalFraction(std::string_view tenant, double fraction);
   void RecordBandwidth(std::string_view tenant, double gbps);
-  // One observed op-latency p99 sample (ns), e.g. from the tenant's
-  // op-engine histogram.
-  void RecordOpP99(std::string_view tenant, SimTime p99);
   // One closed unavailability window of `duration` ns.
   void AddUnavailability(std::string_view tenant, SimTime duration);
 

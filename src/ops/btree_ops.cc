@@ -11,16 +11,15 @@ namespace lmp::ops {
 using workloads::PoolBtree;
 
 BtreeOpDriver::BtreeOpDriver(OpEngine* engine, PoolBtree* tree,
-                             int num_hosts, Options options)
-    : engine_(engine), tree_(tree), options_(options) {
+                             int num_hosts)
+    : engine_(engine), tree_(tree) {
   LMP_CHECK(engine_ != nullptr && tree_ != nullptr);
-  LMP_CHECK(options_.lock_stripes >= 1);
   // One 8-byte coherent cell per lock stripe, 8-byte coherence granularity
   // so stripes never false-share.
   lock_region_ = std::make_unique<core::CoherentRegion>(
-      static_cast<Bytes>(options_.lock_stripes) * 8, 8, num_hosts);
-  locks_.reserve(options_.lock_stripes);
-  for (int i = 0; i < options_.lock_stripes; ++i) {
+      static_cast<Bytes>(kLockStripes) * 8, 8, num_hosts);
+  locks_.reserve(kLockStripes);
+  for (int i = 0; i < kLockStripes; ++i) {
     locks_.push_back(std::make_unique<core::DistributedLock>(
         lock_region_.get(), static_cast<Bytes>(i) * 8));
   }

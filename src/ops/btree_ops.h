@@ -40,18 +40,13 @@ namespace lmp::ops {
 
 class BtreeOpDriver {
  public:
-  struct Options {
-    // Writer locks, striped by key hash.  1 = one global writer lock.
-    int lock_stripes = 16;
-  };
+  // Writer locks, striped by key: key k takes stripe k % kLockStripes.
+  static constexpr int kLockStripes = 16;
 
   // Engine and tree must outlive the driver.  The driver owns a private
   // coherent region holding the lock stripes (one cell each), sized for the
   // engine's cluster hosts.
-  BtreeOpDriver(OpEngine* engine, workloads::PoolBtree* tree, int num_hosts,
-                Options options);
-  BtreeOpDriver(OpEngine* engine, workloads::PoolBtree* tree, int num_hosts)
-      : BtreeOpDriver(engine, tree, num_hosts, Options()) {}
+  BtreeOpDriver(OpEngine* engine, workloads::PoolBtree* tree, int num_hosts);
   // Steps and op records hold the driver's address.
   BtreeOpDriver(const BtreeOpDriver&) = delete;
   BtreeOpDriver& operator=(const BtreeOpDriver&) = delete;
@@ -116,7 +111,6 @@ class BtreeOpDriver {
 
   OpEngine* engine_;
   workloads::PoolBtree* tree_;
-  Options options_;
   std::unique_ptr<core::CoherentRegion> lock_region_;
   std::vector<std::unique_ptr<core::DistributedLock>> locks_;
   // Every record ever made, and the ones no op holds.

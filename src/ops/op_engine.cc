@@ -33,8 +33,7 @@ OpEngine::OpEngine(sim::FluidSimulator* sim, fabric::Topology* topology,
   LMP_CHECK(sim_ != nullptr && topology_ != nullptr && manager_ != nullptr);
   // LinkProfile::min_latency_ns is the unloaded round-trip read latency —
   // exactly the cost of one coherent-region CAS round trip.
-  lock_rtt_ = options_.lock_rtt > 0 ? options_.lock_rtt
-                                    : topology_->link().min_latency_ns;
+  lock_rtt_ = topology_->link().min_latency_ns;
   LMP_CHECK(lock_rtt_ > 0) << "lock round trip must cost sim time";
   const int cores = topology_->machine().cores_per_server;
   slots_.resize(static_cast<std::size_t>(topology_->num_servers()) *

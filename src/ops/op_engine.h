@@ -109,10 +109,6 @@ struct OpResult {
 class OpEngine {
  public:
   struct Options {
-    // Sim time one coherent-region round trip costs (TryLock CAS, unlock
-    // store).  0 derives it from the topology's link profile: the
-    // unloaded remote round-trip latency.
-    SimTime lock_rtt = 0;
     // The wedged-peer guard, in round trips of waiting: an Acquire() still
     // queued max_lock_spins * lock_rtt after its first attempt fails
     // kUnavailable with lock_spins == max_lock_spins.
@@ -269,6 +265,9 @@ class OpEngine {
   // hook runs inside a timer callback, so submitting is safe).
   void set_on_complete(CompletionHook hook) { on_complete_ = std::move(hook); }
 
+  // Sim time one coherent-region round trip costs (TryLock CAS, unlock
+  // store): the topology link profile's unloaded remote round-trip
+  // latency.
   SimTime lock_rtt() const { return lock_rtt_; }
   sim::FluidSimulator* simulator() { return sim_; }
   core::PoolManager* manager() { return manager_; }

@@ -14,7 +14,7 @@
 //    interleave structural churn (migrate/compact/crash) with a std::map
 //    reference model.
 //  * A step API for the request-level engine (src/ops):  DescendStep reads
-//    ONE node and names the next hop, ReadLeafView reads one leaf of a
+//    ONE node and names the next hop, ReadLeafRows reads one leaf of a
 //    scan chain, and InsertAtPath applies a mutation to a previously
 //    descended path while reporting which nodes it wrote — so the async
 //    driver can price each hop and each write as separate simulator

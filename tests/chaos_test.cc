@@ -248,15 +248,12 @@ TEST_F(InjectorTest, RetryBackoffIsBoundedAndAbandons) {
   ASSERT_TRUE(
       erasure.ProtectSegments(manager_.Describe(*buf)->segments).ok());
 
-  InjectorOptions options;
-  options.max_transfer_retries = 3;
-  options.retry_backoff = Microseconds(5);
-  FaultInjector injector(Bind(nullptr, &erasure), options);
+  FaultInjector injector(Bind(nullptr, &erasure));
   injector.set_metrics(&metrics_);
   ASSERT_TRUE(injector.WatchBuffer(*buf).ok());
 
   // Every surviving link is effectively down for the whole run, so each
-  // rebuild transfer retries exactly max_transfer_retries times and is
+  // rebuild transfer retries exactly kMaxTransferRetries times and is
   // then abandoned — never an unbounded spin.
   for (int s = 0; s < 4; ++s) {
     ASSERT_TRUE(topology_.SetLinkHealth(s, 0.01, 1.0).ok());
@@ -270,7 +267,7 @@ TEST_F(InjectorTest, RetryBackoffIsBoundedAndAbandons) {
   const ChaosReport report = injector.report();
   ASSERT_GT(report.segments_lost, 0);
   EXPECT_EQ(report.transfer_retries,
-            report.segments_lost * options.max_transfer_retries);
+            report.segments_lost * FaultInjector::kMaxTransferRetries);
   EXPECT_EQ(report.rebuilds_abandoned, report.segments_lost);
   EXPECT_EQ(report.segments_rebuilt, 0);
   EXPECT_EQ(injector.pending_recoveries(), 0);

@@ -187,7 +187,9 @@ TEST_F(ControllerTest, BlockedShrinkDrainsAndLands) {
   config.cooldown = Milliseconds(2);
   config.min_step = KiB(64);
   config.horizon = Milliseconds(20);
-  config.run_migration = false;  // only the drain may move segments
+  // Only the drain may move segments: each epoch's balancing round stops
+  // before its first move.
+  config.migration.max_migrations_per_round = 0;
   config.estimator.time_constant = Milliseconds(1);
   auto controller = MakeController(config);
   controller->Start();
@@ -233,7 +235,7 @@ TEST_F(ControllerTest, CooldownDampsBackToBackResizes) {
   ControllerConfig config;
   config.cooldown = Milliseconds(1000);
   config.min_step = KiB(64);
-  config.run_migration = false;
+  config.migration.max_migrations_per_round = 0;
   auto controller = MakeController(config);
   controller->RunEpochNow();  // first epoch resizes freely
   const std::uint64_t first = controller->stats().grows +

@@ -208,57 +208,6 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepCase{GiB(64), false}, SweepCase{GiB(64), true},
                       SweepCase{GiB(96), false}, SweepCase{GiB(96), true}));
 
-// --- LRU cache-policy ablation ---------------------------------------------------
-
-TEST(CachePolicyAblationTest, LruThrashesOnOversizedSweep) {
-  // With classic LRU, a 24 GiB cyclic sweep through an 8 GiB cache never
-  // hits; the pinned policy retains an 8/24 hit rate.
-  PhysicalDeployment pinned(LinkProfile::Link1(), true, CachePolicy::kPinned);
-  PhysicalDeployment lru(LinkProfile::Link1(), true, CachePolicy::kLru);
-  const auto rp = RunSum(pinned, GiB(24), 5);
-  const auto rl = RunSum(lru, GiB(24), 5);
-  EXPECT_GT(rp.cache_hit_rate, 0.3);
-  EXPECT_LT(rl.cache_hit_rate, 0.05);
-  EXPECT_GT(rp.avg_bandwidth_gbps, rl.avg_bandwidth_gbps);
-}
-
-TEST(CachePolicyAblationTest, LruStillWinsWhenVectorFits) {
-  PhysicalDeployment lru(LinkProfile::Link0(), true, CachePolicy::kLru);
-  PhysicalDeployment nocache(LinkProfile::Link0(), false);
-  EXPECT_GT(RunSum(lru, GiB(8), 5).avg_bandwidth_gbps,
-            RunSum(nocache, GiB(8), 5).avg_bandwidth_gbps * 1.5);
-}
-
-TEST(CachePolicyAblationTest, DirtyEvictionsChargeWritebackTraffic) {
-  // Regression: dirty LRU evictions were counted in cache stats but never
-  // charged as fabric traffic, so a write workload that thrashes the cache
-  // ran exactly as fast as a read workload.  A 24 GiB sweep through the
-  // 8 GiB cache evicts (almost) every page; in write mode each of those
-  // evictions must flush 64 KiB back to the pool box.
-  VectorSumParams write_params;
-  write_params.vector_bytes = GiB(24);
-  write_params.repetitions = 3;
-  write_params.write = true;
-
-  PhysicalDeployment writer(LinkProfile::Link1(), true, CachePolicy::kLru);
-  auto w = writer.RunWorkload({.vector = write_params});
-  ASSERT_TRUE(w.ok()) << w.status();
-  ASSERT_TRUE(w->vector.feasible);
-  EXPECT_GT(w->vector.writeback_bytes, 0u);
-  // Nearly every page beyond the cache's capacity gets written back: the
-  // sweep dirties all 24 GiB and the cache retains at most 8 GiB.
-  EXPECT_GE(w->vector.writeback_bytes, GiB(24));
-
-  PhysicalDeployment reader(LinkProfile::Link1(), true, CachePolicy::kLru);
-  VectorSumParams read_params = write_params;
-  read_params.write = false;
-  auto r = reader.RunWorkload({.vector = read_params});
-  ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_EQ(r->vector.writeback_bytes, 0u);
-  // Writebacks contend for the fabric, so the write run must be slower.
-  EXPECT_GT(w->vector.total_time_ns, r->vector.total_time_ns);
-}
-
 // --- Golden pin --------------------------------------------------------------
 //
 // Exact results for one small cell per vector-sum path.  The figure tests
@@ -272,7 +221,6 @@ struct Golden {
   double first_gbps;
   double steady_gbps;
   double cache_hit_rate;
-  Bytes writeback_bytes;
 };
 
 void ExpectGolden(const VectorSumResult& r, const Golden& g) {
@@ -282,7 +230,6 @@ void ExpectGolden(const VectorSumResult& r, const Golden& g) {
   EXPECT_EQ(r.first_rep_gbps, g.first_gbps);
   EXPECT_EQ(r.steady_rep_gbps, g.steady_gbps);
   EXPECT_EQ(r.cache_hit_rate, g.cache_hit_rate);
-  EXPECT_EQ(r.writeback_bytes, g.writeback_bytes);
 }
 
 VectorSumResult RunGolden(MemoryDeployment& deployment,
@@ -302,14 +249,14 @@ TEST(VectorSumGoldenTest, LogicalContiguous) {
   LogicalDeployment logical(LinkProfile::Link1());
   ExpectGolden(RunGolden(logical, GoldenParams(GiB(64))),
                Golden{0x1.6db6db6e92492p+32, 0x1.0ccccccc2b852p+5,
-                      0x1.0ccccccc2b852p+5, 0x1.0ccccccc2b851p+5, 0, 0});
+                      0x1.0ccccccc2b852p+5, 0x1.0ccccccc2b851p+5, 0});
 }
 
 TEST(VectorSumGoldenTest, LogicalBalanced) {
   LogicalDeployment logical(LinkProfile::Link1());
   ExpectGolden(RunGolden(logical, GoldenParams(GiB(64), true)),
                Golden{0x1.9d382d3e35899p+32, 0x1.dbcbadc7f10d2p+4,
-                      0x1.dbcbadc7f10cfp+4, 0x1.dbcbadc7f10d1p+4, 0, 0});
+                      0x1.dbcbadc7f10cfp+4, 0x1.dbcbadc7f10d1p+4, 0});
 }
 
 TEST(VectorSumGoldenTest, LogicalSecondRunOnSameDeployment) {
@@ -317,7 +264,7 @@ TEST(VectorSumGoldenTest, LogicalSecondRunOnSameDeployment) {
   RunGolden(logical, GoldenParams(GiB(64)));
   ExpectGolden(RunGolden(logical, GoldenParams(GiB(96))),
                Golden{0x1.90b21644bd378p+32, 0x1.6ffffffe34002p+5,
-                      0x1.6ffffffe34001p+5, 0x1.6ffffffe34004p+5, 0, 0});
+                      0x1.6ffffffe34001p+5, 0x1.6ffffffe34004p+5, 0});
 }
 
 TEST(VectorSumGoldenTest, DistributedSum) {
@@ -330,8 +277,7 @@ TEST(VectorSumGoldenTest, DistributedSum) {
     ASSERT_TRUE(r.ok()) << r.status();
     EXPECT_EQ(r->local_fraction, 1.0);
     ExpectGolden(*r, Golden{0x1.7c0a8e957c0a9p+29, 0x1.02aaaa9ebcf68p+8,
-                            0x1.02aaaa9ebcf68p+8, 0x1.02aaaa9ebcf68p+8, 0,
-                            0});
+                            0x1.02aaaa9ebcf68p+8, 0x1.02aaaa9ebcf68p+8, 0});
   }
 }
 
@@ -339,7 +285,7 @@ TEST(VectorSumGoldenTest, PhysicalNoCache) {
   PhysicalDeployment nocache(LinkProfile::Link0(), false);
   ExpectGolden(RunGolden(nocache, GoldenParams(GiB(24))),
                Golden{0x1.0b21642fc8591p+31, 0x1.13fffffca18p+5,
-                      0x1.13fffffca17ffp+5, 0x1.13fffffca18p+5, 0, 0});
+                      0x1.13fffffca17ffp+5, 0x1.13fffffca18p+5, 0});
 }
 
 TEST(VectorSumGoldenTest, PhysicalPinnedCache) {
@@ -347,28 +293,14 @@ TEST(VectorSumGoldenTest, PhysicalPinnedCache) {
   ExpectGolden(RunGolden(pinned, GoldenParams(GiB(24))),
                Golden{0x1.5555555779e7ap+31, 0x1.affffffd49b6ep+4,
                       0x1.4ffffffe5cp+4, 0x1.f7fffffc4effdp+4,
-                      0x1.5555555555555p-2, 0});
-}
-
-TEST(VectorSumGoldenTest, PhysicalLruWriteback) {
-  // A 24 MiB sweep thrashes 8 MiB of local cache and evicts dirty pages,
-  // so a writeback stream runs beside the fills every repetition.
-  cluster::ClusterConfig config = cluster::ClusterConfig::PaperPhysical();
-  config.server_total_memory = MiB(8);
-  PhysicalDeployment lru(LinkProfile::Link1(), true, CachePolicy::kLru,
-                         config);
-  VectorSumParams params = GoldenParams(MiB(24));
-  params.write = true;
-  ExpectGolden(RunGolden(lru, params),
-               Golden{0x1.9cf3cf3cf3cf5p+22, 0x1.6513d66f77f86p+3, 0x1.5p+4,
-                      0x1.53896e7bf5387p+4, 0x1.bdd2b899406f7p-7, 67633152});
+                      0x1.5555555555555p-2});
 }
 
 TEST(VectorSumGoldenTest, SoftwareSwap) {
   SoftwareSwapDeployment swap(LinkProfile::Link0());
   ExpectGolden(RunGolden(swap, GoldenParams(GiB(96))),
                Golden{0x1.416db6e397p+34, 0x1.cac08306c8b44p+3,
-                      0x1.cac08306c8b44p+3, 0x1.cac08306c8b44p+3, 0, 0});
+                      0x1.cac08306c8b44p+3, 0x1.cac08306c8b44p+3, 0});
 }
 
 TEST(VectorSumGoldenTest, CrashWithReplication) {
@@ -388,8 +320,7 @@ TEST(VectorSumGoldenTest, CrashWithReplication) {
   auto r = logical.RunWorkload(spec);
   ASSERT_TRUE(r.ok()) << r.status();
   ExpectGolden(r->vector, Golden{0x1.b1ea5cc0ed72fp+17, 0x1.2e116b62b2851p+5,
-                              0x1.7087aa7519b1fp+4, 0x1.b3f2bb313b584p+5, 0,
-                              0});
+                              0x1.7087aa7519b1fp+4, 0x1.b3f2bb313b584p+5, 0});
   EXPECT_EQ(r->reps_unavailable, 0);
   EXPECT_EQ(r->reps_degraded, 1);
   EXPECT_EQ(r->chaos.crashes, 1);

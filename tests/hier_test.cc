@@ -197,44 +197,39 @@ RackSummary Rack(int rack, Bytes residual, Bytes headroom, Bytes remote_hot,
   return s;
 }
 
+// The coordinator's constants: a 64 MiB round budget, a quarter of each
+// rack's headroom held back, and a 64 KiB grant floor.
+static_assert(GlobalCoordinator::kSpineBudget == MiB(64));
+static_assert(GlobalCoordinator::kHeadroomReserve == 0.25);
+static_assert(GlobalCoordinator::kMinGrant == KiB(64));
+
 TEST(GlobalCoordinatorTest, PullGrantsCappedByBudgetAndReservedHeadroom) {
-  CoordinatorConfig config;
-  config.spine_budget = MiB(4);
-  config.headroom_reserve = 0.25;
-  config.min_grant = KiB(64);
-  GlobalCoordinator coord(config);
-  // Rack 0 wants MiB(8) home but only MiB(6) of its headroom is grantable
-  // and the round budget is MiB(4); rack 1's want hits an exhausted budget.
-  const SpinePlan plan = coord.Solve({Rack(0, 0, MiB(8), MiB(8)),
-                                      Rack(1, 0, MiB(8), MiB(2))});
+  // Rack 0 wants MiB(128) home but only MiB(96) of its headroom is
+  // grantable and the round budget is MiB(64); rack 1's want hits an
+  // exhausted budget.
+  const SpinePlan plan = GlobalCoordinator::Solve(
+      {Rack(0, 0, MiB(128), MiB(128)), Rack(1, 0, MiB(128), MiB(32))});
   ASSERT_EQ(plan.pulls.size(), 1u);
   EXPECT_EQ(plan.pulls[0].rack, 0);
-  EXPECT_EQ(plan.pulls[0].budget, MiB(4));
+  EXPECT_EQ(plan.pulls[0].budget, MiB(64));
   EXPECT_TRUE(plan.pushes.empty());
-  EXPECT_EQ(plan.granted, MiB(4));
+  EXPECT_EQ(plan.granted, MiB(64));
 }
 
 TEST(GlobalCoordinatorTest, MinGrantFloorDropsNoise) {
-  CoordinatorConfig config;
-  config.min_grant = KiB(64);
-  config.headroom_reserve = 0;
-  GlobalCoordinator coord(config);
-  const SpinePlan plan = coord.Solve({Rack(0, KiB(32), MiB(8), KiB(32)),
-                                      Rack(1, 0, MiB(8), 0)});
+  const SpinePlan plan = GlobalCoordinator::Solve(
+      {Rack(0, KiB(32), MiB(8), KiB(32)), Rack(1, 0, MiB(8), 0)});
   EXPECT_TRUE(plan.pulls.empty());
   EXPECT_TRUE(plan.pushes.empty());
   EXPECT_EQ(plan.granted, 0u);
 }
 
 TEST(GlobalCoordinatorTest, DeadRacksNeitherGiveNorReceive) {
-  CoordinatorConfig config;
-  config.headroom_reserve = 0;
-  GlobalCoordinator coord(config);
   // Rack 0 is dead with tempting headroom and remote-hot bytes; rack 1's
   // residual must be pushed into rack 2, the only live peer.
-  const SpinePlan plan =
-      coord.Solve({Rack(0, MiB(4), MiB(16), MiB(8), /*alive=*/false),
-                   Rack(1, MiB(2), 0, 0), Rack(2, 0, MiB(8), 0)});
+  const SpinePlan plan = GlobalCoordinator::Solve(
+      {Rack(0, MiB(4), MiB(16), MiB(8), /*alive=*/false),
+       Rack(1, MiB(2), 0, 0), Rack(2, 0, MiB(8), 0)});
   EXPECT_TRUE(plan.pulls.empty());
   ASSERT_EQ(plan.pushes.size(), 1u);
   EXPECT_EQ(plan.pushes[0].src_rack, 1);
@@ -243,29 +238,24 @@ TEST(GlobalCoordinatorTest, DeadRacksNeitherGiveNorReceive) {
 }
 
 TEST(GlobalCoordinatorTest, PushesSpreadResidualOverSurplusRacksInOrder) {
-  CoordinatorConfig config;
-  config.headroom_reserve = 0;
-  GlobalCoordinator coord(config);
-  const SpinePlan plan = coord.Solve({Rack(0, MiB(3), 0, 0),
-                                      Rack(1, 0, MiB(2), 0),
-                                      Rack(2, 0, MiB(8), 0)});
+  // Rack 1 can take three quarters of its MiB(4) headroom; the rest of
+  // rack 0's residual goes on to rack 2.
+  const SpinePlan plan = GlobalCoordinator::Solve({Rack(0, MiB(4), 0, 0),
+                                                   Rack(1, 0, MiB(4), 0),
+                                                   Rack(2, 0, MiB(8), 0)});
   ASSERT_EQ(plan.pushes.size(), 2u);
   EXPECT_EQ(plan.pushes[0].dst_rack, 1);
-  EXPECT_EQ(plan.pushes[0].budget, MiB(2));
+  EXPECT_EQ(plan.pushes[0].budget, MiB(3));
   EXPECT_EQ(plan.pushes[1].dst_rack, 2);
   EXPECT_EQ(plan.pushes[1].budget, MiB(1));
-  EXPECT_EQ(plan.granted, MiB(3));
+  EXPECT_EQ(plan.granted, MiB(4));
 }
 
 TEST(GlobalCoordinatorTest, PullsOutrankPushesForTheSharedBudget) {
-  CoordinatorConfig config;
-  config.spine_budget = MiB(2);
-  config.headroom_reserve = 0;
-  GlobalCoordinator coord(config);
-  const SpinePlan plan = coord.Solve({Rack(0, 0, MiB(8), MiB(2)),
-                                      Rack(1, MiB(2), MiB(8), 0)});
+  const SpinePlan plan = GlobalCoordinator::Solve(
+      {Rack(0, 0, MiB(256), MiB(64)), Rack(1, MiB(64), MiB(256), 0)});
   ASSERT_EQ(plan.pulls.size(), 1u);
-  EXPECT_EQ(plan.pulls[0].budget, MiB(2));
+  EXPECT_EQ(plan.pulls[0].budget, MiB(64));
   EXPECT_TRUE(plan.pushes.empty());  // the pull consumed the round budget
 }
 

@@ -1,11 +1,10 @@
-// Tests for mem/: frame allocator, LRU cache, backing store.
+// Tests for mem/: frame allocator, backing store.
 #include <gtest/gtest.h>
 
 #include <utility>
 
 #include "mem/backing_store.h"
 #include "mem/frame_allocator.h"
-#include "mem/lru_cache.h"
 
 namespace lmp::mem {
 namespace {
@@ -250,130 +249,6 @@ TEST(FrameAllocatorTest, BoundOverridesCohort) {
   auto runs = alloc.Allocate(request);
   ASSERT_TRUE(runs.ok());
   EXPECT_EQ(*runs, (std::vector<FrameRun>{FrameRun{0, 4}}));
-}
-
-// --- LruCache -------------------------------------------------------------------
-
-TEST(LruCacheTest, MissThenHit) {
-  LruCache cache(4);
-  EXPECT_FALSE(cache.Access(1));
-  EXPECT_TRUE(cache.Access(1));
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-}
-
-TEST(LruCacheTest, EvictsLeastRecentlyUsed) {
-  LruCache cache(2);
-  cache.Access(1);
-  cache.Access(2);
-  cache.Access(1);      // 1 is now MRU
-  cache.Access(3);      // evicts 2
-  EXPECT_TRUE(cache.Contains(1));
-  EXPECT_FALSE(cache.Contains(2));
-  EXPECT_TRUE(cache.Contains(3));
-  auto evicted = cache.TakeEvicted();
-  ASSERT_EQ(evicted.size(), 1u);
-  EXPECT_EQ(evicted[0].page, 2u);
-}
-
-TEST(LruCacheTest, DirtyEvictionTracked) {
-  LruCache cache(1);
-  cache.Access(1, /*write=*/true);
-  cache.Access(2);
-  EXPECT_EQ(cache.stats().dirty_evictions, 1u);
-  auto evicted = cache.TakeEvicted();
-  ASSERT_EQ(evicted.size(), 1u);
-  EXPECT_TRUE(evicted[0].dirty);
-}
-
-TEST(LruCacheTest, SequentialSweepLargerThanCacheNeverHits) {
-  // The paper's Physical-cache pathology: a cyclic sequential scan larger
-  // than the cache has 0% hit rate under LRU.
-  LruCache cache(100);
-  for (int rep = 0; rep < 3; ++rep) {
-    for (PageId p = 0; p < 150; ++p) cache.Access(p);
-  }
-  EXPECT_EQ(cache.stats().hits, 0u);
-}
-
-TEST(LruCacheTest, SweepThatFitsAlwaysHitsAfterFirstPass) {
-  LruCache cache(200);
-  for (PageId p = 0; p < 150; ++p) cache.Access(p);
-  cache.ResetStats();
-  for (PageId p = 0; p < 150; ++p) cache.Access(p);
-  EXPECT_DOUBLE_EQ(cache.stats().HitRate(), 1.0);
-}
-
-TEST(LruCacheTest, InvalidateRemoves) {
-  LruCache cache(4);
-  cache.Access(7);
-  cache.Invalidate(7);
-  EXPECT_FALSE(cache.Contains(7));
-  cache.Invalidate(99);  // absent: no-op
-}
-
-TEST(LruCacheTest, ShrinkEvictsDownToCapacity) {
-  LruCache cache(4);
-  for (PageId p = 0; p < 4; ++p) cache.Access(p);
-  cache.SetCapacity(2);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_TRUE(cache.Contains(3));  // most recent survive
-  EXPECT_FALSE(cache.Contains(0));
-}
-
-TEST(LruCacheTest, MultiPageShrinkQueuesEveryEviction) {
-  // Regression: a SetCapacity() shrink that evicts N > 1 pages used to
-  // keep only the last victim in a single "last evicted" slot, so callers
-  // charging writeback traffic silently dropped N-1 evictions.
-  LruCache cache(5);
-  for (PageId p = 0; p < 5; ++p) cache.Access(p, /*write=*/true);
-  (void)cache.TakeEvicted();  // drain fill-phase noise (none expected)
-  cache.SetCapacity(2);
-  auto evicted = cache.TakeEvicted();
-  ASSERT_EQ(evicted.size(), 3u);  // pages 0, 1, 2 in LRU order
-  EXPECT_EQ(evicted[0].page, 0u);
-  EXPECT_EQ(evicted[1].page, 1u);
-  EXPECT_EQ(evicted[2].page, 2u);
-  for (const auto& e : evicted) EXPECT_TRUE(e.dirty);
-  EXPECT_EQ(cache.stats().evictions, 3u);
-  EXPECT_EQ(cache.stats().dirty_evictions, 3u);
-  // The queue is drained by TakeEvicted.
-  EXPECT_EQ(cache.pending_evictions(), 0u);
-  EXPECT_TRUE(cache.TakeEvicted().empty());
-}
-
-TEST(LruCacheTest, EvictionsSurviveSubsequentAccesses) {
-  // Regression: Access() used to clear the pending-eviction slot on entry,
-  // so an undrained eviction vanished at the next access.
-  LruCache cache(2);
-  cache.Access(1, /*write=*/true);
-  cache.Access(2);
-  cache.Access(3);  // evicts 1 (dirty)
-  cache.Access(4);  // evicts 2
-  auto evicted = cache.TakeEvicted();
-  ASSERT_EQ(evicted.size(), 2u);
-  EXPECT_EQ(evicted[0].page, 1u);
-  EXPECT_TRUE(evicted[0].dirty);
-  EXPECT_EQ(evicted[1].page, 2u);
-  EXPECT_FALSE(evicted[1].dirty);
-}
-
-TEST(LruCacheTest, ClearEmpties) {
-  LruCache cache(4);
-  cache.Access(1);
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.Contains(1));
-}
-
-TEST(LruCacheTest, ContainsDoesNotPerturbRecency) {
-  LruCache cache(2);
-  cache.Access(1);
-  cache.Access(2);
-  (void)cache.Contains(1);  // must NOT promote 1
-  cache.Access(3);          // evicts 1 (LRU), not 2
-  EXPECT_FALSE(cache.Contains(1));
-  EXPECT_TRUE(cache.Contains(2));
 }
 
 // --- BackingStore ------------------------------------------------------------------

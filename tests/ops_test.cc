@@ -795,25 +795,27 @@ TEST(BtreeOpsTest, AsyncPutsVisibleToSyncLookupAndSerialized) {
   ASSERT_TRUE(tree_or.ok());
   PoolBtree& tree = *tree_or;
 
-  BtreeOpDriver::Options dopts;
-  dopts.lock_stripes = 1;  // force every writer onto one lock
-  BtreeOpDriver driver(&h.engine, &tree, 4, dopts);
+  BtreeOpDriver driver(&h.engine, &tree, 4);
   std::map<OpId, OpResult> results;
   h.engine.set_on_complete([&](const OpResult& r) { results[r.id] = r; });
 
-  const OpId a = driver.SubmitPut(0, 0, 42, 1000);
-  const OpId b = driver.SubmitPut(1, 0, 43, 2000);
+  // Keys equal mod kLockStripes share one writer stripe.
+  constexpr std::uint64_t kKeyA = 42;
+  constexpr std::uint64_t kKeyB = kKeyA + BtreeOpDriver::kLockStripes;
+  ASSERT_EQ(driver.lock_for(kKeyA), driver.lock_for(kKeyB));
+  const OpId a = driver.SubmitPut(0, 0, kKeyA, 1000);
+  const OpId b = driver.SubmitPut(1, 0, kKeyB, 2000);
   ASSERT_TRUE(h.engine.Drain().ok());
 
   ASSERT_TRUE(results[a].status.ok());
   ASSERT_TRUE(results[b].status.ok());
-  auto v42 = tree.Lookup(0, 42);
-  auto v43 = tree.Lookup(0, 43);
-  ASSERT_TRUE(v42.ok());
-  ASSERT_TRUE(v43.ok());
-  EXPECT_EQ(*v42, 1000u);
-  EXPECT_EQ(*v43, 2000u);
-  // One writer held the single stripe while the other spun: the loser's
+  auto va = tree.Lookup(0, kKeyA);
+  auto vb = tree.Lookup(0, kKeyB);
+  ASSERT_TRUE(va.ok());
+  ASSERT_TRUE(vb.ok());
+  EXPECT_EQ(*va, 1000u);
+  EXPECT_EQ(*vb, 2000u);
+  // One writer held the shared stripe while the other spun: the loser's
   // wait is measured sim time.
   EXPECT_GT(results[a].lock_spins + results[b].lock_spins, 0);
   EXPECT_NE(results[a].finish_time, results[b].finish_time);
@@ -836,7 +838,8 @@ TEST(BtreeOpsTest, FailedLockedPutHandsStripeToNextWriter) {
     ASSERT_TRUE(tree.Insert(0, k, k).ok());
   }
   const std::uint64_t doomed_key = kKeys - 1;  // rightmost leaf, allocated last
-  const std::uint64_t safe_key = 0;
+  // The smallest key on the doomed key's stripe, in the leftmost leaf.
+  const std::uint64_t safe_key = doomed_key % BtreeOpDriver::kLockStripes;
   std::vector<std::uint32_t> doomed_path;
   std::vector<std::uint32_t> safe_path;
   ASSERT_TRUE(tree.DescendPath(0, doomed_key, 0, &doomed_path).ok());
@@ -867,9 +870,8 @@ TEST(BtreeOpsTest, FailedLockedPutHandsStripeToNextWriter) {
   ASSERT_TRUE(lost.ok());
   ASSERT_EQ(lost->size(), 1u);
 
-  BtreeOpDriver::Options dopts;
-  dopts.lock_stripes = 1;
-  BtreeOpDriver driver(&h.engine, &tree, 4, dopts);
+  BtreeOpDriver driver(&h.engine, &tree, 4);
+  ASSERT_EQ(driver.lock_for(doomed_key), driver.lock_for(safe_key));
   std::map<OpId, OpResult> results;
   h.engine.set_on_complete([&](const OpResult& r) { results[r.id] = r; });
   // Same instant: the doomed put takes the stripe, the safe one queues.

@@ -30,11 +30,10 @@ TEST(PoolFacadeTest, RejectsBadOptions) {
   opts.cluster.num_servers = 100;
   EXPECT_FALSE(Pool::Create(opts).ok());
   opts = PoolOptions::Small();
-  opts.coherent_bytes = 100;  // not a granularity multiple
-  opts.coherence_granularity = 64;
-  EXPECT_FALSE(Pool::Create(opts).ok());
+  opts.coherent_bytes = 100;  // not a multiple of the 16-byte granularity
+  EXPECT_TRUE(IsInvalidArgument(Pool::Create(opts).status()));
   opts = PoolOptions::Small();
-  opts.coherence_granularity = 0;  // no tracking unit to divide by
+  opts.coherent_bytes = 0;  // no region to track
   EXPECT_TRUE(IsInvalidArgument(Pool::Create(opts).status()));
 }
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "common/metrics.h"
+#include "common/trace.h"
 #include "core/pool_manager.h"
 
 namespace lmp::core {
@@ -163,14 +164,16 @@ TEST(MetricsTest, ReportListsAll) {
   EXPECT_NE(report.find("gauge"), std::string::npos);
 }
 
-TEST(MetricsTest, ScopedTimerSetsWallPrefixedGauge) {
+TEST(MetricsTest, WallPrefixMarksWallMetrics) {
   MetricsRegistry registry;
-  { ScopedTimer timer(&registry, "elapsed"); }
-  // ScopedTimer reads the host clock, so its gauge lands in the "wall."
-  // namespace that the deterministic JSON export excludes.
-  EXPECT_FALSE(registry.Has("elapsed"));
+  registry.SetGauge("wall.elapsed", 1000.0);
+  // Host-clock readings go in the "wall." namespace, which the
+  // deterministic JSON export excludes; only the full prefix counts.
   EXPECT_TRUE(registry.Has("wall.elapsed"));
-  EXPECT_GE(registry.Gauge("wall.elapsed"), 0.0);
+  EXPECT_TRUE(MetricsRegistry::IsWallMetric("wall.elapsed"));
+  EXPECT_FALSE(MetricsRegistry::IsWallMetric("elapsed"));
+  EXPECT_FALSE(MetricsRegistry::IsWallMetric("wallclock.elapsed"));
+  EXPECT_EQ(trace::MetricsJson(registry).find("wall."), std::string::npos);
 }
 
 TEST(MetricsTest, GlobalIsSingleton) {
