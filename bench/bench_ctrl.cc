@@ -82,13 +82,7 @@ void Touch(sim::FluidSimulator& sim, fabric::Topology& topo,
       manager.access_tracker().RecordAccess(
           span.segment, accessor, static_cast<double>(span.bytes),
           sim.now());
-      if (span.location.is_pool()) {
-        sim.StartFlow(static_cast<double>(span.bytes),
-                      topo.DmaPoolPath(accessor),
-                      [&sim](sim::FlowId f, SimTime) {
-                        (void)sim.ReleaseRecord(f);
-                      });
-      } else if (span.location.server != accessor) {
+      if (!span.location.is_pool() && span.location.server != accessor) {
         sim.StartFlow(static_cast<double>(span.bytes),
                       topo.DmaRemotePath(accessor, span.location.server),
                       [&sim](sim::FlowId f, SimTime) {

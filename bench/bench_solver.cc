@@ -86,7 +86,7 @@ ChurnResult RunChurn(bool incremental, double remote_fraction,
     const int c = static_cast<int>(rng.NextBounded(kCoresPerServer));
     const double bytes =
         static_cast<double>(rng.NextInRange(1, 100)) * 1e6;
-    std::vector<sim::ResourceId> path;
+    sim::Path path;
     if (remote_fraction > 0 && rng.NextBernoulli(remote_fraction)) {
       const int d = static_cast<int>(rng.NextBounded(kServers));
       path = {topo.cores[s * kCoresPerServer + c], topo.port[s],

@@ -126,22 +126,21 @@ StatusOr<WorkloadResult> LogicalDeployment::RunWorkload(
       for (int c = 0; c < params.cores; ++c) {
         const CoreSlice& slice = slices[c];
         if (slice.length == 0) continue;
-        LMP_ASSIGN_OR_RETURN(
-            auto located, manager_->Spans(buffer, slice.offset, slice.length));
-        for (const core::LocatedSpan& ls : located) {
-          per_core[c].push_back(
-              sim::Span{static_cast<double>(ls.bytes), path_for(ls, c)});
-        }
+        LMP_RETURN_IF_ERROR(manager_->ForEachSpan(
+            buffer, slice.offset, slice.length,
+            [&](const core::LocatedSpan& ls) {
+              per_core[c].push_back(
+                  sim::Span{static_cast<double>(ls.bytes), path_for(ls, c)});
+            }));
       }
     } else {
-      LMP_ASSIGN_OR_RETURN(auto located,
-                           manager_->Spans(buffer, 0, params.vector_bytes));
-      for (const core::LocatedSpan& ls : located) {
-        const double share = static_cast<double>(ls.bytes) / params.cores;
-        for (int c = 0; c < params.cores; ++c) {
-          per_core[c].push_back(sim::Span{share, path_for(ls, c)});
-        }
-      }
+      LMP_RETURN_IF_ERROR(manager_->ForEachSpan(
+          buffer, 0, params.vector_bytes, [&](const core::LocatedSpan& ls) {
+            const double share = static_cast<double>(ls.bytes) / params.cores;
+            for (int c = 0; c < params.cores; ++c) {
+              per_core[c].push_back(sim::Span{share, path_for(ls, c)});
+            }
+          }));
     }
     if (fabric_degraded()) ++out.reps_degraded;
     return per_core;

@@ -74,7 +74,7 @@ StatusOr<WorkloadResult> PhysicalDeployment::RunWorkload(
     // Fill path: pool -> fabric -> local DRAM write, consumed by the core
     // as it copies (the paper's "upfront memcpy overhead").
     auto fill_path = [&](int c) {
-      std::vector<sim::ResourceId> path = topology_->PoolPath(runner, c);
+      sim::Path path = topology_->PoolPath(runner, c);
       path.push_back(topology_->dram(runner));
       return path;
     };

@@ -75,8 +75,7 @@ StatusOr<WorkloadResult> SoftwareSwapDeployment::RunWorkload(
           const Bytes take = std::min<Bytes>(per_peer, swap_len);
           auto path = topology_->RemotePath(runner, c, host);
           path.push_back(fault_handlers_[c]);
-          spans.push_back(sim::Span{static_cast<double>(take),
-                                    std::move(path)});
+          spans.push_back(sim::Span{static_cast<double>(take), path});
           swap_len -= take;
         }
       }

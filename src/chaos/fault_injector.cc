@@ -381,10 +381,8 @@ void FaultInjector::StartRecoveryTransfer(cluster::ServerId src,
   }
   // With no live peer to read from, the copy is intra-host: free in the
   // fabric model (empty path completes via a zero-delay timer).
-  const std::vector<sim::ResourceId> path =
-      src == dst ? std::vector<sim::ResourceId>{}
-                 : topology_->DmaRemotePath(src, dst);
-  sim_->StartFlow(static_cast<double>(bytes), path,
+  sim_->StartFlow(static_cast<double>(bytes),
+                  src == dst ? sim::Path{} : topology_->DmaRemotePath(src, dst),
                   [this, segment, bytes](sim::FlowId f, SimTime) {
                     (void)sim_->ReleaseRecord(f);
                     FinishRecoveryTransfer(segment, bytes);

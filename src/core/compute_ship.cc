@@ -13,28 +13,27 @@ ComputeShipper::ComputeShipper(PoolManager* manager) : manager_(manager) {
 StatusOr<ShipPlan> ComputeShipper::Plan(BufferId buffer, Bytes offset,
                                         Bytes len,
                                         cluster::ServerId requester) const {
-  LMP_ASSIGN_OR_RETURN(auto spans, manager_->Spans(buffer, offset, len));
   ShipPlan plan;
   std::unordered_map<cluster::ServerId, std::size_t> index;
   Bytes pos = offset;
-  for (const LocatedSpan& s : spans) {
-    if (s.location.is_pool()) {
-      return FailedPreconditionError(
-          "compute shipping needs server-homed data (physical pools have no "
-          "compute — the paper's point)");
-    }
-    const cluster::ServerId host = s.location.server;
-    auto it = index.find(host);
-    if (it == index.end()) {
-      index[host] = plan.subtasks.size();
-      plan.subtasks.push_back(ShipPlan::SubTask{host, 0, {}});
-      it = index.find(host);
-    }
-    ShipPlan::SubTask& task = plan.subtasks[it->second];
-    task.bytes += s.bytes;
-    task.ranges.emplace_back(pos, s.bytes);
-    if (host != requester) plan.remote_bytes_unshipped += s.bytes;
-    pos += s.bytes;
+  bool pool_homed = false;
+  LMP_RETURN_IF_ERROR(manager_->ForEachSpan(
+      buffer, offset, len, [&](const LocatedSpan& s) {
+        pool_homed = pool_homed || s.location.is_pool();
+        if (pool_homed) return;
+        const cluster::ServerId host = s.location.server;
+        const auto [it, added] = index.try_emplace(host, plan.subtasks.size());
+        if (added) plan.subtasks.push_back(ShipPlan::SubTask{host, 0, {}});
+        ShipPlan::SubTask& task = plan.subtasks[it->second];
+        task.bytes += s.bytes;
+        task.ranges.emplace_back(pos, s.bytes);
+        if (host != requester) plan.remote_bytes_unshipped += s.bytes;
+        pos += s.bytes;
+      }));
+  if (pool_homed) {
+    return FailedPreconditionError(
+        "compute shipping needs server-homed data (physical pools have no "
+        "compute — the paper's point)");
   }
   plan.total_bytes = len;
   return plan;

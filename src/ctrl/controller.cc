@@ -293,9 +293,8 @@ void SizingController::PriceTransfer(const core::Location& from,
     stats_.spine_bytes += bytes;
     metrics_->Increment("ctrl.spine_bytes", bytes);
   }
-  const std::vector<sim::ResourceId> path =
-      topology_->DmaRemotePath(from.server, to.server);
-  sim_->StartFlow(static_cast<double>(bytes), path,
+  sim_->StartFlow(static_cast<double>(bytes),
+                  topology_->DmaRemotePath(from.server, to.server),
                   [this, drain_server, track](sim::FlowId f, SimTime) {
                     (void)sim_->ReleaseRecord(f);
                     if (track) FinishDrainFlow(drain_server);

@@ -120,9 +120,9 @@ sim::ResourceId Topology::pool_port(int i) const {
   return pool_port_[static_cast<std::size_t>(i) % pool_port_.size()];
 }
 
-Topology::Path Topology::Route(ServerIndex src, int core_idx,
-                               ServerIndex home) const {
-  Path path;
+sim::Path Topology::Route(ServerIndex src, int core_idx,
+                          ServerIndex home) const {
+  sim::Path path;
   if (core_idx != kDmaEngine) path.push_back(core(src, core_idx));
   if (home == src) {
     path.push_back(dram(src));
@@ -141,33 +141,6 @@ Topology::Path Topology::Route(ServerIndex src, int core_idx,
   path.push_back(port(home));
   path.push_back(dram(home));
   return path;
-}
-
-std::vector<sim::ResourceId> Topology::LocalPath(ServerIndex s,
-                                                 int core_idx) const {
-  return Route(s, core_idx, s).ToVector();
-}
-
-std::vector<sim::ResourceId> Topology::RemotePath(ServerIndex src,
-                                                  int core_idx,
-                                                  ServerIndex dst) const {
-  LMP_CHECK(src != dst) << "remote path to self; use LocalPath";
-  return Route(src, core_idx, dst).ToVector();
-}
-
-std::vector<sim::ResourceId> Topology::PoolPath(ServerIndex src,
-                                                int core_idx) const {
-  return Route(src, core_idx, kPoolHome).ToVector();
-}
-
-std::vector<sim::ResourceId> Topology::DmaRemotePath(ServerIndex src,
-                                                     ServerIndex dst) const {
-  LMP_CHECK(src != dst);
-  return Route(src, kDmaEngine, dst).ToVector();
-}
-
-std::vector<sim::ResourceId> Topology::DmaPoolPath(ServerIndex src) const {
-  return Route(src, kDmaEngine, kPoolHome).ToVector();
 }
 
 Status Topology::SetLinkHealth(ServerIndex s, double bandwidth_mult,

@@ -12,11 +12,8 @@
 // one fabric port.  The pool box adds pool DRAM plus its port(s).
 #pragma once
 
-#include <array>
-#include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <span>
 #include <vector>
 
 #include "common/logging.h"
@@ -64,27 +61,7 @@ class Topology {
   int pool_port_count() const { return static_cast<int>(pool_port_.size()); }
 
   // Access paths ------------------------------------------------------------
-  // A resource path held inline, so building one allocates nothing.  The
-  // longest route is a cross-rack remote access: core, port, both rack
-  // uplinks, port, DRAM.
-  class Path {
-   public:
-    static constexpr std::size_t kMaxHops = 6;
-    void push_back(sim::ResourceId r) {
-      LMP_CHECK(size_ < kMaxHops) << "path longer than " << kMaxHops;
-      hops_[size_++] = r;
-    }
-    std::span<const sim::ResourceId> hops() const {
-      return {hops_.data(), size_};
-    }
-    std::vector<sim::ResourceId> ToVector() const {
-      return {hops_.data(), hops_.data() + size_};
-    }
-
-   private:
-    std::array<sim::ResourceId, kMaxHops> hops_{};
-    std::size_t size_ = 0;
-  };
+  // Paths are sim::Path, held inline: building one allocates nothing.
   // `Route`'s target for the physical pool box, and its issuer for a DMA
   // engine (no core on the path).
   static constexpr ServerIndex kPoolHome =
@@ -94,20 +71,27 @@ class Topology {
   // `core_idx`, or from a DMA engine — to memory homed on server `home`
   // (local when `home == src`) or on the pool box (`kPoolHome`).  Every
   // *Path function below returns its hops.
-  Path Route(ServerIndex src, int core_idx, ServerIndex home) const;
+  sim::Path Route(ServerIndex src, int core_idx, ServerIndex home) const;
 
   // Local DRAM read/write by a core.
-  std::vector<sim::ResourceId> LocalPath(ServerIndex s, int core_idx) const;
+  sim::Path LocalPath(ServerIndex s, int core_idx) const {
+    return Route(s, core_idx, s);
+  }
   // Read from another server's shared region (logical pools only).
-  std::vector<sim::ResourceId> RemotePath(ServerIndex src, int core_idx,
-                                          ServerIndex dst) const;
+  sim::Path RemotePath(ServerIndex src, int core_idx, ServerIndex dst) const {
+    LMP_CHECK(src != dst) << "remote path to self; use LocalPath";
+    return Route(src, core_idx, dst);
+  }
   // Read from the physical pool box (physical pools only).  The pool port is
   // chosen by server index to spread load across multi-port pools.
-  std::vector<sim::ResourceId> PoolPath(ServerIndex src, int core_idx) const;
+  sim::Path PoolPath(ServerIndex src, int core_idx) const {
+    return Route(src, core_idx, kPoolHome);
+  }
   // DMA path without a core constraint (migration/fill engines).
-  std::vector<sim::ResourceId> DmaRemotePath(ServerIndex src,
-                                             ServerIndex dst) const;
-  std::vector<sim::ResourceId> DmaPoolPath(ServerIndex src) const;
+  sim::Path DmaRemotePath(ServerIndex src, ServerIndex dst) const {
+    LMP_CHECK(src != dst);
+    return Route(src, kDmaEngine, dst);
+  }
 
   // Sharding -----------------------------------------------------------------
   // Tags every per-server resource (cores, DRAM, fabric port) with a rack

@@ -154,8 +154,7 @@ void OpEngine::IssueAccess(Op& op, core::BufferId buffer, Bytes offset,
                                  : topology_->RemoteLoadedLatency(src, home);
     }
     serialization += static_cast<double>(ls.bytes) /
-                     sim_->FairShare(
-                         topology_->Route(src, op.core_, home).hops()) *
+                     sim_->FairShare(topology_->Route(src, op.core_, home)) *
                      kNsPerSec;
   }
 

@@ -236,8 +236,7 @@ void FluidSimulator::set_metrics(MetricsRegistry* registry) {
           : &registry->GetHistogram("fluid.flow_duration_ns");
 }
 
-FlowId FluidSimulator::StartFlow(double bytes,
-                                 const std::vector<ResourceId>& path,
+FlowId FluidSimulator::StartFlow(double bytes, const Path& path,
                                  FlowCallback on_done, double weight) {
   const FlowId id = next_flow_id_++;
   records_.push_back(RecordEntry{FlowRecord{now_, now_, bytes, false}});
@@ -281,7 +280,7 @@ FlowId FluidSimulator::StartFlow(double bytes,
   }
   Flow& flow = flows_[slot];
   flow.id = id;
-  flow.path.assign(path.begin(), path.end());  // reuses the slot's buffer
+  flow.path = path;
   flow.rate = 0;
   flow.weight = weight;
   flow.on_done = std::move(on_done);
@@ -323,30 +322,31 @@ void FluidSimulator::SolvePending() {
 void FluidSimulator::IndexFlow(Slot slot) {
   // Ids are issued monotonically, so push_back keeps each per-resource
   // index sorted; one entry per path occurrence mirrors the solver's
-  // per-occurrence accounting.
+  // per-occurrence accounting.  A resource's first flow sizes its index
+  // for eight, so a core crossed by a few flows allocates once, not four
+  // times.
   const Flow& flow = flows_[slot];
   for (ResourceId r : flow.path) {
-    flows_at_[r].push_back(FlowEntry{flow.id, slot});
+    std::vector<Slot>& index = flows_at_[r];
+    if (index.capacity() == 0) index.reserve(8);
+    index.push_back(slot);
   }
   UpdateShardCrossings(flow.path, +1);
 }
 
-void FluidSimulator::UnindexFlow(FlowId id,
-                                 const std::vector<ResourceId>& path) {
+void FluidSimulator::UnindexFlow(FlowId id, const Path& path) {
+  // Every indexed slot still holds its flow's id, so the index is sorted by
+  // flows_[slot].id and a binary search finds the flow's run of entries.
+  const auto id_of = [this](Slot s) { return flows_[s].id; };
   for (ResourceId r : path) {
     auto& entries = flows_at_[r];
-    const auto cmp = [](const FlowEntry& e, const FlowEntry& v) {
-      return e.id < v.id;
-    };
-    auto [lo, hi] = std::equal_range(entries.begin(), entries.end(),
-                                     FlowEntry{id, 0}, cmp);
-    entries.erase(lo, hi);
+    const auto found = std::ranges::equal_range(entries, id, {}, id_of);
+    entries.erase(found.begin(), found.end());
   }
   UpdateShardCrossings(path, -1);
 }
 
-void FluidSimulator::UpdateShardCrossings(const std::vector<ResourceId>& path,
-                                          int delta) {
+void FluidSimulator::UpdateShardCrossings(const Path& path, int delta) {
   if (shard_cross_flows_.empty()) return;  // no shards assigned
   // Collect the distinct shards on the path (paths are a handful of hops;
   // a linear dedupe beats any set).  A flow confined to one shard closes
@@ -478,7 +478,7 @@ void FluidSimulator::ProgressiveFill(ShardTask& task,
   task.picks.clear();
   for (ResourceId r : task.comp_res) {
     double weight = 0;
-    for (const FlowEntry& e : flows_at_[r]) weight += flows[e.slot].weight;
+    for (Slot s : flows_at_[r]) weight += flows[s].weight;
     headroom[r] = resources_[r].capacity;
     unfrozen[r] = weight;
     if (weight > 0) heap.emplace_back(headroom[r] / weight, r);
@@ -511,10 +511,10 @@ void FluidSimulator::ProgressiveFill(ShardTask& task,
     // Freeze every unfrozen flow crossing the bottleneck at the fair share.
     // A flow listed twice (a repeated path hop) freezes at its first entry.
     const std::size_t frozen_before = frozen_count;
-    for (const FlowEntry& e : flows_at_[best_res]) {
-      Work& w = work[work_idx[e.slot]];
+    for (Slot s : flows_at_[best_res]) {
+      Work& w = work[work_idx[s]];
       if (w.bottleneck != kNoGroup) continue;  // already frozen
-      const Flow& f = flows[e.slot];
+      const Flow& f = flows[s];
       const double rate = best_share * f.weight;
       w.rate = rate;
       w.bottleneck = best_res;
@@ -555,7 +555,7 @@ void FluidSimulator::ApplyRates(const ShardTask& task) {
   for (const Work& w : task.work) flows_[w.slot].rate = w.rate;
   const auto resum = [this](ResourceId r) {
     double rate_sum = 0;
-    for (const FlowEntry& e : flows_at_[r]) rate_sum += flows_[e.slot].rate;
+    for (Slot s : flows_at_[r]) rate_sum += flows_[s].rate;
     resources_[r].rate_sum = rate_sum;
   };
   for (ResourceId r : task.comp_res) resum(r);
@@ -720,7 +720,7 @@ void FluidSimulator::WalkComponent(ShardTask& task, std::uint64_t epoch,
   };
   for (ResourceId r : task.capacity_seeds) add_res(r, true);
   for (Slot slot : task.new_flows) {
-    const std::vector<ResourceId>& path = flows_[slot].path;
+    const Path& path = flows_[slot].path;
     const bool joins_saturated =
         cut && std::any_of(path.begin(), path.end(),
                            [this](ResourceId r) { return Saturated(r); });
@@ -730,11 +730,11 @@ void FluidSimulator::WalkComponent(ShardTask& task, std::uint64_t epoch,
   }
   for (ResourceId r : task.seeds) add_res(r, false);
   for (std::size_t i = 0; i < task.comp_res.size(); ++i) {
-    for (const FlowEntry& e : flows_at_[task.comp_res[i]]) {
-      Flow& f = flows_[e.slot];
+    for (Slot s : flows_at_[task.comp_res[i]]) {
+      Flow& f = flows_[s];
       if (f.visit_epoch == epoch) continue;
       f.visit_epoch = epoch;
-      task.work.push_back(Work{e.slot});
+      task.work.push_back(Work{s});
       for (ResourceId r : f.path) add_res(r, false);
     }
   }
@@ -787,9 +787,7 @@ void FluidSimulator::CheckAgainstFullSolve() const {
   // order), as a pass over the flows in id order would.
   for (std::size_t r = 0; r < resources_.size(); ++r) {
     double rate_sum = 0;
-    for (const FlowEntry& e : flows_at_[r]) {
-      rate_sum += task.work[fill.work_idx[e.slot]].rate;
-    }
+    for (Slot s : flows_at_[r]) rate_sum += task.work[fill.work_idx[s]].rate;
     LMP_CHECK(rate_sum == resources_[r].rate_sum)
         << "incremental solver diverged on rate_sum of resource " << r << ": "
         << resources_[r].rate_sum << " vs reference " << rate_sum;
@@ -1146,8 +1144,7 @@ double FluidSimulator::BytesServed(ResourceId id) const {
   return r.bytes_served + r.served_rate * ((now_ - r.served_at) / kNsPerSec);
 }
 
-double FluidSimulator::FairShare(
-    std::span<const ResourceId> path) const {
+double FluidSimulator::FairShare(const Path& path) const {
   LMP_CHECK(!path.empty()) << "fair share of an empty path";
   double share = std::numeric_limits<double>::infinity();
   for (ResourceId r : path) {

@@ -35,10 +35,11 @@
 // only the flows crossing it, so a fill round costs the flows and resources
 // it touches.
 //
-// Storage: active flows live in a slot table (a vector plus a free list);
-// the per-resource index holds slot numbers in ascending flow id, so the
-// floating-point sums that make rates bit-exact (unfrozen weight, rate_sum)
-// always see flows in id order.  Only the full solve and the crosscheck
+// Storage: active flows live in a slot table (a vector plus a free list),
+// each holding its hops inline (Path); the per-resource index holds slot
+// numbers in ascending flow id, so the floating-point sums that make rates
+// bit-exact (unfrozen weight, rate_sum) always see flows in id order.  A
+// warm simulator starts, solves and retires flows without allocating.  Only the full solve and the crosscheck
 // walk the active flows, as live slots in any order (the fill needs no
 // sorted work list); FlowRate finds a flow's slot through its record.
 //
@@ -100,16 +101,23 @@
 // state two tasks share.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <concepts>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <initializer_list>
 #include <limits>
 #include <memory>
-#include <span>
+#include <memory_resource>
+#include <ranges>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/status.h"
 #include "common/units.h"
 
@@ -134,6 +142,45 @@ inline constexpr FlowId kInvalidFlow = 0;
 
 // Resources without an assigned shard solve on the sequential spill path.
 inline constexpr ShardId kNoShard = std::numeric_limits<ShardId>::max();
+
+// A flow's resource hops, held inline so building, copying or storing one
+// allocates nothing.  The longest route fabric::Topology builds is a core's
+// cross-rack access: core, port, both rack uplinks, port, DRAM.  A braced
+// list or any contiguous range of ResourceId converts to a Path; more than
+// kMaxHops hops fail an LMP_CHECK.
+class Path {
+ public:
+  static constexpr std::size_t kMaxHops = 6;
+
+  Path() = default;
+  Path(std::initializer_list<ResourceId> hops) {
+    for (ResourceId r : hops) push_back(r);
+  }
+  template <std::ranges::contiguous_range R>
+    requires(!std::same_as<std::remove_cvref_t<R>, Path> &&
+             std::same_as<std::ranges::range_value_t<R>, ResourceId>)
+  Path(const R& hops) {  // NOLINT
+    for (ResourceId r : hops) push_back(r);
+  }
+
+  void push_back(ResourceId r) {
+    LMP_CHECK(size_ < kMaxHops) << "path longer than " << kMaxHops << " hops";
+    hops_[size_++] = r;
+  }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const ResourceId* begin() const { return hops_.data(); }
+  const ResourceId* end() const { return hops_.data() + size_; }
+  ResourceId operator[](std::size_t i) const { return hops_[i]; }
+
+  friend bool operator==(const Path& a, const Path& b) {
+    return std::ranges::equal(a, b);
+  }
+
+ private:
+  std::array<ResourceId, kMaxHops> hops_{};
+  std::uint32_t size_ = 0;
+};
 
 struct FlowRecord {
   SimTime start = 0;
@@ -235,7 +282,7 @@ class FluidSimulator {
   // Outside Step the flow is rated before StartFlow returns; from a Step
   // callback (or inside a batch) its solve is deferred, and FlowRate and the
   // utilization reads settle it on demand.
-  FlowId StartFlow(double bytes, const std::vector<ResourceId>& path,
+  FlowId StartFlow(double bytes, const Path& path,
                    FlowCallback on_done = nullptr, double weight = 1.0);
 
   // Batched arrivals: between BeginBatch and EndBatch, StartFlow and
@@ -302,7 +349,7 @@ class FluidSimulator {
   // It reads only capacities and the crossing index, both current at every
   // call, so unlike the rate readers it has nothing to settle.  The path
   // must be non-empty.
-  double FairShare(std::span<const ResourceId> path) const;
+  double FairShare(const Path& path) const;
 
   // Records -----------------------------------------------------------------
 
@@ -391,7 +438,7 @@ class FluidSimulator {
     // comment) and the flow's index in that group's member heap.
     ResourceId group = kNoGroup;
     std::uint32_t member_pos = 0;
-    std::vector<ResourceId> path;
+    Path path;
     FlowCallback on_done;
   };
 
@@ -424,13 +471,6 @@ class FluidSimulator {
   struct QueuedGroup {
     SimTime due;
     ResourceId group;
-  };
-
-  // Per-resource index entry: flows are stored in ascending-id order (ids
-  // are issued monotonically) with one entry per path occurrence.
-  struct FlowEntry {
-    FlowId id;
-    Slot slot;
   };
 
   struct Work {
@@ -561,9 +601,10 @@ class FluidSimulator {
   }
 
   void IndexFlow(Slot slot);
-  void UnindexFlow(FlowId id, const std::vector<ResourceId>& path);
+  // Removes flow `id`'s entries; its slot must still hold the id.
+  void UnindexFlow(FlowId id, const Path& path);
   // Maintains shard_cross_flows_ when a flow is indexed (+1) / removed (-1).
-  void UpdateShardCrossings(const std::vector<ResourceId>& path, int delta);
+  void UpdateShardCrossings(const Path& path, int delta);
 
   void AdvanceTo(SimTime t);
   // Step's completion event at `t`, the earliest group finish: advances to
@@ -616,13 +657,16 @@ class FluidSimulator {
   // flow, or a kKeepAll record never released) pins a dead entry for every
   // flow started after it.  Entries never move, so record pointers stay
   // valid until the record is retired.  An active flow's entry names its
-  // slot.
+  // slot.  The table's chunks come from record_pool_, which keeps the ones
+  // the front gives back for the back to reuse, so a steady churn of flows
+  // allocates no record storage.
   struct RecordEntry {
     FlowRecord rec;
     Slot slot = 0;
     bool live = true;
   };
-  std::deque<RecordEntry> records_;
+  std::pmr::unsynchronized_pool_resource record_pool_;
+  std::pmr::deque<RecordEntry> records_{&record_pool_};
   FlowId records_base_ = 1;
   std::size_t live_records_ = 0;
   // Timers: a min-heap on (when, seq) over a callback slab with a free
@@ -638,7 +682,10 @@ class FluidSimulator {
 
   // Incremental-solver state: per-resource crossing-flow index plus
   // persistent scratch reused by every solve (no steady-state allocation).
-  std::vector<std::vector<FlowEntry>> flows_at_;
+  // flows_at_[r] holds the slot of every active flow crossing r, one entry
+  // per path occurrence, sorted by the slot's flow id: ids are issued in
+  // increasing order, so IndexFlow appends.
+  std::vector<std::vector<Slot>> flows_at_;
   FillState fill_;
   std::vector<std::uint64_t> res_epoch_;
   std::vector<ShardTask> tasks_;

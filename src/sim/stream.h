@@ -20,7 +20,7 @@ namespace lmp::sim {
 
 struct Span {
   double bytes = 0;
-  std::vector<ResourceId> path;
+  Path path;
   double weight = 1.0;  // weighted max-min share under contention
 
   friend bool operator==(const Span& a, const Span& b) {

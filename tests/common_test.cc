@@ -281,7 +281,9 @@ TEST(HistogramTest, NonZeroBucketsCoverRecordedValues) {
   std::uint64_t prev_high = 0;
   for (const auto& b : buckets) {
     EXPECT_LE(b.low, b.high);
-    if (total > 0) EXPECT_GT(b.low, prev_high);  // ascending, disjoint
+    if (total > 0) {
+      EXPECT_GT(b.low, prev_high);  // ascending, disjoint
+    }
     prev_high = b.high;
     total += b.count;
   }

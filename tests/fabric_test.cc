@@ -180,24 +180,19 @@ TEST_F(TopologyTest, CrossRackPathsTakeBothUplinks) {
 // inline and RemotePath returns the same hops.
 TEST_F(TopologyTest, CrossRackCoreRouteFillsTheInlinePath) {
   Topology t = MakeDualRack(GBps(34.5));
-  const Topology::Path path = t.Route(0, 1, 2);
-  const std::vector<sim::ResourceId> expected = {
-      t.core(0, 1),      t.port(0), t.rack_uplink(0),
-      t.rack_uplink(1), t.port(2), t.dram(2)};
-  ASSERT_EQ(path.hops().size(), Topology::Path::kMaxHops);
-  EXPECT_EQ(path.ToVector(), expected);
+  const sim::Path path = t.Route(0, 1, 2);
+  const sim::Path expected = {t.core(0, 1),      t.port(0), t.rack_uplink(0),
+                              t.rack_uplink(1), t.port(2), t.dram(2)};
+  ASSERT_EQ(path.size(), sim::Path::kMaxHops);
+  EXPECT_EQ(path, expected);
   EXPECT_EQ(t.RemotePath(0, 1, 2), expected);
 }
 
 TEST_F(TopologyTest, RouteFromADmaEngineToThePoolOrLocalDram) {
   Topology t = Topology::MakePhysical(&sim_, 4, LinkProfile::Link1());
-  const std::vector<sim::ResourceId> to_pool = {t.port(2), t.pool_port(2),
-                                                t.pool_dram()};
-  EXPECT_EQ(t.Route(2, Topology::kDmaEngine, Topology::kPoolHome).ToVector(),
-            to_pool);
-  EXPECT_EQ(t.DmaPoolPath(2), to_pool);
-  EXPECT_EQ(t.Route(1, Topology::kDmaEngine, 1).ToVector(),
-            std::vector<sim::ResourceId>{t.dram(1)});
+  const sim::Path to_pool = {t.port(2), t.pool_port(2), t.pool_dram()};
+  EXPECT_EQ(t.Route(2, Topology::kDmaEngine, Topology::kPoolHome), to_pool);
+  EXPECT_EQ(t.Route(1, Topology::kDmaEngine, 1), sim::Path{t.dram(1)});
 }
 
 // Both rack-0 servers pull from rack 1 at once: the two flows share the

@@ -56,8 +56,8 @@ TEST_P(FluidPropertyTest, CapacityAndConservationUnderRandomLoad) {
   for (int f = 0; f < num_flows; ++f) {
     FlowSpec spec;
     spec.bytes = static_cast<double>(rng.NextInRange(1, 1000)) * 1e6;
-    const int path_len =
-        static_cast<int>(rng.NextInRange(1, num_resources));
+    const int path_len = static_cast<int>(rng.NextInRange(
+        1, std::min<int>(num_resources, Path::kMaxHops)));
     std::vector<int> idx(num_resources);
     for (int i = 0; i < num_resources; ++i) idx[i] = i;
     rng.Shuffle(idx);
@@ -166,7 +166,8 @@ TEST_P(FluidPropertyTest, IncrementalSolveMatchesFullRecompute) {
             ? 0.0
             : static_cast<double>(rng.NextInRange(1, 500)) * 1e6;
     const double weight = static_cast<double>(rng.NextInRange(1, 4));
-    const int path_len = static_cast<int>(rng.NextInRange(1, num_resources));
+    const int path_len = static_cast<int>(rng.NextInRange(
+        1, std::min<int>(num_resources, Path::kMaxHops)));
     std::vector<int> idx(num_resources);
     for (int i = 0; i < num_resources; ++i) idx[i] = i;
     rng.Shuffle(idx);
@@ -257,7 +258,8 @@ TEST_P(FluidPropertyTest, ShardedSolveMatchesFlatIncremental) {
             ? 0.0
             : static_cast<double>(rng.NextInRange(1, 500)) * 1e6;
     const double weight = static_cast<double>(rng.NextInRange(1, 4));
-    const int path_len = static_cast<int>(rng.NextInRange(1, num_resources));
+    const int path_len = static_cast<int>(rng.NextInRange(
+        1, std::min<int>(num_resources, Path::kMaxHops)));
     std::vector<int> idx(num_resources);
     for (int i = 0; i < num_resources; ++i) idx[i] = i;
     rng.Shuffle(idx);

@@ -18,22 +18,25 @@ inline void* CountedAlloc(std::size_t size) noexcept {
   return std::malloc(size == 0 ? 1 : size);
 }
 
-void* operator new(std::size_t size) {
+// Every replacement is out of line, so the compiler never sees the
+// malloc() or free() inside one and warns that a delete does not match its
+// new (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
   if (void* p = CountedAlloc(size)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t size) {
+[[gnu::noinline]] void* operator new[](std::size_t size) {
   if (void* p = CountedAlloc(size)) return p;
   throw std::bad_alloc();
 }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+[[gnu::noinline]] void* operator new(std::size_t size,
+                                     const std::nothrow_t&) noexcept {
   return CountedAlloc(size);
 }
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+[[gnu::noinline]] void* operator new[](std::size_t size,
+                                       const std::nothrow_t&) noexcept {
   return CountedAlloc(size);
 }
-// Out of line, so the compiler does not pair an inlined free() with an
-// operator new call site and warn about a mismatch.
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
