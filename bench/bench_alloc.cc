@@ -5,9 +5,9 @@
 // occupancy each allocation walks thousands of bits, and the sizing
 // controller's HighestAllocatedEnd / AllocatedFramesFrom queries walk the
 // whole bitmap.  This bench races that bitmap allocator (the reference
-// model alloc_property_test checks against, tests/support) against the
-// run-indexed FrameAllocator's default (next-fit) policy on the same op
-// sequence.
+// model alloc_property_test checks against, tests/support, which scans
+// 64-bit words with the same placement) against the run-indexed
+// FrameAllocator's default (next-fit) policy on the same op sequence.
 //
 // Three fragmentation levels: the heap is filled to ~99.5% with random
 // objects, then 10% / 50% / 90% of them are freed and re-allocated at new
@@ -218,51 +218,6 @@ std::string Hex(std::uint64_t v) {
   return buf;
 }
 
-// Cohort packing demo: mobile and pinned requests interleaved on one
-// allocator; mobile frames pack low, pinned frames pack high.
-void RunCohortDemo() {
-  mem::FrameAllocator alloc(4096, mem::kDefaultFrameSize);
-  Rng rng(0x10C1);
-  std::vector<std::vector<mem::FrameRun>> held[2];
-  std::uint64_t allocs[2] = {0, 0};
-  std::uint64_t frames[2] = {0, 0};
-  for (int round = 0; round < 400; ++round) {
-    const int side = round & 1;
-    mem::AllocRequest request;
-    request.frames = 1 + rng.NextBounded(16);
-    request.cohort = side ? mem::Mobility::kPinned : mem::Mobility::kMobile;
-    auto runs = alloc.Allocate(request);
-    LMP_CHECK(runs.ok());
-    ++allocs[side];
-    frames[side] += request.frames;
-    held[side].push_back(std::move(runs).value());
-    if (held[side].size() > 4 && rng.NextBernoulli(0.3)) {
-      const std::uint64_t pick = rng.NextBounded(held[side].size());
-      LMP_CHECK_OK(alloc.Free(held[side][pick]));
-      held[side][pick] = std::move(held[side].back());
-      held[side].pop_back();
-    }
-  }
-  mem::FrameNumber mobile_max = 0;
-  mem::FrameNumber pinned_min = alloc.num_frames();
-  for (const auto& obj : held[0]) {
-    for (const auto& r : obj) mobile_max = std::max(mobile_max, r.end());
-  }
-  for (const auto& obj : held[1]) {
-    for (const auto& r : obj) pinned_min = std::min(pinned_min, r.first);
-  }
-  std::printf(
-      "cohort packing (4096 frames, 400 interleaved grabs, 30%% churn):\n"
-      "  mobile: %" PRIu64 " allocs / %" PRIu64 " frames, max frame end %"
-      PRIu64 "\n"
-      "  pinned: %" PRIu64 " allocs / %" PRIu64 " frames, min frame %" PRIu64
-      "\n"
-      "  cohorts disjoint (mobile below pinned): %s\n",
-      allocs[0], frames[0], mobile_max, allocs[1], frames[1], pinned_min,
-      mobile_max <= pinned_min ? "yes" : "NO");
-  LMP_CHECK(mobile_max <= pinned_min);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -328,8 +283,6 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "minimum alloc+free speedup across levels: %.1fx\n",
                min_speedup);
 
-  std::printf("\n");
-  RunCohortDemo();
   std::printf(
       "\nThe table is fully deterministic: placement checksums cover every\n"
       "run handed out, and each run-index row equals its bitmap row, so the\n"

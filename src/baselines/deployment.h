@@ -103,9 +103,6 @@ class MemoryDeployment {
   // without a failure model returns kUnimplemented for a fault plan or
   // replication.
   virtual StatusOr<WorkloadResult> RunWorkload(const WorkloadSpec& spec) = 0;
-
-  // Applies one fault event immediately (outside any plan).
-  virtual Status ApplyFault(const chaos::FaultEvent& event) = 0;
 };
 
 // InvalidArgument unless `params` fits a deployment of shape `config`:

@@ -53,10 +53,6 @@ chaos::FaultInjector& LogicalDeployment::injector() {
   return *injector_;
 }
 
-Status LogicalDeployment::ApplyFault(const chaos::FaultEvent& event) {
-  return injector().Apply(event);
-}
-
 StatusOr<WorkloadResult> LogicalDeployment::RunWorkload(
     const WorkloadSpec& spec) {
   const VectorSumParams& params = spec.vector;

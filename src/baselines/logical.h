@@ -44,10 +44,9 @@ class LogicalDeployment : public MemoryDeployment {
   // recovery SLOs come back in the result.  Every run, healthy or not,
   // binds the injector.
   StatusOr<WorkloadResult> RunWorkload(const WorkloadSpec& spec) override;
-  Status ApplyFault(const chaos::FaultEvent& event) override;
 
   // Attaches a replication layer (factor = extra copies per segment).
-  // Call before the first RunWorkload or ApplyFault: the injector binds
+  // Call before the first RunWorkload: the injector binds
   // at first use and a later-attached layer would not have its recovery
   // traffic priced, so enabling it afterwards is FailedPrecondition.
   Status EnableReplication(int factor);

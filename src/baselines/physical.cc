@@ -17,10 +17,6 @@ chaos::FaultInjector& PhysicalDeployment::injector() {
   return *injector_;
 }
 
-Status PhysicalDeployment::ApplyFault(const chaos::FaultEvent& event) {
-  return injector().Apply(event);
-}
-
 PhysicalDeployment::PhysicalDeployment(const fabric::LinkProfile& link,
                                        bool use_cache)
     : link_(link), use_cache_(use_cache) {

@@ -36,12 +36,11 @@ class PhysicalDeployment : public MemoryDeployment {
 
   // Chaos-aware run.  The physical pool's failure story is the paper's §5
   // contrast: a server crash loses no pooled data (it lives on the pool
-  // box), but every pool access rides the pool link, so degrading it
+  // box), but every pool access rides the runner's link, so degrading it
   // throttles the whole workload.  No replication layer exists here.
   // An infeasible run still schedules its fault plan and runs it out so
   // `chaos` reports the faults.
   StatusOr<WorkloadResult> RunWorkload(const WorkloadSpec& spec) override;
-  Status ApplyFault(const chaos::FaultEvent& event) override;
 
   // Lazily-created injector bound to sim/topology/cluster (no manager:
   // crashes only mark cluster state).

@@ -86,25 +86,6 @@ StatusOr<WorkloadResult> SoftwareSwapDeployment::RunWorkload(
   return out;
 }
 
-Status SoftwareSwapDeployment::ApplyFault(const chaos::FaultEvent& event) {
-  switch (event.kind) {
-    case chaos::FaultKind::kLinkDegrade:
-      if (event.pool_link || event.servers.size() != 1) {
-        return InvalidArgumentError("degrade wants one server link");
-      }
-      return topology_->SetLinkHealth(event.servers[0], event.bandwidth_mult,
-                                      event.latency_mult);
-    case chaos::FaultKind::kLinkRestore:
-      if (event.pool_link || event.servers.size() != 1) {
-        return InvalidArgumentError("restore wants one server link");
-      }
-      return topology_->RestoreLink(event.servers[0]);
-    default:
-      return UnimplementedError(
-          "software swap models link faults only (no pooled state to lose)");
-  }
-}
-
 SimTime SoftwareSwapDeployment::ResidentReadLatency() const {
   return topology_->machine().dram.LoadedLatency(0);
 }

@@ -46,11 +46,6 @@ class SoftwareSwapDeployment : public MemoryDeployment {
   // Healthy runs only: a fault plan or replication is kUnimplemented.
   StatusOr<WorkloadResult> RunWorkload(const WorkloadSpec& spec) override;
 
-  // Link faults only: the swap baseline has no pooled data to lose, but a
-  // degraded fabric slows its paging traffic like everyone else's.  Crash
-  // events return kUnimplemented.
-  Status ApplyFault(const chaos::FaultEvent& event) override;
-
   // Average latency of one 64-byte dependent read, resident vs swapped.
   SimTime ResidentReadLatency() const;
   SimTime SwappedReadLatency() const;

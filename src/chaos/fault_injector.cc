@@ -182,90 +182,61 @@ Status FaultInjector::ApplyRecover(cluster::ServerId server) {
   return manager_->OnServerRecover(server);
 }
 
-double FaultInjector::DegradedBytesBaseline(const FaultEvent& event) const {
-  if (event.pool_link) {
-    double served = 0;
-    for (int p = 0; p < topology_->pool_port_count(); ++p) {
-      served += sim_->BytesServed(topology_->pool_port(p));
-    }
-    return served;
-  }
-  return sim_->BytesServed(topology_->port(event.servers[0]));
+double FaultInjector::PortBytesServed(cluster::ServerId server) const {
+  return sim_->BytesServed(topology_->port(server));
 }
 
 Status FaultInjector::ApplyDegrade(const FaultEvent& event) {
+  if (event.servers.size() != 1) {
+    return InvalidArgumentError("degrade wants one server");
+  }
   const SimTime now = sim_->now();
-  const int key =
-      event.pool_link ? -1 : static_cast<int>(event.servers[0]);
+  const cluster::ServerId server = event.servers[0];
   // Re-degrading an already-degraded link folds the bytes served so far
   // at the old severity before re-baselining (multipliers are absolute).
-  auto it = degrade_baseline_.find(key);
+  auto it = degrade_baseline_.find(server);
   if (it != degrade_baseline_.end()) {
-    report_.degraded_bytes_served += DegradedBytesBaseline(event) - it->second;
+    report_.degraded_bytes_served += PortBytesServed(server) - it->second;
   }
-  if (event.pool_link) {
-    LMP_RETURN_IF_ERROR(topology_->SetPoolLinkHealth(event.bandwidth_mult,
-                                                     event.latency_mult));
-  } else {
-    if (event.servers.size() != 1) {
-      return InvalidArgumentError("degrade wants one server or pool");
-    }
-    LMP_RETURN_IF_ERROR(topology_->SetLinkHealth(
-        event.servers[0], event.bandwidth_mult, event.latency_mult));
-  }
-  degrade_baseline_[key] = DegradedBytesBaseline(event);
+  LMP_RETURN_IF_ERROR(topology_->SetLinkHealth(server, event.bandwidth_mult,
+                                               event.latency_mult));
+  degrade_baseline_[server] = PortBytesServed(server);
   ++report_.link_degrades;
   metrics_->Increment("chaos.link_degrades");
   if (flight_ != nullptr) {
     flight_->Record(now, "link.degrade",
-                    (event.pool_link
-                         ? std::string("pool link")
-                         : "link s" + std::to_string(event.servers[0])) +
-                        " bw x" + trace::JsonNumber(event.bandwidth_mult));
+                    "link s" + std::to_string(server) + " bw x" +
+                        trace::JsonNumber(event.bandwidth_mult));
   }
   if (trace_ != nullptr) {
-    trace_->Instant(
-        trace::Category::kChaos, "link_degrade", now,
-        {trace::Arg("target", event.pool_link
-                                  ? std::string("pool")
-                                  : "s" + std::to_string(event.servers[0])),
-         trace::Arg("bw_mult", event.bandwidth_mult),
-         trace::Arg("lat_mult", event.latency_mult)});
+    trace_->Instant(trace::Category::kChaos, "link_degrade", now,
+                    {trace::Arg("target", "s" + std::to_string(server)),
+                     trace::Arg("bw_mult", event.bandwidth_mult),
+                     trace::Arg("lat_mult", event.latency_mult)});
   }
   return Status::Ok();
 }
 
 Status FaultInjector::ApplyRestore(const FaultEvent& event) {
+  if (event.servers.size() != 1) {
+    return InvalidArgumentError("restore wants one server");
+  }
   const SimTime now = sim_->now();
-  const int key =
-      event.pool_link ? -1 : static_cast<int>(event.servers[0]);
-  auto it = degrade_baseline_.find(key);
+  const cluster::ServerId server = event.servers[0];
+  auto it = degrade_baseline_.find(server);
   if (it != degrade_baseline_.end()) {
-    report_.degraded_bytes_served += DegradedBytesBaseline(event) - it->second;
+    report_.degraded_bytes_served += PortBytesServed(server) - it->second;
     degrade_baseline_.erase(it);
   }
-  if (event.pool_link) {
-    LMP_RETURN_IF_ERROR(topology_->RestorePoolLink());
-  } else {
-    if (event.servers.size() != 1) {
-      return InvalidArgumentError("restore wants one server or pool");
-    }
-    LMP_RETURN_IF_ERROR(topology_->RestoreLink(event.servers[0]));
-  }
+  LMP_RETURN_IF_ERROR(topology_->RestoreLink(server));
   ++report_.link_restores;
   metrics_->Increment("chaos.link_restores");
   if (flight_ != nullptr) {
-    flight_->Record(now, "link.restore",
-                    event.pool_link
-                        ? std::string("pool link")
-                        : "link s" + std::to_string(event.servers[0]));
+    flight_->Record(now, "link.restore", "link s" + std::to_string(server));
   }
   if (trace_ != nullptr) {
-    trace_->Instant(
-        trace::Category::kChaos, "link_restore", now,
-        {trace::Arg("target", event.pool_link
-                                  ? std::string("pool")
-                                  : "s" + std::to_string(event.servers[0]))});
+    trace_->Instant(trace::Category::kChaos, "link_restore", now,
+                    {trace::Arg("target", "s" + std::to_string(server))});
   }
   return Status::Ok();
 }
@@ -510,11 +481,8 @@ ChaosReport FaultInjector::report() const {
     if (watched.ever_affected) ++out.buffers_affected;
   }
   // Links still degraded: fold the bytes served since their baselines.
-  for (const auto& [key, baseline] : degrade_baseline_) {
-    FaultEvent probe;
-    probe.pool_link = key < 0;
-    if (key >= 0) probe.servers = {static_cast<cluster::ServerId>(key)};
-    out.degraded_bytes_served += DegradedBytesBaseline(probe) - baseline;
+  for (const auto& [server, baseline] : degrade_baseline_) {
+    out.degraded_bytes_served += PortBytesServed(server) - baseline;
   }
   return out;
 }

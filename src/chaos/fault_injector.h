@@ -168,7 +168,7 @@ class FaultInjector {
 
   void OpenWindows(const std::vector<core::SegmentId>& segments);
   void MaybeCloseWindows();
-  double DegradedBytesBaseline(const FaultEvent& event) const;
+  double PortBytesServed(cluster::ServerId server) const;
 
   sim::FluidSimulator* sim_;
   fabric::Topology* topology_;
@@ -191,9 +191,9 @@ class FaultInjector {
 
   std::unordered_map<core::BufferId, WatchedBuffer> watched_;
 
-  // BytesServed() baseline per degraded port owner (server index, or -1
-  // for the pool), taken at degrade time and folded in at restore.
-  std::unordered_map<int, double> degrade_baseline_;
+  // BytesServed() baseline per degraded server port, taken at degrade
+  // time and folded in at restore.
+  std::unordered_map<cluster::ServerId, double> degrade_baseline_;
 
   trace::TraceCollector* trace_ = nullptr;
   MetricsRegistry* metrics_ = &MetricsRegistry::Global();

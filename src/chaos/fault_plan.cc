@@ -93,12 +93,8 @@ Status ApplyParams(std::string_view params, FaultEvent* event) {
   return Status::Ok();
 }
 
-// TARGET is "pool" or "s<K>[+s<M>...]".
+// TARGET is "s<K>[+s<M>...]".
 Status ApplyTarget(std::string_view target, FaultEvent* event) {
-  if (target == "pool") {
-    event->pool_link = true;
-    return Status::Ok();
-  }
   for (std::string_view one : SplitOn(target, '+')) {
     LMP_ASSIGN_OR_RETURN(const cluster::ServerId id, ParseServer(one));
     event->servers.push_back(id);
@@ -140,17 +136,16 @@ StatusOr<FaultEvent> ParseSpec(std::string_view spec) {
 
   // Per-kind validation, so a bad plan fails at parse time rather than
   // halfway through a sweep.
-  const bool needs_server = !event.pool_link;
   switch (event.kind) {
     case FaultKind::kServerCrash:
     case FaultKind::kServerRecover:
-      if (event.pool_link || event.servers.size() != 1) {
+      if (event.servers.size() != 1) {
         return InvalidArgumentError("crash/recover wants exactly one s<N>");
       }
       break;
     case FaultKind::kLinkDegrade:
-      if (needs_server && event.servers.size() != 1) {
-        return InvalidArgumentError("degrade wants one s<N> or pool");
+      if (event.servers.size() != 1) {
+        return InvalidArgumentError("degrade wants one s<N>");
       }
       if (event.bandwidth_mult <= 0.0 || event.bandwidth_mult > 1.0 ||
           event.latency_mult < 1.0) {
@@ -159,12 +154,12 @@ StatusOr<FaultEvent> ParseSpec(std::string_view spec) {
       }
       break;
     case FaultKind::kLinkRestore:
-      if (needs_server && event.servers.size() != 1) {
-        return InvalidArgumentError("restore wants one s<N> or pool");
+      if (event.servers.size() != 1) {
+        return InvalidArgumentError("restore wants one s<N>");
       }
       break;
     case FaultKind::kLinkFlap:
-      if (event.pool_link || event.servers.size() != 1) {
+      if (event.servers.size() != 1) {
         return InvalidArgumentError("flap wants exactly one s<N>");
       }
       if (event.flap_count <= 0 || event.down_ns <= 0 ||
@@ -174,7 +169,7 @@ StatusOr<FaultEvent> ParseSpec(std::string_view spec) {
       }
       break;
     case FaultKind::kRackFail:
-      if (event.pool_link || event.servers.empty()) {
+      if (event.servers.empty()) {
         return InvalidArgumentError("rack wants s<K>+s<M>+...");
       }
       break;
@@ -258,27 +253,6 @@ FaultPlan& FaultPlan::RestoreLinkAt(SimTime at, cluster::ServerId server) {
   e.at = at;
   e.kind = FaultKind::kLinkRestore;
   e.servers = {server};
-  Add(std::move(e));
-  return *this;
-}
-
-FaultPlan& FaultPlan::DegradePoolLinkAt(SimTime at, double bandwidth_mult,
-                                        double latency_mult) {
-  FaultEvent e;
-  e.at = at;
-  e.kind = FaultKind::kLinkDegrade;
-  e.pool_link = true;
-  e.bandwidth_mult = bandwidth_mult;
-  e.latency_mult = latency_mult;
-  Add(std::move(e));
-  return *this;
-}
-
-FaultPlan& FaultPlan::RestorePoolLinkAt(SimTime at) {
-  FaultEvent e;
-  e.at = at;
-  e.kind = FaultKind::kLinkRestore;
-  e.pool_link = true;
   Add(std::move(e));
   return *this;
 }

@@ -16,13 +16,12 @@
 //   e0=100ms:crash:s1
 //   e1=150ms:degrade:s2:bw=0.25,lat=2.0
 //   e2=300ms:restore:s2
-//   e3=400ms:degrade:pool:bw=0.5
-//   e4=500ms:recover:s1
-//   e5=600ms:flap:s3:down=10ms,count=3,period=50ms,bw=0.05,lat=4.0
-//   e6=900ms:rack:s0+s1
+//   e3=500ms:recover:s1
+//   e4=600ms:flap:s3:down=10ms,count=3,period=50ms,bw=0.05,lat=4.0
+//   e5=900ms:rack:s0+s1
 //
-// Times take ns/us/ms/s suffixes (bare numbers are ns).  `pool` targets
-// the physical pool box's ports; `s<K>+s<M>+...` names a correlated group.
+// Times take ns/us/ms/s suffixes (bare numbers are ns).  `s<K>+s<M>+...`
+// names a correlated group.
 #pragma once
 
 #include <string>
@@ -49,9 +48,8 @@ struct FaultEvent {
   SimTime at = 0;
   FaultKind kind = FaultKind::kServerCrash;
   // Victims.  Crash/recover/degrade/restore use servers[0]; rack failures
-  // list the whole blast radius.  Empty when pool_link is set.
+  // list the whole blast radius.
   std::vector<cluster::ServerId> servers;
-  bool pool_link = false;  // degrade/restore the pool box instead
   // Link health while degraded (absolute vs the healthy profile).
   double bandwidth_mult = 1.0;
   double latency_mult = 1.0;
@@ -81,9 +79,6 @@ class FaultPlan {
   FaultPlan& DegradeLinkAt(SimTime at, cluster::ServerId server,
                            double bandwidth_mult, double latency_mult = 1.0);
   FaultPlan& RestoreLinkAt(SimTime at, cluster::ServerId server);
-  FaultPlan& DegradePoolLinkAt(SimTime at, double bandwidth_mult,
-                               double latency_mult = 1.0);
-  FaultPlan& RestorePoolLinkAt(SimTime at);
   FaultPlan& FlapLinkAt(SimTime at, cluster::ServerId server, SimTime down,
                         int count, SimTime period,
                         double bandwidth_mult = 0.05,

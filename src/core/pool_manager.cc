@@ -667,15 +667,4 @@ Status PoolManager::OnServerRecover(cluster::ServerId server) {
   return Status::Ok();
 }
 
-AddressTranslator& PoolManager::translator(cluster::ServerId server) {
-  auto it = translators_.find(server);
-  if (it == translators_.end()) {
-    it = translators_
-             .emplace(server,
-                      std::make_unique<AddressTranslator>(&segments_))
-             .first;
-  }
-  return *it->second;
-}
-
 }  // namespace lmp::core

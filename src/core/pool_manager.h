@@ -216,11 +216,6 @@ class PoolManager {
   // kNotFound / kFailedPrecondition like OnServerCrash.
   Status OnServerRecover(cluster::ServerId server);
 
-  // Translation -------------------------------------------------------------------
-
-  // Per-server translator (lazily created); exposes TLB-style stats.
-  AddressTranslator& translator(cluster::ServerId server);
-
   // Operational counters (lmp.alloc.*, lmp.migrate.*, ...); defaults to
   // the process-global registry.
   MetricsRegistry& metrics() { return *metrics_; }
@@ -284,8 +279,6 @@ class PoolManager {
   AccessTracker tracker_;
   std::unordered_map<Location, LocalFrameMap> local_maps_;
   std::unordered_map<BufferId, BufferInfo> buffers_;
-  std::unordered_map<cluster::ServerId, std::unique_ptr<AddressTranslator>>
-      translators_;
   SegmentId next_segment_ = 0;
   BufferId next_buffer_ = 1;
   MetricsRegistry* metrics_ = &MetricsRegistry::Global();

@@ -32,20 +32,6 @@ Status TaskScheduler::Submit(ComputeTask task, DoneCallback on_done) {
   return Status::Ok();
 }
 
-Status TaskScheduler::SubmitPlan(const ShipPlan& plan,
-                                 double compute_ns_per_byte,
-                                 DoneCallback on_done) {
-  for (const ShipPlan::SubTask& sub : plan.subtasks) {
-    ComputeTask task;
-    task.target = sub.server;
-    task.input_bytes = static_cast<double>(sub.bytes);
-    task.compute_ns =
-        compute_ns_per_byte * static_cast<double>(sub.bytes);
-    LMP_RETURN_IF_ERROR(Submit(std::move(task), on_done));
-  }
-  return Status::Ok();
-}
-
 void TaskScheduler::TryDispatch(cluster::ServerId server) {
   ServerState& state = servers_[server];
   while (!state.queue.empty()) {

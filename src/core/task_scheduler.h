@@ -16,7 +16,7 @@
 
 #include "common/status.h"
 #include "common/units.h"
-#include "core/compute_ship.h"
+#include "cluster/server.h"
 #include "fabric/topology.h"
 #include "sim/fluid.h"
 
@@ -45,11 +45,6 @@ class TaskScheduler {
 
   // Enqueues a task; it starts as soon as a slot frees on its target.
   Status Submit(ComputeTask task, DoneCallback on_done = nullptr);
-
-  // Converts a ship plan into tasks (one per sub-task), with compute cost
-  // `compute_ns_per_byte` applied to each sub-task's bytes.
-  Status SubmitPlan(const ShipPlan& plan, double compute_ns_per_byte,
-                    DoneCallback on_done = nullptr);
 
   // Runs the simulator until every submitted task has completed.
   void Drain();

@@ -39,11 +39,6 @@ void TranslationCache::Invalidate(SegmentId id) {
   map_.erase(it);
 }
 
-void TranslationCache::Clear() {
-  lru_.clear();
-  map_.clear();
-}
-
 AddressTranslator::AddressTranslator(const SegmentMap* map,
                                      std::size_t cache_capacity)
     : map_(map), cache_(cache_capacity) {

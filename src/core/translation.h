@@ -43,7 +43,6 @@ class TranslationCache {
   std::optional<Entry> Lookup(SegmentId id);
   void Insert(SegmentId id, Entry entry);
   void Invalidate(SegmentId id);
-  void Clear();
 
   std::size_t size() const { return map_.size(); }
   std::size_t capacity() const { return capacity_; }
@@ -73,7 +72,6 @@ class AddressTranslator {
 
   const TranslationStats& stats() const { return stats_; }
   void ResetStats() { stats_ = TranslationStats{}; }
-  TranslationCache& cache() { return cache_; }
 
  private:
   const SegmentMap* map_;

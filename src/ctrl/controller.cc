@@ -133,8 +133,6 @@ void SizingController::Start() {
   ScheduleNext();
 }
 
-void SizingController::Stop() { running_ = false; }
-
 void SizingController::ScheduleNext() {
   if (!running_ || epoch_scheduled_) return;
   const SimTime next = sim_->now() + config_.period;
@@ -145,7 +143,6 @@ void SizingController::ScheduleNext() {
   epoch_scheduled_ = true;
   sim_->ScheduleAt(next, [this](SimTime t) {
     epoch_scheduled_ = false;
-    if (!running_) return;
     RunEpoch(t, /*out_of_band=*/false);
     ScheduleNext();
   });

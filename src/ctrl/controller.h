@@ -78,7 +78,7 @@ struct ControllerConfig {
   // freshly resized server rest before touching it again.
   Bytes min_step = MiB(1);
   SimTime cooldown = Milliseconds(200);
-  // Stop scheduling epochs at/after this sim time (< 0: run until Stop()).
+  // Stop scheduling epochs at/after this sim time (< 0: never stop).
   // Benches set it to the workload horizon so FluidSimulator::Run
   // terminates once the last flow drains.
   SimTime horizon = -1;
@@ -134,9 +134,6 @@ class SizingController {
 
   // Starts the periodic loop: first epoch at now + period.
   void Start();
-  // Stops scheduling further epochs (drains in flight still retire).
-  void Stop();
-  bool running() const { return running_; }
 
   // One epoch at the simulator's current time (tests, manual rebalances).
   void RunEpochNow();

@@ -134,13 +134,6 @@ double DemandEstimator::ObservedLocalFraction(SimTime now) const {
   return total == 0 ? 1.0 : local / total;
 }
 
-double DemandEstimator::ObservedLocalFraction(
-    SimTime now, cluster::ServerId server) const {
-  double local = 0, total = 0;
-  AddLocalTraffic(now, server, &local, &total);
-  return total == 0 ? 1.0 : local / total;
-}
-
 void DemandEstimator::AddLocalTraffic(SimTime now, cluster::ServerId server,
                                       double* local, double* total) const {
   // Only segments `server` holds a counter on: any other would add

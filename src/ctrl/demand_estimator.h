@@ -106,11 +106,6 @@ class DemandEstimator {
   // planned.  1.0 with no recorded traffic.
   double ObservedLocalFraction(SimTime now) const;
 
-  // Same fraction restricted to one server's own accesses: how much of
-  // `server`'s recent traffic hit segments homed on `server`.  1.0 when
-  // the server has no recorded traffic.
-  double ObservedLocalFraction(SimTime now, cluster::ServerId server) const;
-
   // Cross-rack pull candidates: active segments homed OUTSIDE the scope
   // (on a peer server, not the pool box) whose dominant accessor is
   // inside it, hottest first (ties by segment id).  What a granted spine

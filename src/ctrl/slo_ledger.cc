@@ -80,13 +80,6 @@ const SloAttainment* SloLedger::Find(std::string_view tenant) const {
   return it == tenants_.end() ? nullptr : &it->second;
 }
 
-std::vector<SloAttainment> SloLedger::Report() const {
-  std::vector<SloAttainment> out;
-  out.reserve(tenants_.size());
-  for (const auto& [name, a] : tenants_) out.push_back(a);
-  return out;
-}
-
 std::string SloLedger::Json() const {
   char buf[32];
   const auto u64 = [&buf](std::uint64_t v) {

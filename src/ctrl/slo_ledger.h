@@ -20,7 +20,6 @@
 #include <map>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/status.h"
 #include "common/units.h"
@@ -79,8 +78,6 @@ class SloLedger {
   std::size_t tenant_count() const { return tenants_.size(); }
   // Null when the tenant has never been registered or observed.
   const SloAttainment* Find(std::string_view tenant) const;
-  // All tenants in name order.
-  std::vector<SloAttainment> Report() const;
 
   // {"tenants":{name:{"targets":{...},"local":{...},"bandwidth":{...},
   //                   "unavailability":{...},"met":bool},...}}

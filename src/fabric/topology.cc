@@ -163,27 +163,6 @@ Status Topology::RestoreLink(ServerIndex s) {
   return SetLinkHealth(s, 1.0, 1.0);
 }
 
-Status Topology::SetPoolLinkHealth(double bandwidth_mult,
-                                   double latency_mult) {
-  if (pool_port_.empty()) {
-    return FailedPreconditionError("logical topology has no pool box");
-  }
-  if (bandwidth_mult <= 0.0 || bandwidth_mult > 1.0) {
-    return InvalidArgumentError("bandwidth multiplier must be in (0, 1]");
-  }
-  if (latency_mult < 1.0) {
-    return InvalidArgumentError("latency multiplier must be >= 1");
-  }
-  pool_bw_mult_ = bandwidth_mult;
-  pool_lat_mult_ = latency_mult;
-  for (sim::ResourceId p : pool_port_) {
-    LMP_RETURN_IF_ERROR(sim_->SetCapacity(p, link_.bandwidth * bandwidth_mult));
-  }
-  return Status::Ok();
-}
-
-Status Topology::RestorePoolLink() { return SetPoolLinkHealth(1.0, 1.0); }
-
 double Topology::link_bandwidth_mult(ServerIndex s) const {
   LMP_CHECK(s < server_bw_mult_.size());
   return server_bw_mult_[s];
@@ -229,16 +208,6 @@ SimTime Topology::RemoteLoadedLatency(ServerIndex src,
   // A degraded endpoint stretches the whole path's latency.
   const double lat_mult =
       std::max(link_latency_mult(src), link_latency_mult(dst));
-  return link_.LoadedLatency(u) * lat_mult;
-}
-
-SimTime Topology::PoolLoadedLatency(ServerIndex src) const {
-  const double u = std::max(
-      sim_->SmoothedUtilization(port(src)),
-      std::max(
-          sim_->SmoothedUtilization(pool_port(static_cast<int>(src))),
-          sim_->SmoothedUtilization(pool_dram())));
-  const double lat_mult = std::max(link_latency_mult(src), pool_lat_mult_);
   return link_.LoadedLatency(u) * lat_mult;
 }
 

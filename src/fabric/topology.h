@@ -58,7 +58,6 @@ class Topology {
   sim::ResourceId port(ServerIndex s) const;
   sim::ResourceId pool_dram() const;
   sim::ResourceId pool_port(int i = 0) const;
-  int pool_port_count() const { return static_cast<int>(pool_port_.size()); }
 
   // Access paths ------------------------------------------------------------
   // Paths are sim::Path, held inline: building one allocates nothing.
@@ -133,7 +132,6 @@ class Topology {
   // the bottleneck resource.
   SimTime LocalLoadedLatency(ServerIndex s) const;
   SimTime RemoteLoadedLatency(ServerIndex src, ServerIndex dst) const;
-  SimTime PoolLoadedLatency(ServerIndex src) const;
 
   // Link health (chaos layer) ------------------------------------------------
   // Scales one server's fabric-port capacity by `bandwidth_mult` (0, 1] and
@@ -144,13 +142,9 @@ class Topology {
   Status SetLinkHealth(ServerIndex s, double bandwidth_mult,
                        double latency_mult);
   Status RestoreLink(ServerIndex s);
-  // Same for every port of the physical pool box (the Fig. 1a incast point).
-  Status SetPoolLinkHealth(double bandwidth_mult, double latency_mult);
-  Status RestorePoolLink();
 
   double link_bandwidth_mult(ServerIndex s) const;
   double link_latency_mult(ServerIndex s) const;
-  double pool_link_bandwidth_mult() const { return pool_bw_mult_; }
   bool link_degraded(ServerIndex s) const {
     return link_bandwidth_mult(s) < 1.0 || link_latency_mult(s) > 1.0;
   }
@@ -186,8 +180,6 @@ class Topology {
   // Per-port health multipliers (1.0 = pristine), indexed like server_port_.
   std::vector<double> server_bw_mult_;
   std::vector<double> server_lat_mult_;
-  double pool_bw_mult_ = 1.0;
-  double pool_lat_mult_ = 1.0;
 };
 
 }  // namespace lmp::fabric

@@ -131,49 +131,13 @@ StatusOr<std::vector<FrameRun>> FrameAllocator::FitAscending(
   return runs;
 }
 
-// First-fit descending from the top of the region, taking the high end of
-// each run: the pinned-cohort policy.  Pinned data packs away from the
-// shrink cut so mobile cohorts and compaction own the low frames.
-StatusOr<std::vector<FrameRun>> FrameAllocator::FitDescending(
-    std::uint64_t frames) {
-  if (frames > free_frames_) {
-    return OutOfMemoryError("need " + std::to_string(frames) +
-                            " frames, only " + std::to_string(free_frames_) +
-                            " free");
-  }
-  std::vector<Take> takes;
-  std::uint64_t remaining = frames;
-  for (auto it = free_runs_.rbegin(); it != free_runs_.rend() && remaining > 0;
-       ++it) {
-    const std::uint64_t take = std::min(it->second, remaining);
-    takes.push_back(Take{it->first, it->first + it->second - take, take});
-    remaining -= take;
-  }
-  LMP_CHECK(remaining == 0) << "free count disagreed with run index";
-  std::vector<FrameRun> runs;
-  runs.reserve(takes.size());
-  for (const Take& t : takes) {
-    CarveFreeRun(t.run_start, t.start, t.count);
-    runs.push_back(FrameRun{t.start, t.count});
-  }
-  return runs;
-}
-
 StatusOr<std::vector<FrameRun>> FrameAllocator::Allocate(
     const AllocRequest& request) {
   if (request.frames == 0) return std::vector<FrameRun>{};
 
-  StatusOr<std::vector<FrameRun>> runs_or = [&] {
-    // Bounded requests override the cohort: compaction needs the frames
-    // below the cut wherever they are.
-    if (request.bound.has_value()) {
-      return FitAscending(request.frames, *request.bound);
-    }
-    if (!request.cohort.has_value()) return NextFit(request.frames);
-    return *request.cohort == Mobility::kMobile
-               ? FitAscending(request.frames, num_frames_)
-               : FitDescending(request.frames);
-  }();
+  StatusOr<std::vector<FrameRun>> runs_or =
+      request.bound.has_value() ? FitAscending(request.frames, *request.bound)
+                                : NextFit(request.frames);
   if (!runs_or.ok()) return runs_or;
 
   if (metrics_ != nullptr) {

@@ -15,11 +15,8 @@
 // placement policy byte-for-byte reproduces the original next-fit bitmap
 // scan, so identical request sequences produce identical frame layouts.
 //
-// Placement is a function of the request alone.  A request may name a
-// cohort mobility: mobile cohorts pack low (first-fit ascending — cheap
-// future CompactSegment/shrink cuts), pinned cohorts pack high (first-fit
-// descending from the top of the region).  No cohort keeps the legacy
-// next-fit policy.
+// Placement is a function of the request alone: next-fit, or first-fit
+// ascending below a bound (the compaction primitive).
 #pragma once
 
 #include <cstdint>
@@ -42,11 +39,6 @@ struct FrameRun {
   friend bool operator==(const FrameRun&, const FrameRun&) = default;
 };
 
-enum class Mobility : std::uint8_t {
-  kMobile,  // may be compacted/migrated; packs low
-  kPinned,  // never moved by drains; packs high, away from shrink cuts
-};
-
 // One request struct instead of a growing tail of positional parameters:
 // new placement knobs become fields with defaults, and every call site
 // reads as named options.  (See DESIGN.md, "request structs".)
@@ -55,11 +47,8 @@ struct AllocRequest {
   // When set, every frame must land strictly below `bound` (first-fit from
   // frame 0): the compaction primitive.  A shrink to `bound` frames needs
   // live data packed below the cut; default next-fit can land anywhere,
-  // this cannot.  The next-fit hint is untouched.  Overrides the cohort.
+  // this cannot.  The next-fit hint is untouched.
   std::optional<FrameNumber> bound;
-  // Cohort placement: unset is next-fit, kMobile first-fit ascending,
-  // kPinned first-fit descending (the high end of each run).
-  std::optional<Mobility> cohort;
 
   static AllocRequest Of(std::uint64_t frames) {
     AllocRequest request;
@@ -131,12 +120,11 @@ class FrameAllocator {
   void CarveFreeRun(FrameNumber run_start, FrameNumber start,
                     std::uint64_t count);
 
-  // Placement policies.  All compute the full take list against the free
+  // Placement policies.  Both compute the full take list against the free
   // index and commit only on success.
   StatusOr<std::vector<FrameRun>> NextFit(std::uint64_t frames);
   StatusOr<std::vector<FrameRun>> FitAscending(std::uint64_t frames,
                                                FrameNumber bound);
-  StatusOr<std::vector<FrameRun>> FitDescending(std::uint64_t frames);
 
   std::uint64_t num_frames_;
   std::uint64_t free_frames_;

@@ -39,8 +39,6 @@ void TimeSeriesRecorder::Start() {
   ScheduleNext();
 }
 
-void TimeSeriesRecorder::Stop() { running_ = false; }
-
 void TimeSeriesRecorder::SampleNow() {
   timestamps_.push_back(sim_->now());
   for (Probe& p : probes_) {
@@ -62,7 +60,6 @@ void TimeSeriesRecorder::ScheduleNext() {
   tick_scheduled_ = true;
   sim_->ScheduleAt(next, [this](SimTime) {
     tick_scheduled_ = false;
-    if (!running_) return;
     SampleNow();
     ScheduleNext();
   });

@@ -62,7 +62,6 @@ class TimeSeriesRecorder {
   // Takes one sample immediately (at sim->now()) and schedules sampling
   // every `interval` until `horizon`.  No-op if already running.
   void Start();
-  void Stop();
   bool running() const { return running_; }
 
   // Takes one out-of-band sample at the current sim time (also usable

@@ -31,6 +31,8 @@ OpEngine::OpEngine(sim::FluidSimulator* sim, fabric::Topology* topology,
       metrics_(options_.metrics != nullptr ? options_.metrics
                                            : &MetricsRegistry::Global()) {
   LMP_CHECK(sim_ != nullptr && topology_ != nullptr && manager_ != nullptr);
+  LMP_CHECK(!topology_->has_pool() && !manager_->cluster().has_pool())
+      << "ops run on logical pools only (no pool box)";
   // LinkProfile::min_latency_ns is the unloaded round-trip read latency —
   // exactly the cost of one coherent-region CAS round trip.
   lock_rtt_ = topology_->link().min_latency_ns;
@@ -145,14 +147,9 @@ void OpEngine::IssueAccess(Op& op, core::BufferId buffer, Bytes offset,
   SimTime propagation = 0;
   SimTime serialization = 0;
   for (const core::LocatedSpan& ls : spans_) {
-    fabric::ServerIndex home = fabric::Topology::kPoolHome;
-    if (ls.location.is_pool()) {
-      propagation += topology_->PoolLoadedLatency(src);
-    } else {
-      home = static_cast<fabric::ServerIndex>(ls.location.server);
-      propagation += home == src ? topology_->LocalLoadedLatency(src)
-                                 : topology_->RemoteLoadedLatency(src, home);
-    }
+    const auto home = static_cast<fabric::ServerIndex>(ls.location.server);
+    propagation += home == src ? topology_->LocalLoadedLatency(src)
+                               : topology_->RemoteLoadedLatency(src, home);
     serialization += static_cast<double>(ls.bytes) /
                      sim_->FairShare(topology_->Route(src, op.core_, home)) *
                      kNsPerSec;

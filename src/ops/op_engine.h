@@ -13,7 +13,7 @@
 // migration moved it since the previous hop, the op pays the new home.
 //
 // Pricing: an access costs, per located span, the path's loaded latency
-// (Topology::{Local,Remote,Pool}LoadedLatency, read off the smoothed
+// (Topology::{Local,Remote}LoadedLatency, read off the smoothed
 // utilization that bulk flows drive) plus serialization, the span's bytes
 // at the path's fair share (FluidSimulator::FairShare).  Accesses are not
 // flows: they never enter the solver.  Instead each holds one of the
@@ -187,6 +187,8 @@ class OpEngine {
   // All pointers must outlive the engine.  The topology must have been
   // built inside `sim`, and the manager's segments must resolve onto it
   // (same deployment — baselines::LogicalDeployment wires exactly this).
+  // Ops run on logical pools only: a pool box in the topology or the
+  // cluster is refused.
   OpEngine(sim::FluidSimulator* sim, fabric::Topology* topology,
            core::PoolManager* manager, Options options);
   OpEngine(sim::FluidSimulator* sim, fabric::Topology* topology,
@@ -209,8 +211,8 @@ class OpEngine {
   // Steps (called from inside a Step) --------------------------------------
 
   // Prices a read/write of [offset, offset+len) of `buffer` from the op's
-  // (server, core): each located span — local DRAM path, remote fabric
-  // path, or pool path, resolved at issue time — costs its loaded latency
+  // (server, core): each located span — local DRAM path or remote fabric
+  // path, resolved at issue time — costs its loaded latency
   // plus serialization at the path's fair share, and the access holds one
   // of the core's miss slots (waiting FIFO for one) for the summed cost.
   // `next` runs when it completes.  An op has at most one access in flight.

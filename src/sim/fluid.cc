@@ -1105,21 +1105,6 @@ void FluidSimulator::Run() {
   }
 }
 
-Status FluidSimulator::RunUntilFlowDone(FlowId id) {
-  if (id == kInvalidFlow || id >= next_flow_id_) {
-    return NotFoundError("unknown flow");
-  }
-  // One lookup per iteration (records can be released mid-run); a missing
-  // record for a known id means it was already retired, i.e. completed.
-  while (true) {
-    const FlowRecord* rec = FindRecord(id);
-    if (rec == nullptr || rec->done) return Status::Ok();
-    if (!Step()) {
-      return InternalError("simulation drained before flow completed");
-    }
-  }
-}
-
 const FlowRecord* FluidSimulator::record(FlowId id) const {
   return FindRecord(id);
 }

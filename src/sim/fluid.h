@@ -323,15 +323,12 @@ class FluidSimulator {
   // timers a callback schedules at that same instant run on the next Step.
   // The callbacks run with solving deferred; Step re-solves once after
   // them, so an event costs one solve however many flows its callbacks
-  // start.  Step is re-entrant: a callback may call Step or
-  // RunUntilFlowDone, which first settle what it left pending.
+  // start.  Step is re-entrant: a callback may call Step, which first
+  // settles what it left pending.
   bool Step();
 
   // Runs until no active flows or pending timers remain.
   void Run();
-
-  // Runs until the given flow completes (and possibly others with it).
-  Status RunUntilFlowDone(FlowId id);
 
   // Introspection -----------------------------------------------------------
 

@@ -6,45 +6,14 @@
 // loaded-latency ratios (2.8x/3.6x) turn directly into application
 // throughput, and where software paging (µs faults) collapses.
 //
-// Functional layer: real random read-modify-writes over a TypedBuffer
-// (correctness + hotness).  Timing layer: ThroughputModel composes the
-// deployment's locality mix with the loaded-latency curves.
+// GupsThroughputModel composes the deployment's locality mix with the
+// loaded-latency curves.
 #pragma once
 
-#include <cstdint>
-
-#include "common/rng.h"
-#include "common/status.h"
-#include "core/typed_buffer.h"
+#include "common/units.h"
 #include "fabric/link.h"
 
 namespace lmp::workloads {
-
-class Gups {
- public:
-  // Allocates a table of `count` u64 cells in the pool.
-  static StatusOr<Gups> Create(Pool* pool, std::uint64_t count,
-                               cluster::ServerId home);
-
-  // Performs `updates` random XOR read-modify-writes from `runner`.
-  // Returns the XOR of all values read (a self-checking digest).
-  StatusOr<std::uint64_t> Run(cluster::ServerId runner,
-                              std::uint64_t updates, std::uint64_t seed,
-                              SimTime now = 0);
-
-  // Verifies the table against a replayed update sequence.
-  StatusOr<bool> Verify(cluster::ServerId runner, std::uint64_t updates,
-                        std::uint64_t seed);
-
-  TypedBuffer<std::uint64_t>& table() { return table_; }
-  Status Release() { return table_.Release(); }
-
- private:
-  explicit Gups(TypedBuffer<std::uint64_t> table)
-      : table_(std::move(table)) {}
-
-  TypedBuffer<std::uint64_t> table_;
-};
 
 // Timing model for dependent random access: one outstanding access per
 // core (no MLP — the pessimistic bound the paper's latency discussion

@@ -359,7 +359,9 @@ class World {
                         RefOldLocalFraction(manager_, first, limit, now_),
                         "scope fraction");
         for (ServerId s = first; s < limit; ++s) {
-          ExpectFractions(est.ObservedLocalFraction(now_, s),
+          ctrl::DemandEstimator one(&manager_, config);
+          one.RestrictTo(s, s + 1);
+          ExpectFractions(one.ObservedLocalFraction(now_),
                           RefOrderedLocalFraction(manager_, s, s + 1, now_),
                           RefOldLocalFraction(manager_, s, s + 1, now_),
                           "server fraction");

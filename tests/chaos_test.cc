@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "baselines/logical.h"
 #include "chaos/fault_injector.h"
@@ -30,7 +31,7 @@ TEST(FaultPlanTest, ParsesEveryKindAndSortsByTime) {
       "e1=100us:crash:s1 "
       "e2=150us:degrade:s2:bw=0.25,lat=2.0 "
       "e3=300us:restore:s2 "
-      "e4=400us:degrade:pool:bw=0.5 "
+      "e4=400us:degrade:s0:bw=0.5 "
       "e5=600us:flap:s3:down=10us,count=3,period=50us,bw=0.05,lat=4.0 "
       "e6=900us:rack:s0+s1");
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
@@ -42,7 +43,9 @@ TEST(FaultPlanTest, ParsesEveryKindAndSortsByTime) {
   EXPECT_DOUBLE_EQ(events[1].bandwidth_mult, 0.25);
   EXPECT_DOUBLE_EQ(events[1].latency_mult, 2.0);
   EXPECT_EQ(events[2].kind, FaultKind::kLinkRestore);
-  EXPECT_TRUE(events[3].pool_link);
+  EXPECT_EQ(events[3].kind, FaultKind::kLinkDegrade);
+  EXPECT_EQ(events[3].servers, std::vector<cluster::ServerId>{0});
+  EXPECT_DOUBLE_EQ(events[3].bandwidth_mult, 0.5);
   EXPECT_EQ(events[4].kind, FaultKind::kServerRecover);
   EXPECT_EQ(events[5].kind, FaultKind::kLinkFlap);
   EXPECT_EQ(events[5].flap_count, 3);
@@ -57,6 +60,13 @@ TEST(FaultPlanTest, RejectsMalformedSpecs) {
   EXPECT_FALSE(FaultPlan::Parse("e0=100ms:explode:s1").ok());
   EXPECT_FALSE(FaultPlan::Parse("e0=100ms:crash").ok());
   EXPECT_FALSE(FaultPlan::Parse("e0=100ms:crash:pool").ok());
+  // Link faults target server ports only; the pool box has no link fault.
+  for (const char* spec : {"e0=100ms:degrade:pool:bw=0.5",
+                           "e0=100ms:restore:pool"}) {
+    const auto pool = FaultPlan::Parse(spec);
+    ASSERT_FALSE(pool.ok()) << spec;
+    EXPECT_EQ(pool.status().code(), StatusCode::kInvalidArgument) << spec;
+  }
   EXPECT_FALSE(FaultPlan::Parse("e0=100ms:degrade:s1:bw=1.5").ok());
   EXPECT_FALSE(FaultPlan::Parse("e0=100ms:degrade:s1:bw=0.5,lat=0.5").ok());
   // Flap needs period > down and count > 0.

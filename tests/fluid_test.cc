@@ -17,6 +17,15 @@
 namespace lmp::sim {
 namespace {
 
+// Steps until flow `id` has completed: its record is done, or already
+// retired (looked up afresh each step, since retiring frees the record).
+void StepUntilDone(FluidSimulator& sim, FlowId id) {
+  for (const FlowRecord* rec = sim.record(id); rec != nullptr && !rec->done;
+       rec = sim.record(id)) {
+    ASSERT_TRUE(sim.Step()) << "simulation drained before flow " << id;
+  }
+}
+
 TEST(FluidTest, SingleFlowSingleResource) {
   FluidSimulator sim;
   const ResourceId r = sim.AddResource("link", GBps(10));
@@ -204,25 +213,13 @@ TEST(FluidTest, DropCompletedRetentionKeepsNoHistory) {
   EXPECT_EQ(sim.record_count(), 0u);
 }
 
-TEST(FluidTest, RunUntilFlowDoneWorksWithReleasedRecords) {
-  FluidSimulator sim;
-  sim.set_record_retention(RecordRetention::kDropCompleted);
-  const ResourceId r = sim.AddResource("link", GBps(1));
-  const FlowId fast = sim.StartFlow(0.5e9, {r});
-  const FlowId slow = sim.StartFlow(10e9, {r});
-  ASSERT_TRUE(sim.RunUntilFlowDone(fast).ok());
-  EXPECT_EQ(sim.record(fast), nullptr);  // retired ⇒ done
-  EXPECT_FALSE(sim.record(slow)->done);
-  ASSERT_TRUE(sim.RunUntilFlowDone(slow).ok());
-}
-
 TEST(FluidTest, RecordsReleasedOutOfOrderAcrossRetentionModes) {
   FluidSimulator sim;
   const ResourceId r = sim.AddResource("link", GBps(1));
   const FlowId slow = sim.StartFlow(10e9, {r});
   std::vector<FlowId> quick;
   for (int i = 0; i < 4; ++i) quick.push_back(sim.StartFlow(0.1e9, {r}));
-  ASSERT_TRUE(sim.RunUntilFlowDone(quick.back()).ok());
+  StepUntilDone(sim, quick.back());
   // Keep-all: release from the middle and the back, not the front.
   ASSERT_TRUE(sim.ReleaseRecord(quick[3]).ok());
   ASSERT_TRUE(sim.ReleaseRecord(quick[1]).ok());
@@ -240,13 +237,12 @@ TEST(FluidTest, RecordsReleasedOutOfOrderAcrossRetentionModes) {
   sim.set_record_retention(RecordRetention::kDropCompleted);
   std::vector<FlowId> later;
   for (int i = 0; i < 1000; ++i) later.push_back(sim.StartFlow(1e6, {r}));
-  ASSERT_TRUE(sim.RunUntilFlowDone(later.front()).ok());
+  StepUntilDone(sim, later.front());
   EXPECT_EQ(sim.record(later.front()), nullptr);
   EXPECT_EQ(sim.record(quick[2]), kept);  // records never move
   sim.Run();
-  EXPECT_EQ(sim.record(slow), nullptr);
-  ASSERT_TRUE(sim.RunUntilFlowDone(slow).ok());  // retired means done
-  EXPECT_EQ(sim.record_count(), 2u);             // quick[0], quick[2]
+  EXPECT_EQ(sim.record(slow), nullptr);  // retired means done
+  EXPECT_EQ(sim.record_count(), 2u);     // quick[0], quick[2]
   EXPECT_EQ(kept->end, kept_end);
   ASSERT_TRUE(sim.ReleaseRecord(quick[0]).ok());
   ASSERT_TRUE(sim.ReleaseRecord(quick[2]).ok());
@@ -284,7 +280,7 @@ TEST(FluidTest, PinnedFrontKeepsLookupsExactAndTrimsOnRetire) {
     // A kept record behind the dead entries, released by hand.
     sim.set_record_retention(RecordRetention::kKeepAll);
     const FlowId kept = sim.StartFlow(1e3, {r});
-    ASSERT_TRUE(sim.RunUntilFlowDone(kept).ok());
+    StepUntilDone(sim, kept);
     sim.set_record_retention(RecordRetention::kDropCompleted);
     ASSERT_NE(sim.record(kept), nullptr);
     EXPECT_TRUE(sim.record(kept)->done);
@@ -294,7 +290,7 @@ TEST(FluidTest, PinnedFrontKeepsLookupsExactAndTrimsOnRetire) {
     EXPECT_EQ(sim.record_count(), 1u);
     last = kept;
   }
-  ASSERT_TRUE(sim.RunUntilFlowDone(pinned).ok());
+  StepUntilDone(sim, pinned);
   EXPECT_EQ(sim.record(pinned), nullptr);
   EXPECT_EQ(sim.record_count(), 0u);
   EXPECT_EQ(sim.record(last), nullptr);
@@ -445,17 +441,6 @@ TEST(FluidTest, SmoothedUtilizationLagsInstantaneous) {
   EXPECT_LT(sim.SmoothedUtilization(r), 0.5);  // just started
   sim.Run();
   EXPECT_GT(sim.SmoothedUtilization(r), 0.9);  // long past the tau
-}
-
-TEST(FluidTest, RunUntilFlowDoneStopsEarly) {
-  FluidSimulator sim;
-  const ResourceId r = sim.AddResource("link", GBps(1));
-  const FlowId fast = sim.StartFlow(0.5e9, {r});
-  const FlowId slow = sim.StartFlow(10e9, {r});
-  ASSERT_TRUE(sim.RunUntilFlowDone(fast).ok());
-  EXPECT_TRUE(sim.record(fast)->done);
-  EXPECT_FALSE(sim.record(slow)->done);
-  EXPECT_FALSE(sim.RunUntilFlowDone(9999).ok());
 }
 
 // Regression: at simulated times beyond ~2^31 ns, absolute-time rounding
@@ -903,14 +888,14 @@ TEST(FluidCoalesceTest, CallbackReadsMatchAnImmediateSolve) {
   EXPECT_GT(deferred[0], 0.0);
 }
 
-TEST(FluidCoalesceTest, RunUntilFlowDoneFromCallback) {
+TEST(FluidCoalesceTest, StepLoopFromCallback) {
   FluidSimulator sim;
   const ResourceId r = sim.AddResource("link", GBps(1));
   FlowId inner = kInvalidFlow;
   SimTime inner_end = -1;
   sim.StartFlow(1e9, {r}, [&](FlowId, SimTime) {
     inner = sim.StartFlow(2e9, {r});
-    ASSERT_TRUE(sim.RunUntilFlowDone(inner).ok());
+    StepUntilDone(sim, inner);
     inner_end = sim.now();
   });
   sim.Run();

@@ -1,4 +1,4 @@
-// Tests for the GUPS workload and its throughput model.
+// Tests for the GUPS throughput model and the KV store's locked put.
 #include <gtest/gtest.h>
 
 #include "workloads/gups.h"
@@ -11,51 +11,6 @@ std::unique_ptr<Pool> MakePool() {
   auto pool = Pool::Create(PoolOptions::Small());
   EXPECT_TRUE(pool.ok());
   return std::move(pool).value();
-}
-
-TEST(GupsTest, UpdatesVerifyAgainstReplay) {
-  auto pool = MakePool();
-  auto gups = Gups::Create(pool.get(), 4096, 0);
-  ASSERT_TRUE(gups.ok());
-  ASSERT_TRUE(gups->Run(1, 10000, /*seed=*/99).ok());
-  auto ok = gups->Verify(1, 10000, 99);
-  ASSERT_TRUE(ok.ok());
-  EXPECT_TRUE(*ok);
-}
-
-TEST(GupsTest, DifferentSeedsDiverge) {
-  auto pool = MakePool();
-  auto gups = Gups::Create(pool.get(), 4096, 0);
-  ASSERT_TRUE(gups.ok());
-  ASSERT_TRUE(gups->Run(0, 5000, 1).ok());
-  auto ok = gups->Verify(0, 5000, /*wrong seed=*/2);
-  ASSERT_TRUE(ok.ok());
-  EXPECT_FALSE(*ok);
-}
-
-TEST(GupsTest, DigestIsDeterministic) {
-  auto pool_a = MakePool();
-  auto pool_b = MakePool();
-  auto a = Gups::Create(pool_a.get(), 1024, 0);
-  auto b = Gups::Create(pool_b.get(), 1024, 0);
-  ASSERT_TRUE(a.ok() && b.ok());
-  auto da = a->Run(0, 2000, 7);
-  auto db = b->Run(0, 2000, 7);
-  ASSERT_TRUE(da.ok() && db.ok());
-  EXPECT_EQ(*da, *db);
-}
-
-TEST(GupsTest, UpdatesFeedHotnessProfile) {
-  auto pool = MakePool();
-  auto gups = Gups::Create(pool.get(), 8192, 1);
-  ASSERT_TRUE(gups.ok());
-  ASSERT_TRUE(gups->Run(3, 2000, 5, Seconds(1)).ok());
-  const auto seg =
-      pool->manager().Describe(gups->table().id())->segments[0];
-  core::AccessTracker::DominantAccessor dom;
-  ASSERT_TRUE(pool->manager().access_tracker().Dominant(seg, Seconds(1),
-                                                        &dom));
-  EXPECT_EQ(dom.server, 3u);
 }
 
 // --- Throughput model -------------------------------------------------------

@@ -130,6 +130,7 @@ RunResult RunRackFailScenario(int threads) {
   // The tenant's locality experience is its consumer's: score server 4's
   // own traffic once the post-failure grace window has elapsed.
   DemandEstimator meter(&manager);
+  meter.RestrictTo(4, 5);
   for (SimTime t = 0; t < kEnd; t += Milliseconds(1)) {
     sim.ScheduleAt(t, [&](SimTime now) {
       const cluster::ServerId accessor = now < kFail ? 0 : 4;
@@ -142,8 +143,8 @@ RunResult RunRackFailScenario(int threads) {
         }
       }
       if (now >= kFail + kGrace) {
-        ledger.RecordLocalFraction("tenant-a",
-                                   meter.ObservedLocalFraction(now, 4));
+        const double fraction = meter.ObservedLocalFraction(now);
+        ledger.RecordLocalFraction("tenant-a", fraction);
       }
     });
   }

@@ -9,14 +9,6 @@
 namespace lmp::mem {
 namespace {
 
-// Request builder the tests use; keeps call sites one-liners without
-// tripping -Wmissing-field-initializers on the skipped optional fields.
-AllocRequest InCohort(std::uint64_t frames, Mobility cohort) {
-  AllocRequest request = AllocRequest::Of(frames);
-  request.cohort = cohort;
-  return request;
-}
-
 // --- FrameAllocator ---------------------------------------------------------
 
 TEST(FrameAllocatorTest, AllocatesExactCount) {
@@ -174,7 +166,7 @@ TEST(FrameAllocatorTest, BoundedShortageLeavesStateUntouched) {
 
 
 TEST(FrameAllocatorTest, DefaultPlacementMatchesLegacyNextFit) {
-  // A request with no cohort reproduces the bitmap-era next-fit scan exactly:
+  // An unbounded request reproduces the bitmap-era next-fit scan exactly:
   // frames are taken in scan order from the hint, wrapping once.
   FrameAllocator alloc(8, KiB(4));
   auto a = alloc.Allocate(AllocRequest::Of(3));  // 0..2
@@ -225,30 +217,6 @@ TEST(FrameAllocatorTest, OverlappingRunsInOneFreeRejected) {
   // (the bitmap implementation double-counted here).
   EXPECT_FALSE(alloc.Free({(*runs)[0], (*runs)[0]}).ok());
   EXPECT_EQ(alloc.free_frames(), 4u);
-}
-
-TEST(FrameAllocatorTest, MobileLocusPacksLowPinnedPacksHigh) {
-  FrameAllocator alloc(100, KiB(4));
-  auto lo = alloc.Allocate(InCohort(10, Mobility::kMobile));
-  auto hi = alloc.Allocate(InCohort(10, Mobility::kPinned));
-  ASSERT_TRUE(lo.ok() && hi.ok());
-  EXPECT_EQ((*lo)[0], (FrameRun{0, 10}));
-  EXPECT_EQ((*hi)[0], (FrameRun{90, 10}));
-  // The cohorts keep packing outward on subsequent grabs.
-  auto lo2 = alloc.Allocate(InCohort(5, Mobility::kMobile));
-  auto hi2 = alloc.Allocate(InCohort(5, Mobility::kPinned));
-  ASSERT_TRUE(lo2.ok() && hi2.ok());
-  EXPECT_EQ((*lo2)[0], (FrameRun{10, 5}));
-  EXPECT_EQ((*hi2)[0], (FrameRun{85, 5}));
-}
-
-TEST(FrameAllocatorTest, BoundOverridesCohort) {
-  FrameAllocator alloc(100, KiB(4));
-  AllocRequest request = InCohort(4, Mobility::kPinned);
-  request.bound = 50;
-  auto runs = alloc.Allocate(request);
-  ASSERT_TRUE(runs.ok());
-  EXPECT_EQ(*runs, (std::vector<FrameRun>{FrameRun{0, 4}}));
 }
 
 // --- BackingStore ------------------------------------------------------------------

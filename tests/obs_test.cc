@@ -51,21 +51,6 @@ TEST(TimeSeriesTest, HorizonZeroTakesOnlyTheStartSample) {
   EXPECT_EQ(rec.sample_count(), 1u);
 }
 
-TEST(TimeSeriesTest, StopHaltsSampling) {
-  sim::FluidSimulator sim;
-  TimeSeriesRecorder::Config rc;
-  rc.interval = Microseconds(10);
-  rc.horizon = Microseconds(100);
-  TimeSeriesRecorder rec(&sim, rc);
-  rec.AddGauge("g", [] { return 1.0; });
-  rec.Start();
-  sim.ScheduleAt(Microseconds(55), [&rec](SimTime) { rec.Stop(); });
-  sim.Run();
-  // Samples at 0, 10, ..., 50; the 60us tick sees the stop and bails.
-  EXPECT_EQ(rec.sample_count(), 6u);
-  EXPECT_FALSE(rec.running());
-}
-
 TEST(TimeSeriesTest, SampleNowWorksWithoutStart) {
   sim::FluidSimulator sim;
   TimeSeriesRecorder rec(&sim, {});
@@ -286,7 +271,7 @@ TEST(SloLedgerTest, ObservationsAutoRegister) {
   EXPECT_TRUE(a->Met());
 }
 
-TEST(SloLedgerTest, ReportSortsByNameAndJsonIsStable) {
+TEST(SloLedgerTest, JsonSortsByNameAndIsStable) {
   auto build = [] {
     SloLedger ledger;
     ledger.RecordBandwidth("zeta", 1.0);
@@ -294,11 +279,10 @@ TEST(SloLedgerTest, ReportSortsByNameAndJsonIsStable) {
     return ledger;
   };
   const SloLedger ledger = build();
-  const auto report = ledger.Report();
-  ASSERT_EQ(report.size(), 2u);
-  EXPECT_EQ(report[0].tenant, "alpha");
-  EXPECT_EQ(report[1].tenant, "zeta");
-  EXPECT_EQ(ledger.Json(), build().Json());
+  const std::string json = ledger.Json();
+  ASSERT_NE(json.find("\"alpha\""), std::string::npos);
+  EXPECT_LT(json.find("\"alpha\""), json.find("\"zeta\""));
+  EXPECT_EQ(json, build().Json());
   EXPECT_NE(ledger.ReportTable().find("alpha"), std::string::npos);
 }
 

@@ -517,6 +517,28 @@ std::map<std::string, std::uint64_t> EngineMetricsUnder(
   return out;
 }
 
+// Ops price logical pools only: a pool box in the topology or in the
+// cluster is refused at construction.
+TEST(OpEngineDeathTest, RefusesAPoolBox) {
+  sim::FluidSimulator sim;
+  cluster::Cluster logical_cluster(SmallBackedConfig());
+  core::PoolManager logical_manager(&logical_cluster);
+  fabric::Topology physical = fabric::Topology::MakePhysical(
+      &sim, 4, fabric::LinkProfile::Link0(), fabric::MachineProfile{});
+  EXPECT_DEATH(OpEngine(&sim, &physical, &logical_manager),
+               "logical pools only");
+
+  cluster::ClusterConfig pooled = SmallBackedConfig();
+  pooled.physical_pool = true;
+  pooled.pool_capacity = MiB(64);
+  cluster::Cluster pooled_cluster(pooled);
+  core::PoolManager pooled_manager(&pooled_cluster);
+  fabric::Topology logical = fabric::Topology::MakeLogical(
+      &sim, 4, fabric::LinkProfile::Link0(), fabric::MachineProfile{});
+  EXPECT_DEATH(OpEngine(&sim, &logical, &pooled_manager),
+               "logical pools only");
+}
+
 // --- Closed-form pricing -----------------------------------------------------
 
 // k + 1 same-priced accesses from one core with k miss slots: the first k

@@ -425,18 +425,6 @@ TEST_F(PoolManagerTest, FreeLostBufferStillReleasesMetadata) {
   EXPECT_FALSE(manager_.Describe(*buf).ok());
 }
 
-TEST_F(PoolManagerTest, TranslatorsPerServerShareTheMap) {
-  auto buf = manager_.Allocate(KiB(4), 1);
-  ASSERT_TRUE(buf.ok());
-  auto info = manager_.Describe(*buf);
-  auto& tr0 = manager_.translator(0);
-  auto& tr1 = manager_.translator(1);
-  ASSERT_TRUE(tr0.TranslateHome(info->segments[0]).ok());
-  EXPECT_EQ(tr0.stats().misses, 1u);
-  EXPECT_EQ(tr1.stats().misses, 0u);  // independent caches
-  EXPECT_EQ(&manager_.translator(0), &tr0);  // stable identity
-}
-
 TEST_F(PoolManagerTest, TouchWithoutBackingStillTracksHotness) {
   cluster::ClusterConfig config = BackedConfig();
   config.with_backing = false;

@@ -27,8 +27,12 @@ TEST(ShipIntegrationTest, PlanFromRealPlacementExecutesOnScheduler) {
   auto topo = fabric::Topology::MakeLogical(&sim, 4,
                                             fabric::LinkProfile::Link0());
   core::TaskScheduler scheduler(&sim, &topo);
-  ASSERT_TRUE(scheduler.SubmitPlan(*plan, /*compute_ns_per_byte=*/0.1)
-                  .ok());
+  for (const core::ShipPlan::SubTask& sub : plan->subtasks) {
+    const auto bytes = static_cast<double>(sub.bytes);
+    ASSERT_TRUE(
+        scheduler.Submit(core::ComputeTask{sub.server, bytes, 0.1 * bytes})
+            .ok());
+  }
   scheduler.Drain();
   EXPECT_EQ(scheduler.stats().completed, plan->subtasks.size());
   EXPECT_GT(scheduler.stats().makespan, 0);

@@ -1,6 +1,7 @@
 // Tests for the compute-shipping TaskScheduler (§4.4's execution runtime).
 #include <gtest/gtest.h>
 
+#include "core/compute_ship.h"
 #include "core/task_scheduler.h"
 
 namespace lmp::core {
@@ -76,19 +77,22 @@ TEST_F(TaskSchedulerTest, StreamingTasksShareDram) {
   EXPECT_NEAR(sim_.now(), Seconds(1), 1e4);
 }
 
-TEST_F(TaskSchedulerTest, SubmitPlanFansOutByHome) {
+TEST_F(TaskSchedulerTest, PlanSubTasksRunOnTheirHomes) {
   ShipPlan plan;
   plan.subtasks.push_back({0, GiB(1), {}});
   plan.subtasks.push_back({1, GiB(2), {}});
   plan.subtasks.push_back({3, GiB(1), {}});
   TaskScheduler scheduler(&sim_, &topology_);
   int completions = 0;
-  ASSERT_TRUE(scheduler
-                  .SubmitPlan(plan, /*compute_ns_per_byte=*/0.0,
-                              [&](const ComputeTask&, SimTime) {
-                                ++completions;
-                              })
-                  .ok());
+  for (const ShipPlan::SubTask& sub : plan.subtasks) {
+    ASSERT_TRUE(scheduler
+                    .Submit(ComputeTask{sub.server,
+                                        static_cast<double>(sub.bytes), 0},
+                            [&](const ComputeTask&, SimTime) {
+                              ++completions;
+                            })
+                    .ok());
+  }
   scheduler.Drain();
   EXPECT_EQ(completions, 3);
   // Makespan set by the 2 GiB sub-task at the per-core cap.

@@ -13,13 +13,17 @@
 #   * the four perfbench workloads at seed 1, once with --trace=0 and once
 #     with --trace=1; fluid_local at --threads=min(nproc,4) as
 #     perfbench/run.py runs it, the others at 1 thread.
-# Tests are not run.  It then reads every .gcda with `gcov --json-format`
-# and prints, per src/ file, each function no run executed (a function
-# counts as executed when any build's copy of it ran), then a total line.
-# Inline functions that no translation unit calls are never emitted, so
-# they do not show.  About 2.5 minutes on 4 CPUs.  Run outputs are left in
-# SCRATCH_DIR/runs/ (a run that exits non-zero is reported on stderr and
-# its coverage still counts).
+# Tests are not run.  It then reads every object's coverage with
+# `gcov --json-format` and prints, per src/ file, each function no run
+# executed (a function counts as executed when any build's copy of it
+# ran).  A src/ file that no run linked writes no .gcda at all; gcov reads
+# its .gcno alone, and it is listed as "never linked" with its function
+# count.  The total line counts both kinds.  Inline functions that no
+# translation unit calls are never emitted, so they do not show.  About
+# 5.5 minutes on a shared 4-CPU host (330-347 s measured, build
+# included).  Run outputs are left in SCRATCH_DIR/runs/ (a run
+# that exits non-zero is reported on stderr and its coverage still
+# counts).
 set -eu
 
 if [ $# -ne 1 ]; then
@@ -93,13 +97,20 @@ import json, os, subprocess, sys
 root = sys.argv[1]
 src = os.path.join(root, "src") + os.sep
 ran = {}  # (file, line, name) -> executed in any build
+compiled = set()  # src/ files some build compiled (it has a .gcno)
+linked = set()    # ... and some run linked (it has a .gcda)
 for build in sys.argv[2:]:
     for dirpath, _, files in os.walk(build):
-        gcdas = sorted(f for f in files if f.endswith(".gcda"))
-        if not gcdas:
+        # "x.cc.gcno" -> "x.cc".  An object with no .gcda was linked into
+        # no program that ran: gcov reads its notes file alone and reports
+        # every function in it unexecuted.
+        objects = sorted(f[:-5] for f in files if f.endswith(".gcno"))
+        if not objects:
             continue
+        names = [o + (".gcda" if o + ".gcda" in files else ".gcno")
+                 for o in objects]
         out = subprocess.run(
-            ["gcov", "--json-format", "--stdout", *gcdas], cwd=dirpath,
+            ["gcov", "--json-format", "--stdout", *names], cwd=dirpath,
             check=True, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
             text=True).stdout
         for doc in out.splitlines():
@@ -112,15 +123,29 @@ for build in sys.argv[2:]:
                 if not path.startswith(src):
                     continue
                 rel = os.path.relpath(path, root)
+                base = os.path.basename(rel)
+                if base in objects:
+                    compiled.add(rel)
+                    if base + ".gcda" in files:
+                        linked.add(rel)
                 for fn in f["functions"]:
                     key = (rel, fn["start_line"], fn["demangled_name"])
                     ran[key] = ran.get(key, False) or fn["execution_count"] > 0
-never = sorted(k for k, executed in ran.items() if not executed)
+never_linked = sorted(compiled - linked)
+never = sorted(k for k, executed in ran.items()
+               if not executed and k[0] not in never_linked)
 current = None
 for rel, line, name in never:
     if rel != current:
         print(rel)
         current = rel
     print("  %d: %s" % (line, name))
-print("never executed: %d of %d src/ functions" % (len(never), len(ran)))
+unlinked = 0
+for rel in never_linked:
+    count = sum(1 for k in ran if k[0] == rel)
+    unlinked += count
+    print("never linked: %s (%d functions)" % (rel, count))
+print("never executed: %d of %d src/ functions (%d in %d never-linked "
+      "files)" % (len(never) + unlinked, len(ran), unlinked,
+                  len(never_linked)))
 EOF
